@@ -1,7 +1,7 @@
 """Command line for the lattice ensemble laboratory.
 
 Subcommands: sample, dos, minimize, relation, dynamics, verify,
-free-energy.  Shared flags (--seed, --threads, --out, --format, --config)
+free-energy.  Shared flags (--seed, --out, --format, --config)
 attach to every subcommand; GGE_SEED in the environment supplies the seed
 when --seed is absent.  A config file holds flat `key = value` lines and
 fills in any option the command line left unset; explicit flags win.
@@ -32,9 +32,8 @@ from .ldp_lab import (check_coupling_lemma, check_dos_relation,
                       check_exp_moment, check_free_energy_relation,
                       estimate_free_energy)
 from .potentials import Potential
-from .sampling import (EnsembleSpec, McmcParams, make_rng, sample_al_gge,
-                       sample_circular_beta, sample_jacobi_beta,
-                       sample_schur_gge)
+from .sampling import (ENSEMBLE_KINDS, KINDS, EnsembleSpec, McmcParams,
+                       make_rng, sample_ensemble)
 from .spectral_measures import (EmpiricalMeasure, IntervalEmpiricalMeasure,
                                 fourier_coeffs)
 
@@ -119,7 +118,7 @@ def load_config(path):
 
 
 _CONFIG_INT = {"seed", "n", "samples", "bins", "frames", "burn_in", "thinning",
-               "grid_size", "max_iterations", "threads", "k_max"}
+               "grid_size", "max_iterations", "k_max"}
 _CONFIG_FLOAT = {"beta", "delta", "dt", "t_final", "rmax", "threshold",
                  "damping", "tolerance"}
 _CONFIG_BOOL = {"angles"}
@@ -178,12 +177,6 @@ def _finalize(args, parser):
         args.format = "csv"
     if args.command in _NEEDS_BETA and args.beta is None:
         parser.error(f"{args.command}: --beta is required")
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error("--threads must be positive")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
 
 def _resolve_seed(args):
@@ -196,7 +189,7 @@ def _resolve_seed(args):
 
 
 def _run_config(args):
-    skip = {"func", "command", "config", "out", "seed", "threads"}
+    skip = {"func", "command", "config", "out", "seed"}
     params = tuple(sorted((k, str(v)) for k, v in vars(args).items()
                           if k not in skip))
     return RunConfig(command=args.command, params=params,
@@ -238,23 +231,14 @@ def _mcmc_from(args):
                       thinning=args.thinning)
 
 
-def _sample_batch(args, rng):
-    """Draw one batch with EnsembleSpec semantics for beta and n."""
-    v = parse_potential(args.potential)
-    mcmc = _mcmc_from(args)
-    kind = args.ensemble
-    if kind == "al":
-        return sample_al_gge(EnsembleSpec("al", args.n, args.beta, v), mcmc, rng)
-    if kind == "schur":
-        return sample_schur_gge(EnsembleSpec("schur", args.n, args.beta, v),
-                                mcmc, rng)
-    if kind == "circular":
-        return sample_circular_beta(args.n, args.beta, v, mcmc, rng)
-    return sample_jacobi_beta(args.n, args.beta, v, mcmc, rng)
+def _spec_from(args):
+    """EnsembleSpec of the --ensemble, --n, --beta and --potential flags."""
+    return EnsembleSpec(args.ensemble, args.n, args.beta,
+                        parse_potential(args.potential))
 
 
 def _batch_angles(batch):
-    build = build_periodic_cmv if batch.kind in ("al", "schur") else build_cmv
+    build = build_periodic_cmv if KINDS[batch.kind].periodic else build_cmv
     rows = np.empty((batch.n_samples, batch.size))
     for i in range(batch.n_samples):
         rows[i] = np.sort(eigen_angles(build(batch.alphas[i].astype(complex))))
@@ -267,8 +251,8 @@ def _batch_angles(batch):
 
 def cmd_sample(args, cfg):
     """Draw coefficient vectors and optionally their eigen-angles."""
-    rng = make_rng(cfg.seed)
-    batch = _sample_batch(args, rng)
+    batch = sample_ensemble(_spec_from(args), _mcmc_from(args),
+                            make_rng(cfg.seed))
     a = batch.alphas.astype(complex)
     angle_rows = _batch_angles(batch) if args.angles else None
 
@@ -312,10 +296,10 @@ def cmd_sample(args, cfg):
 
 def cmd_dos(args, cfg):
     """Monte Carlo density of states: histogram plus Fourier coefficients."""
-    rng = make_rng(cfg.seed)
-    batch = _sample_batch(args, rng)
+    batch = sample_ensemble(_spec_from(args), _mcmc_from(args),
+                            make_rng(cfg.seed))
     angles = _batch_angles(batch).ravel()
-    on_torus = batch.kind in ("al", "circular")
+    on_torus = KINDS[batch.kind].domain == "torus"
     if on_torus:
         pool = angles
         lo, hi = -np.pi, np.pi
@@ -532,8 +516,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="random seed; GGE_SEED is the fallback")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker thread cap for numerical backends")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="data file format (default csv)")
@@ -553,8 +535,7 @@ def build_parser():
 
     p = sub.add_parser("sample", parents=[common],
                        help="draw coefficient vectors from one ensemble")
-    p.add_argument("--ensemble", choices=("al", "schur", "circular", "jacobi"),
-                   default=None)
+    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None)
     p.add_argument("--n", type=int, default=None,
                    help="matrix size (al/schur/circular) or pairs (jacobi)")
     p.add_argument("--beta", type=float, default=None,
@@ -567,8 +548,7 @@ def build_parser():
 
     p = sub.add_parser("dos", parents=[common],
                        help="Monte Carlo density of states")
-    p.add_argument("--ensemble", choices=("al", "schur", "circular", "jacobi"),
-                   default=None)
+    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--potential", default=None)
@@ -623,8 +603,7 @@ def build_parser():
 
     p = sub.add_parser("free-energy", parents=[common],
                        help="thermodynamic-integration free energy")
-    p.add_argument("--ensemble", choices=("al", "schur", "circular", "jacobi"),
-                   default=None)
+    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--potential", default=None)

@@ -386,25 +386,18 @@ def trace_potential(m, potential):
 
     Torus potentials use Tr cos(k theta) = Re Tr E^k and the sine analogue;
     interval potentials assume a spectrum in conjugate pairs and count each
-    pair once: sum_j V(x_j) = t_0 n/2 + sum_k t_k Re(Tr E^k)/2.
+    pair once, so the constant term counts n/2 times
+    (Potential.trace_weights).
     """
-    if potential.domain == "torus":
-        deg = max(potential.cos.size - 1, potential.sin.size)
-        total = potential.cos[0] * m.n
-        for k in range(1, deg + 1):
-            tr = trace_power(m, k)
-            if k < potential.cos.size:
-                total += potential.cos[k] * tr.real
-            if k <= potential.sin.size:
-                total += potential.sin[k - 1] * tr.imag
-        return float(total)
-    if m.n % 2:
-        raise ValueError("interval potentials need an even matrix size")
-    total = potential.cheb[0] * (m.n // 2)
-    for k in range(1, potential.cheb.size):
-        if potential.cheb[k] != 0.0:
-            total += potential.cheb[k] * 0.5 * trace_power(m, k).real
-    return float(total)
+    atoms = m.n
+    if potential.domain == "interval":
+        if m.n % 2:
+            raise ValueError("interval potentials need an even matrix size")
+        atoms = m.n // 2
+    w = potential.trace_weights()
+    traces = np.array([trace_power(m, k) for k in range(1, w.size + 1)],
+                      complex)
+    return float(potential.constant * atoms + (w @ traces).real)
 
 
 def conserved_quantities(alpha, ell_max=4):

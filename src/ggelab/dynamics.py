@@ -52,12 +52,13 @@ from .cmv_core import (
     BoundaryMode,
     NumericalError,
     VerblunskyVector,
+    _keep_upper_cyclic,
     batch_trace_powers,
     build_periodic_cmv,
     e_plus,
     trace_power,
 )
-from .sampling import McmcParams, make_rng, sample_al_gge, sample_schur_gge
+from .sampling import McmcParams, make_rng, sample_ensemble
 
 __all__ = [
     "FlowState",
@@ -414,16 +415,6 @@ def conservation_report(trajectory, ell_max=4):
 # Lax equation residual
 
 
-def _keep_upper(E):
-    n = E.shape[0]
-    idx = np.arange(n)
-    out = np.zeros_like(E)
-    out[idx, idx] = 0.5 * E[idx, idx]
-    out[idx, (idx + 1) % n] = E[idx, (idx + 1) % n]
-    out[idx, (idx + 2) % n] = E[idx, (idx + 2) % n]
-    return out
-
-
 def lax_residual(state, dt_probe=1e-6):
     """Finite-difference check of dE/dt = i [E, E+ + (E+)* + D].
 
@@ -452,11 +443,12 @@ def lax_residual(state, dt_probe=1e-6):
     parity = -((-1.0) ** np.arange(m0.n))
     gen = P + P.conj().T + np.diag(parity)
     commutator = 1j * (E0 @ gen - gen @ E0)
-    gen_alt = P - _keep_upper(E0.conj().T) + np.diag(parity)
+    gen_alt = P - _keep_upper_cyclic(E0.conj().T) + np.diag(parity)
     alt = 1j * (E0 @ gen_alt - gen_alt @ E0)
     gap = float(np.abs(commutator - alt).max())
-    assert gap <= COMMUTATOR_TOL, \
-        f"the two Lax generators disagree by {gap:.3e}"
+    if not gap <= COMMUTATOR_TOL:
+        raise NumericalError(f"the two Lax generators disagree by {gap:.3e}",
+                             residual=gap)
 
     a1 = _rk4_step(al_rhs, a0, dt_probe)
     E1 = build_periodic_cmv(a1).dense()
@@ -557,7 +549,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
     Returns:
         InvarianceReport with per-statistic z and p values.
     """
-    if spec.kind not in ("al", "schur"):
+    if spec.kind not in _FLOWS:
         raise ValueError("the lattice flows act on 'al' or 'schur' ensembles")
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
@@ -571,8 +563,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
             f"only {n_samples} samples; the normal approximation of the "
             "test statistic is unreliable below 100")
 
-    sampler = sample_al_gge if spec.kind == "al" else sample_schur_gge
-    batch = sampler(spec, McmcParams(sweeps=n_samples), rng)
+    batch = sample_ensemble(spec, McmcParams(sweeps=n_samples), rng)
     A0 = batch.alphas
     pre = _ensemble_statistics(A0, k_max)
 

@@ -171,7 +171,8 @@ class GridDensity:
         self.signed = signed
         self._fcache = {}
         m = self.mass()
-        assert abs(m - 1.0) < 1e-10, f"density mass {m} is not 1"
+        if not abs(m - 1.0) < 1e-10:
+            raise ValueError(f"density mass {m} is not 1")
 
     # -- constructors ----------------------------------------------------
 
@@ -263,7 +264,8 @@ class GridDensity:
                 c = c.astype(complex)
             tol = 1e-3 if self.signed else 1e-9
             worst = float(np.max(np.abs(c)))
-            assert worst <= 1.0 + tol, f"|mu_k| = {worst} exceeds 1"
+            if not worst <= 1.0 + tol:
+                raise ValueError(f"|mu_k| = {worst} exceeds 1")
             self._fcache[k_max] = FourierCoeffs(np.clip(np.abs(c), None, 1.0) * np.exp(1j * np.angle(c)))
         return self._fcache[k_max]
 

@@ -31,10 +31,9 @@ from .cmv_core import (NumericalError, batch_trace_powers, build_cmv,
 from .equilibrium import (beta_derivative_measure, free_energy_interval,
                           free_energy_torus, minimize_interval, minimize_torus)
 from .potentials import Potential
-from .sampling import (EnsembleSpec, McmcParams, make_rng, sample_al_gge,
-                       sample_chi, sample_circular_beta, sample_coupled_family,
-                       sample_coupled_pair, sample_jacobi_beta,
-                       sample_schur_gge)
+from .sampling import (KINDS, EnsembleSpec, McmcParams, make_rng,
+                       sample_chi, sample_coupled_family, sample_coupled_pair,
+                       sample_ensemble)
 from .spectral_measures import FourierCoeffs, distance_D, fourier_coeffs
 
 __all__ = [
@@ -56,9 +55,6 @@ COUPLING_SLACK = 1e-14
 
 # default acceptance threshold for the density-of-states distance
 DEFAULT_D_THRESHOLD = 0.02
-
-_DOMAIN_OF = {"al": "torus", "circular": "torus",
-              "schur": "interval", "jacobi": "interval"}
 
 
 # --------------------------------------------------------------------------
@@ -243,28 +239,35 @@ def _mean_and_error(w):
 
 def _normalize_kind(ensemble):
     kind = str(ensemble).lower()
-    if kind not in _DOMAIN_OF:
+    if kind not in KINDS:
         raise ValueError(f"unknown ensemble {ensemble!r}; "
-                         f"expected one of {sorted(_DOMAIN_OF)}")
+                         f"expected one of {sorted(KINDS)}")
     return kind
 
 
+def _domain_of(kind, v):
+    """Where the potentials of an ensemble kind live; v must live there."""
+    domain = KINDS[kind].domain
+    if v is not None and v.domain != domain:
+        raise ValueError(f"{kind} ensembles take {domain} potentials, "
+                         f"got {v.domain}")
+    return domain
+
+
 def _draw(kind, n, beta, potential, mcmc, rng):
-    """Dispatch to the sampler of one ensemble kind at matrix size n."""
-    if potential is not None and potential.domain != _DOMAIN_OF[kind]:
-        raise ValueError(f"{kind} ensembles take {_DOMAIN_OF[kind]} potentials, "
-                         f"got {potential.domain}")
-    if kind == "al":
-        return sample_al_gge(EnsembleSpec("al", n, beta, potential), mcmc, rng)
-    if kind == "schur":
-        return sample_schur_gge(EnsembleSpec("schur", n, beta, potential), mcmc, rng)
+    """Sample one ensemble kind at matrix size n, high-temperature scaling.
+
+    The circular per-site rate is 2 beta / n, which keeps the variational
+    description valid at finite size; jacobi runs take n/2 spectral pairs.
+    """
     if kind == "circular":
-        # high-temperature scaling: per-site rate 2 beta / n keeps the
-        # variational description valid at finite size
-        return sample_circular_beta(n, 2.0 * beta / n, potential, mcmc, rng)
-    if n % 2:
-        raise ValueError("jacobi runs need an even matrix size (spectral pairs)")
-    return sample_jacobi_beta(n // 2, beta, potential, mcmc, rng)
+        beta = 2.0 * beta / n
+    elif kind == "jacobi":
+        if n % 2:
+            raise ValueError("jacobi runs need an even matrix size "
+                             "(spectral pairs)")
+        n //= 2
+    return sample_ensemble(EnsembleSpec(kind, n, beta, potential), mcmc, rng)
 
 
 def _power_traces(alphas, k_max, periodic, chunk=256):
@@ -294,26 +297,15 @@ def _potential_series(alphas, v, kind):
     number of conjugate pairs, so a constant potential c0 gives exactly c0.
     """
     A = np.atleast_2d(np.asarray(alphas))
-    nsamp, n = A.shape
-    periodic = kind in ("al", "schur")
-    deg = v.degree
-    t = _power_traces(A, deg, periodic)
-    if v.domain == "torus":
-        w = np.full(nsamp, float(v.cos[0]))
-        for k in range(1, deg + 1):
-            if k < v.cos.size and v.cos[k] != 0.0:
-                w += v.cos[k] * t[:, k - 1].real / n
-            if k <= v.sin.size and v.sin[k - 1] != 0.0:
-                w += v.sin[k - 1] * t[:, k - 1].imag / n
-        return w
-    if n % 2:
-        raise ValueError("interval potentials need an even matrix size")
-    half = n // 2
-    w = np.full(nsamp, float(v.cheb[0]))
-    for k in range(1, deg + 1):
-        if v.cheb[k] != 0.0:
-            w += v.cheb[k] * 0.5 * t[:, k - 1].real / half
-    return w
+    n = A.shape[1]
+    atoms = n
+    if v.domain == "interval":
+        if n % 2:
+            raise ValueError("interval potentials need an even matrix size")
+        atoms = n // 2
+    w = v.trace_weights()
+    t = _power_traces(A, w.size, KINDS[kind].periodic)
+    return v.constant + (t @ w).real / atoms
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +386,9 @@ def check_exp_moment(h_grid, n_samples, rng=None):
         a = 1.0 - 0.5 * math.log(h)
         exact, qerr = quad(lambda u: math.exp(a * u ** (1.0 / h)),
                            0.0, 1.0, limit=200, epsabs=1e-11, epsrel=1e-11)
-        assert qerr < 1e-7, f"quadrature error {qerr} too large at h = {h}"
+        if not qerr < 1e-7:
+            raise NumericalError(f"quadrature error {qerr} too large at "
+                                 f"h = {h}", residual=qerr)
         x1 = rng.standard_normal(n_samples)
         x2 = rng.standard_normal(n_samples)
         y = sample_chi(h, rng, size=n_samples)
@@ -461,12 +455,9 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     if v is None or v.is_zero:
         return FreeEnergyEstimate(0.0, 0.0, grid=grid, ensemble=kind,
                                   beta=float(beta))
-    if v.domain != _DOMAIN_OF[kind]:
-        raise ValueError(f"{kind} ensembles take {_DOMAIN_OF[kind]} potentials, "
-                         f"got {v.domain}")
+    _domain_of(kind, v)
     if v.degree == 0:
-        c0 = float(v.cos[0] if v.domain == "torus" else v.cheb[0])
-        return FreeEnergyEstimate(c0, 0.0, grid=grid, ensemble=kind,
+        return FreeEnergyEstimate(v.constant, 0.0, grid=grid, ensemble=kind,
                                   beta=float(beta))
 
     mcmc = mcmc if mcmc is not None else McmcParams()
@@ -632,16 +623,14 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     potentials.
     """
     kind = _normalize_kind(ensemble)
-    if kind not in ("al", "schur"):
+    if not KINDS[kind].periodic:
         raise ValueError("density-of-states checks cover al and schur runs")
     if not beta > 0:
         raise ValueError("beta must be positive")
     n = int(n)
     if n < 2 or n % 2:
         raise ValueError("need an even matrix size of at least 2")
-    domain = _DOMAIN_OF[kind]
-    if v is not None and v.domain != domain:
-        raise ValueError(f"{kind} runs take {domain} potentials")
+    domain = _domain_of(kind, v)
     k_max = int(k_max)
     if k_max < 4:
         raise ValueError("k_max must be at least 4 to cover the moment table")
@@ -656,7 +645,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
 
     traces = _power_traces(batch.alphas, k_max, periodic=True) / n
     pooled = traces.mean(axis=0)
-    if kind == "al":
+    if domain == "torus":
         empirical = FourierCoeffs(pooled)
         rows = _torus_moment_rows(traces, target)
     else:
@@ -714,7 +703,7 @@ def rate_function_value(mu, v, beta, side="circular", params=None):
     side = str(side).lower()
     if side not in ("circular", "jacobi"):
         raise ValueError(f"side must be circular or jacobi, got {side!r}")
-    domain = "torus" if side == "circular" else "interval"
+    domain = KINDS[side].domain
     if getattr(mu, "domain", None) != domain:
         raise ValueError(f"the density must live on the {domain}")
     if v is not None and v.domain != domain:

@@ -11,7 +11,7 @@ matrix, which is why no other basis is supported.
 
 import numpy as np
 
-__all__ = ["Potential", "parse_potential"]
+__all__ = ["Potential"]
 
 
 class Potential:
@@ -59,11 +59,33 @@ class Potential:
 
     @property
     def is_zero(self):
-        return self.degree == 0 and self._constant == 0.0
+        return self.degree == 0 and self.constant == 0.0
 
     @property
-    def _constant(self):
+    def constant(self):
+        """The constant term: c_0 on the torus, t_0 on the interval."""
         return float(self.cos[0] if self.domain == "torus" else self.cheb[0])
+
+    def trace_weights(self):
+        """Complex weights w_k, k = 1..degree, of Tr V(E) in power traces.
+
+        Tr V(E) = constant * M + Re sum_k w_k Tr E^k, where M is the
+        matrix size on the torus, with w_k = c_k - i s_k.  Interval
+        potentials assume a spectrum of conjugate pairs x = cos(theta)
+        and count each pair once, so M is half the matrix size and
+        w_k = t_k / 2.
+        """
+        deg = self.degree
+        w = np.zeros(deg, complex)
+        if self.domain == "torus":
+            for k in range(1, deg + 1):
+                c_k = self.cos[k] if k < self.cos.size else 0.0
+                s_k = self.sin[k - 1] if k - 1 < self.sin.size else 0.0
+                w[k - 1] = c_k - 1j * s_k
+        else:
+            for k in range(1, deg + 1):
+                w[k - 1] = 0.5 * self.cheb[k]
+        return w
 
     def __call__(self, u):
         """Evaluate at angles (torus) or at points of [-1, 1] (interval)."""
@@ -96,50 +118,3 @@ class Potential:
         if self.domain == "torus":
             return f"Potential(torus, cos={self.cos.tolist()}, sin={self.sin.tolist()})"
         return f"Potential(interval, cheb={self.cheb.tolist()})"
-
-
-def parse_potential(text):
-    """Parse a coefficient string like "c0=0.1,c1=1.0,s1=-0.5" or "t1=1.0".
-
-    Keys ck/sk give a torus potential, keys tk an interval one; mixing the
-    two families is an error.  An empty or missing string means V = 0 on
-    the torus.
-    """
-    if not text or not text.strip():
-        return Potential("torus", cos=[0.0])
-    cos, sin, cheb = {}, {}, {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            key, val = item.split("=")
-            fam, idx = key.strip()[0], int(key.strip()[1:])
-            val = float(val)
-        except (ValueError, IndexError):
-            raise ValueError(f"bad potential term {item!r}, expected e.g. c1=0.5")
-        if fam == "c":
-            cos[idx] = val
-        elif fam == "s":
-            if idx < 1:
-                raise ValueError("sine coefficients start at s1")
-            sin[idx] = val
-        elif fam == "t":
-            cheb[idx] = val
-        else:
-            raise ValueError(f"unknown coefficient family {fam!r} in {item!r}")
-    if cheb and (cos or sin):
-        raise ValueError("cannot mix torus (c/s) and interval (t) coefficients")
-    if cheb:
-        arr = np.zeros(max(cheb) + 1)
-        for k, v in cheb.items():
-            arr[k] = v
-        return Potential("interval", cheb=arr)
-    kmax = max([0] + list(cos) + list(sin))
-    c = np.zeros(kmax + 1)
-    s = np.zeros(kmax)
-    for k, v in cos.items():
-        c[k] = v
-    for k, v in sin.items():
-        s[k - 1] = v
-    return Potential("torus", cos=c, sin=s)

@@ -9,7 +9,7 @@ through power traces of the Lax matrix.
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,9 @@ __all__ = [
     "CoupledPair",
     "CoupledFamily",
     "McmcParams",
+    "EnsembleKind",
     "EnsembleSpec",
+    "KINDS",
     "SampleBatch",
     "SeededGenerator",
     "make_rng",
@@ -33,9 +35,8 @@ __all__ = [
     "sample_schur_gge",
     "sample_circular_beta",
     "sample_jacobi_beta",
+    "sample_ensemble",
 ]
-
-ENSEMBLE_KINDS = ("al", "schur", "circular", "jacobi")
 
 
 class SeededGenerator(np.random.Generator):
@@ -266,11 +267,65 @@ class McmcParams:
 
 
 @dataclass(frozen=True)
+class EnsembleKind:
+    """What fixes one Gibbs family: the V = 0 laws of its coefficients.
+
+    Every family draws its Verblunsky coefficients independently site by
+    site (Killip-Nenciu): complex Theta_nu_j on the torus kinds, real
+    (1 + alpha_j)/2 ~ Beta(s_j, s_j) on the interval kinds.
+
+    Attributes:
+        domain: "torus" or "interval", where the spectrum and the
+            potentials live.  Interval kinds have real coefficients, so
+            their spectra come in conjugate pairs read as x = cos(theta).
+        boundary: the last-coefficient convention.  ALL_INTERIOR is the
+            periodic matrix, translation invariant, so every site has the
+            same law; the other two are the open matrix, whose last entry
+            is uniform on the unit circle or fixed at -1.
+        pairs: EnsembleSpec.n counts spectral pairs, so the coefficient
+            vector has 2n entries.
+        interior: (beta, size) -> the shape parameters nu_j or s_j of the
+            interior sites j = 1, 2, ..., all `size` sites when periodic,
+            the first size - 1 otherwise.
+    """
+
+    domain: str
+    boundary: cc.BoundaryMode
+    pairs: bool
+    interior: Callable
+
+    @property
+    def periodic(self):
+        return self.boundary == cc.BoundaryMode.ALL_INTERIOR
+
+    def mutable(self, size):
+        """Sites a Metropolis sweep redraws: all but a last entry of -1."""
+        fixed = self.boundary == cc.BoundaryMode.LAST_MINUS_ONE
+        return size - 1 if fixed else size
+
+
+KINDS = {
+    "al": EnsembleKind("torus", cc.BoundaryMode.ALL_INTERIOR, False,
+                       lambda beta, size: np.full(size, 2.0 * beta + 1.0)),
+    "schur": EnsembleKind("interval", cc.BoundaryMode.ALL_INTERIOR, False,
+                          lambda beta, size: np.full(size, beta)),
+    "circular": EnsembleKind(
+        "torus", cc.BoundaryMode.LAST_ON_CIRCLE, False,
+        lambda beta, size: beta * np.arange(size - 1, 0, -1) + 1.0),
+    "jacobi": EnsembleKind(
+        "interval", cc.BoundaryMode.LAST_MINUS_ONE, True,
+        lambda beta, size: beta * (1.0 - np.arange(1, size) / size)),
+}
+
+ENSEMBLE_KINDS = tuple(KINDS)
+
+
+@dataclass(frozen=True)
 class EnsembleSpec:
     """Which Gibbs ensemble to draw from.
 
     Attributes:
-        kind: one of "al", "schur", "circular", "jacobi".
+        kind: one of "al", "schur", "circular", "jacobi" (a key of KINDS).
         n: matrix size for al/schur/circular; number of spectral pairs
            for jacobi (the coefficient vector then has length 2n).
         beta: inverse temperature, positive.  For circular this is the
@@ -284,23 +339,20 @@ class EnsembleSpec:
     potential: Optional[Potential] = None
 
     def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.kind in ("al", "schur"):
-            if self.n < 2 or self.n % 2:
-                raise ValueError("al/schur need even size >= 2")
-        elif self.kind == "circular":
-            if self.n < 2:
-                raise ValueError("circular needs size >= 2")
-        elif self.n < 1:
-            raise ValueError("jacobi needs at least one pair")
+        periodic = KINDS[self.kind].periodic
+        if self.size < 2 or (periodic and self.size % 2):
+            even = " and an even count" if periodic else ""
+            raise ValueError(f"{self.kind} needs at least two coefficients"
+                             f"{even}, got n = {self.n}")
 
     @property
     def size(self):
         """Length of the coefficient vector."""
-        return 2 * self.n if self.kind == "jacobi" else self.n
+        return 2 * self.n if KINDS[self.kind].pairs else self.n
 
 
 @dataclass
@@ -329,14 +381,6 @@ class SampleBatch:
         return self.alphas.shape[1]
 
 
-_BOUNDARY = {
-    "al": cc.BoundaryMode.ALL_INTERIOR,
-    "schur": cc.BoundaryMode.ALL_INTERIOR,
-    "circular": cc.BoundaryMode.LAST_ON_CIRCLE,
-    "jacobi": cc.BoundaryMode.LAST_MINUS_ONE,
-}
-
-
 # --------------------------------------------------------------------------
 # zero-potential draws
 
@@ -351,73 +395,34 @@ def _real_interior(rng, a, b, size=None):
     return np.clip(vals, -1.0 + 1e-15, 1.0 - 1e-15)
 
 
-def _exact_rows(kind, size_n, beta_param, rng, rows):
-    """Draw `rows` independent coefficient vectors from the V = 0 law."""
-    if kind == "al":
-        return sample_theta(ThetaParams(2.0 * beta_param + 1.0), rng,
-                            size=(rows, size_n))
-    if kind == "schur":
-        return _real_interior(rng, beta_param, beta_param, size=(rows, size_n))
-    if kind == "circular":
-        out = np.empty((rows, size_n), complex)
-        for j in range(size_n - 1):
-            nu_j = beta_param * (size_n - 1 - j) + 1.0
-            out[:, j] = sample_theta(ThetaParams(nu_j), rng, size=rows)
-        out[:, -1] = np.exp(2j * np.pi * rng.uniform(size=rows))
+def _draw_sites(kind, params, rng, site=None, size=None):
+    """Fresh draws from the V = 0 site laws of one ensemble kind.
+
+    `params` is kind.interior(beta, N).  With `site` given this draws
+    `size` values of that site alone (a scalar for None); without it,
+    `size` whole coefficient vectors.  Fixed seeds reproduce batches bit
+    for bit, so the order of generator calls is fixed too: periodic rows
+    come from one (size, N) call, open rows column by column.
+    """
+    if site is None:
+        if kind.periodic:
+            return _draw_sites(kind, params, rng, 0, (size, params.size))
+        out = np.empty((size, params.size + 1),
+                       complex if kind.domain == "torus" else float)
+        for j in range(params.size + 1):
+            out[:, j] = _draw_sites(kind, params, rng, j, size)
         return out
-    out = np.empty((rows, size_n))
-    half = size_n // 2
-    for j in range(1, size_n):
-        s_j = beta_param * (1.0 - j / (2.0 * half))
-        out[:, j - 1] = _real_interior(rng, s_j, s_j, size=rows)
-    out[:, -1] = -1.0
-    return out
-
-
-def _site_proposal(kind, size_n, beta_param, j, rng):
-    """Fresh draw of site j (0-based) from its V = 0 marginal."""
-    if kind == "al":
-        return sample_theta(ThetaParams(2.0 * beta_param + 1.0), rng)
-    if kind == "schur":
-        return _real_interior(rng, beta_param, beta_param)
-    if kind == "circular":
-        if j == size_n - 1:
-            return np.exp(2j * np.pi * rng.uniform())
-        return sample_theta(ThetaParams(beta_param * (size_n - 1 - j) + 1.0), rng)
-    s_j = beta_param * (1.0 - (j + 1) / size_n)
-    return _real_interior(rng, s_j, s_j)
-
-
-def _batch_proposal(kind, beta_param, count, rng):
-    """Site proposals for the colour path; al/schur marginals are uniform
-    across sites so one call covers a whole colour class."""
-    if kind == "al":
-        return sample_theta(ThetaParams(2.0 * beta_param + 1.0), rng, size=count)
-    return _real_interior(rng, beta_param, beta_param, size=count)
+    if site == params.size:  # the last entry of an open matrix
+        if kind.boundary == cc.BoundaryMode.LAST_MINUS_ONE:
+            return -1.0
+        return np.exp(2j * np.pi * rng.uniform(size=size))
+    if kind.domain == "torus":
+        return sample_theta(ThetaParams(params[site]), rng, size=size)
+    return _real_interior(rng, params[site], params[site], size=size)
 
 
 # --------------------------------------------------------------------------
 # Metropolis machinery
-
-
-def _weight_vector(potential):
-    """Complex weights w_k with delta Tr V = Re(w . delta tr).
-
-    Torus: Tr V = c_0 N + sum c_k Re tr_k + s_k Im tr_k.
-    Interval: Tr V = t_0 N/2 + sum t_k Re tr_k / 2 (paired spectrum).
-    Constants drop out of differences.
-    """
-    deg = potential.degree
-    w = np.zeros(deg, complex)
-    if potential.domain == "torus":
-        for k in range(1, deg + 1):
-            c_k = potential.cos[k] if k < potential.cos.size else 0.0
-            s_k = potential.sin[k - 1] if k - 1 < potential.sin.size else 0.0
-            w[k - 1] = c_k - 1j * s_k
-    else:
-        for k in range(1, deg + 1):
-            w[k - 1] = 0.5 * potential.cheb[k]
-    return w
 
 
 def _trace_vector(alpha, periodic, deg):
@@ -442,15 +447,15 @@ def _color_spacing(n):
     return None
 
 
-def _run_color_chain(kind, size_n, beta_param, potential, wc, spacing,
-                     burn, thin, n_keep, rng):
+def _run_color_chain(kind, params, wc, spacing, burn, thin, n_keep, rng):
     """Vectorised sweeps for periodic matrices and degree <= 1 torus V.
 
     A degree-1 trace increment at site j only involves alpha_{j-1} and
     alpha_{j+1}, so sites of a common residue class mod `spacing` update
     independently and one numpy call handles the whole class.
     """
-    alpha = _exact_rows(kind, size_n, beta_param, rng, 1)[0]
+    alpha = _draw_sites(kind, params, rng, size=1)[0]
+    size_n = alpha.size
     w1 = wc[0] if wc.size else 0.0
     stride = max(1, -(-thin // size_n))
     kept = np.empty((n_keep, size_n), dtype=alpha.dtype)
@@ -461,7 +466,8 @@ def _run_color_chain(kind, size_n, beta_param, potential, wc, spacing,
     offsets = [np.arange(off, size_n, spacing) for off in range(spacing)]
     while k_idx < n_keep:
         for sites in offsets:
-            prop = _batch_proposal(kind, beta_param, sites.size, rng)
+            # periodic sites share one law, so one call draws the class
+            prop = _draw_sites(kind, params, rng, sites[0], sites.size)
             d = prop - alpha[sites]
             dtr = -(alpha[(sites - 1) % size_n] * np.conj(d)
                     + d * np.conj(alpha[(sites + 1) % size_n]))
@@ -477,8 +483,7 @@ def _run_color_chain(kind, size_n, beta_param, potential, wc, spacing,
     return kept, accepted / proposed
 
 
-def _run_site_chain(kind, size_n, beta_param, potential, wc, mutable,
-                    periodic, burn, thin, n_keep, rng):
+def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
     """Sequential single-site chain, exact for any potential degree.
 
     The trace increment is recomputed from the full state, which keeps
@@ -486,19 +491,20 @@ def _run_site_chain(kind, size_n, beta_param, potential, wc, mutable,
     O(N) work per site; the colour path covers the large-N workloads.
     """
     deg = wc.size
-    alpha = _exact_rows(kind, size_n, beta_param, rng, 1)[0]
-    tr_cur = _trace_vector(alpha, periodic, deg)
-    kept = np.empty((n_keep, size_n), dtype=alpha.dtype)
+    alpha = _draw_sites(kind, params, rng, size=1)[0]
+    mutable = kind.mutable(alpha.size)
+    tr_cur = _trace_vector(alpha, kind.periodic, deg)
+    kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
     burn_updates = burn * mutable
     accepted = 0
     updates = 0
     k_idx = 0
     while k_idx < n_keep:
         j = updates % mutable
-        prop = _site_proposal(kind, size_n, beta_param, j, rng)
+        prop = _draw_sites(kind, params, rng, j)
         old = alpha[j]
         alpha[j] = prop
-        tr_new = _trace_vector(alpha, periodic, deg)
+        tr_new = _trace_vector(alpha, kind.periodic, deg)
         dv = float(np.real(wc @ (tr_new - tr_cur)))
         if np.log(rng.uniform()) < -dv:
             tr_cur = tr_new
@@ -512,29 +518,27 @@ def _run_site_chain(kind, size_n, beta_param, potential, wc, mutable,
     return kept, accepted / updates
 
 
-def _sample(kind, size_n, beta_param, potential, mcmc, rng, force_path):
-    if mcmc.seed is not None:
-        rng = make_rng(mcmc.seed)
-    elif rng is None:
-        rng = make_rng(None)
+def _sample(spec, mcmc, rng, force_path):
+    rng = make_rng(mcmc.seed if mcmc.seed is not None else rng)
     seed = getattr(rng, "seed_value", None)
     n_keep = int(mcmc.sweeps)
+    kind = KINDS[spec.kind]
+    size_n, beta, potential = spec.size, float(spec.beta), spec.potential
+    params = kind.interior(beta, size_n)
 
     if potential is None or potential.is_zero:
         if force_path is not None:
             raise ValueError("force_path applies to Metropolis runs only")
-        alphas = _exact_rows(kind, size_n, beta_param, rng, n_keep)
+        alphas = _draw_sites(kind, params, rng, size=n_keep)
         rate = None
     else:
-        periodic = kind in ("al", "schur")
         if potential.domain == "interval" and size_n % 2:
             raise ValueError("interval potentials need an even matrix size")
-        wc = _weight_vector(potential)
+        wc = potential.trace_weights()
         burn = int(mcmc.burn_in) if mcmc.burn_in is not None else 10 * size_n
         thin = int(mcmc.thinning) if mcmc.thinning is not None else size_n
-        mutable = size_n - 1 if kind == "jacobi" else size_n
-        spacing = _color_spacing(size_n) if periodic else None
-        use_color = (periodic and potential.domain == "torus"
+        spacing = _color_spacing(size_n) if kind.periodic else None
+        use_color = (kind.periodic and potential.domain == "torus"
                      and wc.size <= 1 and spacing is not None)
         if force_path == "site":
             use_color = False
@@ -544,14 +548,13 @@ def _sample(kind, size_n, beta_param, potential, mcmc, rng, force_path):
         elif force_path not in (None, "color", "site"):
             raise ValueError(f"unknown path {force_path!r}")
         if use_color:
-            alphas, rate = _run_color_chain(kind, size_n, beta_param, potential,
-                                            wc, spacing, burn, thin, n_keep, rng)
+            alphas, rate = _run_color_chain(kind, params, wc, spacing, burn,
+                                            thin, n_keep, rng)
         else:
-            alphas, rate = _run_site_chain(kind, size_n, beta_param, potential,
-                                           wc, mutable, periodic, burn, thin,
+            alphas, rate = _run_site_chain(kind, params, wc, burn, thin,
                                            n_keep, rng)
-    return SampleBatch(alphas=alphas, kind=kind, beta=float(beta_param),
-                       boundary=_BOUNDARY[kind], acceptance_rate=rate,
+    return SampleBatch(alphas=alphas, kind=spec.kind, beta=beta,
+                       boundary=kind.boundary, acceptance_rate=rate,
                        seed=seed, potential=potential)
 
 
@@ -568,8 +571,7 @@ def sample_al_gge(spec, mcmc, rng=None, force_path=None):
     """
     if spec.kind != "al":
         raise ValueError(f"spec is for {spec.kind!r}, expected 'al'")
-    return _sample("al", spec.n, spec.beta, spec.potential, mcmc, rng,
-                   force_path)
+    return _sample(spec, mcmc, rng, force_path)
 
 
 def sample_schur_gge(spec, mcmc, rng=None, force_path=None):
@@ -577,8 +579,7 @@ def sample_schur_gge(spec, mcmc, rng=None, force_path=None):
     (1 + alpha_j)/2 ~ Beta(beta, beta) when the potential vanishes."""
     if spec.kind != "schur":
         raise ValueError(f"spec is for {spec.kind!r}, expected 'schur'")
-    return _sample("schur", spec.n, spec.beta, spec.potential, mcmc, rng,
-                   force_path)
+    return _sample(spec, mcmc, rng, force_path)
 
 
 def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None,
@@ -589,12 +590,8 @@ def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None,
     entry is uniform on the unit circle, so the open CMV matrix carries
     the ensemble's eigen-angles.
     """
-    if n < 2:
-        raise ValueError("need at least two sites")
-    if not beta_tilde > 0:
-        raise ValueError("beta_tilde must be positive")
-    return _sample("circular", int(n), float(beta_tilde), potential, mcmc,
-                   rng, force_path)
+    spec = EnsembleSpec("circular", int(n), float(beta_tilde), potential)
+    return _sample(spec, mcmc, rng, force_path)
 
 
 def sample_jacobi_beta(n, beta, potential, mcmc, rng=None, force_path=None):
@@ -604,9 +601,22 @@ def sample_jacobi_beta(n, beta, potential, mcmc, rng=None, force_path=None):
     j < 2n, and alpha_2n = -1 exactly; eigenvalues come in conjugate
     pairs cos(theta) on [-1, 1].
     """
-    if n < 1:
-        raise ValueError("need at least one pair")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    return _sample("jacobi", 2 * int(n), float(beta), potential, mcmc, rng,
-                   force_path)
+    spec = EnsembleSpec("jacobi", int(n), float(beta), potential)
+    return _sample(spec, mcmc, rng, force_path)
+
+
+def sample_ensemble(spec, mcmc, rng=None):
+    """Sample the ensemble of any kind through its own sampler.
+
+    spec.beta and spec.n keep EnsembleSpec's convention: the circular
+    beta is the per-site rate beta_tilde, and jacobi's n counts spectral
+    pairs.
+    """
+    if spec.kind == "al":
+        return sample_al_gge(spec, mcmc, rng)
+    if spec.kind == "schur":
+        return sample_schur_gge(spec, mcmc, rng)
+    if spec.kind == "circular":
+        return sample_circular_beta(spec.n, spec.beta, spec.potential, mcmc,
+                                    rng)
+    return sample_jacobi_beta(spec.n, spec.beta, spec.potential, mcmc, rng)

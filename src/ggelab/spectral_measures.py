@@ -142,7 +142,8 @@ class FourierCoeffs:
         if c.size == 0:
             raise ValueError("need at least one coefficient")
         worst = float(np.max(np.abs(c)))
-        assert worst <= 1.0 + 1e-9, f"|mu_k| = {worst} exceeds 1"
+        if not worst <= 1.0 + 1e-9:
+            raise ValueError(f"|mu_k| = {worst} exceeds 1")
         self.c = c
         self.k_max = c.size
 

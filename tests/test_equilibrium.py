@@ -79,7 +79,7 @@ class TestGridDensity:
             GridDensity.torus(vals)
 
     def test_unnormalized_mass_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             GridDensity.torus(np.full(64, 1.0))
 
     def test_arcsine_lift_has_vanishing_coefficients(self):

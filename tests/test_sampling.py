@@ -346,6 +346,61 @@ def test_make_rng_env_fallback(monkeypatch):
     assert rng.integers(1 << 30) == rng2.integers(1 << 30)
 
 
+# ----------------------------------------------------------------- kind table
+
+KIND_CASES = {
+    # kind: (n, beta, potential, own sampler call)
+    "al": (8, 1.2, Potential("torus", cos=[0.0, 0.6]),
+           lambda spec, mcmc, rng: sp.sample_al_gge(spec, mcmc, rng)),
+    "schur": (8, 0.9, Potential("interval", cheb=[0.0, 0.5]),
+              lambda spec, mcmc, rng: sp.sample_schur_gge(spec, mcmc, rng)),
+    "circular": (6, 0.7, Potential("torus", cos=[0.0, 0.5], sin=[0.2]),
+                 lambda spec, mcmc, rng: sp.sample_circular_beta(
+                     spec.n, spec.beta, spec.potential, mcmc, rng)),
+    "jacobi": (3, 1.5, Potential("interval", cheb=[0.0, 0.8]),
+               lambda spec, mcmc, rng: sp.sample_jacobi_beta(
+                   spec.n, spec.beta, spec.potential, mcmc, rng)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CASES))
+@pytest.mark.parametrize("tilted", [False, True])
+def test_sample_ensemble_matches_own_sampler(kind, tilted):
+    n, beta, pot, own = KIND_CASES[kind]
+    spec = sp.EnsembleSpec(kind, n, beta, pot if tilted else None)
+    mcmc = sp.McmcParams(sweeps=20, burn_in=2)
+    got = sp.sample_ensemble(spec, mcmc, 61)  # an integer seed works too
+    ref = own(spec, mcmc, sp.make_rng(61))
+    assert got.kind == kind and got.boundary == sp.KINDS[kind].boundary
+    assert got.alphas.shape == (20, spec.size)
+    assert np.array_equal(got.alphas, ref.alphas)
+    assert got.acceptance_rate == ref.acceptance_rate
+    assert (got.acceptance_rate is None) == (not tilted)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    # al: Theta_(2 beta + 1) at every site
+    ("al", lambda beta, n: [2 * beta + 1] * n),
+    # schur: Beta(beta, beta) at every site
+    ("schur", lambda beta, n: [beta] * n),
+    # circular: nu_j = beta_tilde (n - j) + 1 for j = 1..n-1
+    ("circular", lambda beta, n: [beta * (n - j) + 1 for j in range(1, n)]),
+    # jacobi on 2m coefficients: s_j = beta (1 - j/(2m)) for j < 2m
+    ("jacobi", lambda beta, n: [beta * (1 - j / n) for j in range(1, n)]),
+])
+def test_kind_table_site_parameters(kind, expected):
+    entry = sp.KINDS[kind]
+    for beta, n in ((0.7, 2), (1.5, 6), (2.0, 10)):
+        params = entry.interior(beta, n)
+        assert np.allclose(params, expected(beta, n), rtol=1e-15, atol=0)
+        mutable = n - 1 if kind == "jacobi" else n
+        assert entry.mutable(n) == mutable
+    assert entry.periodic == (kind in ("al", "schur"))
+    assert entry.domain == ("torus" if kind in ("al", "circular")
+                            else "interval")
+    assert sp.EnsembleSpec(kind, 4, 1.0).size == (8 if kind == "jacobi" else 4)
+
+
 def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         sp.EnsembleSpec("al", 7, beta=1.0)  # odd size

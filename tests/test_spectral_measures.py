@@ -1,11 +1,15 @@
 """Empirical measures, Fourier coefficients, the distance D, and the BV/Lip bounds."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ggelab
 from ggelab.cmv_core import build_periodic_cmv, build_cmv, eigen_angles
 from ggelab.spectral_measures import (
     DEFAULT_TEST_FUNCTIONS,
@@ -63,8 +67,19 @@ class TestFourierCoefficients:
         assert out.k_max == 2 and out[2] == 0.25
 
     def test_modulus_above_one_is_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FourierCoeffs(np.array([1.5 + 0j]))
+
+    def test_rejection_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(ggelab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from ggelab.spectral_measures import FourierCoeffs\n"
+             "FourierCoeffs([1.5])"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30),
