@@ -393,7 +393,8 @@ def cmd_minimize(args, cfg):
 
 
 def cmd_relation(args, cfg):
-    """Density-of-states consistency check between sampler and solver."""
+    """Density-of-states consistency check between sampler and solver;
+    exit 0 only if it passes."""
     v = parse_potential(args.potential)
     rep = check_dos_relation(args.ensemble, v, args.beta, args.n,
                              mcmc=_mcmc_from(args), delta=args.delta,
@@ -403,7 +404,7 @@ def cmd_relation(args, cfg):
     verdict = "pass" if rep.passed else "FAIL"
     print(f"relation: {args.ensemble} beta={args.beta:g} D={rep.d_value:.5f} "
           f"threshold={rep.threshold:g} {verdict} -> {path}")
-    return 0
+    return 0 if rep.passed else 1
 
 
 def cmd_dynamics(args, cfg):
@@ -569,7 +570,8 @@ def build_parser():
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("relation", parents=[common],
-                       help="density-of-states consistency check")
+                       help="density-of-states consistency check; "
+                            "exits 1 when it fails")
     p.add_argument("--ensemble", choices=("al", "schur"), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--beta", type=float, default=None)

@@ -11,8 +11,12 @@ matrix of the defocusing Ablowitz-Ladik lattice; the open variant with
 a unimodular final coefficient is the Killip-Nenciu matrix whose
 eigenvalues realize the circular and Jacobi beta ensembles.
 
-Power traces are computed in a cyclic-diagonal representation, cost
-O(n * ell * bandwidth) per trace, without any dense eigendecomposition.
+Power traces never touch an eigensolver: batch_trace_powers keeps E as
+one band (rows, 5, n) of closed-form diagonals, builds E^c only up to
+c = ceil(K/2) and reads each higher trace from two half powers,
+Tr E^(c + c') = sum_f <diag_f(E^c), shift_f(diag_-f(E^c'))>.  All K traces
+of a size-n row cost about 3 K^2 n multiply-adds (10 K^2 n by repeated
+banded multiplication), real for real coefficients, in fixed row blocks.
 """
 
 import json
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BoundaryMode",
@@ -35,6 +40,7 @@ __all__ = [
     "trace_power",
     "batch_trace_powers",
     "periodic_diagonals",
+    "open_diagonals",
     "e_plus",
     "trace_potential",
     "conserved_quantities",
@@ -130,21 +136,9 @@ class CmvMatrix:
         self.l_factor = l_factor
         self.m_factor = m_factor
         self._dense = dense
-        self._diags = None
 
     def dense(self):
         return self._dense
-
-    def diagonals(self):
-        """Cyclic-diagonal storage {offset: values}, offsets mod n."""
-        if self._diags is None:
-            n = self.n
-            offsets = range(n) if n <= 5 else (0, 1, 2, n - 1, n - 2)
-            idx = np.arange(n)
-            self._diags = {
-                off: self._dense[idx, (idx + off) % n] for off in offsets
-            }
-        return self._diags
 
     def to_json(self):
         """Serialize as {"n", "topology", "entries": [[row, col, re, im], ...]}
@@ -275,87 +269,185 @@ def eigen_angles(m):
     return np.sort(angles)
 
 
-def _diag_multiply(base, power, n):
-    """One step of cyclic-diagonal matrix multiplication (base @ power)."""
-    out = {}
-    for d, a in base.items():
-        for e, b in power.items():
-            f = (d + e) % n
-            term = a * np.roll(b, -d, axis=-1)
-            if f in out:
-                out[f] = out[f] + term
-            else:
-                out[f] = term
-    return out
+# rows of a batch handled together: small enough that a block's powers stay
+# in cache, large enough that the per-block numpy calls do not dominate
+_BLOCK = 16
 
 
-def trace_power(m, ell):
-    """Tr E^ell by repeated banded multiplication.
+def _band(a, rho):
+    """Band (..., 5, n) of E = LM, offsets -2..2 along axis -2, from the
+    coefficients and moduli extended by two sites before site 0 and one
+    after site n - 1.  Even rows reach offsets -1..2, odd rows -2..1."""
+    n = a.shape[-1] - 3
+    band = np.zeros(a.shape[:-1] + (5, n), np.result_type(a, rho))
+    ac = np.conj(a)
 
-    Never touches an eigensolver; cost O(n * ell * bandwidth).
-    """
-    ell = int(ell)
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    n = m.n
-    if ell == 0:
-        return complex(n)
-    base = m.diagonals()
-    power = {k: v.copy() for k, v in base.items()}
-    for _ in range(ell - 1):
-        power = _diag_multiply(base, power, n)
-    return complex(np.sum(power.get(0, 0.0)))
+    def at(x, k, first):  # x_{i-k} for the rows i = first, first + 2, ...
+        return x[..., 2 - k + first: 2 - k + n: 2]
+
+    even, odd = band[..., 0::2], band[..., 1::2]
+    band[..., 2, :] = -ac[..., 2:n + 2] * a[..., 1:n + 1]
+    even[..., 1, :] = at(ac, 0, 0) * at(rho, 1, 0)
+    even[..., 3, :] = at(rho, 0, 0) * at(ac, -1, 0)
+    even[..., 4, :] = at(rho, 0, 0) * at(rho, -1, 0)
+    odd[..., 0, :] = at(rho, 1, 1) * at(rho, 2, 1)
+    odd[..., 1, :] = -at(rho, 1, 1) * at(a, 2, 1)
+    odd[..., 3, :] = -at(a, 1, 1) * at(rho, 0, 1)
+    return band
 
 
 def periodic_diagonals(alpha):
-    """The five cyclic diagonals of the periodic matrix, batched.
+    """The five diagonals of the periodic matrix, batched.
 
     Args:
-        alpha: array (..., n) of interior coefficients, n even, n >= 6.
+        alpha: array (..., n) of interior coefficients, n even.
 
     Returns:
-        {offset: array (..., n)} with offsets {0, 1, 2, n-2, n-1}; entry i of
-        offset d holds E[i, (i + d) mod n].
+        array (..., 5, n); entry [d + 2, i] holds the part of
+        E[i, (i + d) mod n] reached at offset d.  Offsets are not reduced
+        mod n, so on a ring of n < 5 sites a dense entry is the sum of the
+        offsets that wrap onto it.
     """
     a = np.asarray(alpha)
     n = a.shape[-1]
-    if n % 2 or n < 6:
-        raise ValueError("batched diagonals need even n >= 6")
-    rho = np.sqrt(1.0 - np.abs(a) ** 2)
-    even = (np.arange(n) % 2 == 0)
-    ac = np.conj(a)
-    a1 = np.roll(a, 1, axis=-1)    # alpha_{i-1}
-    a2 = np.roll(a, 2, axis=-1)
-    r1 = np.roll(rho, 1, axis=-1)
-    r2 = np.roll(rho, 2, axis=-1)
-    d0 = -ac * a1
-    dm1 = np.where(even, ac * r1, -r1 * a2)
-    dm2 = np.where(even, 0.0, r1 * r2)
-    dp1 = np.where(even, rho * np.conj(np.roll(a, -1, axis=-1)), -a1 * rho)
-    dp2 = np.where(even, rho * np.roll(rho, -1, axis=-1), 0.0)
-    return {0: d0, 1: dp1, 2: dp2, (n - 1) % n: dm1, (n - 2) % n: dm2}
+    if n < 2 or n % 2:
+        raise ValueError(f"periodic matrix needs even size >= 2, got {n}")
+    ext = a[..., np.arange(-2, n + 1) % n]
+    return _band(ext, np.sqrt(1.0 - np.abs(ext) ** 2))
 
 
-def batch_trace_powers(alpha, ell_max, diags=None):
+def open_diagonals(alpha):
+    """The five diagonals of the open matrix, batched.
+
+    Args:
+        alpha: array (..., n), interior entries and a unimodular last one.
+
+    Returns:
+        array (..., 5, n); entry [d + 2, i] holds E[i, i + d], zero where
+        i + d falls outside the matrix.  The open matrix is the periodic
+        formula with alpha_{-1} = -1 (the leading 1 of M) and a zero
+        modulus at both ends.
+    """
+    a = np.asarray(alpha)
+    n = a.shape[-1]
+    if n < 2:
+        raise ValueError("open matrix needs at least two entries")
+    if np.any(np.abs(np.abs(a[..., -1]) - 1.0) > BOUNDARY_TOL):
+        raise ValueError("last entry must be unimodular for a unitary "
+                         "open matrix")
+    ext = np.zeros(a.shape[:-1] + (n + 3,), a.dtype)
+    ext[..., 1] = -1.0
+    ext[..., 2:n + 2] = a
+    rho = np.zeros(ext.shape)
+    rho[..., 2:n + 1] = np.sqrt(np.maximum(0.0,
+                                           1.0 - np.abs(a[..., :-1]) ** 2))
+    return _band(ext, rho)
+
+
+def _diagonal_sum(power, n):
+    """Tr of a banded power; the offsets that are multiples of n (only 0
+    once n exceeds the bandwidth) lie on the diagonal."""
+    half = power.shape[1] // 2
+    return power[:, np.arange(-half, half + 1) % n == 0].sum(axis=(1, 2))
+
+
+def _pair_trace(a, b, n):
+    """Tr(A B) from the bands of A and B: offset f of A meets the offsets
+    g of B with f + g = 0 mod n, read at the rows i + f."""
+    ha, hb = a.shape[1] // 2, b.shape[1] // 2
+    f, g = np.nonzero((np.arange(-ha, ha + 1)[:, None]
+                       + np.arange(-hb, hb + 1)) % n == 0)
+    cols = (np.arange(n) + (f - ha)[:, None]) % n
+    rows = a.shape[0]
+    return (a[:, f].reshape(rows, 1, -1)
+            @ b[:, g[:, None], cols].reshape(rows, -1, 1))[:, 0, 0]
+
+
+def _band_traces(band, ell_max):
+    """Tr E^ell, ell = 1..ell_max, for each row of a band (rows, 5, n).
+
+    E^c, c <= ceil(ell_max / 2), lives in one of two buffers: offset row g
+    at row 4 + g between zero rows, site j at column 2 + j between two
+    wrapped halo columns, so the strided view shifted[r, d, f, i] =
+    P[f - d][(i + d - 2) mod n] makes E P one einsum.  Wrapping is exact
+    on the open topology too, whose bands are zero wherever i + d leaves
+    the matrix.  Tr E^(2c-1) and Tr E^(2c) pair E^c with E^(c-1) and E^c.
+    """
+    rows, _, n = band.shape
+    half = -(-ell_max // 2)
+    out = np.empty((rows, ell_max), band.dtype)
+    bufs = np.zeros((2, rows, 4 * max(half, 1) + 9, n + 4), band.dtype)
+    bufs[0, :, 4:9, 2:n + 2] = band
+    for c in range(1, half + 1):
+        width = 4 * c + 1
+        cur, prev = bufs[(c - 1) % 2], bufs[c % 2]
+        if c > 1:
+            s_row, s_off, s_site = prev.strides
+            shifted = as_strided(prev[:, 4:], (rows, 5, width, n),
+                                 (s_row, s_site - s_off, s_off, s_site),
+                                 writeable=False)
+            np.einsum("rdi,rdfi->rfi", band, shifted,
+                      out=cur[:, 4:4 + width, 2:n + 2])
+        cur[:, 4:4 + width, :2] = cur[:, 4:4 + width, n:n + 2]
+        cur[:, 4:4 + width, n + 2:] = cur[:, 4:4 + width, 2:4]
+        power = cur[:, 4:4 + width, 2:n + 2]
+        out[:, c - 1] = _diagonal_sum(power, n)
+        if half < 2 * c - 1 <= ell_max:
+            out[:, 2 * c - 2] = _pair_trace(power, prev[:, 4:width, 2:n + 2],
+                                            n)
+        if half < 2 * c <= ell_max:
+            out[:, 2 * c - 1] = _pair_trace(power, power, n)
+    return out
+
+
+def _dense_band(m):
+    """Band (1, 5, n) read off a built matrix; on a ring of n < 5 sites
+    only the offsets d < n - 2 are used, one per dense entry."""
+    E, n = m.dense(), m.n
+    i = np.arange(n)
+    band = np.zeros((1, 5, n), E.dtype)
+    for d in range(-2, 3):
+        keep = ((i + d >= 0) & (i + d < n) if m.topology == "open"
+                else np.full(n, d < n - 2))
+        band[0, d + 2, keep] = E[i[keep], (i[keep] + d) % n]
+    return band
+
+
+def trace_power(m, ell):
+    """Tr E^ell of a built matrix, through the banded kernel of
+    batch_trace_powers applied to its dense entries."""
+    ell = int(ell)
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    if ell == 0:
+        return complex(m.n)
+    return complex(_band_traces(_dense_band(m), ell)[0, -1])
+
+
+def batch_trace_powers(alpha, ell_max, topology="periodic"):
     """Tr E^ell for ell = 1..ell_max over a batch of coefficient vectors.
 
     Args:
-        alpha: array (batch, n), interior periodic coefficients.
+        alpha: array (batch, n); periodic rows hold n (even) interior
+            coefficients, open rows end with a unimodular entry.
         ell_max: highest power.
-        diags: optionally precomputed periodic_diagonals(alpha).
+        topology: "periodic" or "open".
 
     Returns:
-        array (batch, ell_max), complex.
+        array (batch, ell_max): complex for complex coefficients, float64
+        for real ones.
     """
+    diagonals = {"periodic": periodic_diagonals,
+                 "open": open_diagonals}.get(topology)
+    if diagonals is None:
+        raise ValueError(f"unknown topology {topology!r}")
     a = np.atleast_2d(np.asarray(alpha))
-    n = a.shape[-1]
-    base = diags if diags is not None else periodic_diagonals(a)
-    power = {k: v.copy() for k, v in base.items()}
-    out = np.empty((a.shape[0], ell_max), complex)
-    out[:, 0] = np.sum(power[0], axis=-1)
-    for ell in range(2, ell_max + 1):
-        power = _diag_multiply(base, power, n)
-        out[:, ell - 1] = np.sum(power.get(0, np.zeros(1)), axis=-1)
+    ell_max = int(ell_max)
+    out = np.empty((a.shape[0], ell_max),
+                   complex if np.iscomplexobj(a) else float)
+    for lo in range(0, a.shape[0], _BLOCK):
+        out[lo:lo + _BLOCK] = _band_traces(diagonals(a[lo:lo + _BLOCK]),
+                                           ell_max)
     return out
 
 
@@ -395,8 +487,7 @@ def trace_potential(m, potential):
             raise ValueError("interval potentials need an even matrix size")
         atoms = m.n // 2
     w = potential.trace_weights()
-    traces = np.array([trace_power(m, k) for k in range(1, w.size + 1)],
-                      complex)
+    traces = _band_traces(_dense_band(m), w.size)[0]
     return float(potential.constant * atoms + (w @ traces).real)
 
 
@@ -405,11 +496,7 @@ def conserved_quantities(alpha, ell_max=4):
     a = np.asarray(alpha)
     k0 = float(np.prod(1.0 - np.abs(a) ** 2))
     k1 = complex(-np.sum(a * np.conj(np.roll(a, -1))))
-    if a.size >= 6 and a.size % 2 == 0:
-        traces = batch_trace_powers(a[None, :], ell_max)[0]
-    else:
-        m = build_periodic_cmv(a)
-        traces = np.array([trace_power(m, ell) for ell in range(1, ell_max + 1)])
+    traces = batch_trace_powers(a[None, :], ell_max)[0]
     return ConservedQuantities(k0=k0, k1=k1, trace_powers=traces)
 
 

@@ -56,7 +56,6 @@ from .cmv_core import (
     batch_trace_powers,
     build_periodic_cmv,
     e_plus,
-    trace_power,
 )
 from .sampling import McmcParams, make_rng, sample_ensemble
 
@@ -230,24 +229,15 @@ class Trajectory:
         """Per-frame conserved data.
 
         Returns {"k0": (F,) real, "k1": (F,) complex, "trace_powers":
-        (F, ell_max) complex}; every row should be constant in exact
-        arithmetic.
+        (F, ell_max), complex or real for real states}; every row should
+        be constant in exact arithmetic.
         """
         A = self.alphas
         rho2 = 1.0 - np.abs(A) ** 2
         k0 = np.prod(rho2, axis=-1).real.astype(float)
         k1 = -np.sum(A * np.conj(np.roll(A, -1, axis=-1)), axis=-1)
-        n = A.shape[-1]
-        if n >= 6 and n % 2 == 0:
-            traces = batch_trace_powers(A.astype(complex), ell_max)
-        else:
-            traces = np.empty((A.shape[0], ell_max), complex)
-            for i in range(A.shape[0]):
-                m = build_periodic_cmv(A[i])
-                traces[i] = [trace_power(m, ell)
-                             for ell in range(1, ell_max + 1)]
         return {"k0": k0, "k1": np.asarray(k1, complex),
-                "trace_powers": traces}
+                "trace_powers": batch_trace_powers(A, ell_max)}
 
     def to_csv(self, path):
         """Frame table with header t,re_alpha_1,im_alpha_1,..."""
@@ -508,14 +498,7 @@ class InvarianceReport:
 def _ensemble_statistics(A, k_max):
     """Per-sample Re Tr E^k (k <= k_max) and mean |alpha|^2, as columns."""
     A = np.atleast_2d(A)
-    n = A.shape[-1]
-    if n >= 6 and n % 2 == 0:
-        traces = batch_trace_powers(A.astype(complex), k_max)
-    else:
-        traces = np.empty((A.shape[0], k_max), complex)
-        for i in range(A.shape[0]):
-            m = build_periodic_cmv(A[i])
-            traces[i] = [trace_power(m, k) for k in range(1, k_max + 1)]
+    traces = batch_trace_powers(A, k_max)
     cols = {f"re_trace_{k}": traces[:, k - 1].real
             for k in range(1, k_max + 1)}
     cols["mean_abs_sq"] = np.mean(np.abs(A) ** 2, axis=-1)

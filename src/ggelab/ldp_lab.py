@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .cmv_core import (NumericalError, batch_trace_powers, build_cmv,
-                       build_periodic_cmv, trace_power)
+from .cmv_core import NumericalError, batch_trace_powers
 from .equilibrium import (beta_derivative_measure, free_energy_interval,
                           free_energy_torus, minimize_interval, minimize_torus)
 from .potentials import Potential
@@ -270,26 +269,6 @@ def _draw(kind, n, beta, potential, mcmc, rng):
     return sample_ensemble(EnsembleSpec(kind, n, beta, potential), mcmc, rng)
 
 
-def _power_traces(alphas, k_max, periodic, chunk=256):
-    """Per-sample power traces Tr E^k, k = 1..k_max, shape (samples, k_max)."""
-    A = np.atleast_2d(np.asarray(alphas))
-    nsamp, n = A.shape
-    if k_max == 0:
-        return np.zeros((nsamp, 0), dtype=complex)
-    if periodic and n >= 6 and n % 2 == 0:
-        out = np.empty((nsamp, k_max), dtype=complex)
-        for lo in range(0, nsamp, chunk):
-            out[lo:lo + chunk] = batch_trace_powers(
-                A[lo:lo + chunk].astype(complex), k_max)
-        return out
-    build = build_periodic_cmv if periodic else build_cmv
-    out = np.empty((nsamp, k_max), dtype=complex)
-    for i in range(nsamp):
-        m = build(np.asarray(A[i], dtype=complex))
-        out[i] = [trace_power(m, k) for k in range(1, k_max + 1)]
-    return out
-
-
 def _potential_series(alphas, v, kind):
     """Per-sample Tr V(E) normalized by the atom count of the spectral law.
 
@@ -304,7 +283,7 @@ def _potential_series(alphas, v, kind):
             raise ValueError("interval potentials need an even matrix size")
         atoms = n // 2
     w = v.trace_weights()
-    t = _power_traces(A, w.size, KINDS[kind].periodic)
+    t = batch_trace_powers(A, w.size, KINDS[kind].topology)
     return v.constant + (t @ w).real / atoms
 
 
@@ -643,7 +622,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     batch = _draw(kind, n, beta, v, dataclasses.replace(mcmc, seed=None), rng)
     target = beta_derivative_measure(v, beta, delta=delta, domain=domain)
 
-    traces = _power_traces(batch.alphas, k_max, periodic=True) / n
+    traces = batch_trace_powers(batch.alphas, k_max) / n
     pooled = traces.mean(axis=0)
     if domain == "torus":
         empirical = FourierCoeffs(pooled)

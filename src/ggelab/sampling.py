@@ -298,6 +298,11 @@ class EnsembleKind:
     def periodic(self):
         return self.boundary == cc.BoundaryMode.ALL_INTERIOR
 
+    @property
+    def topology(self):
+        """The matrix the coefficients build: "periodic" or "open"."""
+        return "periodic" if self.periodic else "open"
+
     def mutable(self, size):
         """Sites a Metropolis sweep redraws: all but a last entry of -1."""
         fixed = self.boundary == cc.BoundaryMode.LAST_MINUS_ONE
@@ -331,6 +336,8 @@ class EnsembleSpec:
         beta: inverse temperature, positive.  For circular this is the
            per-site rate beta_tilde, for jacobi the exponent scale.
         potential: optional Potential tilting the law by exp(-Tr V(E)).
+           Interval potentials count conjugate pairs once, so they are
+           rejected on the torus kinds, whose spectra are not paired.
     """
 
     kind: str
@@ -343,7 +350,12 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        periodic = KINDS[self.kind].periodic
+        kind = KINDS[self.kind]
+        if (self.potential is not None and self.potential.domain == "interval"
+                and kind.domain == "torus"):
+            raise ValueError(f"{self.kind} spectra are not conjugate pairs; "
+                             "interval potentials need an interval kind")
+        periodic = kind.periodic
         if self.size < 2 or (periodic and self.size % 2):
             even = " and an even count" if periodic else ""
             raise ValueError(f"{self.kind} needs at least two coefficients"
@@ -425,16 +437,6 @@ def _draw_sites(kind, params, rng, site=None, size=None):
 # Metropolis machinery
 
 
-def _trace_vector(alpha, periodic, deg):
-    """Power traces tr_1 .. tr_deg of the CMV matrix built from alpha."""
-    if deg == 0:
-        return np.zeros(0, complex)
-    if periodic and alpha.size >= 6:
-        return cc.batch_trace_powers(alpha[None, :], deg)[0]
-    m = cc.build_periodic_cmv(alpha) if periodic else cc.build_cmv(alpha)
-    return np.array([cc.trace_power(m, k) for k in range(1, deg + 1)], complex)
-
-
 def _color_spacing(n):
     """Spacing s dividing n with s >= 3, so same-colour sites do not share
     neighbours; None when no such divisor exists (n = 2)."""
@@ -493,7 +495,7 @@ def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
     deg = wc.size
     alpha = _draw_sites(kind, params, rng, size=1)[0]
     mutable = kind.mutable(alpha.size)
-    tr_cur = _trace_vector(alpha, kind.periodic, deg)
+    tr_cur = cc.batch_trace_powers(alpha, deg, kind.topology)[0]
     kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
     burn_updates = burn * mutable
     accepted = 0
@@ -504,7 +506,7 @@ def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
         prop = _draw_sites(kind, params, rng, j)
         old = alpha[j]
         alpha[j] = prop
-        tr_new = _trace_vector(alpha, kind.periodic, deg)
+        tr_new = cc.batch_trace_powers(alpha, deg, kind.topology)[0]
         dv = float(np.real(wc @ (tr_new - tr_cur)))
         if np.log(rng.uniform()) < -dv:
             tr_cur = tr_new
@@ -532,8 +534,6 @@ def _sample(spec, mcmc, rng, force_path):
         alphas = _draw_sites(kind, params, rng, size=n_keep)
         rate = None
     else:
-        if potential.domain == "interval" and size_n % 2:
-            raise ValueError("interval potentials need an even matrix size")
         wc = potential.trace_weights()
         burn = int(mcmc.burn_in) if mcmc.burn_in is not None else 10 * size_n
         thin = int(mcmc.thinning) if mcmc.thinning is not None else size_n

@@ -131,6 +131,17 @@ class TestSample:
         out = capsys.readouterr().out
         assert "acceptance=" in out and "acceptance=exact" not in out
 
+    @pytest.mark.parametrize("command", ["sample", "dos"])
+    @pytest.mark.parametrize("ensemble", ["al", "circular"])
+    def test_interval_potential_on_torus_kind_exit(self, tmp_path, capsys,
+                                                   command, ensemble):
+        code = main([command, "--ensemble", ensemble, "--n", "8", "--beta",
+                     "1", "--samples", "5", "--seed", "1", "--potential",
+                     "t1=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "interval potentials" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_json_format_with_angles(self, tmp_path):
         main(["sample", "--ensemble", "al", "--n", "6", "--beta", "1",
               "--samples", "3", "--seed", "5", "--angles", "--format", "json",
@@ -227,7 +238,7 @@ class TestRelation:
         code = main(["relation", "--ensemble", "al", "--beta", "1",
                      "--n", "16", "--samples", "100", "--seed", "6",
                      "--threshold", "1e-9", "--out", str(tmp_path)])
-        assert code == 0
+        assert code == 1
         doc = json.loads((tmp_path / "relation.json").read_text())
         assert doc["parameters"]["threshold"] == 1e-9
         assert doc["pass"] is False

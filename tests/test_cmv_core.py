@@ -136,18 +136,30 @@ def test_eigen_angle_sum_matches_determinant_argument():
 
 # -------------------------------------------------------------- trace algebra
 
+def _random_matrix(rng, n, topology, real):
+    """(alpha, built matrix) for one topology and dtype."""
+    alpha = random_interior_alpha(rng, n, real=real)
+    if topology == "periodic":
+        return alpha, cc.build_periodic_cmv(alpha)
+    alpha[-1] = -1.0 if real else np.exp(0.3j)
+    return alpha, cc.build_cmv(alpha)
+
+
 @pytest.mark.parametrize("topology", ["periodic", "open"])
 def test_trace_power_matches_eigenvalue_sums(topology):
-    alpha = random_interior_alpha(RNG, 64)
-    if topology == "open":
-        alpha[-1] = np.exp(0.3j)
-        m = cc.build_cmv(alpha)
-    else:
-        m = cc.build_periodic_cmv(alpha)
-    lam = np.linalg.eigvals(m.dense())
-    for ell in range(9):
-        direct = np.sum(lam**ell)
-        assert abs(cc.trace_power(m, ell) - direct) <= 1e-8
+    for n in range(2, 13):
+        if topology == "periodic" and n % 2:
+            continue
+        for real in (False, True):
+            alpha, m = _random_matrix(RNG, n, topology, real)
+            lam = np.linalg.eigvals(m.dense())
+            batch = cc.batch_trace_powers(alpha, 9, topology)[0]
+            assert batch.dtype == (np.float64 if real else np.complex128)
+            for ell in range(10):
+                direct = np.sum(lam**ell)
+                assert abs(cc.trace_power(m, ell) - direct) <= 1e-10
+                if ell:
+                    assert abs(batch[ell - 1] - direct) <= 1e-10
 
 
 def test_trace_power_small_sizes_where_offsets_collide():
@@ -167,13 +179,52 @@ def test_first_trace_equals_nearest_neighbour_sum():
 
 
 def test_periodic_diagonal_formulas_match_dense():
-    alpha = random_interior_alpha(RNG, 18)
-    m = cc.build_periodic_cmv(alpha)
-    diags = cc.periodic_diagonals(alpha[None, :])
-    n = len(alpha)
-    idx = np.arange(n)
-    for off, arr in diags.items():
-        assert np.abs(arr[0] - m.dense()[idx, (idx + off) % n]).max() <= 1e-14
+    for n in (2, 4, 18):
+        alpha = random_interior_alpha(RNG, n)
+        band = cc.periodic_diagonals(alpha[None, :])[0]
+        idx = np.arange(n)
+        dense = np.zeros((n, n), complex)
+        for d in range(-2, 3):  # offsets that wrap onto one entry add up
+            np.add.at(dense, (idx, (idx + d) % n), band[d + 2])
+        assert np.abs(dense - cc.build_periodic_cmv(alpha).dense()).max() \
+            <= 1e-14
+
+
+def test_open_diagonal_formulas_match_dense():
+    for n in (2, 3, 9):
+        for real in (False, True):
+            alpha, m = _random_matrix(RNG, n, "open", real)
+            band = cc.open_diagonals(alpha)
+            assert band.dtype == m.dense().dtype
+            idx = np.arange(n)
+            for d in range(-2, 3):
+                inside = (idx + d >= 0) & (idx + d < n)
+                assert np.all(band[d + 2, ~inside] == 0.0)
+                got = band[d + 2, inside]
+                want = m.dense()[idx[inside], idx[inside] + d]
+                assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+
+def test_batch_rows_past_the_block_match_single_rows():
+    rows = 2 * cc._BLOCK + 3
+    for topology, real in (("periodic", False), ("open", True)):
+        batch = np.stack([_random_matrix(RNG, 10, topology, real)[0]
+                          for _ in range(rows)])
+        traces = cc.batch_trace_powers(batch, 7, topology)
+        assert traces.shape == (rows, 7)
+        for b in range(rows):
+            single = cc.batch_trace_powers(batch[b], 7, topology)[0]
+            assert np.abs(traces[b] - single).max() <= 1e-13
+
+
+def test_batch_trace_powers_rejects_bad_input():
+    with pytest.raises(ValueError):
+        cc.batch_trace_powers(np.zeros(4), 2, "torus")
+    with pytest.raises(ValueError):
+        cc.batch_trace_powers(np.zeros(5), 2)
+    with pytest.raises(ValueError):
+        cc.batch_trace_powers(np.full(4, 0.5), 2, "open")
+    assert cc.batch_trace_powers(np.zeros((3, 4)), 0).shape == (3, 0)
 
 
 def test_batched_trace_powers_match_loop():
@@ -253,6 +304,13 @@ def test_trace_potential_interval_matches_paired_eigen_sum():
     assert abs(cc.trace_potential(m, p) - p(x).sum()) <= 1e-8
 
 
+def test_trace_potential_open_circular_matches_eigen_sum():
+    _, m = _random_matrix(RNG, 11, "open", real=False)
+    p = Potential("torus", cos=[0.3, -0.7, 0.2, 0.1], sin=[0.4, 0.0, -0.2])
+    angles = cc.eigen_angles(m)
+    assert abs(cc.trace_potential(m, p) - p(angles).sum()) <= 1e-10
+
+
 # ----------------------------------------------------------------- properties
 
 @settings(max_examples=40, deadline=None)
@@ -293,6 +351,16 @@ def test_json_round_trip_and_structural_entries():
         assert mask[r, c]
     m2 = cc.CmvMatrix.from_json(blob)
     assert np.abs(m2.dense() - m.dense()).max() <= 1e-15
+
+
+def test_trace_power_after_json_round_trip():
+    for n, topology in ((4, "periodic"), (10, "periodic"), (7, "open")):
+        _, m = _random_matrix(RNG, n, topology, real=False)
+        m2 = cc.CmvMatrix.from_json(m.to_json())
+        assert m2.alpha is None
+        for ell in range(8):
+            assert abs(cc.trace_power(m2, ell) - cc.trace_power(m, ell)) \
+                <= 1e-12
 
 
 def test_verblunsky_vector_validation():

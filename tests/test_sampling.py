@@ -314,6 +314,17 @@ def test_mcmc_jacobi_with_interval_potential_runs():
     assert 0.0 < batch.acceptance_rate <= 1.0
 
 
+@pytest.mark.parametrize("kind", ["al", "circular"])
+def test_torus_kinds_reject_interval_potentials(kind):
+    pot = Potential("interval", cheb=[0.0, 1.0])
+    mcmc = sp.McmcParams(sweeps=5)
+    draw = {"al": lambda: sp.sample_al_gge(sp.EnsembleSpec("al", 8, 1.0, pot),
+                                           mcmc, 1),
+            "circular": lambda: sp.sample_circular_beta(8, 1.0, pot, mcmc, 1)}
+    with pytest.raises(ValueError, match="interval potentials"):
+        draw[kind]()
+
+
 # -------------------------------------------------------------- reproducibility
 
 def test_same_seed_gives_identical_batches():
