@@ -11,6 +11,11 @@ matrix of the defocusing Ablowitz-Ladik lattice; the open variant with
 a unimodular final coefficient is the Killip-Nenciu matrix whose
 eigenvalues realize the circular and Jacobi beta ensembles.
 
+Both variants are read from one closed-form band of five diagonals
+(periodic_diagonals, open_diagonals).  A built CmvMatrix holds only that
+band: its dense matrix is a scatter of the band, and the factors L and M
+are formed on first use, as an independent check of the band.
+
 Power traces never touch an eigensolver: batch_trace_powers keeps E as
 one band (rows, 5, n) of closed-form diagonals, builds E^c only up to
 c = ceil(K/2) and reads each higher trace from two half powers,
@@ -22,6 +27,7 @@ banded multiplication), real for real coefficients, in fixed row blocks.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,7 +39,6 @@ __all__ = [
     "ConservedQuantities",
     "NumericalError",
     "UnsupportedTopologyError",
-    "build_xi",
     "build_periodic_cmv",
     "build_cmv",
     "eigen_angles",
@@ -97,10 +102,6 @@ class VerblunskyVector:
     def n(self):
         return self.alpha.size
 
-    @property
-    def rho(self):
-        return np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.alpha) ** 2))
-
 
 @dataclass
 class ConservedQuantities:
@@ -112,134 +113,111 @@ class ConservedQuantities:
     trace_powers: np.ndarray
 
 
-def build_xi(alpha):
-    """The 2x2 block [[conj(a), rho], [rho, -a]] for a single coefficient."""
-    a = complex(alpha) if np.iscomplexobj(np.asarray(alpha)) else float(alpha)
-    r = np.sqrt(max(0.0, 1.0 - abs(a) ** 2))
-    return np.array([[np.conj(a), r], [r, -a]])
-
-
 class CmvMatrix:
-    """A built Lax matrix with its two block factors.
+    """A built Lax matrix, held as its band of five diagonals.
 
     Attributes:
         n: matrix size.
         topology: "periodic" or "open".
+        band: array (5, n) in the layout of periodic_diagonals and
+            open_diagonals; the dense matrix and every trace come from it.
         alpha: the generating coefficients, or None when reloaded from JSON.
-        l_factor, m_factor: the unitary block factors, or None from JSON.
     """
 
-    def __init__(self, n, topology, dense, alpha=None, l_factor=None, m_factor=None):
-        self.n = int(n)
+    def __init__(self, topology, band, alpha=None):
         self.topology = topology
+        self.band = band
+        self.n = band.shape[-1]
         self.alpha = alpha
-        self.l_factor = l_factor
-        self.m_factor = m_factor
-        self._dense = dense
 
     def dense(self):
-        return self._dense
+        """The n x n matrix, scattered from the band."""
+        return _scatter(self.band)
+
+    @cached_property
+    def _factors(self):
+        """(L, M) with the block Xi(alpha_j) on rows j, j + 1: in L for even
+        j, in M for odd j.  The ring wraps row n onto row 0; the open matrix
+        adds the block of alpha_{-1} = -1 and drops rows outside the matrix,
+        as open_diagonals does."""
+        if self.alpha is None:
+            return None, None
+        n, ring = self.n, self.topology == "periodic"
+        a, rho = _extended(self.alpha, self.topology)
+        pad = 0 if ring else 1
+        f = np.zeros((2, n + 2 * pad, n + 2 * pad), self.band.dtype)
+        for j in range(-pad, n):
+            rows = np.array([j, j + 1])
+            rows = rows % n if ring else rows + pad
+            f[j % 2][np.ix_(rows, rows)] = [[np.conj(a[j + 2]), rho[j + 2]],
+                                            [rho[j + 2], -a[j + 2]]]
+        return f[:, pad:n + pad, pad:n + pad]
+
+    @property
+    def l_factor(self):
+        """The odd-site block factor L, or None from JSON."""
+        return self._factors[0]
+
+    @property
+    def m_factor(self):
+        """The even-site block factor M, or None from JSON."""
+        return self._factors[1]
 
     def to_json(self):
         """Serialize as {"n", "topology", "entries": [[row, col, re, im], ...]}
         carrying only the structurally nonzero positions."""
-        mask = _structural_mask(self.n, self.topology)
-        rows, cols = np.nonzero(mask)
-        entries = [
-            [int(r), int(c), float(np.real(self._dense[r, c])),
-             float(np.imag(self._dense[r, c]))]
-            for r, c in zip(rows, cols)
-        ]
+        E = self.dense()
+        rows, cols = np.nonzero(_scatter(_pattern(self.n, self.topology)))
+        entries = [[int(r), int(c), float(np.real(E[r, c])),
+                    float(np.imag(E[r, c]))] for r, c in zip(rows, cols)]
         return json.dumps({"n": self.n, "topology": self.topology,
                            "entries": entries})
 
     @classmethod
     def from_json(cls, blob):
+        """Rebuild a matrix from to_json output, each entry at the first band
+        offset that reaches it.  Raises ValueError for an unknown topology, a
+        size the topology cannot have, and an entry outside the matrix or
+        outside its structural pattern."""
         doc = json.loads(blob)
-        n = int(doc["n"])
-        dense = np.zeros((n, n), complex)
+        n, topology = int(doc["n"]), doc["topology"]
+        pattern = _pattern(n, topology)
+        band = np.zeros((5, n), complex)
         for r, c, re, im in doc["entries"]:
-            dense[r, c] = re + 1j * im
-        return cls(n, doc["topology"], dense)
+            if not (0 <= r < n and 0 <= c < n):
+                raise ValueError(f"entry ({r}, {c}) lies outside a matrix "
+                                 f"of size {n}")
+            hit = np.flatnonzero(pattern[:, r]
+                                 & ((r + np.arange(-2, 3) - c) % n == 0))
+            if not hit.size:
+                raise ValueError(f"entry ({r}, {c}) lies outside the "
+                                 f"{topology} band")
+            band[hit[0], r] = re + 1j * im
+        return cls(topology, band)
 
 
-def _coerce(v, builder):
-    if isinstance(v, VerblunskyVector):
-        return v.alpha, v.boundary
-    a = np.atleast_1d(np.asarray(v))
-    if builder == "periodic":
-        return a, BoundaryMode.ALL_INTERIOR
-    return a, None
+def _build(v, topology):
+    """Validate the interior coefficients and build the band; the size and
+    the last entry of an open vector are checked by its *_diagonals."""
+    alpha = np.atleast_1d(v.alpha if isinstance(v, VerblunskyVector) else v)
+    interior = alpha if topology == "periodic" else alpha[:-1]
+    if np.max(np.abs(interior), initial=0.0) >= 1.0:
+        raise ValueError("interior entries must satisfy |alpha_j| < 1")
+    return CmvMatrix(topology, _DIAGONALS[topology](alpha), alpha)
 
 
 def build_periodic_cmv(v):
-    """Periodic Lax matrix for an even number of strictly interior entries.
-
-    L carries the odd-site blocks on the diagonal; M carries the even-site
-    blocks with the final block wrapped around the corner.
-    """
-    alpha, mode = _coerce(v, "periodic")
-    if mode != BoundaryMode.ALL_INTERIOR:
-        raise ValueError("periodic topology requires all-interior entries")
-    n = alpha.size
-    if n < 2 or n % 2:
-        raise ValueError(f"periodic matrix needs even size >= 2, got {n}")
-    if np.abs(alpha).max() >= 1.0:
-        raise ValueError("periodic topology requires |alpha_j| < 1 for all j")
-    dtype = alpha.dtype if np.iscomplexobj(alpha) else np.float64
-    alpha = alpha.astype(dtype)
-    rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
-    L = np.zeros((n, n), dtype)
-    M = np.zeros((n, n), dtype)
-    for j in range(0, n, 2):  # site j+1 (odd, 1-based)
-        L[j: j + 2, j: j + 2] = [[np.conj(alpha[j]), rho[j]],
-                                 [rho[j], -alpha[j]]]
-    for j in range(1, n - 2, 2):  # sites 2..n-2 (even, 1-based)
-        M[j: j + 2, j: j + 2] = [[np.conj(alpha[j]), rho[j]],
-                                 [rho[j], -alpha[j]]]
-    M[0, 0] = -alpha[n - 1]
-    M[0, n - 1] = rho[n - 1]
-    M[n - 1, 0] = rho[n - 1]
-    M[n - 1, n - 1] = np.conj(alpha[n - 1])
-    return CmvMatrix(n, "periodic", L @ M, alpha, L, M)
+    """Periodic Lax matrix for an even number of strictly interior entries:
+    L carries the odd-site blocks, M the even-site blocks with the final
+    block wrapped around the corner."""
+    return _build(v, "periodic")
 
 
 def build_cmv(v):
-    """Open Lax matrix: interior entries plus a unimodular final entry.
-
-    The factors are L = diag(Xi_1, Xi_3, ...) and M = diag(1, Xi_2, ...),
-    with the final coefficient entering as the scalar block conj(alpha_n).
-    """
-    alpha, mode = _coerce(v, "open")
-    n = alpha.size
-    if n < 2:
-        raise ValueError("open matrix needs at least two entries")
-    if np.abs(alpha[:-1]).max() >= 1.0:
-        raise ValueError("interior entries must satisfy |alpha_j| < 1")
-    if abs(abs(alpha[-1]) - 1.0) > BOUNDARY_TOL:
-        raise ValueError(
-            "last entry must be unimodular for a unitary open matrix "
-            f"(|alpha_n| = {abs(alpha[-1]):.6g})"
-        )
-    if mode == BoundaryMode.LAST_MINUS_ONE and abs(alpha[-1] + 1) > BOUNDARY_TOL:
-        raise ValueError("boundary mode says alpha_n = -1 but it is not")
-    dtype = alpha.dtype if np.iscomplexobj(alpha) else np.float64
-    alpha = alpha.astype(dtype)
-    rho = np.sqrt(np.maximum(0.0, 1.0 - np.abs(alpha) ** 2))
-    L = np.zeros((n, n), dtype)
-    M = np.zeros((n, n), dtype)
-    M[0, 0] = 1.0
-    for j in range(0, n - 1):  # site j+1, block on rows j, j+1
-        blk = np.array([[np.conj(alpha[j]), rho[j]], [rho[j], -alpha[j]]])
-        if j % 2 == 0:
-            L[j: j + 2, j: j + 2] = blk
-        else:
-            M[j: j + 2, j: j + 2] = blk
-    if (n - 1) % 2 == 0:  # final scalar block lands in L (odd n) or M (even n)
-        L[n - 1, n - 1] = np.conj(alpha[n - 1])
-    else:
-        M[n - 1, n - 1] = np.conj(alpha[n - 1])
-    return CmvMatrix(n, "open", L @ M, alpha, L, M)
+    """Open Lax matrix: interior entries plus a unimodular final entry.  The
+    factors are L = diag(Xi_1, Xi_3, ...) and M = diag(1, Xi_2, ...), the
+    final coefficient entering as the scalar block conj(alpha_n)."""
+    return _build(v, "open")
 
 
 def unitarity_residual(m):
@@ -296,6 +274,33 @@ def _band(a, rho):
     return band
 
 
+def _check_size(n, topology):
+    """The size rule of each topology: even n >= 2 on the ring, n >= 2 open."""
+    if topology not in ("periodic", "open"):
+        raise ValueError(f"unknown topology {topology!r}")
+    if n < 2 or (topology == "periodic" and n % 2):
+        raise ValueError(f"{topology} matrix needs "
+                         f"{'an even ' if topology == 'periodic' else ''}"
+                         f"size >= 2, got {n}")
+
+
+def _extended(a, topology):
+    """Coefficients and moduli of a batch (..., n) at the sites -2..n.  The
+    ring repeats them cyclically; the open matrix has alpha_{-1} = -1 (the
+    leading 1 of M) and a zero modulus at both ends."""
+    n = a.shape[-1]
+    if topology == "periodic":
+        ext = a[..., np.arange(-2, n + 1) % n]
+        return ext, np.sqrt(1.0 - np.abs(ext) ** 2)
+    ext = np.zeros(a.shape[:-1] + (n + 3,), a.dtype)
+    ext[..., 1] = -1.0
+    ext[..., 2:n + 2] = a
+    rho = np.zeros(ext.shape)
+    rho[..., 2:n + 1] = np.sqrt(np.maximum(0.0,
+                                           1.0 - np.abs(a[..., :-1]) ** 2))
+    return ext, rho
+
+
 def periodic_diagonals(alpha):
     """The five diagonals of the periodic matrix, batched.
 
@@ -309,11 +314,8 @@ def periodic_diagonals(alpha):
         offsets that wrap onto it.
     """
     a = np.asarray(alpha)
-    n = a.shape[-1]
-    if n < 2 or n % 2:
-        raise ValueError(f"periodic matrix needs even size >= 2, got {n}")
-    ext = a[..., np.arange(-2, n + 1) % n]
-    return _band(ext, np.sqrt(1.0 - np.abs(ext) ** 2))
+    _check_size(a.shape[-1], "periodic")
+    return _band(*_extended(a, "periodic"))
 
 
 def open_diagonals(alpha):
@@ -329,19 +331,36 @@ def open_diagonals(alpha):
         modulus at both ends.
     """
     a = np.asarray(alpha)
-    n = a.shape[-1]
-    if n < 2:
-        raise ValueError("open matrix needs at least two entries")
+    _check_size(a.shape[-1], "open")
     if np.any(np.abs(np.abs(a[..., -1]) - 1.0) > BOUNDARY_TOL):
         raise ValueError("last entry must be unimodular for a unitary "
                          "open matrix")
-    ext = np.zeros(a.shape[:-1] + (n + 3,), a.dtype)
-    ext[..., 1] = -1.0
-    ext[..., 2:n + 2] = a
-    rho = np.zeros(ext.shape)
-    rho[..., 2:n + 1] = np.sqrt(np.maximum(0.0,
-                                           1.0 - np.abs(a[..., :-1]) ** 2))
-    return _band(ext, rho)
+    return _band(*_extended(a, "open"))
+
+
+_DIAGONALS = {"periodic": periodic_diagonals, "open": open_diagonals}
+
+
+def _pattern(n, topology):
+    """Boolean band (5, n) of the positions E can fill: offsets -1..2 on
+    even rows, -2..1 on odd rows, and on the open matrix only inside it."""
+    _check_size(n, topology)
+    d, i = np.arange(-2, 3)[:, None], np.arange(n)
+    keep = (d + i % 2 >= -1) & (d + i % 2 <= 2)
+    if topology == "open":
+        keep &= (i + d >= 0) & (i + d < n)
+    return keep
+
+
+def _scatter(band):
+    """The dense matrix of a band (5, n); offsets that wrap onto one entry
+    of a small ring add up, and an open band is zero outside the matrix."""
+    n = band.shape[-1]
+    dense = np.zeros((n, n), band.dtype)
+    i = np.arange(n)
+    for d in range(-2, 3):
+        dense[i, (i + d) % n] += band[d + 2]
+    return dense
 
 
 def _diagonal_sum(power, n):
@@ -400,28 +419,15 @@ def _band_traces(band, ell_max):
     return out
 
 
-def _dense_band(m):
-    """Band (1, 5, n) read off a built matrix; on a ring of n < 5 sites
-    only the offsets d < n - 2 are used, one per dense entry."""
-    E, n = m.dense(), m.n
-    i = np.arange(n)
-    band = np.zeros((1, 5, n), E.dtype)
-    for d in range(-2, 3):
-        keep = ((i + d >= 0) & (i + d < n) if m.topology == "open"
-                else np.full(n, d < n - 2))
-        band[0, d + 2, keep] = E[i[keep], (i[keep] + d) % n]
-    return band
-
-
 def trace_power(m, ell):
     """Tr E^ell of a built matrix, through the banded kernel of
-    batch_trace_powers applied to its dense entries."""
+    batch_trace_powers applied to its band."""
     ell = int(ell)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if ell == 0:
         return complex(m.n)
-    return complex(_band_traces(_dense_band(m), ell)[0, -1])
+    return complex(_band_traces(m.band[None], ell)[0, -1])
 
 
 def batch_trace_powers(alpha, ell_max, topology="periodic"):
@@ -437,11 +443,9 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
         array (batch, ell_max): complex for complex coefficients, float64
         for real ones.
     """
-    diagonals = {"periodic": periodic_diagonals,
-                 "open": open_diagonals}.get(topology)
-    if diagonals is None:
-        raise ValueError(f"unknown topology {topology!r}")
     a = np.atleast_2d(np.asarray(alpha))
+    _check_size(a.shape[-1], topology)
+    diagonals = _DIAGONALS[topology]
     ell_max = int(ell_max)
     out = np.empty((a.shape[0], ell_max),
                    complex if np.iscomplexobj(a) else float)
@@ -477,17 +481,21 @@ def trace_potential(m, potential):
     """Tr V(E) evaluated exactly from power traces.
 
     Torus potentials use Tr cos(k theta) = Re Tr E^k and the sine analogue;
-    interval potentials assume a spectrum in conjugate pairs and count each
-    pair once, so the constant term counts n/2 times
-    (Potential.trace_weights).
+    interval potentials count each conjugate pair of eigenvalues once, so
+    the constant term counts n/2 times (Potential.trace_weights).  Only a
+    real matrix of even size has its spectrum in conjugate pairs; any other
+    raises ValueError for an interval potential.
     """
     atoms = m.n
     if potential.domain == "interval":
         if m.n % 2:
             raise ValueError("interval potentials need an even matrix size")
+        if np.any(np.imag(m.band)):
+            raise ValueError("interval potentials need a real matrix, whose "
+                             "spectrum comes in conjugate pairs")
         atoms = m.n // 2
     w = potential.trace_weights()
-    traces = _band_traces(_dense_band(m), w.size)[0]
+    traces = _band_traces(m.band[None], w.size)[0]
     return float(potential.constant * atoms + (w @ traces).real)
 
 
@@ -498,19 +506,3 @@ def conserved_quantities(alpha, ell_max=4):
     k1 = complex(-np.sum(a * np.conj(np.roll(a, -1))))
     traces = batch_trace_powers(a[None, :], ell_max)[0]
     return ConservedQuantities(k0=k0, k1=k1, trace_powers=traces)
-
-
-_MASK_CACHE = {}
-
-
-def _structural_mask(n, topology):
-    key = (n, topology)
-    if key not in _MASK_CACHE:
-        generic = np.full(n, 0.5 + 0.25j)
-        if topology == "periodic":
-            ref = build_periodic_cmv(generic)
-        else:
-            generic[-1] = np.exp(0.3j)
-            ref = build_cmv(generic)
-        _MASK_CACHE[key] = np.abs(ref.dense()) > 1e-12
-    return _MASK_CACHE[key]

@@ -109,11 +109,10 @@ class FlowState:
 
 @dataclass(frozen=True)
 class IntegratorParams:
-    """Fixed-step scheme selection; only classical RK4 is provided."""
+    """Step and horizon of the fixed-step classical RK4 integrator."""
 
     dt: float
     t_final: float
-    scheme: str = "RK4"
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -123,8 +122,6 @@ class IntegratorParams:
         if self.dt > self.t_final:
             raise ValueError(
                 f"dt = {self.dt:g} exceeds t_final = {self.t_final:g}")
-        if self.scheme != "RK4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 # --------------------------------------------------------------------------

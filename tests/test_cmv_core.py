@@ -180,14 +180,13 @@ def test_first_trace_equals_nearest_neighbour_sum():
 
 def test_periodic_diagonal_formulas_match_dense():
     for n in (2, 4, 18):
-        alpha = random_interior_alpha(RNG, n)
+        alpha, m = _random_matrix(RNG, n, "periodic", real=False)
         band = cc.periodic_diagonals(alpha[None, :])[0]
         idx = np.arange(n)
         dense = np.zeros((n, n), complex)
         for d in range(-2, 3):  # offsets that wrap onto one entry add up
             np.add.at(dense, (idx, (idx + d) % n), band[d + 2])
-        assert np.abs(dense - cc.build_periodic_cmv(alpha).dense()).max() \
-            <= 1e-14
+        assert np.abs(dense - m.l_factor @ m.m_factor).max() <= 1e-14
 
 
 def test_open_diagonal_formulas_match_dense():
@@ -195,14 +194,27 @@ def test_open_diagonal_formulas_match_dense():
         for real in (False, True):
             alpha, m = _random_matrix(RNG, n, "open", real)
             band = cc.open_diagonals(alpha)
-            assert band.dtype == m.dense().dtype
+            product = m.l_factor @ m.m_factor
+            assert band.dtype == product.dtype
             idx = np.arange(n)
             for d in range(-2, 3):
                 inside = (idx + d >= 0) & (idx + d < n)
                 assert np.all(band[d + 2, ~inside] == 0.0)
                 got = band[d + 2, inside]
-                want = m.dense()[idx[inside], idx[inside] + d]
+                want = product[idx[inside], idx[inside] + d]
                 assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("topology", ["periodic", "open"])
+def test_dense_matches_block_factor_product(topology):
+    for n in range(2, 13):
+        if topology == "periodic" and n % 2:
+            continue
+        for real in (False, True):
+            _, m = _random_matrix(RNG, n, topology, real)
+            product = m.l_factor @ m.m_factor
+            assert m.dense().dtype == product.dtype
+            assert np.abs(m.dense() - product).max() <= 1e-14
 
 
 def test_batch_rows_past_the_block_match_single_rows():
@@ -311,6 +323,14 @@ def test_trace_potential_open_circular_matches_eigen_sum():
     assert abs(cc.trace_potential(m, p) - p(angles).sum()) <= 1e-10
 
 
+@pytest.mark.parametrize("topology", ["periodic", "open"])
+def test_trace_potential_interval_rejects_complex_matrix(topology):
+    # a complex spectrum is not conjugate-paired, so the pair rule is wrong
+    _, m = _random_matrix(RNG, 8, topology, real=False)
+    with pytest.raises(ValueError, match="real matrix"):
+        cc.trace_potential(m, Potential("interval", cheb=[0.0, 1.0]))
+
+
 # ----------------------------------------------------------------- properties
 
 @settings(max_examples=40, deadline=None)
@@ -361,6 +381,29 @@ def test_trace_power_after_json_round_trip():
         for ell in range(8):
             assert abs(cc.trace_power(m2, ell) - cc.trace_power(m, ell)) \
                 <= 1e-12
+
+
+def _json_doc(n, topology, entries):
+    return json.dumps({"n": n, "topology": topology, "entries": entries})
+
+
+@pytest.mark.parametrize("blob", [
+    _json_doc(4, "torus", [[0, 0, 1.0, 0.0]]),
+    _json_doc(5, "periodic", [[0, 0, 1.0, 0.0]]),
+    _json_doc(0, "periodic", []),
+    _json_doc(1, "open", [[0, 0, 1.0, 0.0]]),
+    _json_doc(4, "periodic", [[-1, 0, 1.0, 0.0]]),
+    _json_doc(4, "open", [[7, 0, 1.0, 0.0]]),
+    _json_doc(4, "open", [[0, 4, 1.0, 0.0]]),
+    _json_doc(4, "open", [[0, 3, 1.0, 0.0]]),
+    _json_doc(8, "periodic", [[0, 4, 1.0, 0.0]]),
+    _json_doc(8, "periodic", [[0, 6, 1.0, 0.0]]),
+], ids=["unknown-topology", "odd-ring", "empty-ring", "open-size-1",
+        "negative-row", "row-past-n", "column-past-n", "open-outside-band",
+        "ring-outside-band", "ring-even-row-offset-minus-2"])
+def test_from_json_rejects_bad_documents(blob):
+    with pytest.raises(ValueError):
+        cc.CmvMatrix.from_json(blob)
 
 
 def test_verblunsky_vector_validation():

@@ -130,12 +130,6 @@ class TestIntegratorParams:
             IntegratorParams(dt=0.1, t_final=0.0)
         with pytest.raises(ValueError):
             IntegratorParams(dt=2.0, t_final=1.0)
-        with pytest.raises(ValueError):
-            IntegratorParams(dt=0.1, t_final=1.0, scheme="Euler")
-
-    def test_defaults(self):
-        p = IntegratorParams(dt=0.5, t_final=4.0)
-        assert p.scheme == "RK4"
 
 
 class TestIntegrate:
