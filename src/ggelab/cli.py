@@ -563,10 +563,22 @@ def build_parser():
     p.add_argument("--domain", choices=("torus", "interval"), default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--potential", default=None)
-    p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--grid-size", type=int, default=None,
+                   help="grid nodes: equispaced angles on the torus, a "
+                        "uniform t = ln tan(theta/2) grid on the interval "
+                        "(default 1024, at least 16)")
+    p.add_argument("--damping", type=float, default=None,
+                   help="step factor in (0, 1] of the damped fixed-point "
+                        "map (each Fourier mode is damped further); the "
+                        "acceleration builds on this map, so it changes the "
+                        "iteration count (default 0.5)")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="stop once the largest damped step of ln(density) "
+                        "at the current iterate is below this (default "
+                        "1e-10)")
+    p.add_argument("--max-iterations", type=int, default=None,
+                   help="iteration budget; when it runs out the command "
+                        "exits 1 (default 20000)")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("relation", parents=[common],

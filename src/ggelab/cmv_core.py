@@ -177,13 +177,19 @@ class CmvMatrix:
     def from_json(cls, blob):
         """Rebuild a matrix from to_json output, each entry at the first band
         offset that reaches it.  Raises ValueError for an unknown topology, a
-        size the topology cannot have, and an entry outside the matrix or
-        outside its structural pattern."""
+        size the topology cannot have, a non-integer or repeated index pair,
+        and an entry outside the matrix or outside its structural pattern."""
         doc = json.loads(blob)
         n, topology = int(doc["n"]), doc["topology"]
         pattern = _pattern(n, topology)
         band = np.zeros((5, n), complex)
+        seen = set()
         for r, c, re, im in doc["entries"]:
+            if not (type(r) is int and type(c) is int):
+                raise ValueError(f"entry index ({r!r}, {c!r}) is not a pair of integers")
+            if (r, c) in seen:
+                raise ValueError(f"entry ({r}, {c}) is given twice")
+            seen.add((r, c))
             if not (0 <= r < n and 0 <= c < n):
                 raise ValueError(f"entry ({r}, {c}) lies outside a matrix "
                                  f"of size {n}")
@@ -197,12 +203,9 @@ class CmvMatrix:
 
 
 def _build(v, topology):
-    """Validate the interior coefficients and build the band; the size and
-    the last entry of an open vector are checked by its *_diagonals."""
+    """Build the band; its *_diagonals check the size, the interior entries
+    and the last entry of an open vector."""
     alpha = np.atleast_1d(v.alpha if isinstance(v, VerblunskyVector) else v)
-    interior = alpha if topology == "periodic" else alpha[:-1]
-    if np.max(np.abs(interior), initial=0.0) >= 1.0:
-        raise ValueError("interior entries must satisfy |alpha_j| < 1")
     return CmvMatrix(topology, _DIAGONALS[topology](alpha), alpha)
 
 
@@ -284,6 +287,14 @@ def _check_size(n, topology):
                          f"size >= 2, got {n}")
 
 
+def _interior_rho(mod):
+    """sqrt(1 - |alpha_j|^2) from interior moduli; raises ValueError unless
+    every entry lies strictly inside the unit disk."""
+    if not mod.max(initial=0.0) < 1.0:
+        raise ValueError("interior entries must satisfy |alpha_j| < 1")
+    return np.sqrt(1.0 - mod ** 2)
+
+
 def _extended(a, topology):
     """Coefficients and moduli of a batch (..., n) at the sites -2..n.  The
     ring repeats them cyclically; the open matrix has alpha_{-1} = -1 (the
@@ -291,13 +302,12 @@ def _extended(a, topology):
     n = a.shape[-1]
     if topology == "periodic":
         ext = a[..., np.arange(-2, n + 1) % n]
-        return ext, np.sqrt(1.0 - np.abs(ext) ** 2)
+        return ext, _interior_rho(np.abs(ext))
     ext = np.zeros(a.shape[:-1] + (n + 3,), a.dtype)
     ext[..., 1] = -1.0
     ext[..., 2:n + 2] = a
     rho = np.zeros(ext.shape)
-    rho[..., 2:n + 1] = np.sqrt(np.maximum(0.0,
-                                           1.0 - np.abs(a[..., :-1]) ** 2))
+    rho[..., 2:n + 1] = _interior_rho(np.abs(a[..., :-1]))
     return ext, rho
 
 

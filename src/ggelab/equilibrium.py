@@ -304,6 +304,76 @@ class GridDensity:
         })
 
 
+# -- accelerated fixed point ---------------------------------------------
+
+
+# past iterates the accelerated update combines
+_ANDERSON_DEPTH = 6
+# largest sup-norm shift, in ln(density), that mixing may add to the plain
+# update; far from the fixed point the least-squares fit can be nearly
+# singular and would otherwise extrapolate the iterate off the grid's range
+_ANDERSON_REACH = 1.0
+
+
+def _fixed_point(step_map, x0, params):
+    """Anderson-accelerated iteration of a damped fixed-point map.
+
+    ``step_map(x)`` returns the plain damped update g(x) and the sup norm of
+    its damped step.  The iteration stops once that step at the current iterate
+    is below ``params.tolerance`` and returns g(x) with the iteration count.
+    Otherwise the next iterate is the combination of the last
+    _ANDERSON_DEPTH + 1 updates that minimizes the linearized residual
+    g(x) - x in least squares (Anderson mixing; Walker & Ni, SIAM J. Numer.
+    Anal. 49, 2011), its shift from g(x) capped at _ANDERSON_REACH.  A mixed
+    iterate that the map rejects with EndpointSingularityError, or whose
+    update is not finite, is dropped: the history is cleared and the plain
+    update taken instead.  At a plain iterate the error propagates, and a
+    non-finite update raises ConvergenceError.
+    """
+    x, mixed = x0, False
+    g_prev = f_prev = None
+    d_g, d_f = [], []
+    delta = np.inf
+    for it in range(params.max_iterations):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g, step = step_map(x)
+            usable = bool(np.all(np.isfinite(g)))
+        except EndpointSingularityError:
+            if not mixed:
+                raise
+            usable = False
+        if not usable:
+            if not mixed:
+                raise ConvergenceError(f"non-finite update at iteration {it + 1}",
+                                       residual=step)
+            x, mixed, f_prev = g_prev, False, None
+            d_g.clear()
+            d_f.clear()
+            continue
+        delta = step
+        if delta < params.tolerance:
+            return g, it + 1
+        f = g - x
+        if f_prev is not None:
+            d_g.append(g - g_prev)
+            d_f.append(f - f_prev)
+            del d_g[:-_ANDERSON_DEPTH], d_f[:-_ANDERSON_DEPTH]
+        g_prev, f_prev = g, f
+        mixed = bool(d_f)
+        x = g
+        if mixed:
+            gamma = np.linalg.lstsq(np.array(d_f).T, f, rcond=None)[0]
+            shift = gamma @ np.array(d_g)
+            reach = np.max(np.abs(shift))
+            if reach > _ANDERSON_REACH:
+                shift *= _ANDERSON_REACH / reach
+            x = g - shift
+    raise ConvergenceError(
+        f"no convergence in {params.max_iterations} iterations "
+        f"(last update {delta:.3e})", residual=delta)
+
+
 # -- torus solver --------------------------------------------------------
 
 
@@ -317,14 +387,15 @@ def _torus_L(values, h, phase, kk):
 
 
 def minimize_torus(v, beta, params=None, init_values=None):
-    """Minimize f_beta^V by damped log-space fixed-point iteration.
+    """Minimize f_beta^V by an accelerated damped log-space fixed point.
 
     The Euler-Lagrange condition is rho ∝ exp(-V + 2 beta L[rho]) with
     L[rho](theta) = -sum_k Re(mu_k e^{-ik theta})/k computed by FFT.  Updates
     are damped per Fourier mode, gamma_k = gamma / (1 + 2 beta / k), which
     keeps the iteration contractive for all beta (a mode-independent damping
-    corresponds to the update rho ρ_{n+1} = normalize(rho_n^{1-gamma} target^gamma)
-    and destabilizes low modes once 2 beta > 1).  Returns the density with
+    corresponds to the update rho_{n+1} = normalize(rho_n^{1-gamma} target^gamma)
+    and destabilizes low modes once 2 beta > 1).  _fixed_point accelerates
+    this damped map and stops on its step.  Returns the density with
     Euler-Lagrange residual and iteration count attached.
     """
     if beta <= 0:
@@ -342,32 +413,26 @@ def minimize_torus(v, beta, params=None, init_values=None):
     damp = params.damping / (1.0 + 2.0 * beta / np.maximum(kfold, 1.0))
     phase = np.exp(1j * k * (-np.pi + h / 2))
     kk = np.arange(1, m // 2)
-    if init_values is not None:
-        lnr = np.log(np.maximum(np.asarray(init_values, dtype=float), 1e-300))
-        lnr -= np.log(np.sum(np.exp(lnr)) * h)
-    else:
-        lnr = np.full(m, -np.log(2 * np.pi))
-    delta = np.inf
-    for it in range(params.max_iterations):
-        rho = np.exp(lnr)
-        target = -vv + 2 * beta * _torus_L(rho, h, phase, kk)
-        diff = target - lnr
+
+    def normalize(lnr):
+        return lnr - np.log(np.sum(np.exp(lnr)) * h)
+
+    def step_map(lnr):
+        diff = -vv + 2 * beta * _torus_L(np.exp(lnr), h, phase, kk) - lnr
         diff -= diff.mean()
         step = np.real(np.fft.fft(np.fft.ifft(diff) * damp))
-        lnr = lnr + step
-        lnr -= np.log(np.sum(np.exp(lnr)) * h)
-        delta = float(np.max(np.abs(step)))
-        if delta < params.tolerance:
-            break
+        return normalize(lnr + step), float(np.max(np.abs(step)))
+
+    if init_values is not None:
+        lnr = normalize(np.log(np.maximum(np.asarray(init_values, dtype=float), 1e-300)))
     else:
-        raise ConvergenceError(
-            f"torus minimizer: no convergence in {params.max_iterations} iterations "
-            f"(last update {delta:.3e})", residual=delta)
+        lnr = np.full(m, -np.log(2 * np.pi))
+    lnr, iterations = _fixed_point(step_map, lnr, params)
     rho = np.exp(lnr)
     res = lnr + vv - 2 * beta * _torus_L(rho, h, phase, kk)
     residual = float(np.max(np.abs(res - res.mean())))
     pot_meta = v if isinstance(v, Potential) else None
-    return GridDensity.torus(rho, residual=residual, iterations=it + 1, beta=beta,
+    return GridDensity.torus(rho, residual=residual, iterations=iterations, beta=beta,
                              potential=pot_meta)
 
 
@@ -430,33 +495,51 @@ def _hat_log_weights(m, h):
 
 
 def _interval_operator(m):
-    """Cached quadrature data for the interval problem at grid size m."""
+    """Cached O(m) quadrature data for the interval problem at grid size m.
+
+    The log field of a grid density is q @ p with kernel
+    ln|x(t) - x(s)| + ln 2 = ln|t - s| + ln(sinh|t - s| / |t - s|) + ln 2
+    - lc(t) - lc(s), lc = ln cosh: hat-function product integration of
+    ln|t - s| plus the smooth rest at the trapezoid weights w.  Both lag
+    parts depend only on i - j, so q is one symmetric Toeplitz matrix
+    (interior weight h, applied by FFT of its circulant embedding; Chan & Ng,
+    SIAM Review 38, 1996), corrected in its two end columns for the
+    one-sided hats and half weights, plus the two rank-1 terms in lc.
+    """
     if m in _INTERVAL_CACHE:
         return _INTERVAL_CACHE[m]
     t, t_span, h = _interval_grid(m)
     lc = _log_cosh(t)
     full, lh, rh = _hat_log_weights(m, h)
-    pos = np.rint((t[:, None] - t[None, :]) / h).astype(int) + m - 1
-    q_log = full[pos]
-    q_log[:, 0] = lh[pos[:, 0]]
-    q_log[:, -1] = rh[pos[:, -1]]
-    dd = 0.5 * (t[:, None] - t[None, :])
-    add = np.abs(dd)
+    # half of |u|, u = t_i - t_j at the lags i - j = -(m - 1) .. m - 1; the
+    # smooth kernel 2 ln 2 + ratio + lc(u / 2) equals ln 2 + ln(sinh|u| / |u|)
+    half =0.5 * np.abs(np.arange(-(m - 1), m) * h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = add + np.log1p(-np.exp(-2.0 * add)) - np.log(4.0 * add)
-    np.fill_diagonal(ratio, -np.log(2.0))
-    half_lc = 0.5 * (lc[:, None] + lc[None, :])
-    r_smooth = np.log(2.0) + ratio - half_lc
-    b_kernel = np.log(2.0) + _log_cosh(dd) - half_lc
+        ratio = half + np.log1p(-np.exp(-2.0 * half)) - np.log(4.0 * half)
+    ratio[m - 1] = -np.log(2.0)
+    smooth = 2 * np.log(2.0) + ratio + _log_cosh(half)
+    column = full + h * smooth
+    # circulant embedding of length 2m: lags 0 .. m - 1, one zero, lags -(m - 1) .. -1
+    kernel_hat = np.fft.rfft(np.concatenate([column[m - 1:], [0.0], column[:m - 1]]))
+    # column 0 sees lags 0 .. m - 1, column m - 1 lags -(m - 1) .. 0
+    ends = np.stack([lh[m - 1:] - full[m - 1:] - 0.5 * h * smooth[m - 1:],
+                     rh[:m] - full[:m] - 0.5 * h * smooth[:m]])
     w = np.full(m, h)
     w[0] = w[-1] = h / 2
-    q = q_log + (r_smooth + b_kernel) * w[None, :]
     k0 = 0.5 * np.log(2.0) + 0.5 * t - 0.5 * lc
     kpi = 0.5 * np.log(2.0) - 0.5 * t - 0.5 * lc
-    theta = 2.0 * np.arctan(np.exp(t))
-    data = dict(t=t, t_span=t_span, h=h, w=w, q=q, k0=k0, kpi=kpi, theta=theta)
+    data = dict(t=t, t_span=t_span, h=h, w=w, lc=lc, wlc=w * lc, kernel_hat=kernel_hat,
+                ends=ends, k0=k0, kpi=kpi)
     _INTERVAL_CACHE[m] = data
     return data
+
+
+def _log_field(op, p):
+    """q @ p for the log kernel of _interval_operator, in O(m log m)."""
+    m = p.size
+    field = np.fft.irfft(op["kernel_hat"] * np.fft.rfft(p, 2 * m), 2 * m)[:m]
+    field += p[0] * op["ends"][0] + p[-1] * op["ends"][1]
+    return field - op["lc"] * (op["w"] @ p) - op["wlc"] @ p
 
 
 def _interval_mass(t, p, charges):
@@ -500,29 +583,27 @@ def minimize_interval(v, beta, params=None, init_values=None):
     W(theta) = int (ln|2 sin((theta-phi)/2)| + ln|2 sin((theta+phi)/2)|) sigma(phi) dphi
     (U[rho](x) = -ln 2 + W(theta)), evaluated by hat-function product
     integration of the log kernel on the t-grid plus the point fields of the
-    two analytic edge masses.  Same damping and termination contract as
-    minimize_torus.  Raises EndpointSingularityError when an edge mass grows
-    beyond what the tail model resolves (beta too small).
+    two analytic edge masses.  The damped map is accelerated and stopped by
+    _fixed_point, as in minimize_torus.  Raises EndpointSingularityError when
+    an edge mass grows beyond what the tail model resolves (beta too small).
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     params = params or SolverParams()
     op = _interval_operator(params.grid_size)
-    t, h, w, q = op["t"], op["h"], op["w"], op["q"]
+    t, h, w = op["t"], op["h"], op["w"]
     x = -np.tanh(t)
     vfun = _potential_callable(v, "interval")
     vv = np.asarray(vfun(x), dtype=float)
     if vv.shape == ():
         vv = np.full(t.size, float(vv))
-    if init_values is not None:
-        ln_p = np.log(np.maximum(np.asarray(init_values, dtype=float), 1e-300))
-    else:
-        ln_p = -np.log(np.pi * np.cosh(t))
-    ln_p = _interval_normalize(ln_p, w, beta)
     freq = np.fft.rfftfreq(t.size, d=h) * 2 * np.pi
     damp = params.damping / (1.0 + np.pi * beta / np.maximum(freq, freq[1]))
-    delta = np.inf
-    for it in range(params.max_iterations):
+
+    def field(p, gm, gp):
+        return _log_field(op, p) + 2 * gm * op["k0"] + 2 * gp * op["kpi"]
+
+    def step_map(ln_p):
         p = np.exp(ln_p)
         gm, gp = _charges(p, beta)
         if max(gm, gp) > 0.25:
@@ -532,26 +613,22 @@ def minimize_interval(v, beta, params=None, init_values=None):
                 f"edge mass {max(gm, gp):.3f} exceeds the resolvable tail "
                 f"(beta = {beta} too small); local angle-density exponent {expo:.3f}",
                 exponent=expo)
-        field = q @ p + 2 * gm * op["k0"] + 2 * gp * op["kpi"]
-        target = -vv + 2 * beta * field
-        diff = target - ln_p
+        diff = -vv + 2 * beta * field(p, gm, gp) - ln_p
         diff -= diff.mean()
         step = np.fft.irfft(np.fft.rfft(diff) * damp, t.size)
-        ln_p = _interval_normalize(ln_p + step, w, beta)
-        delta = float(np.max(np.abs(step)))
-        if delta < params.tolerance:
-            break
+        return _interval_normalize(ln_p + step, w, beta), float(np.max(np.abs(step)))
+
+    if init_values is not None:
+        ln_p = np.log(np.maximum(np.asarray(init_values, dtype=float), 1e-300))
     else:
-        raise ConvergenceError(
-            f"interval minimizer: no convergence in {params.max_iterations} iterations "
-            f"(last update {delta:.3e})", residual=delta)
+        ln_p = -np.log(np.pi * np.cosh(t))
+    ln_p, iterations = _fixed_point(step_map, _interval_normalize(ln_p, w, beta), params)
     p = np.exp(ln_p)
     gm, gp = _charges(p, beta)
-    field = q @ p + 2 * gm * op["k0"] + 2 * gp * op["kpi"]
-    res = ln_p + vv - 2 * beta * field
+    res = ln_p + vv - 2 * beta * field(p, gm, gp)
     residual = float(np.max(np.abs(res - res.mean())))
     pot_meta = v if isinstance(v, Potential) else None
-    return GridDensity.interval(t, p, (gm, gp), residual=residual, iterations=it + 1,
+    return GridDensity.interval(t, p, (gm, gp), residual=residual, iterations=iterations,
                                 beta=beta, potential=pot_meta)
 
 
@@ -576,7 +653,7 @@ def free_energy_interval(rho, v, beta):
     op = _interval_operator(rho.grid_size)
     if abs(op["h"] - (rho.nodes[1] - rho.nodes[0])) > 1e-12:
         raise ValueError("density grid does not match the interval operator grid")
-    t, w, q = op["t"], op["w"], op["q"]
+    t, w = op["t"], op["w"]
     p = rho.values
     gm, gp = rho.edge_masses
     vfun = _potential_callable(v, "interval")
@@ -586,7 +663,7 @@ def free_energy_interval(rho, v, beta):
         vv = np.full(t.size, float(vv))
     potential = float(w @ (p * vv)) + gm * float(vfun(np.array(1.0))) + gp * float(vfun(np.array(-1.0)))
     # IInt ln|x-y| mu mu = grid x grid + 2 grid x charges + charge terms
-    wfield = q @ p
+    wfield = _log_field(op, p)
     s_gg = float(w @ (p * (-np.log(2.0) + wfield)))
     s_gc = float(w @ (p * (gm * (-np.log(2.0) + 2 * op["k0"]) + gp * (-np.log(2.0) + 2 * op["kpi"]))))
     s_cc = 2 * gm * gp * np.log(2.0) + _tail_self_energy(gm, beta, op["t_span"]) \

@@ -42,3 +42,30 @@ def reference_periodic_entries(alpha):
         E[r1, cols[2]] += -A(j) * np.conj(A(j + 1))
         E[r1, cols[3]] += -A(j) * R(j + 1)
     return E
+
+
+def dense_interval_kernel(m):
+    """The m x m log-kernel matrix q of the interval solver, assembled entry by
+    entry on the solver's grid (field = q @ p): the Toeplitz lookup of the
+    hat-function log weights, one-sided hats in the two end columns, and the
+    smooth kernel rest at the trapezoid weights."""
+    from ggelab.equilibrium import _hat_log_weights, _interval_grid, _log_cosh
+
+    t, _, h = _interval_grid(m)
+    lc = _log_cosh(t)
+    full, lh, rh = _hat_log_weights(m, h)
+    pos = np.rint((t[:, None] - t[None, :]) / h).astype(int) + m - 1
+    q_log = full[pos]
+    q_log[:, 0] = lh[pos[:, 0]]
+    q_log[:, -1] = rh[pos[:, -1]]
+    dd = 0.5 * (t[:, None] - t[None, :])
+    add = np.abs(dd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = add + np.log1p(-np.exp(-2.0 * add)) - np.log(4.0 * add)
+    np.fill_diagonal(ratio, -np.log(2.0))
+    half_lc = 0.5 * (lc[:, None] + lc[None, :])
+    r_smooth = np.log(2.0) + ratio - half_lc
+    b_kernel = np.log(2.0) + _log_cosh(dd) - half_lc
+    w = np.full(m, h)
+    w[0] = w[-1] = h / 2
+    return q_log + (r_smooth + b_kernel) * w[None, :]

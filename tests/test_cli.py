@@ -221,6 +221,23 @@ class TestMinimize:
         err = capsys.readouterr().err
         assert "converge" in err
 
+    def test_interval_budget_of_one_iteration_exits_1(self, tmp_path, capsys):
+        code = main(["minimize", "--beta", "1", "--domain", "interval",
+                     "--max-iterations", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "converge" in capsys.readouterr().err
+        assert not (tmp_path / "minimize.json").exists()
+
+    def test_solver_flags_have_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["minimize", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for phrase in ("--grid-size GRID_SIZE grid nodes",
+                       "--damping DAMPING step factor",
+                       "--tolerance TOLERANCE stop once the largest damped step",
+                       "--max-iterations MAX_ITERATIONS iteration budget"):
+            assert phrase in out
+
 
 class TestRelation:
     def test_al_report(self, tmp_path, capsys):

@@ -239,6 +239,19 @@ def test_batch_trace_powers_rejects_bad_input():
     assert cc.batch_trace_powers(np.zeros((3, 4)), 0).shape == (3, 0)
 
 
+@pytest.mark.parametrize("alpha, topology", [
+    (np.full(4, 1.5), "periodic"),
+    ([0.3, 0.2, 1.0, 0.1], "periodic"),
+    ([0.3, np.nan], "periodic"),
+    ([0.3, 2.0, 1.0], "open"),
+    ([[0.3, 0.2, -1.0], [0.3, -1.0, -1.0]], "open"),
+], ids=["ring-outside", "ring-on-circle", "ring-nan", "open-outside",
+        "open-second-row-on-circle"])
+def test_batch_trace_powers_rejects_entries_off_the_open_disk(alpha, topology):
+    with pytest.raises(ValueError, match=r"\|alpha_j\| < 1"):
+        cc.batch_trace_powers(alpha, 2, topology)
+
+
 def test_batched_trace_powers_match_loop():
     batch = np.stack([random_interior_alpha(RNG, 16) for _ in range(7)])
     traces = cc.batch_trace_powers(batch, 6)
@@ -398,12 +411,25 @@ def _json_doc(n, topology, entries):
     _json_doc(4, "open", [[0, 3, 1.0, 0.0]]),
     _json_doc(8, "periodic", [[0, 4, 1.0, 0.0]]),
     _json_doc(8, "periodic", [[0, 6, 1.0, 0.0]]),
+    _json_doc(4, "open", [[0.5, 0, 1.0, 0.0]]),
+    _json_doc(4, "open", [[0, "1", 1.0, 0.0]]),
 ], ids=["unknown-topology", "odd-ring", "empty-ring", "open-size-1",
         "negative-row", "row-past-n", "column-past-n", "open-outside-band",
-        "ring-outside-band", "ring-even-row-offset-minus-2"])
+        "ring-outside-band", "ring-even-row-offset-minus-2",
+        "non-integer-row", "string-column"])
 def test_from_json_rejects_bad_documents(blob):
     with pytest.raises(ValueError):
         cc.CmvMatrix.from_json(blob)
+
+
+@pytest.mark.parametrize("topology", ["periodic", "open"])
+def test_from_json_rejects_repeated_entry(topology):
+    _, m = _random_matrix(RNG, 6, topology, real=False)
+    doc = json.loads(m.to_json())
+    first = doc["entries"][0]
+    doc["entries"].append([first[0], first[1], first[2] + 1.0, first[3]])
+    with pytest.raises(ValueError, match="twice"):
+        cc.CmvMatrix.from_json(json.dumps(doc))
 
 
 def test_verblunsky_vector_validation():

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ggelab.equilibrium import (
     ConvergenceError,
@@ -17,6 +18,10 @@ from ggelab.equilibrium import (
     FreeEnergyBreakdown,
     GridDensity,
     SolverParams,
+    _fixed_point,
+    _interval_grid,
+    _interval_operator,
+    _log_field,
     beta_derivative_measure,
     free_energy_interval,
     free_energy_torus,
@@ -25,6 +30,8 @@ from ggelab.equilibrium import (
 )
 from ggelab.potentials import Potential
 from ggelab.spectral_measures import distance_D
+
+from helpers import dense_interval_kernel
 
 LOG2 = np.log(2.0)
 
@@ -298,6 +305,155 @@ class TestIntervalMinimizer:
         with pytest.raises(ConvergenceError) as exc:
             minimize_interval(None, 1.0, SolverParams(max_iterations=3))
         assert exc.value.residual > 0
+
+
+def _hat_log_integral(t, i, j):
+    """int ln|t_i - s| hat_j(s) ds by adaptive quadrature, split at the
+    nodes so the log singularity sits on an end of each piece."""
+    h = t[1] - t[0]
+    total = 0.0
+    if j > 0:
+        total += quad(lambda s: np.log(abs(t[i] - s)) * (1 - (t[j] - s) / h),
+                      t[j] - h, t[j], epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    if j < t.size - 1:
+        total += quad(lambda s: np.log(abs(t[i] - s)) * (1 - (s - t[j]) / h),
+                      t[j], t[j] + h, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+class TestIntervalKernel:
+    M = 64
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        op = _interval_operator(self.M)
+        return np.stack([_log_field(op, e) for e in np.eye(self.M)], axis=1)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (5, 0), (63, 0), (0, 63), (40, 63), (63, 63),
+                                      (10, 10), (10, 11), (30, 12), (2, 50)])
+    def test_columns_match_quadrature(self, columns, i, j):
+        # the solver's kernel ln|x(t) - x(s)| + ln 2 splits into ln|t - s|,
+        # integrated exactly against the hat at t_j, and a smooth rest
+        # ln 2 + ln(sinh|u| / |u|) - ln cosh t - ln cosh s, u = t - s, taken at
+        # the node with the trapezoid weight
+        t, _, h = _interval_grid(self.M)
+        u = abs(t[i] - t[j])
+        sinhc = np.sinh(u) / u if u > 0 else 1.0
+        weight = h / 2 if j in (0, self.M - 1) else h
+        smooth = np.log(2.0) + np.log(sinhc) - np.log(np.cosh(t[i])) - np.log(np.cosh(t[j]))
+        expected = _hat_log_integral(t, i, j) + weight * smooth
+        assert abs(columns[i, j] - expected) <= 1e-10 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_fft_apply_matches_dense_assembly(self, m):
+        q = dense_interval_kernel(m)
+        op = _interval_operator(m)
+        cols = np.stack([_log_field(op, e) for e in np.eye(m)], axis=1)
+        assert np.max(np.abs(cols - q)) <= 1e-12 * np.max(np.abs(q))
+        p = np.random.default_rng(m).uniform(0.0, 1.0, m)
+        assert np.max(np.abs(_log_field(op, p) - q @ p)) <= 1e-12 * np.max(np.abs(q @ p))
+
+    def test_cache_holds_no_square_array(self):
+        op = _interval_operator(1024)
+        assert all(np.ndim(val) < 2 or np.shape(val)[-1] != np.shape(val)[-2]
+                   for val in op.values())
+        assert max(np.size(val) for val in op.values()) <= 2 * 1024
+
+
+# iterations and Euler-Lagrange residual of the plain damped iteration that
+# preceded the accelerated one, at the default SolverParams apart from the
+# grid size
+PLAIN_DAMPED = [
+    ("interval", None, 0.5, 1024, 492, 3.70e-9),
+    ("interval", None, 1.0, 1024, 913, 7.50e-9),
+    ("interval", None, 2.0, 1024, 1722, 1.48e-8),
+    ("interval", None, 3.0, 1024, 2503, 2.23e-8),
+    ("interval", None, 0.05, 1024, 96, 3.88e-10),
+    ("interval", {"cheb": [0.0, 0.0, 0.7]}, 1.0, 1024, 923, 7.44e-9),
+    ("interval", {"cheb": [0.0, 1.0]}, 1.0, 1024, 915, 7.41e-9),
+    ("torus", {"cos": [0.0, 0.5]}, 1.0, 1024, 55, 2.55e-10),
+    ("torus", {"cos": [0.0, 1.0]}, 1e-4, 1024, 34, 5.86e-11),
+    ("torus", {"cos": [0.0, 1.0]}, 1e-3, 1024, 34, 6.12e-11),
+    ("torus", {"cos": [0.0, 0.01]}, 0.5, 1024, 38, 1.77e-10),
+    ("torus", {"cos": [0.0, 0.01]}, 1.0, 1024, 43, 2.70e-10),
+    ("torus", {"cos": [0.0, 0.01]}, 4.0, 1024, 49, 1.20e-9),
+    ("torus", {"cos": [0.0, 0.4], "sin": [0.3]}, 1.5, 1024, 58, 4.13e-10),
+    ("torus", {"cos": [0.0, 1.0]}, 2.0, 1024, 67, 4.47e-10),
+    # starts far from the fixed point, where uncapped mixing extrapolated the
+    # iterate into non-finite updates or a false EndpointSingularityError
+    ("interval", {"cheb": [0.0, 1.0]}, 0.2, 2048, 435, 2.95e-9),
+    ("interval", {"cheb": [0.0, 2.0, -1.0, 0.5]}, 0.2, 256, 233, 1.16e-9),
+    ("interval", {"cheb": [0.0, 0.0, 3.0]}, 1.0, 256, 879, 6.81e-9),
+]
+
+
+class TestAcceleratedFixedPoint:
+    @pytest.mark.parametrize("domain, coeffs, beta, grid_size, iterations, residual",
+                             PLAIN_DAMPED)
+    def test_no_more_iterations_and_no_larger_residual(self, domain, coeffs, beta, grid_size,
+                                                       iterations, residual):
+        v = Potential(domain, **coeffs) if coeffs else None
+        solver = minimize_torus if domain == "torus" else minimize_interval
+        r = solver(v, beta, SolverParams(grid_size=grid_size))
+        assert r.iterations <= iterations
+        assert r.residual <= residual
+
+    def test_interval_iterations_cut(self):
+        assert minimize_interval(None, 3.0).iterations < 400
+
+    def test_flat_torus_stops_at_first_step(self):
+        assert minimize_torus(None, 1.0).iterations == 1
+
+    @staticmethod
+    def _linear_step_map(calls, reject_call=None):
+        """Damped map of x = A x + b with slow modes, logging every input; it
+        rejects the input of call number reject_call."""
+        a = np.diag([0.95, 0.9, 0.5, -0.3])
+        b = np.array([1.0, -2.0, 0.5, 0.25])
+
+        def plain(x):
+            return x + 0.5 * (a @ x + b - x)
+
+        def step_map(x):
+            calls.append(x.copy())
+            if len(calls) == reject_call:
+                raise EndpointSingularityError("rejected", exponent=-1.0)
+            g = plain(x)
+            return g, float(np.max(np.abs(g - x)))
+        return step_map, plain, np.linalg.solve(np.eye(4) - a, b)
+
+    def test_reaches_the_fixed_point(self):
+        calls = []
+        step_map, _, exact = self._linear_step_map(calls)
+        x, it = _fixed_point(step_map, np.zeros(4), SolverParams(tolerance=1e-12))
+        assert np.max(np.abs(x - exact)) < 1e-10
+        assert it == len(calls) < 30
+
+    def test_rejected_mixed_iterate_falls_back_to_plain_step(self):
+        calls = []
+        # calls 1 and 2 are plain steps; the third input is the first mixed iterate
+        step_map, plain, exact = self._linear_step_map(calls, reject_call=3)
+        x, _ = _fixed_point(step_map, np.zeros(4), SolverParams(tolerance=1e-12))
+        assert np.max(np.abs(x - exact)) < 1e-10
+        assert not np.array_equal(calls[2], plain(calls[1]))
+        assert np.array_equal(calls[3], plain(calls[1]))
+
+    def test_rejection_at_a_plain_iterate_propagates(self):
+        calls = []
+        step_map, _, _ = self._linear_step_map(calls, reject_call=1)
+        with pytest.raises(EndpointSingularityError):
+            _fixed_point(step_map, np.zeros(4), SolverParams())
+
+    def test_non_finite_plain_update_raises(self):
+        with pytest.raises(ConvergenceError):
+            _fixed_point(lambda x: (x + np.nan, np.nan), np.zeros(4), SolverParams())
+
+    def test_nonconvergence_reports_last_plain_step(self):
+        calls = []
+        step_map, _, _ = self._linear_step_map(calls)
+        with pytest.raises(ConvergenceError) as exc:
+            _fixed_point(step_map, np.zeros(4), SolverParams(max_iterations=2))
+        assert exc.value.residual > 0 and len(calls) == 2
 
 
 class TestIntervalFreeEnergy:
