@@ -3,8 +3,9 @@
 Subcommands: sample, dos, minimize, relation, dynamics, verify,
 free-energy.  Shared flags (--seed, --out, --format, --config)
 attach to every subcommand; GGE_SEED in the environment supplies the seed
-when --seed is absent.  A config file holds flat `key = value` lines and
-fills in any option the command line left unset; explicit flags win.
+when --seed is absent.  A config file holds flat `key = value` lines, each
+read as the flag `--key=value` ahead of the command line's own flags: it
+gets the same checks, and explicit flags win.
 
 Every output file embeds the effective seed and a hash of the effective
 configuration, so reruns with the same inputs produce identical bytes.
@@ -117,75 +118,35 @@ def load_config(path):
     return out
 
 
-_CONFIG_INT = {"seed", "n", "samples", "bins", "frames", "burn_in", "thinning",
-               "grid_size", "max_iterations", "k_max"}
-_CONFIG_FLOAT = {"beta", "delta", "dt", "t_final", "rmax", "threshold",
-                 "damping", "tolerance"}
-_CONFIG_BOOL = {"angles"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _convert_config_value(key, raw):
-    if key in _CONFIG_INT:
-        return int(raw)
-    if key in _CONFIG_FLOAT:
-        return float(raw)
-    if key in _CONFIG_BOOL:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"bad boolean {raw!r} for {key}")
-    return raw
+def _config_tokens(command_parser, path):
+    """The `--key=value` tokens of a config file for one subcommand.
 
-
-def _apply_config(args, data, parser):
-    """Fill parser gaps from the config file; explicit flags keep priority."""
+    Each key must name one of the subcommand's options exactly; a stored-true
+    flag takes a true/false word instead of a value.  The tokens go through
+    the subcommand's own parser, so values get the checks of flags.
+    """
+    try:
+        data = load_config(path)
+    except (OSError, ValueError) as exc:
+        command_parser.error(f"config file: {exc}")
+    options = {a.dest: a for a in command_parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
     for key, raw in data.items():
-        if not hasattr(args, key) or key in ("func", "command", "config"):
-            parser.error(f"unknown config key {key!r}")
-        try:
-            value = _convert_config_value(key, raw)
-        except ValueError as exc:
-            parser.error(f"config key {key}: {exc}")
-        current = getattr(args, key)
-        if current is None or (key in _CONFIG_BOOL and current is False):
-            setattr(args, key, value)
-
-
-_FALLBACKS = {
-    "sample": {"ensemble": "al", "n": 32, "samples": 100},
-    "dos": {"ensemble": "al", "n": 64, "samples": 200, "bins": 64, "k_max": 16},
-    "minimize": {"domain": None},
-    "relation": {"ensemble": "al", "n": 64, "samples": 500, "threshold": 0.02,
-                 "k_max": 16},
-    "dynamics": {"flow": "al", "n": 32, "dt": 1e-3, "t_final": 1.0,
-                 "frames": 256, "init": "random", "rmax": 0.3},
-    "verify": {},
-    "free-energy": {"ensemble": "al", "n": 32, "samples": 200},
-}
-
-_NEEDS_BETA = {"sample", "dos", "minimize", "relation", "free-energy"}
-
-
-def _finalize(args, parser):
-    for key, value in _FALLBACKS.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    if args.out is None:
-        args.out = "."
-    if args.format is None:
-        args.format = "csv"
-    if args.command in _NEEDS_BETA and args.beta is None:
-        parser.error(f"{args.command}: --beta is required")
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("GGE_SEED")
-    if env is not None and env.strip():
-        return int(env)
-    return int(np.random.SeedSequence().entropy % (2**63))
+        if key not in options:
+            command_parser.error(f"unknown config key {key!r}")
+        flag = options[key].option_strings[0]
+        if options[key].nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() not in _BOOLEANS:
+            command_parser.error(f"config key {key}: bad boolean {raw!r}")
+        elif _BOOLEANS[raw.lower()]:
+            tokens.append(flag)
+    return tokens
 
 
 def _run_config(args):
@@ -193,7 +154,8 @@ def _run_config(args):
     params = tuple(sorted((k, str(v)) for k, v in vars(args).items()
                           if k not in skip))
     return RunConfig(command=args.command, params=params,
-                     seed=_resolve_seed(args), out=args.out, fmt=args.format)
+                     seed=make_rng(args.seed).seed_value, out=args.out,
+                     fmt=args.format)
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +199,14 @@ def _spec_from(args):
                         parse_potential(args.potential))
 
 
+def _alpha_table(label, first, a):
+    """Header and rows of a leading column plus re/im columns per site."""
+    header = [label] + [f"{part}_alpha_{j}" for j in range(1, a.shape[1] + 1)
+                        for part in ("re", "im")]
+    parts = np.stack([a.real, a.imag], axis=-1).reshape(len(a), -1)
+    return header, np.column_stack([first, parts])
+
+
 def _batch_angles(batch):
     build = build_periodic_cmv if KINDS[batch.kind].periodic else build_cmv
     rows = np.empty((batch.n_samples, batch.size))
@@ -257,16 +227,9 @@ def cmd_sample(args, cfg):
     angle_rows = _batch_angles(batch) if args.angles else None
 
     if cfg.fmt == "csv":
-        header = ["sample"]
-        for j in range(1, batch.size + 1):
-            header += [f"re_alpha_{j}", f"im_alpha_{j}"]
-        rows = []
-        for i in range(batch.n_samples):
-            row = [float(i)]
-            for j in range(batch.size):
-                row += [a[i, j].real, a[i, j].imag]
-            rows.append(row)
-        paths = [_write_csv(cfg, "samples.csv", header, rows)]
+        paths = [_write_csv(cfg, "samples.csv",
+                            *_alpha_table("sample", np.arange(batch.n_samples),
+                                          a))]
         if angle_rows is not None:
             h2 = ["sample"] + [f"theta_{j}" for j in range(1, batch.size + 1)]
             paths.append(_write_csv(cfg, "angles.csv", h2,
@@ -341,19 +304,18 @@ def cmd_dos(args, cfg):
     return 0
 
 
+_SOLVER_FLAGS = ("damping", "tolerance", "max_iterations", "grid_size")
+
+
 def cmd_minimize(args, cfg):
     """Minimize the free-energy functional and write the density."""
     v = parse_potential(args.potential)
     domain = args.domain or (v.domain if v is not None else "torus")
     if v is not None and v.domain != domain:
         raise ValueError(f"potential lives on the {v.domain}, not {domain}")
-    params = SolverParams(
-        damping=args.damping if args.damping is not None else 0.5,
-        tolerance=args.tolerance if args.tolerance is not None else 1e-10,
-        max_iterations=(args.max_iterations
-                        if args.max_iterations is not None else 20000),
-        grid_size=args.grid_size if args.grid_size is not None else 1024,
-    )
+    given = {key: getattr(args, key) for key in _SOLVER_FLAGS
+             if getattr(args, key) is not None}
+    params = SolverParams(**given)
     if domain == "torus":
         rho = minimize_torus(v, args.beta, params=params)
         breakdown = free_energy_torus(rho, v, args.beta)
@@ -429,16 +391,10 @@ def cmd_dynamics(args, cfg):
     residual = (float(lax_residual(traj.initial))
                 if args.flow == "al" else None)
 
-    tpath = _out_path(cfg, "trajectory.csv")
-    traj.to_csv(tpath)
-    with open(tpath) as fh:
-        body = fh.read()
-    with open(tpath, "w") as fh:
-        fh.write(f"# config_hash={cfg.hash}\n# seed={cfg.seed}\n" + body)
-
+    tpath = _write_csv(cfg, "trajectory.csv",
+                       *_alpha_table("t", traj.times,
+                                     np.asarray(traj.alphas, complex)))
     doc = report.to_json()
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     doc["lax_residual"] = residual
     doc["t_final"] = args.t_final
     jpath = _write_json(cfg, "conservation.json", doc)
@@ -513,13 +469,24 @@ def cmd_free_energy(args, cfg):
 # parser
 
 
-def build_parser():
+class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows every default that is set; an unset one (None) is resolved
+    further down, and the help text says how."""
+
+    def _get_help_string(self, action):
+        if action.default is None or action.default is False:
+            return action.help
+        return super()._get_help_string(action)
+
+
+def _build_parsers():
+    """The ggelab parser and the parser of each subcommand by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="random seed; GGE_SEED is the fallback")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="data file format (default csv)")
+    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="data file format")
     common.add_argument("--config", default=None,
                         help="flat key=value file merged under the flags")
 
@@ -528,120 +495,140 @@ def build_parser():
         description="Gibbs ensembles of unitary lattice Lax matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def mcmc_opts(p):
-        p.add_argument("--samples", type=int, default=None,
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help,
+                           formatter_class=_DefaultsFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    def beta_opts(p, beta_help="inverse temperature"):
+        p.add_argument("--beta", type=float, required=True, help=beta_help)
+        p.add_argument("--potential", default=None,
+                       help="c0=..,c1=..,s1=.. on the torus or t0=..,t1=.. "
+                            "on the interval")
+
+    def ensemble_opts(p, n, kinds=ENSEMBLE_KINDS, n_help="matrix size",
+                      beta_help="inverse temperature"):
+        p.add_argument("--ensemble", choices=kinds, default="al",
+                       help="Gibbs family")
+        p.add_argument("--n", type=int, default=n, help=n_help)
+        beta_opts(p, beta_help)
+
+    # sample and dos pass --n and --beta to EnsembleSpec unchanged
+    spec_help = {"n_help": "matrix size (al/schur/circular) or pairs (jacobi)",
+                 "beta_help": "inverse temperature; per-site rate for circular"}
+
+    def mcmc_opts(p, samples):
+        p.add_argument("--samples", type=int, default=samples,
                        help="kept Monte Carlo states")
-        p.add_argument("--burn-in", type=int, default=None)
-        p.add_argument("--thinning", type=int, default=None)
+        p.add_argument("--burn-in", type=int, default=None,
+                       help="sweeps discarded first (default 10 times "
+                            "the matrix size)")
+        p.add_argument("--thinning", type=int, default=None,
+                       help="site updates between kept states "
+                            "(default one sweep)")
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw coefficient vectors from one ensemble")
-    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None)
-    p.add_argument("--n", type=int, default=None,
-                   help="matrix size (al/schur/circular) or pairs (jacobi)")
-    p.add_argument("--beta", type=float, default=None,
-                   help="inverse temperature; per-site rate for circular")
-    p.add_argument("--potential", default=None)
-    p.add_argument("--angles", action="store_true", default=False,
+    p = command("sample", cmd_sample,
+                "draw coefficient vectors from one ensemble")
+    ensemble_opts(p, n=32, **spec_help)
+    p.add_argument("--angles", action="store_true",
                    help="also write sorted eigen-angles")
-    mcmc_opts(p)
-    p.set_defaults(func=cmd_sample)
+    mcmc_opts(p, samples=100)
 
-    p = sub.add_parser("dos", parents=[common],
-                       help="Monte Carlo density of states")
-    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--potential", default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    mcmc_opts(p)
-    p.set_defaults(func=cmd_dos)
+    p = command("dos", cmd_dos, "Monte Carlo density of states")
+    ensemble_opts(p, n=64, **spec_help)
+    p.add_argument("--bins", type=int, default=64, help="histogram bins")
+    p.add_argument("--k-max", type=int, default=16,
+                   help="Fourier coefficients written")
+    mcmc_opts(p, samples=200)
 
-    p = sub.add_parser("minimize", parents=[common],
-                       help="minimize a free-energy functional")
-    p.add_argument("--domain", choices=("torus", "interval"), default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--potential", default=None)
+    p = command("minimize", cmd_minimize,
+                "minimize a free-energy functional")
+    p.add_argument("--domain", choices=("torus", "interval"), default=None,
+                   help="default: the potential's domain, else the torus")
+    beta_opts(p)
     p.add_argument("--grid-size", type=int, default=None,
                    help="grid nodes: equispaced angles on the torus, a "
                         "uniform t = ln tan(theta/2) grid on the interval "
-                        "(default 1024, at least 16)")
+                        f"(default {SolverParams.grid_size}, at least 16)")
     p.add_argument("--damping", type=float, default=None,
                    help="step factor in (0, 1] of the damped fixed-point "
                         "map (each Fourier mode is damped further); the "
                         "acceleration builds on this map, so it changes the "
-                        "iteration count (default 0.5)")
+                        f"iteration count (default {SolverParams.damping})")
     p.add_argument("--tolerance", type=float, default=None,
                    help="stop once the largest damped step of ln(density) "
                         "at the current iterate is below this (default "
-                        "1e-10)")
+                        f"{SolverParams.tolerance:g})")
     p.add_argument("--max-iterations", type=int, default=None,
                    help="iteration budget; when it runs out the command "
-                        "exits 1 (default 20000)")
-    p.set_defaults(func=cmd_minimize)
+                        f"exits 1 (default {SolverParams.max_iterations})")
 
-    p = sub.add_parser("relation", parents=[common],
-                       help="density-of-states consistency check; "
-                            "exits 1 when it fails")
-    p.add_argument("--ensemble", choices=("al", "schur"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--potential", default=None)
+    p = command("relation", cmd_relation,
+                "density-of-states consistency check; exits 1 when it fails")
+    ensemble_opts(p, n=64, kinds=("al", "schur"))
     p.add_argument("--delta", type=float, default=None,
                    help="finite-difference step for the target")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    mcmc_opts(p)
-    p.set_defaults(func=cmd_relation)
+    p.add_argument("--threshold", type=float, default=0.02,
+                   help="largest Fourier distance D that passes")
+    p.add_argument("--k-max", type=int, default=16,
+                   help="Fourier modes in D (at least 4)")
+    mcmc_opts(p, samples=500)
 
-    p = sub.add_parser("dynamics", parents=[common],
-                       help="integrate a flow and check conservation")
-    p.add_argument("--flow", choices=("al", "schur"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--init", choices=("random", "constant"), default=None)
-    p.add_argument("--rmax", type=float, default=None,
+    p = command("dynamics", cmd_dynamics,
+                "integrate a flow and check conservation")
+    p.add_argument("--flow", choices=("al", "schur"), default="al",
+                   help="Ablowitz-Ladik or Schur flow")
+    p.add_argument("--n", type=int, default=32, help="lattice sites")
+    p.add_argument("--dt", type=float, default=1e-3, help="RK4 step")
+    p.add_argument("--t-final", type=float, default=1.0, help="end time")
+    p.add_argument("--frames", type=int, default=256,
+                   help="most frames kept in trajectory.csv")
+    p.add_argument("--init", choices=("random", "constant"), default="random",
+                   help="initial data: uniform within radius rmax, or "
+                        "rmax at every site")
+    p.add_argument("--rmax", type=float, default=0.3,
                    help="radius of the initial data")
-    p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the statistical check suite")
+    p = command("verify", cmd_verify, "run the statistical check suite")
     p.add_argument("--check", default=None,
                    help="run a single named check instead of the suite")
     p.add_argument("--samples", type=int, default=None,
                    help="scale factor on per-check sample counts")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("free-energy", parents=[common],
-                       help="thermodynamic-integration free energy")
-    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--potential", default=None)
+    p = command("free-energy", cmd_free_energy,
+                "thermodynamic-integration free energy")
+    ensemble_opts(p, n=32)
     p.add_argument("--s-grid", default=None,
                    help="comma-separated coupling nodes from 0 to 1")
-    mcmc_opts(p)
-    p.set_defaults(func=cmd_free_energy)
+    mcmc_opts(p, samples=200)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser():
+    return _build_parsers()[0]
+
+
+def _config_path(argv):
+    """The --config value of a command line, read ahead of the one full
+    parse that the file's tokens feed into."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", default=None)
+    return pre.parse_known_args(argv)[0].config
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = _build_parsers()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in commands:
+        config = _config_path(argv[1:])
+        if config is not None:
+            # after the subcommand, before the flags: the last one wins
+            argv[1:1] = _config_tokens(commands[argv[0]], config)
     args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            data = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"config file: {exc}")
-        _apply_config(args, data, parser)
-    _finalize(args, parser)
-    cfg = _run_config(args)
     try:
-        return args.func(args, cfg)
+        return args.func(args, _run_config(args))
     except ConvergenceError as exc:
         print(f"error: minimization did not converge: {exc}", file=sys.stderr)
         return 1

@@ -465,15 +465,21 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
     return out
 
 
-def _keep_upper_cyclic(A):
-    """Half the diagonal plus the cyclic offsets +1 and +2; the rest zeroed."""
-    n = A.shape[0]
-    idx = np.arange(n)
-    out = np.zeros_like(A)
-    out[idx, idx] = 0.5 * A[idx, idx]
-    out[idx, (idx + 1) % n] = A[idx, (idx + 1) % n]
-    out[idx, (idx + 2) % n] = A[idx, (idx + 2) % n]
-    return out
+def _plus(band):
+    """Dense E+ of a band (5, n): half of offset 0 plus offsets +1 and +2.
+    On rings of n <= 4 these offsets share entries with the dropped ones,
+    so the projection is taken on the band, before the scatter."""
+    upper = band.copy()
+    upper[:2] = 0
+    upper[2] *= 0.5
+    return _scatter(upper)
+
+
+def _adjoint_band(band):
+    """Band (5, n) of the conjugate transpose of _scatter(band)."""
+    i = np.arange(band.shape[-1])
+    return np.stack([np.conj(band[2 - d, (i + d) % i.size])
+                     for d in range(-2, 3)])
 
 
 def e_plus(m):
@@ -484,7 +490,7 @@ def e_plus(m):
     """
     if m.topology != "periodic":
         raise UnsupportedTopologyError("e_plus requires a periodic matrix")
-    return _keep_upper_cyclic(m.dense())
+    return _plus(m.band)
 
 
 def trace_potential(m, potential):

@@ -52,7 +52,8 @@ from .cmv_core import (
     BoundaryMode,
     NumericalError,
     VerblunskyVector,
-    _keep_upper_cyclic,
+    _adjoint_band,
+    _plus,
     batch_trace_powers,
     build_periodic_cmv,
     e_plus,
@@ -430,7 +431,7 @@ def lax_residual(state, dt_probe=1e-6):
     parity = -((-1.0) ** np.arange(m0.n))
     gen = P + P.conj().T + np.diag(parity)
     commutator = 1j * (E0 @ gen - gen @ E0)
-    gen_alt = P - _keep_upper_cyclic(E0.conj().T) + np.diag(parity)
+    gen_alt = P - _plus(_adjoint_band(m0.band)) + np.diag(parity)
     alt = 1j * (E0 @ gen_alt - gen_alt @ E0)
     gap = float(np.abs(commutator - alt).max())
     if not gap <= COMMUTATOR_TOL:

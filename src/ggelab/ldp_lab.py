@@ -18,7 +18,6 @@ Every check returns a report object whose ``to_json`` emits a flat document
 with the keys "check", "parameters", "statistics" and "pass".
 """
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -410,8 +409,8 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         v: Potential on the matching domain, or None.
         beta: inverse temperature, positive.
         s_grid: increasing coupling nodes from 0 to 1 (default 5 nodes).
-        mcmc: chain parameters per node; seed, if set, fixes the run.
-        rng: generator or seed, used when mcmc carries no seed.
+        mcmc: chain parameters per node.
+        rng: generator or seed, shared by all nodes.
         n: matrix size.
 
     Returns:
@@ -440,19 +439,14 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
                                   beta=float(beta))
 
     mcmc = mcmc if mcmc is not None else McmcParams()
-    if rng is None and mcmc.seed is not None:
-        rng = make_rng(mcmc.seed)
-    else:
-        rng = make_rng(rng)
-    # each node must advance the shared stream, not restart it
-    mcmc_run = dataclasses.replace(mcmc, seed=None)
+    rng = make_rng(rng)
 
     means = np.empty(s.size)
     errors = np.empty(s.size)
     warnings = []
     total = 0
     for i, si in enumerate(s):
-        batch = _draw(kind, n, beta, v.scaled(float(si)), mcmc_run, rng)
+        batch = _draw(kind, n, beta, v.scaled(float(si)), mcmc, rng)
         w = _potential_series(batch.alphas, v, kind)
         mean, se, tau = _mean_and_error(w)
         means[i] = mean
@@ -615,11 +609,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
         raise ValueError("k_max must be at least 4 to cover the moment table")
 
     mcmc = mcmc if mcmc is not None else McmcParams()
-    if rng is None and mcmc.seed is not None:
-        rng = make_rng(mcmc.seed)
-    else:
-        rng = make_rng(rng)
-    batch = _draw(kind, n, beta, v, dataclasses.replace(mcmc, seed=None), rng)
+    batch = _draw(kind, n, beta, v, mcmc, make_rng(rng))
     target = beta_derivative_measure(v, beta, delta=delta, domain=domain)
 
     traces = batch_trace_powers(batch.alphas, k_max) / n

@@ -57,14 +57,17 @@ def make_rng(seed=None):
     """Build the package generator; an existing generator passes through.
 
     Resolution order: explicit argument, the ``GGE_SEED`` environment
-    variable, fresh OS entropy.
+    variable (unset when blank), fresh OS entropy.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None:
-        env = os.environ.get("GGE_SEED")
-        if env is not None:
-            seed = int(env)
+        env = os.environ.get("GGE_SEED", "").strip()
+        if env:
+            try:
+                seed = int(env)
+            except ValueError:
+                raise ValueError(f"GGE_SEED={env!r} is not an integer") from None
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "little")
     return SeededGenerator(seed)
@@ -245,15 +248,11 @@ class McmcParams:
         burn_in: sweeps discarded before recording; None means 10 N.
         thinning: site updates between kept states; None means N, i.e.
             one sweep.  N is the matrix dimension in both defaults.
-        seed: optional 64-bit seed; when set it overrides the generator
-            passed to the sampler so runs are reproducible from the
-            parameter block alone.
     """
 
     sweeps: int = 1000
     burn_in: Optional[int] = None
     thinning: Optional[int] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if int(self.sweeps) < 1:
@@ -262,8 +261,6 @@ class McmcParams:
             raise ValueError("burn_in must be nonnegative")
         if self.thinning is not None and int(self.thinning) < 1:
             raise ValueError("thinning must be at least 1")
-        if self.seed is not None and not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -521,7 +518,7 @@ def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
 
 
 def _sample(spec, mcmc, rng, force_path):
-    rng = make_rng(mcmc.seed if mcmc.seed is not None else rng)
+    rng = make_rng(rng)
     seed = getattr(rng, "seed_value", None)
     n_keep = int(mcmc.sweeps)
     kind = KINDS[spec.kind]

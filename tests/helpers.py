@@ -69,3 +69,16 @@ def dense_interval_kernel(m):
     w = np.full(m, h)
     w[0] = w[-1] = h / 2
     return q_log + (r_smooth + b_kernel) * w[None, :]
+
+
+def keep_upper_cyclic(A):
+    """Dense E+ projection: half the diagonal plus the cyclic offsets +1 and
+    +2, the rest zeroed.  Agrees with the banded e_plus only for n >= 6,
+    where no two band offsets wrap onto one entry."""
+    n = A.shape[0]
+    idx = np.arange(n)
+    out = np.zeros_like(A)
+    out[idx, idx] = 0.5 * A[idx, idx]
+    out[idx, (idx + 1) % n] = A[idx, (idx + 1) % n]
+    out[idx, (idx + 2) % n] = A[idx, (idx + 2) % n]
+    return out

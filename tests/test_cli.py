@@ -1,7 +1,9 @@
 """Command-line behavior: parsing, file outputs, reproducibility, exits."""
 
+import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +90,177 @@ class TestConfigFile:
             main(["sample", "--config", str(p), "--out", str(tmp_path)])
 
 
+class TestConfigChecks:
+    """Config values go through the subcommand's parser, like flags."""
+
+    @pytest.mark.parametrize("command,line", [
+        (["minimize", "--beta", "1"], "domain = sphere"),
+        (["sample", "--beta", "1"], "format = xml"),
+        (["dynamics"], "init = bogus"),
+        (["dos", "--beta", "1"], "bins = 2.5"),
+        (["sample", "--beta", "1"], "angles = maybe"),
+        (["sample", "--beta", "1"], "sam = 5"),
+        (["sample", "--beta", "1"], "config = other.cfg"),
+        (["sample", "--beta", "1"], "help = true"),
+    ])
+    def test_bad_value_or_key_is_usage_error(self, tmp_path, command, line):
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(p), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_missing_file_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--beta", "1", "--config",
+                  str(tmp_path / "absent.cfg")])
+        assert exc.value.code == 2
+
+    def test_flag_beats_bad_config_value(self, tmp_path):
+        # the config token is parsed too, so a bad one is caught even when
+        # a flag overrides it
+        p = tmp_path / "run.cfg"
+        p.write_text("format = xml\n")
+        with pytest.raises(SystemExit):
+            main(["sample", "--beta", "1", "--config", str(p),
+                  "--format", "json", "--out", str(tmp_path)])
+
+    def test_config_supplies_required_beta(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("beta = 2\nn = 6\nsamples = 2\n")
+        assert main(["free-energy", "--config", str(p), "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("word,written", [("yes", True), ("off", False)])
+    def test_stored_true_flag_words(self, tmp_path, word, written):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"beta = 1\nn = 6\nsamples = 2\nangles = {word}\n")
+        assert main(["sample", "--config", str(p), "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "angles.csv").exists() is written
+
+
+class TestHelpDefaults:
+    @pytest.mark.parametrize("command,defaults", [
+        ("sample", {"--ensemble": "al", "--n": "32", "--samples": "100",
+                    "--out": ".", "--format": "csv"}),
+        ("dos", {"--ensemble": "al", "--n": "64", "--samples": "200",
+                 "--bins": "64", "--k-max": "16"}),
+        ("relation", {"--ensemble": "al", "--n": "64", "--samples": "500",
+                      "--threshold": "0.02", "--k-max": "16"}),
+        ("dynamics", {"--flow": "al", "--n": "32", "--dt": "0.001",
+                      "--t-final": "1.0", "--frames": "256",
+                      "--init": "random", "--rmax": "0.3"}),
+        ("free-energy", {"--ensemble": "al", "--n": "32", "--samples": "200"}),
+        ("minimize", {"--grid-size": "1024", "--damping": "0.5",
+                      "--tolerance": "1e-10", "--max-iterations": "20000"}),
+    ])
+    def test_help_shows_defaults(self, capsys, command, defaults):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split()).partition("options:")[2]
+        for flag, value in defaults.items():
+            pattern = (rf"{flag} \S+ (?:(?!--).)*?"
+                       rf"\(default:? {re.escape(value)}[,)]")
+            assert re.search(pattern, out), f"{flag} default {value}"
+        assert "(default: None)" not in out
+
+
+def _as_config(argv, path):
+    """Move every flag after the subcommand of argv into a config file."""
+    lines, i = [], 1
+    while i < len(argv):
+        key = argv[i][2:]
+        if key == "angles":
+            lines.append("angles = true")
+            i += 1
+        else:
+            lines.append(f"{key} = {argv[i + 1]}")
+            i += 2
+    path.write_text("\n".join(lines) + "\n")
+    return [argv[0], "--config", str(path)]
+
+
+# fixed-seed runs with the config hash their outputs carry; the hashes were
+# recorded before config files went through argparse and must not move
+_RUNS = {
+    "sample": (["sample", "--ensemble", "schur", "--n", "6", "--beta", "2",
+                "--samples", "4", "--seed", "3", "--angles"], "634cc84c8cad"),
+    "sample_json": (["sample", "--ensemble", "circular", "--n", "6", "--beta",
+                     "2", "--samples", "4", "--seed", "3", "--potential",
+                     "c1=0.5", "--format", "json", "--burn-in", "5",
+                     "--thinning", "2"], "cf14dba3a5b6"),
+    "sample_defaults": (["sample", "--beta", "1", "--seed", "0"],
+                        "51ce3e0dc843"),
+    "dos": (["dos", "--ensemble", "al", "--n", "8", "--beta", "1", "--samples",
+             "10", "--bins", "8", "--k-max", "4", "--seed", "5"],
+            "82e07fdffc43"),
+    "dos_defaults": (["dos", "--beta", "1", "--seed", "5", "--samples", "5"],
+                     "8828fd87cd8d"),
+    "minimize": (["minimize", "--beta", "1", "--potential", "c1=0.5",
+                  "--grid-size", "64", "--seed", "2"], "fb31f1d8460c"),
+    "minimize_interval": (["minimize", "--beta", "1", "--domain", "interval",
+                           "--potential", "t1=0.3", "--damping", "0.7",
+                           "--tolerance", "1e-9", "--max-iterations", "500",
+                           "--grid-size", "128", "--format", "json", "--seed",
+                           "2"], "02db21ce394b"),
+    "minimize_defaults": (["minimize", "--beta", "2", "--seed", "2"],
+                          "b941a73164f4"),
+    "relation": (["relation", "--ensemble", "al", "--n", "8", "--beta", "1",
+                  "--samples", "20", "--threshold", "0.5", "--k-max", "4",
+                  "--seed", "4"], "d0e3d957b240"),
+    "dynamics": (["dynamics", "--flow", "al", "--n", "6", "--dt", "0.01",
+                  "--t-final", "0.1", "--frames", "5", "--seed", "6"],
+                 "f291c2db57f4"),
+    "dynamics_schur": (["dynamics", "--flow", "schur", "--n", "6", "--dt",
+                        "0.01", "--t-final", "0.1", "--init", "constant",
+                        "--rmax", "0.2", "--seed", "6"], "9656a7fe678b"),
+    "dynamics_defaults": (["dynamics", "--seed", "1", "--t-final", "0.01"],
+                          "274b9b3dd116"),
+    "verify": (["verify", "--check", "coupling", "--seed", "7"],
+               "14faea3d5806"),
+    "free_energy": (["free-energy", "--ensemble", "al", "--n", "8", "--beta",
+                     "1", "--potential", "c1=0.5", "--samples", "5",
+                     "--s-grid", "0,0.5,1", "--seed", "8"], "9ed82b655a35"),
+    "free_energy_defaults": (["free-energy", "--beta", "1", "--seed", "8"],
+                             "d2f7904bdcec"),
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_flags_and_config_write_the_same_bytes(self, tmp_path, name):
+        argv, config_hash = _RUNS[name]
+        flags, config = tmp_path / "flags", tmp_path / "config"
+        assert main(argv + ["--out", str(flags)]) == 0
+        cfg_argv = _as_config(argv, tmp_path / "run.cfg")
+        assert main(cfg_argv + ["--out", str(config)]) == 0
+        names = sorted(os.listdir(flags))
+        assert names and names == sorted(os.listdir(config))
+        seed = argv[argv.index("--seed") + 1]
+        for file in names:
+            data = (flags / file).read_bytes()
+            assert data == (config / file).read_bytes(), file
+            text = data.decode()
+            if file.endswith(".csv"):
+                assert text.startswith(f"# config_hash={config_hash}\n"
+                                       f"# seed={seed}\n")
+            else:
+                doc = json.loads(text)
+                assert (doc["config_hash"], doc["seed"]) == \
+                    (config_hash, int(seed))
+
+    def test_trajectory_bytes(self, tmp_path):
+        # constant data: plain IEEE arithmetic, the same bytes everywhere
+        main(_RUNS["dynamics_schur"][0] + ["--out", str(tmp_path)])
+        digest = hashlib.sha256(
+            (tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == ("91d8f4398e225359228218cd74c1e6de"
+                          "dd53e3cadb14a7902968e8bcba237537")
+
+
 class TestSample:
     def test_csv_output(self, tmp_path):
         code = main(["sample", "--ensemble", "al", "--n", "8", "--beta", "1",
@@ -116,6 +289,19 @@ class TestSample:
         monkeypatch.setenv("GGE_SEED", "9")
         main(argv + ["--out", str(b)])
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
+
+    def test_blank_seed_env_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GGE_SEED", " ")
+        assert main(["sample", "--n", "6", "--beta", "1", "--samples", "2",
+                     "--out", str(tmp_path)]) == 0
+        comments, _, _ = read_csv(tmp_path / "samples.csv")
+        assert int(comments[1].partition("=")[2]) >= 0
+
+    def test_bad_seed_env_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GGE_SEED", "abc")
+        assert main(["sample", "--n", "6", "--beta", "1", "--samples", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert "GGE_SEED" in capsys.readouterr().err
 
     def test_missing_beta_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -280,6 +466,13 @@ class TestDynamics:
               "--seed", "1", "--out", str(tmp_path)])
         doc = json.loads((tmp_path / "conservation.json").read_text())
         assert max(doc["drifts"].values()) == 0.0
+
+    def test_four_site_ring(self, tmp_path):
+        code = main(["dynamics", "--n", "4", "--dt", "0.01", "--t-final",
+                     "0.1", "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "conservation.json").read_text())
+        assert doc["lax_residual"] < 1e-4
 
     def test_stability_error_exit(self, tmp_path, capsys):
         code = main(["dynamics", "--flow", "al", "--n", "8", "--dt", "3.0",

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ggelab import cmv_core as cc
 from ggelab.potentials import Potential
 
-from helpers import random_interior_alpha, reference_periodic_entries
+from helpers import (keep_upper_cyclic, random_interior_alpha,
+                     reference_periodic_entries)
 
 
 RNG = np.random.default_rng(20260821)
@@ -284,7 +285,7 @@ def test_e_plus_truncation_identity():
     E = m.dense()
     P = cc.e_plus(m)
     Ed = E.conj().T
-    Pd = cc._keep_upper_cyclic(Ed)
+    Pd = keep_upper_cyclic(Ed)
     assert np.abs(P.conj().T + Pd - Ed).max() <= 1e-15
 
 
@@ -302,7 +303,7 @@ def test_lax_commutator_forms_agree():
     E = m.dense()
     P = cc.e_plus(m)
     A = P + P.conj().T
-    B = P - cc._keep_upper_cyclic(E.conj().T)
+    B = P - keep_upper_cyclic(E.conj().T)
     c1 = 1j * (E @ A - A @ E)
     c2 = 1j * (E @ B - B @ E)
     assert np.abs(c1 - c2).max() <= 1e-12

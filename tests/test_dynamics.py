@@ -301,6 +301,18 @@ class TestLaxResidual:
         ratio = r1 / r2
         assert 1.7 < ratio < 2.3, f"probe halving gave ratio {ratio:.3f}"
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_first_order_decay_on_small_rings(self, n):
+        # band offsets wrap onto shared entries here, so E+ must be
+        # projected on the band, not on the dense matrix
+        rng = np.random.default_rng(17 + n)
+        a = random_interior_alpha(rng, n, rmax=0.6)
+        r1 = lax_residual(a, 1e-4)
+        r2 = lax_residual(a, 5e-5)
+        ratio = r1 / r2
+        assert r1 < 1e-2
+        assert 1.7 < ratio < 2.3, f"probe halving gave ratio {ratio:.3f}"
+
     def test_commutator_forms_agree_on_random_states(self):
         rng = np.random.default_rng(15)
         for _ in range(20):

@@ -335,15 +335,6 @@ def test_same_seed_gives_identical_batches():
     assert np.array_equal(b1.alphas, b2.alphas)
 
 
-def test_mcmc_params_seed_overrides_rng():
-    spec = sp.EnsembleSpec("al", 8, beta=1.0)
-    p = sp.McmcParams(sweeps=10, seed=123)
-    b1 = sp.sample_al_gge(spec, p, np.random.default_rng(1))
-    b2 = sp.sample_al_gge(spec, p, np.random.default_rng(2))
-    assert np.array_equal(b1.alphas, b2.alphas)
-    assert b1.seed == 123
-
-
 def test_batch_records_seed():
     spec = sp.EnsembleSpec("al", 8, beta=1.0)
     b = sp.sample_al_gge(spec, sp.McmcParams(sweeps=5), sp.make_rng(77))
@@ -355,6 +346,19 @@ def test_make_rng_env_fallback(monkeypatch):
     rng = sp.make_rng(None)
     rng2 = sp.make_rng(None)
     assert rng.integers(1 << 30) == rng2.integers(1 << 30)
+
+
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_make_rng_blank_env_is_unset(monkeypatch, blank):
+    monkeypatch.setenv("GGE_SEED", blank)
+    assert isinstance(sp.make_rng(None).seed_value, int)
+    assert sp.make_rng(5).seed_value == 5
+
+
+def test_make_rng_bad_env(monkeypatch):
+    monkeypatch.setenv("GGE_SEED", "abc")
+    with pytest.raises(ValueError, match="GGE_SEED"):
+        sp.make_rng(None)
 
 
 # ----------------------------------------------------------------- kind table
