@@ -421,20 +421,15 @@ def _verify_one(name, scale, rng):
     if name == "dos_schur":
         return check_dos_relation("schur", None, 1.0, 32,
                                   mcmc=McmcParams(sweeps=1000 * s), rng=rng)
-    if name == "free_energy_relation":
-        v = Potential("torus", cos=[0.0, 0.5])
-        return check_free_energy_relation(v, 1.0, delta=0.1,
-                                          mcmc=McmcParams(sweeps=400 * s),
-                                          rng=rng, n=32)
-    raise ValueError(f"unknown check {name!r}; choose from {_VERIFY_SUITE}")
+    v = Potential("torus", cos=[0.0, 0.5])  # free_energy_relation
+    return check_free_energy_relation(v, 1.0, delta=0.1,
+                                      mcmc=McmcParams(sweeps=400 * s),
+                                      rng=rng, n=32)
 
 
 def cmd_verify(args, cfg):
     """Run the statistical check suite; exit 0 only if everything passes."""
     names = (args.check,) if args.check else _VERIFY_SUITE
-    if args.check and args.check not in _VERIFY_SUITE:
-        raise ValueError(f"unknown check {args.check!r}; "
-                         f"choose from {_VERIFY_SUITE}")
     rng = make_rng(cfg.seed)
     failures = []
     for name in names:
@@ -591,7 +586,7 @@ def _build_parsers():
                    help="radius of the initial data")
 
     p = command("verify", cmd_verify, "run the statistical check suite")
-    p.add_argument("--check", default=None,
+    p.add_argument("--check", choices=_VERIFY_SUITE, default=None,
                    help="run a single named check instead of the suite")
     p.add_argument("--samples", type=int, default=None,
                    help="scale factor on per-check sample counts")

@@ -244,7 +244,7 @@ class Trajectory:
         for j in range(1, n + 1):
             header += [f"re_alpha_{j}", f"im_alpha_{j}"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for s in self.states:
                 a = np.asarray(s.alphas.alpha, complex)

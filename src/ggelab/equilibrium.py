@@ -136,7 +136,8 @@ def _log_cosh(t):
 class GridDensity:
     """Probability density sampled on a fixed grid.
 
-    Torus: values rho(theta_i) on the equispaced midpoint grid of [-pi, pi).
+    Torus: values rho(theta_i) on the equispaced midpoint grid of [-pi, pi)
+    (_torus_grid), with the weights 2 pi / m; other nodes raise ValueError.
     Interval: values P(t_i) = sigma(theta) sin(theta) on a uniform grid in
     t = ln tan(theta/2) in [-T, T], plus the two analytic edge masses
     (near x = +1 and x = -1).  ``signed`` marks finite-difference outputs,
@@ -173,16 +174,20 @@ class GridDensity:
         m = self.mass()
         if not abs(m - 1.0) < 1e-10:
             raise ValueError(f"density mass {m} is not 1")
+        if domain == "torus":
+            grid, h = _torus_grid(nodes.size)
+            if not (np.allclose(nodes, grid, rtol=0.0, atol=1e-12)
+                    and np.allclose(weights, h, rtol=1e-12, atol=0.0)):
+                raise ValueError("a torus density needs the midpoint grid of "
+                                 "[-pi, pi) and the weights 2 pi / m")
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def torus(cls, values, **meta):
         values = np.asarray(values, dtype=float)
-        m = values.size
-        h = 2 * np.pi / m
-        theta = -np.pi + (np.arange(m) + 0.5) * h
-        return cls("torus", theta, values, np.full(m, h), **meta)
+        theta, h = _torus_grid(values.size)
+        return cls("torus", theta, values, np.full(values.size, h), **meta)
 
     @classmethod
     def uniform_torus(cls, grid_size=1024):
@@ -255,7 +260,9 @@ class GridDensity:
         if k_max not in self._fcache:
             k = np.arange(1, k_max + 1)
             if self.domain == "torus":
-                c = np.exp(1j * k[:, None] * self.nodes[None, :]) @ (self.weights * self.values)
+                m = self.grid_size
+                h = 2 * np.pi / m
+                c = h * _torus_phase(k, h) * (np.fft.ifft(self.values) * m)[k % m]
             else:
                 gm, gp = self.edge_masses
                 th = self.theta
@@ -377,6 +384,18 @@ def _fixed_point(step_map, x0, params):
 # -- torus solver --------------------------------------------------------
 
 
+def _torus_grid(m):
+    """The midpoint grid theta_i = -pi + (i + 1/2) h of [-pi, pi), and h = 2 pi / m."""
+    h = 2 * np.pi / m
+    return -np.pi + (np.arange(m) + 0.5) * h, h
+
+
+def _torus_phase(k, h):
+    """e^{ik theta_0}, with which the midpoint grid gives
+    sum_i f_i e^{ik theta_i} = phase_k (m ifft(f))_(k mod m)."""
+    return np.exp(1j * k * (-np.pi + h / 2))
+
+
 def _torus_L(values, h, phase, kk):
     """Log-potential field L[rho](theta_i) = -sum_k Re(mu_k e^{-ik theta})/k via FFT."""
     m = values.size
@@ -402,8 +421,7 @@ def minimize_torus(v, beta, params=None, init_values=None):
         raise ValueError(f"beta must be positive, got {beta}")
     params = params or SolverParams()
     m = params.grid_size
-    h = 2 * np.pi / m
-    theta = -np.pi + (np.arange(m) + 0.5) * h
+    theta, h = _torus_grid(m)
     vfun = _potential_callable(v, "torus")
     vv = np.asarray(vfun(theta), dtype=float)
     if vv.shape == ():
@@ -411,7 +429,7 @@ def minimize_torus(v, beta, params=None, init_values=None):
     k = np.arange(m)
     kfold = np.abs(((k + m // 2) % m) - m // 2).astype(float)
     damp = params.damping / (1.0 + 2.0 * beta / np.maximum(kfold, 1.0))
-    phase = np.exp(1j * k * (-np.pi + h / 2))
+    phase = _torus_phase(k, h)
     kk = np.arange(1, m // 2)
 
     def normalize(lnr):

@@ -3,10 +3,17 @@
 Zero-potential laws are sampled exactly; a nonzero potential is handled
 by Metropolis-within-Gibbs with fresh single-site proposals drawn from
 the zero-potential marginals, so the acceptance probability reduces to
-min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly
-through power traces of the Lax matrix.
+min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly.
+Degree-1 torus potentials on rings update a whole colour class of sites
+per numpy call.  The single-site chain takes the increment of a degree <= 2
+potential from the closed-form row terms of Tr E and Tr E^2 around the
+site (cmv_core.site_trace_increments), at a cost independent of N, and
+recomputes the power traces of the whole state for higher degrees and for
+rings of fewer than six sites.
 """
 
+import cmath
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -109,13 +116,25 @@ def sample_theta(params, rng, size=None):
         params = ThetaParams(float(params))
     nu = params.nu
     if params.method == "radial":
-        r = np.sqrt(rng.beta(1.0, (nu - 1.0) / 2.0, size=size))
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
-        return _into_open_disk(r * np.exp(1j * phase))
+        return _radial_theta(nu, rng, size)
     x1 = rng.standard_normal(size)
     x2 = rng.standard_normal(size)
     y = sample_chi(nu - 1.0, rng, size)
     return _into_open_disk((x1 + 1j * x2) / np.sqrt(x1**2 + x2**2 + y**2))
+
+
+def _radial_theta(nu, rng, size=None):
+    """The radial method of sample_theta, nu unchecked: |z|^2 ~ Beta(1,
+    (nu - 1)/2) and a uniform phase.  One draw (size None) is a Python
+    complex with the bits the array form gives."""
+    if size is None:
+        # rng.uniform(lo, hi) draws lo + (hi - lo) * rng.random()
+        r = math.sqrt(rng.beta(1.0, (nu - 1.0) / 2.0))
+        phase = 2.0 * math.pi * rng.random()
+        return _into_open_disk(r * complex(math.cos(phase), math.sin(phase)))
+    r = np.sqrt(rng.beta(1.0, (nu - 1.0) / 2.0, size=size))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    return _into_open_disk(r * np.exp(1j * phase))
 
 
 def _into_open_disk(z, bound=1.0 - 1e-15):
@@ -123,8 +142,14 @@ def _into_open_disk(z, bound=1.0 - 1e-15):
 
     For nu barely above 1 the radial law puts visible mass within one ulp
     of the unit circle, where rounding can push |z| to 1 or slightly past
-    it; downstream factorizations need |z| < 1 strictly.
+    it; downstream factorizations need |z| < 1 strictly.  A Python complex
+    stays one, and np.abs decides near the bound, as for arrays.
     """
+    if isinstance(z, complex):
+        if abs(z) < bound - 1e-15:  # abs and np.abs differ by an ulp or so
+            return z
+        r = float(np.abs(z))
+        return z * (bound / r) if r >= bound else z
     r = np.abs(z)
     hot = r >= bound
     if np.any(hot):
@@ -399,8 +424,11 @@ def _real_interior(rng, a, b, size=None):
 
     Tiny shape parameters pile mass onto the endpoints, where rounding can
     produce exactly +-1; the clip keeps downstream factorizations valid.
+    One draw (size None) is a Python float.
     """
     vals = 2.0 * rng.beta(a, b, size=size) - 1.0
+    if size is None:
+        return min(max(vals, -1.0 + 1e-15), 1.0 - 1e-15)
     return np.clip(vals, -1.0 + 1e-15, 1.0 - 1e-15)
 
 
@@ -408,10 +436,11 @@ def _draw_sites(kind, params, rng, site=None, size=None):
     """Fresh draws from the V = 0 site laws of one ensemble kind.
 
     `params` is kind.interior(beta, N).  With `site` given this draws
-    `size` values of that site alone (a scalar for None); without it,
-    `size` whole coefficient vectors.  Fixed seeds reproduce batches bit
-    for bit, so the order of generator calls is fixed too: periodic rows
-    come from one (size, N) call, open rows column by column.
+    `size` values of that site alone (a Python scalar for None, the
+    single-site chain's proposal); without it, `size` whole coefficient
+    vectors.  Fixed seeds reproduce batches bit for bit, so the order of
+    generator calls is fixed too: periodic rows come from one (size, N)
+    call, open rows column by column.
     """
     if site is None:
         if kind.periodic:
@@ -424,9 +453,11 @@ def _draw_sites(kind, params, rng, site=None, size=None):
     if site == params.size:  # the last entry of an open matrix
         if kind.boundary == cc.BoundaryMode.LAST_MINUS_ONE:
             return -1.0
+        if size is None:
+            return cmath.exp(2j * math.pi * rng.random())
         return np.exp(2j * np.pi * rng.uniform(size=size))
     if kind.domain == "torus":
-        return sample_theta(ThetaParams(params[site]), rng, size=size)
+        return _radial_theta(params[site], rng, size)
     return _real_interior(rng, params[site], params[site], size=size)
 
 
@@ -485,14 +516,21 @@ def _run_color_chain(kind, params, wc, spacing, burn, thin, n_keep, rng):
 def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
     """Sequential single-site chain, exact for any potential degree.
 
-    The trace increment is recomputed from the full state, which keeps
-    the update exact for open topologies and short rings at the price of
-    O(N) work per site; the colour path covers the large-N workloads.
+    The state is a list of Python scalars.  For degree <= 2 the trace
+    increment of an update is the closed form cc.site_trace_increments,
+    whose cost does not grow with N; higher degrees and rings of fewer than
+    six sites recompute every trace of the state, O(N) work per update.
     """
     deg = wc.size
     alpha = _draw_sites(kind, params, rng, size=1)[0]
+    topology = kind.topology
+    local = cc.has_site_increments(alpha.size, topology, deg)
+    if local:
+        w1, w2 = wc.tolist() + [0.0] * (2 - deg)
+    else:
+        tr_cur = cc.batch_trace_powers(alpha, deg, topology)[0]
+    state = alpha.tolist()
     mutable = kind.mutable(alpha.size)
-    tr_cur = cc.batch_trace_powers(alpha, deg, kind.topology)[0]
     kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
     burn_updates = burn * mutable
     accepted = 0
@@ -501,18 +539,23 @@ def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
     while k_idx < n_keep:
         j = updates % mutable
         prop = _draw_sites(kind, params, rng, j)
-        old = alpha[j]
-        alpha[j] = prop
-        tr_new = cc.batch_trace_powers(alpha, deg, kind.topology)[0]
-        dv = float(np.real(wc @ (tr_new - tr_cur)))
-        if np.log(rng.uniform()) < -dv:
-            tr_cur = tr_new
-            accepted += 1
+        if local:
+            d1, d2 = cc.site_trace_increments(state, j, prop, topology)
+            dv = (w1 * d1 + w2 * d2).real
         else:
-            alpha[j] = old
+            old, state[j] = state[j], prop
+            tr_new = cc.batch_trace_powers(state, deg, topology)[0]
+            state[j] = old
+            dv = float(np.real(wc @ (tr_new - tr_cur)))
+        u = rng.random()  # the draw of rng.uniform()
+        if u == 0.0 or math.log(u) < -dv:
+            state[j] = prop
+            if not local:
+                tr_cur = tr_new
+            accepted += 1
         updates += 1
         if updates > burn_updates and (updates - burn_updates) % thin == 0:
-            kept[k_idx] = alpha
+            kept[k_idx] = state
             k_idx += 1
     return kept, accepted / updates
 

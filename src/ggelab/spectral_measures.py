@@ -78,7 +78,7 @@ class EmpiricalMeasure:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta", "weight"])
             for th in self.angles:
                 writer.writerow([repr(float(th)), repr(float(self.weight))])
@@ -120,7 +120,7 @@ class IntervalEmpiricalMeasure:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "weight"])
             for x in self.points:
                 writer.writerow([repr(float(x)), repr(float(self.weight))])

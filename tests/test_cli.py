@@ -102,6 +102,7 @@ class TestConfigChecks:
         (["sample", "--beta", "1"], "sam = 5"),
         (["sample", "--beta", "1"], "config = other.cfg"),
         (["sample", "--beta", "1"], "help = true"),
+        (["verify"], "check = bogus"),
     ])
     def test_bad_value_or_key_is_usage_error(self, tmp_path, command, line):
         p = tmp_path / "run.cfg"
@@ -504,8 +505,20 @@ class TestVerify:
         assert not (tmp_path / "dos_al.json").exists()
 
     def test_unknown_check(self, tmp_path):
-        code = main(["verify", "--check", "bogus", "--out", str(tmp_path)])
-        assert code == 2
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "bogus", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_help_lists_checks(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for name in ("coupling", "exp_moment", "dos_al", "dos_schur",
+                     "free_energy_relation"):
+            assert name in help_text
 
     def test_failure_exit(self, tmp_path, capsys, monkeypatch):
         import ggelab.cli as cli

@@ -400,6 +400,9 @@ class TestTrajectoryExport:
         assert np.array_equal(back[:, 0], traj.times)
         assert np.array_equal(back[:, 1] + 1j * back[:, 2],
                               traj.alphas[:, 0])
+        data = path.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == len(rows)
+        assert data.endswith(b"\n")
 
     def test_sequence_protocol(self):
         traj = integrate(np.zeros(4, complex), "al",

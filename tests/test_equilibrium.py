@@ -79,6 +79,31 @@ class TestGridDensity:
         assert abs(g.integrate(lambda th: np.ones_like(th)) - 1.0) < 1e-14
         assert np.max(np.abs(g.fourier(16).c)) < 1e-13
 
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_torus_fourier_matches_dense_sum(self, torus_tilted, m):
+        # FFT on the midpoint grid against sum_i w_i rho_i e^{ik theta_i},
+        # at the k_max of free_energy_torus and past m, where k aliases
+        th = -np.pi + (np.arange(m) + 0.5) * (2 * np.pi / m)
+        g = (torus_tilted if m == 1024 else
+             GridDensity.torus((1 + 0.6 * np.cos(th) + 0.3 * np.sin(3 * th))
+                               / (2 * np.pi)))
+        for k_max in (m // 2 - 1, 2 * m + 3):
+            k = np.arange(1, k_max + 1)
+            dense = np.exp(1j * k[:, None] * g.nodes[None, :]) @ (g.weights * g.values)
+            assert np.abs(g.fourier(k_max).c - dense).max() < 1e-12
+
+    def test_torus_needs_the_midpoint_grid(self):
+        m = 64
+        h = 2 * np.pi / m
+        vals = np.full(m, 1 / (2 * np.pi))
+        with pytest.raises(ValueError, match="midpoint grid"):
+            GridDensity("torus", -np.pi + np.arange(m) * h, vals, np.full(m, h))
+        mid = -np.pi + (np.arange(m) + 0.5) * h
+        weights = np.full(m, h)
+        weights[:2] = [0.5 * h, 1.5 * h]
+        with pytest.raises(ValueError, match="midpoint grid"):
+            GridDensity("torus", mid, vals, weights)
+
     def test_negative_values_rejected(self):
         vals = np.full(64, 1 / (2 * np.pi))
         vals[3] = -0.01

@@ -1,5 +1,7 @@
 """Disk distributions, coupled pairs, and the four ensemble samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -295,6 +297,73 @@ def test_mcmc_color_and_site_paths_agree():
     ts = cc.batch_trace_powers(slow.alphas, 1)[:, 0].real / 16
     se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
     assert abs(tf.mean() - ts.mean()) <= 4 * se
+
+
+_T1 = Potential("torus", cos=[0.0, 0.5])
+_T2 = Potential("torus", cos=[0.1, 0.5, 0.3], sin=[0.2, -0.1])
+_T3 = Potential("torus", cos=[0.0, 0.4, 0.2, 0.3])
+_I1 = Potential("interval", cheb=[0.0, 0.8])
+_I2 = Potential("interval", cheb=[0.2, 0.6, 0.5])
+# name: (kind, n, beta, potential, (SHA-256 prefix of alphas, acceptance
+# rate) of the site chain).  Recorded from the full-recompute site chain;
+# they cover degrees 0-3, real and complex coefficients, rings of 4, 6, 8
+# and 12 sites, both open boundaries, and a circular chain at beta_tilde =
+# 1e-3 whose nu_j near 1 put most draws within an ulp of the unit circle.
+CHAIN_FINGERPRINTS = {
+    "al-12-t1": ("al", 12, 1.0, _T1,
+        ("46b28b6105ea3c38", 0.8452380952380952)),
+    "circular-6-c": ("circular", 6, 1.0, Potential("torus", cos=[0.3]),
+        ("a7802f106f76e1c8", 1.0)),
+    "al-8-t2": ("al", 8, 1.0, _T2,
+        ("6d0d267ab412826e", 0.8258928571428571)),
+    "al-6-t2": ("al", 6, 0.8, _T2,
+        ("61a6edb0887f08a6", 0.8095238095238095)),
+    "al-4-t2": ("al", 4, 1.2, _T2,
+        ("f741d04b6d897d42", 0.75)),
+    "al-8-t3": ("al", 8, 1.0, _T3,
+        ("3358131716086849", 0.8080357142857143)),
+    "schur-8-i1": ("schur", 8, 1.0, _I1,
+        ("e5701b2a7dc3c0d6", 0.8973214285714286)),
+    "schur-8-i2": ("schur", 8, 0.6, _I2,
+        ("0920109887c3e18c", 0.8616071428571429)),
+    "schur-6-i2": ("schur", 6, 1.5, _I2,
+        ("a5adc7a66f75f76b", 0.9464285714285714)),
+    "circular-8-t1": ("circular", 8, 1.0, _T1,
+        ("7f4b618f769c1d2d", 0.9107142857142857)),
+    "circular-8-t2": ("circular", 8, 0.7, _T2,
+        ("2d97a9ff527a9fec", 0.8303571428571429)),
+    "circular-2-t2": ("circular", 2, 1.0, _T2,
+        ("14610fce66061aa7", 0.8035714285714286)),
+    "circular-16-t1-grazing": ("circular", 16, 1e-3, _T1,
+        ("bf553b9d747be3df", 0.7745535714285714)),
+    "jacobi-4-i1": ("jacobi", 4, 1.0, _I1,
+        ("3661a6565a02e5b7", 0.8733031674208145)),
+    "jacobi-4-i2": ("jacobi", 4, 2.0, _I2,
+        ("a82809d2bf58fc2b", 0.9049773755656109)),
+    "jacobi-1-i2": ("jacobi", 1, 1.0, _I2,
+        ("a6a5ddbb70329e4a", 0.8301886792452831)),
+}
+# the degree-1 ring runs the colour chain unless the site path is forced
+COLOUR_FINGERPRINTS = {"al-12-t1": ("ca4d0b4d1964cbbf", 0.8779761904761905)}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_FINGERPRINTS))
+@pytest.mark.parametrize("path", [None, "site"])
+def test_chain_samples_match_recorded_fingerprints(name, path):
+    kind, n, beta, pot, site = CHAIN_FINGERPRINTS[name]
+    spec = sp.EnsembleSpec(kind, n, beta, pot)
+    mcmc = sp.McmcParams(sweeps=25, burn_in=3)
+    rng = sp.make_rng(2024)
+    if kind in ("al", "schur"):
+        sampler = sp.sample_al_gge if kind == "al" else sp.sample_schur_gge
+        batch = sampler(spec, mcmc, rng, force_path=path)
+    else:
+        sampler = (sp.sample_circular_beta if kind == "circular"
+                   else sp.sample_jacobi_beta)
+        batch = sampler(n, beta, pot, mcmc, rng, force_path=path)
+    digest = hashlib.sha256(batch.alphas.tobytes()).hexdigest()[:16]
+    want = site if path else COLOUR_FINGERPRINTS.get(name, site)
+    assert (digest, batch.acceptance_rate) == want
 
 
 def test_mcmc_schur_with_potential_stays_real_and_bounded():

@@ -254,6 +254,15 @@ class TestExports:
         mu.to_csv(path)
         assert path.read_text().splitlines()[0] == "x,weight"
 
+    @pytest.mark.parametrize("mu, expected", [
+        (EmpiricalMeasure([0.5, -2.0]), b"theta,weight\n-2.0,0.5\n0.5,0.5\n"),
+        (IntervalEmpiricalMeasure([0.5, 0.0]), b"x,weight\n0.0,0.5\n0.5,0.5\n"),
+    ])
+    def test_csv_lines_end_with_newline_only(self, tmp_path, mu, expected):
+        path = tmp_path / "mu.csv"
+        mu.to_csv(path)
+        assert path.read_bytes() == expected
+
     def test_json_carries_convention(self):
         blob = json.loads(EmpiricalMeasure([0.1]).to_json())
         assert blob["type"] == "empirical_torus"
