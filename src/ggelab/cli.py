@@ -521,7 +521,9 @@ def _build_parsers():
                             "the matrix size)")
         p.add_argument("--thinning", type=int, default=None,
                        help="site updates between kept states "
-                            "(default one sweep)")
+                            "(default one sweep); the colour chain of "
+                            "degree-1 torus potentials rounds it up to "
+                            "whole sweeps")
 
     p = command("sample", cmd_sample,
                 "draw coefficient vectors from one ensemble")

@@ -569,14 +569,10 @@ def trace_potential(m, potential):
     real matrix of even size has its spectrum in conjugate pairs; any other
     raises ValueError for an interval potential.
     """
-    atoms = m.n
-    if potential.domain == "interval":
-        if m.n % 2:
-            raise ValueError("interval potentials need an even matrix size")
-        if np.any(np.imag(m.band)):
-            raise ValueError("interval potentials need a real matrix, whose "
-                             "spectrum comes in conjugate pairs")
-        atoms = m.n // 2
+    atoms = potential.atoms(m.n)
+    if potential.domain == "interval" and np.any(np.imag(m.band)):
+        raise ValueError("interval potentials need a real matrix, whose "
+                         "spectrum comes in conjugate pairs")
     w = potential.trace_weights()
     traces = _band_traces(m.band[None], w.size)[0]
     return float(potential.constant * atoms + (w @ traces).real)

@@ -134,26 +134,25 @@ def _log_cosh(t):
 
 
 class GridDensity:
-    """Probability density sampled on a fixed grid.
+    """Probability density sampled on the fixed m-point grid of its domain.
 
-    Torus: values rho(theta_i) on the equispaced midpoint grid of [-pi, pi)
-    (_torus_grid), with the weights 2 pi / m; other nodes raise ValueError.
-    Interval: values P(t_i) = sigma(theta) sin(theta) on a uniform grid in
-    t = ln tan(theta/2) in [-T, T], plus the two analytic edge masses
-    (near x = +1 and x = -1).  ``signed`` marks finite-difference outputs,
-    which may carry small negative values.
+    The values fix everything else: ``nodes`` and ``weights`` are those of
+    _grid(domain, m).  Torus: values rho(theta_i) on the equispaced midpoint
+    grid of [-pi, pi), weights 2 pi / m.  Interval: values P(t_i) =
+    sigma(theta) sin(theta) on the uniform grid in t = ln tan(theta/2) over
+    [-T, T] with trapezoid weights, plus the two analytic edge masses (near
+    x = +1 and x = -1).  ``signed`` marks finite-difference outputs, which may
+    carry small negative values.
     """
 
-    def __init__(self, domain, nodes, values, weights, edge_masses=(0.0, 0.0),
-                 residual=None, iterations=None, beta=None, potential=None,
-                 signed=False):
+    def __init__(self, domain, values, edge_masses=(0.0, 0.0), *, residual=None,
+                 iterations=None, beta=None, potential=None, signed=False):
         if domain not in ("torus", "interval"):
             raise ValueError(f"unknown domain {domain!r}")
-        nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if nodes.shape != values.shape or nodes.shape != weights.shape:
-            raise ValueError("nodes, values, weights must share a shape")
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError(f"density values must be 1-d with at least 2 entries, "
+                             f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
         if not signed:
@@ -161,9 +160,8 @@ class GridDensity:
                 raise ValueError(f"negative density value {values.min()}")
             values = np.clip(values, 0.0, None)
         self.domain = domain
-        self.nodes = nodes
+        self.nodes, self.weights = _grid(domain, values.size)
         self.values = values
-        self.weights = weights
         self.edge_masses = (float(edge_masses[0]), float(edge_masses[1]))
         self.residual = residual
         self.iterations = iterations
@@ -174,41 +172,19 @@ class GridDensity:
         m = self.mass()
         if not abs(m - 1.0) < 1e-10:
             raise ValueError(f"density mass {m} is not 1")
-        if domain == "torus":
-            grid, h = _torus_grid(nodes.size)
-            if not (np.allclose(nodes, grid, rtol=0.0, atol=1e-12)
-                    and np.allclose(weights, h, rtol=1e-12, atol=0.0)):
-                raise ValueError("a torus density needs the midpoint grid of "
-                                 "[-pi, pi) and the weights 2 pi / m")
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def torus(cls, values, **meta):
-        values = np.asarray(values, dtype=float)
-        theta, h = _torus_grid(values.size)
-        return cls("torus", theta, values, np.full(values.size, h), **meta)
-
-    @classmethod
     def uniform_torus(cls, grid_size=1024):
-        return cls.torus(np.full(grid_size, 1.0 / (2 * np.pi)))
-
-    @classmethod
-    def interval(cls, t_nodes, p_values, edge_masses, **meta):
-        t_nodes = np.asarray(t_nodes, dtype=float)
-        m = t_nodes.size
-        h = t_nodes[1] - t_nodes[0]
-        w = np.full(m, h)
-        w[0] = w[-1] = h / 2
-        return cls("interval", t_nodes, p_values, w, edge_masses=edge_masses, **meta)
+        return cls("torus", np.full(grid_size, 1.0 / (2 * np.pi)))
 
     @classmethod
     def interval_arcsine(cls, grid_size=1024):
         """The arcsine law 1/(pi sqrt(1-x^2)): P(t) = sech(t)/pi, no edge mass."""
-        t, _, _ = _interval_grid(grid_size)
+        t, w = _grid("interval", grid_size)
         p = 1.0 / (np.pi * np.cosh(t))
-        p /= _interval_mass(t, p, (0.0, 0.0))
-        return cls.interval(t, p, (0.0, 0.0))
+        return cls("interval", p / float(w @ p))
 
     # -- geometry --------------------------------------------------------
 
@@ -381,6 +357,15 @@ def _fixed_point(step_map, x0, params):
         f"(last update {delta:.3e})", residual=delta)
 
 
+def _initial_log(init_values, m):
+    """ln of a caller's starting density, floored at 1e-300, on the m-node grid."""
+    init = np.asarray(init_values, dtype=float)
+    if init.shape != (m,):
+        raise ValueError(f"init_values has shape {init.shape}, but the solver grid "
+                         f"has grid_size = {m} nodes")
+    return np.log(np.maximum(init, 1e-300))
+
+
 # -- torus solver --------------------------------------------------------
 
 
@@ -442,7 +427,7 @@ def minimize_torus(v, beta, params=None, init_values=None):
         return normalize(lnr + step), float(np.max(np.abs(step)))
 
     if init_values is not None:
-        lnr = normalize(np.log(np.maximum(np.asarray(init_values, dtype=float), 1e-300)))
+        lnr = normalize(_initial_log(init_values, m))
     else:
         lnr = np.full(m, -np.log(2 * np.pi))
     lnr, iterations = _fixed_point(step_map, lnr, params)
@@ -450,8 +435,8 @@ def minimize_torus(v, beta, params=None, init_values=None):
     res = lnr + vv - 2 * beta * _torus_L(rho, h, phase, kk)
     residual = float(np.max(np.abs(res - res.mean())))
     pot_meta = v if isinstance(v, Potential) else None
-    return GridDensity.torus(rho, residual=residual, iterations=iterations, beta=beta,
-                             potential=pot_meta)
+    return GridDensity("torus", rho, residual=residual, iterations=iterations, beta=beta,
+                       potential=pot_meta)
 
 
 def free_energy_torus(rho, v, beta):
@@ -493,6 +478,18 @@ def _interval_grid(m):
     return t, t_span, t[1] - t[0]
 
 
+def _grid(domain, m):
+    """Nodes and quadrature weights of the m-point grid of a domain: the
+    midpoint rule on _torus_grid, the trapezoid rule on _interval_grid."""
+    if domain == "torus":
+        theta, h = _torus_grid(m)
+        return theta, np.full(m, h)
+    t, _, h = _interval_grid(m)
+    w = np.full(m, h)
+    w[0] = w[-1] = h / 2
+    return t, w
+
+
 def _hat_log_weights(m, h):
     """Product-integration of ln|t_i - s| against hat functions on the uniform grid."""
     def stack(d):
@@ -527,6 +524,7 @@ def _interval_operator(m):
     if m in _INTERVAL_CACHE:
         return _INTERVAL_CACHE[m]
     t, t_span, h = _interval_grid(m)
+    w = _grid("interval", m)[1]
     lc = _log_cosh(t)
     full, lh, rh = _hat_log_weights(m, h)
     # half of |u|, u = t_i - t_j at the lags i - j = -(m - 1) .. m - 1; the
@@ -542,8 +540,6 @@ def _interval_operator(m):
     # column 0 sees lags 0 .. m - 1, column m - 1 lags -(m - 1) .. 0
     ends = np.stack([lh[m - 1:] - full[m - 1:] - 0.5 * h * smooth[m - 1:],
                      rh[:m] - full[:m] - 0.5 * h * smooth[:m]])
-    w = np.full(m, h)
-    w[0] = w[-1] = h / 2
     k0 = 0.5 * np.log(2.0) + 0.5 * t - 0.5 * lc
     kpi = 0.5 * np.log(2.0) - 0.5 * t - 0.5 * lc
     data = dict(t=t, t_span=t_span, h=h, w=w, lc=lc, wlc=w * lc, kernel_hat=kernel_hat,
@@ -558,13 +554,6 @@ def _log_field(op, p):
     field = np.fft.irfft(op["kernel_hat"] * np.fft.rfft(p, 2 * m), 2 * m)[:m]
     field += p[0] * op["ends"][0] + p[-1] * op["ends"][1]
     return field - op["lc"] * (op["w"] @ p) - op["wlc"] @ p
-
-
-def _interval_mass(t, p, charges):
-    h = t[1] - t[0]
-    w = np.full(t.size, h)
-    w[0] = w[-1] = h / 2
-    return float(w @ p) + charges[0] + charges[1]
 
 
 def _charges(p, beta):
@@ -637,7 +626,7 @@ def minimize_interval(v, beta, params=None, init_values=None):
         return _interval_normalize(ln_p + step, w, beta), float(np.max(np.abs(step)))
 
     if init_values is not None:
-        ln_p = np.log(np.maximum(np.asarray(init_values, dtype=float), 1e-300))
+        ln_p = _initial_log(init_values, t.size)
     else:
         ln_p = -np.log(np.pi * np.cosh(t))
     ln_p, iterations = _fixed_point(step_map, _interval_normalize(ln_p, w, beta), params)
@@ -646,8 +635,8 @@ def minimize_interval(v, beta, params=None, init_values=None):
     res = ln_p + vv - 2 * beta * field(p, gm, gp)
     residual = float(np.max(np.abs(res - res.mean())))
     pot_meta = v if isinstance(v, Potential) else None
-    return GridDensity.interval(t, p, (gm, gp), residual=residual, iterations=iterations,
-                                beta=beta, potential=pot_meta)
+    return GridDensity("interval", p, (gm, gp), residual=residual, iterations=iterations,
+                       beta=beta, potential=pot_meta)
 
 
 def free_energy_interval(rho, v, beta):
@@ -669,17 +658,9 @@ def free_energy_interval(rho, v, beta):
     if np.any(rho.values < 0):
         raise ValueError("negative density")
     op = _interval_operator(rho.grid_size)
-    if abs(op["h"] - (rho.nodes[1] - rho.nodes[0])) > 1e-12:
-        raise ValueError("density grid does not match the interval operator grid")
-    t, w = op["t"], op["w"]
-    p = rho.values
+    w, p = rho.weights, rho.values
     gm, gp = rho.edge_masses
-    vfun = _potential_callable(v, "interval")
-    x = -np.tanh(t)
-    vv = np.asarray(vfun(x), dtype=float)
-    if vv.shape == ():
-        vv = np.full(t.size, float(vv))
-    potential = float(w @ (p * vv)) + gm * float(vfun(np.array(1.0))) + gp * float(vfun(np.array(-1.0)))
+    potential = rho.integrate(_potential_callable(v, "interval"))
     # IInt ln|x-y| mu mu = grid x grid + 2 grid x charges + charge terms
     wfield = _log_field(op, p)
     s_gg = float(w @ (p * (-np.log(2.0) + wfield)))
@@ -714,15 +695,11 @@ def _fd_combine(plus, minus, beta, delta):
     vals = ((beta + delta) * plus.values - (beta - delta) * minus.values) / (2 * delta)
     gm = ((beta + delta) * plus.edge_masses[0] - (beta - delta) * minus.edge_masses[0]) / (2 * delta)
     gp = ((beta + delta) * plus.edge_masses[1] - (beta - delta) * minus.edge_masses[1]) / (2 * delta)
-    worst = float(vals.min()) if vals.size else 0.0
+    worst = float(vals.min())
     if worst < -1e-6:
         warnings.warn(f"beta-derivative density dips to {worst:.3e}; clipping applies only on export")
-    if plus.domain == "torus":
-        out = GridDensity("torus", plus.nodes, vals, plus.weights, signed=True,
-                          beta=plus.beta, potential=plus.potential)
-    else:
-        out = GridDensity("interval", plus.nodes, vals, plus.weights, edge_masses=(gm, gp),
-                          signed=True, beta=plus.beta, potential=plus.potential)
+    out = GridDensity(plus.domain, vals, (gm, gp), signed=True, beta=plus.beta,
+                      potential=plus.potential)
     if plus.residual is not None and minus.residual is not None:
         out.residual = max(plus.residual, minus.residual)
     return out

@@ -275,12 +275,7 @@ def _potential_series(alphas, v, kind):
     number of conjugate pairs, so a constant potential c0 gives exactly c0.
     """
     A = np.atleast_2d(np.asarray(alphas))
-    n = A.shape[1]
-    atoms = n
-    if v.domain == "interval":
-        if n % 2:
-            raise ValueError("interval potentials need an even matrix size")
-        atoms = n // 2
+    atoms = v.atoms(A.shape[1])
     w = v.trace_weights()
     t = batch_trace_powers(A, w.size, KINDS[kind].topology)
     return v.constant + (t @ w).real / atoms

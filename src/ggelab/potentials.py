@@ -87,6 +87,16 @@ class Potential:
                 w[k - 1] = 0.5 * self.cheb[k]
         return w
 
+    def atoms(self, size):
+        """The M of trace_weights for a matrix of this size: every eigenvalue
+        on the torus, each conjugate pair once on the interval, which needs
+        an even size (ValueError otherwise)."""
+        if self.domain == "torus":
+            return size
+        if size % 2:
+            raise ValueError("interval potentials need an even matrix size")
+        return size // 2
+
     def __call__(self, u):
         """Evaluate at angles (torus) or at points of [-1, 1] (interval)."""
         u = np.asarray(u, float)

@@ -272,7 +272,10 @@ class McmcParams:
             thinning one full sweep separates kept states, hence the name.
         burn_in: sweeps discarded before recording; None means 10 N.
         thinning: site updates between kept states; None means N, i.e.
-            one sweep.  N is the matrix dimension in both defaults.
+            one sweep.  N is the matrix dimension in both defaults.  The
+            colour chain (degree-1 torus potentials on rings) updates
+            whole sweeps and keeps a state every ceil(thinning / N) of
+            them, so every thinning up to N keeps one state per sweep.
     """
 
     sweeps: int = 1000
@@ -560,7 +563,7 @@ def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
     return kept, accepted / updates
 
 
-def _sample(spec, mcmc, rng, force_path):
+def _sample(spec, mcmc, rng):
     rng = make_rng(rng)
     seed = getattr(rng, "seed_value", None)
     n_keep = int(mcmc.sweeps)
@@ -569,8 +572,6 @@ def _sample(spec, mcmc, rng, force_path):
     params = kind.interior(beta, size_n)
 
     if potential is None or potential.is_zero:
-        if force_path is not None:
-            raise ValueError("force_path applies to Metropolis runs only")
         alphas = _draw_sites(kind, params, rng, size=n_keep)
         rate = None
     else:
@@ -580,13 +581,6 @@ def _sample(spec, mcmc, rng, force_path):
         spacing = _color_spacing(size_n) if kind.periodic else None
         use_color = (kind.periodic and potential.domain == "torus"
                      and wc.size <= 1 and spacing is not None)
-        if force_path == "site":
-            use_color = False
-        elif force_path == "color" and not use_color:
-            raise ValueError("colour path needs a periodic matrix, degree <= 1 "
-                             "torus potential, and a valid spacing")
-        elif force_path not in (None, "color", "site"):
-            raise ValueError(f"unknown path {force_path!r}")
         if use_color:
             alphas, rate = _run_color_chain(kind, params, wc, spacing, burn,
                                             thin, n_keep, rng)
@@ -602,7 +596,7 @@ def _sample(spec, mcmc, rng, force_path):
 # public samplers
 
 
-def sample_al_gge(spec, mcmc, rng=None, force_path=None):
+def sample_al_gge(spec, mcmc, rng=None):
     """Sample the Gibbs ensemble of the Ablowitz-Ladik chain.
 
     With zero potential each alpha_j is an exact i.i.d. Theta_(2 beta + 1)
@@ -611,19 +605,18 @@ def sample_al_gge(spec, mcmc, rng=None, force_path=None):
     """
     if spec.kind != "al":
         raise ValueError(f"spec is for {spec.kind!r}, expected 'al'")
-    return _sample(spec, mcmc, rng, force_path)
+    return _sample(spec, mcmc, rng)
 
 
-def sample_schur_gge(spec, mcmc, rng=None, force_path=None):
+def sample_schur_gge(spec, mcmc, rng=None):
     """Sample the Schur-flow ensemble; entries are real in (-1, 1) with
     (1 + alpha_j)/2 ~ Beta(beta, beta) when the potential vanishes."""
     if spec.kind != "schur":
         raise ValueError(f"spec is for {spec.kind!r}, expected 'schur'")
-    return _sample(spec, mcmc, rng, force_path)
+    return _sample(spec, mcmc, rng)
 
 
-def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None,
-                         force_path=None):
+def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None):
     """Sample the circular ensemble through its coefficient law.
 
     Site j (1-based) follows Theta_(beta_tilde (n - j) + 1) and the last
@@ -631,10 +624,10 @@ def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None,
     the ensemble's eigen-angles.
     """
     spec = EnsembleSpec("circular", int(n), float(beta_tilde), potential)
-    return _sample(spec, mcmc, rng, force_path)
+    return _sample(spec, mcmc, rng)
 
 
-def sample_jacobi_beta(n, beta, potential, mcmc, rng=None, force_path=None):
+def sample_jacobi_beta(n, beta, potential, mcmc, rng=None):
     """Sample the Jacobi-type ensemble on 2n coefficients.
 
     (1 + alpha_j)/2 ~ Beta(s_j, s_j) with s_j = beta (1 - j/(2n)) for
@@ -642,7 +635,7 @@ def sample_jacobi_beta(n, beta, potential, mcmc, rng=None, force_path=None):
     pairs cos(theta) on [-1, 1].
     """
     spec = EnsembleSpec("jacobi", int(n), float(beta), potential)
-    return _sample(spec, mcmc, rng, force_path)
+    return _sample(spec, mcmc, rng)
 
 
 def sample_ensemble(spec, mcmc, rng=None):

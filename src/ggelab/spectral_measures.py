@@ -227,10 +227,9 @@ def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
     """Histogram or wrapped-Gaussian KDE of a torus empirical measure.
 
     Exactly one of ``bins`` (circular histogram) or ``bandwidth`` (KDE scale)
-
     must be given.  The result is a torus GridDensity with unit mass.
     """
-    from .equilibrium import GridDensity
+    from .equilibrium import GridDensity, _torus_grid
 
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError("density_estimate expects a torus EmpiricalMeasure")
@@ -243,7 +242,7 @@ def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
         counts, _ = np.histogram(mu.angles, bins=edges)
         h = 2 * np.pi / bins
         values = counts / (mu.count * h)
-        return GridDensity.torus(values)
+        return GridDensity("torus", values)
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     # wrapped Gaussian via its Fourier series: rho = (1/2pi)(1 + 2 sum_k e^{-k^2 s^2/2} Re(mu_k e^{-ik theta}))
@@ -252,12 +251,11 @@ def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
     k = np.arange(1, k_cut + 1)
     mk = np.exp(1j * k[:, None] * mu.angles[None, :]).mean(axis=1)
     damp = np.exp(-0.5 * (k * bandwidth) ** 2)
-    h = 2 * np.pi / grid_size
-    theta = -np.pi + (np.arange(grid_size) + 0.5) * h
+    theta, h = _torus_grid(grid_size)
     values = (1 + 2 * np.real((damp * mk)[None, :] * np.exp(-1j * theta[:, None] * k[None, :])).sum(axis=1)) / (2 * np.pi)
     values = np.clip(values, 0.0, None)
     values /= values.sum() * h
-    return GridDensity.torus(values)
+    return GridDensity("torus", values)
 
 
 class TestFunction:

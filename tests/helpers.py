@@ -71,6 +71,22 @@ def dense_interval_kernel(m):
     return q_log + (r_smooth + b_kernel) * w[None, :]
 
 
+def site_chain(spec, mcmc, rng):
+    """Run the single-site Metropolis chain on a tilted spec, even where the
+    sampler would pick the colour chain: the exact oracle of the colour chain.
+    Burn-in and thinning default as in the samplers.  Returns the kept states
+    and the acceptance rate."""
+    from ggelab import sampling as sp
+
+    kind = sp.KINDS[spec.kind]
+    size = spec.size
+    burn = 10 * size if mcmc.burn_in is None else int(mcmc.burn_in)
+    thin = size if mcmc.thinning is None else int(mcmc.thinning)
+    return sp._run_site_chain(kind, kind.interior(float(spec.beta), size),
+                              spec.potential.trace_weights(), burn, thin,
+                              int(mcmc.sweeps), sp.make_rng(rng))
+
+
 def keep_upper_cyclic(A):
     """Dense E+ projection: half the diagonal plus the cyclic offsets +1 and
     +2, the rest zeroed.  Agrees with the banded e_plus only for n >= 6,

@@ -398,6 +398,15 @@ def test_trace_potential_interval_rejects_complex_matrix(topology):
         cc.trace_potential(m, Potential("interval", cheb=[0.0, 1.0]))
 
 
+def test_trace_potential_interval_rejects_odd_size():
+    # an odd real spectrum has an unpaired eigenvalue, so there is no pair count
+    m = cc.build_cmv(np.append(random_interior_alpha(RNG, 6, real=True), -1.0))
+    with pytest.raises(ValueError, match="even matrix size"):
+        cc.trace_potential(m, Potential("interval", cheb=[0.0, 1.0]))
+    assert Potential("interval").atoms(8) == 4
+    assert Potential("torus").atoms(7) == 7
+
+
 # ----------------------------------------------------------------- properties
 
 @settings(max_examples=40, deadline=None)

@@ -20,6 +20,7 @@ from ggelab.equilibrium import (
     SolverParams,
     _fixed_point,
     _interval_grid,
+    _torus_grid,
     _interval_operator,
     _log_field,
     beta_derivative_measure,
@@ -65,6 +66,12 @@ class TestSolverParams:
         assert p.damping == 0.5 and p.tolerance == 1e-10
         assert p.grid_size == 1024
 
+    @pytest.mark.parametrize("solver", [minimize_torus, minimize_interval])
+    @pytest.mark.parametrize("size", [63, 65])
+    def test_init_values_must_match_the_grid(self, solver, size):
+        with pytest.raises(ValueError, match=r"init_values .* grid_size = 64"):
+            solver(None, 1.0, SolverParams(grid_size=64), init_values=np.ones(size))
+
 
 class TestBreakdown:
     def test_total_is_sum_of_parts(self):
@@ -85,34 +92,42 @@ class TestGridDensity:
         # at the k_max of free_energy_torus and past m, where k aliases
         th = -np.pi + (np.arange(m) + 0.5) * (2 * np.pi / m)
         g = (torus_tilted if m == 1024 else
-             GridDensity.torus((1 + 0.6 * np.cos(th) + 0.3 * np.sin(3 * th))
-                               / (2 * np.pi)))
+             GridDensity("torus", (1 + 0.6 * np.cos(th) + 0.3 * np.sin(3 * th))
+                         / (2 * np.pi)))
         for k_max in (m // 2 - 1, 2 * m + 3):
             k = np.arange(1, k_max + 1)
             dense = np.exp(1j * k[:, None] * g.nodes[None, :]) @ (g.weights * g.values)
             assert np.abs(g.fourier(k_max).c - dense).max() < 1e-12
 
-    def test_torus_needs_the_midpoint_grid(self):
-        m = 64
-        h = 2 * np.pi / m
-        vals = np.full(m, 1 / (2 * np.pi))
-        with pytest.raises(ValueError, match="midpoint grid"):
-            GridDensity("torus", -np.pi + np.arange(m) * h, vals, np.full(m, h))
-        mid = -np.pi + (np.arange(m) + 0.5) * h
-        weights = np.full(m, h)
-        weights[:2] = [0.5 * h, 1.5 * h]
-        with pytest.raises(ValueError, match="midpoint grid"):
-            GridDensity("torus", mid, vals, weights)
+    @pytest.mark.parametrize("m", [16, 64, 1024])
+    def test_nodes_and_weights_come_from_the_grid_size(self, m):
+        theta, h = _torus_grid(m)
+        g = GridDensity("torus", np.full(m, 1 / (2 * np.pi)))
+        assert np.array_equal(g.nodes, theta)
+        assert np.array_equal(g.weights, np.full(m, h))
+        t, _, h = _interval_grid(m)
+        trapezoid = np.full(m, h)
+        trapezoid[0] = trapezoid[-1] = h / 2
+        p = 1 / np.cosh(t)
+        g = GridDensity("interval", p / (trapezoid @ p))
+        assert np.array_equal(g.nodes, t)
+        assert np.array_equal(g.weights, trapezoid)
+
+    @pytest.mark.parametrize("domain", ["torus", "interval"])
+    def test_values_need_at_least_two_nodes(self, domain):
+        for values in (1.0, [1.0], np.full((4, 4), 1.0)):
+            with pytest.raises(ValueError, match="at least 2 entries"):
+                GridDensity(domain, values)
 
     def test_negative_values_rejected(self):
         vals = np.full(64, 1 / (2 * np.pi))
         vals[3] = -0.01
         with pytest.raises(ValueError):
-            GridDensity.torus(vals)
+            GridDensity("torus", vals)
 
     def test_unnormalized_mass_rejected(self):
         with pytest.raises(ValueError):
-            GridDensity.torus(np.full(64, 1.0))
+            GridDensity("torus", np.full(64, 1.0))
 
     def test_arcsine_lift_has_vanishing_coefficients(self):
         ar = GridDensity.interval_arcsine(1024)
@@ -224,7 +239,7 @@ class TestTorusMinimizer:
             amp, k = rng.uniform(0.02, 0.1), rng.integers(1, 6)
             vals = torus_tilted.values * np.exp(amp * np.cos(k * th + rng.uniform(0, np.pi)))
             vals /= vals.sum() * (2 * np.pi / th.size)
-            fe = free_energy_torus(GridDensity.torus(vals), v, 1.0)
+            fe = free_energy_torus(GridDensity("torus", vals), v, 1.0)
             assert fe.total > fe0.total, "perturbed density must not beat the minimizer"
 
     def test_nonconvergence_reports_residual(self):
@@ -245,7 +260,7 @@ class TestTorusFreeEnergy:
         m = 1024
         h = 2 * np.pi / m
         th = -np.pi + (np.arange(m) + 0.5) * h
-        g = GridDensity.torus((1 + np.cos(th)) / (2 * np.pi))
+        g = GridDensity("torus", (1 + np.cos(th)) / (2 * np.pi))
         fe = free_energy_torus(g, None, 1.0)
         assert abs(fe.interaction - LOG2 - 0.25) < 1e-12
 
@@ -260,7 +275,7 @@ class TestTorusFreeEnergy:
         th = -np.pi + (np.arange(m) + 0.5) * h
         vals = np.where(np.abs(th) < np.pi / 2, 1 / np.pi, 0.0)
         vals /= vals.sum() * h
-        fe = free_energy_torus(GridDensity.torus(vals), None, 1.0)
+        fe = free_energy_torus(GridDensity("torus", vals), None, 1.0)
         assert np.isfinite(fe.total)
         # entropy of uniform on half the circle: log 2
         assert abs(fe.entropy - LOG2) < 1e-10
@@ -490,8 +505,8 @@ class TestIntervalFreeEnergy:
 
     def test_reflection_invariance_for_even_potential(self, interval_flat):
         r = interval_flat[1.0]
-        flipped = GridDensity.interval(r.nodes, r.values[::-1],
-                                       (r.edge_masses[1], r.edge_masses[0]))
+        flipped = GridDensity("interval", r.values[::-1],
+                              (r.edge_masses[1], r.edge_masses[0]))
         a = free_energy_interval(r, None, 1.0)
         b = free_energy_interval(flipped, None, 1.0)
         assert abs(a.total - b.total) < 1e-12
@@ -504,16 +519,13 @@ class TestIntervalFreeEnergy:
     def test_minimizer_beats_perturbations(self, interval_flat):
         r = interval_flat[1.0]
         fe0 = free_energy_interval(r, None, 1.0)
-        t = r.nodes
-        h = t[1] - t[0]
-        w = np.full(t.size, h)
-        w[0] = w[-1] = h / 2
+        t, w = r.nodes, r.weights
         rng = np.random.default_rng(3)
         for _ in range(3):
             vals = r.values * np.exp(rng.uniform(0.02, 0.08) * np.cos(t / rng.uniform(3, 9)))
             gm, gp = r.edge_masses
             vals *= (1 - gm - gp) / float(w @ vals)
-            fe = free_energy_interval(GridDensity.interval(t, vals, (gm, gp)), None, 1.0)
+            fe = free_energy_interval(GridDensity("interval", vals, (gm, gp)), None, 1.0)
             assert fe.total > fe0.total
 
 

@@ -31,7 +31,7 @@ def torus_density(values_fn, m=2048):
     theta = -np.pi + (np.arange(m) + 0.5) * (2.0 * np.pi / m)
     vals = values_fn(theta)
     vals = vals / (vals.sum() * 2.0 * np.pi / m)
-    return GridDensity("torus", theta, vals, np.full(m, 2.0 * np.pi / m))
+    return GridDensity("torus", vals)
 
 
 class TestCouplingLemma:
@@ -315,8 +315,7 @@ class TestRateFunction:
     def test_midpoint_convexity(self):
         a = torus_density(lambda th: 1.0 + 0.8 * np.cos(th))
         b = torus_density(lambda th: 1.0 + 0.8 * np.cos(2.0 * th))
-        mix = GridDensity("torus", a.nodes, 0.5 * (a.values + b.values),
-                          a.weights)
+        mix = GridDensity("torus", 0.5 * (a.values + b.values))
         ra = rate_function_value(a, COS, 1.0)
         rb = rate_function_value(b, COS, 1.0)
         rm = rate_function_value(mix, COS, 1.0)

@@ -10,6 +10,8 @@ from ggelab import cmv_core as cc
 from ggelab import sampling as sp
 from ggelab.potentials import Potential
 
+from helpers import site_chain
+
 
 # ------------------------------------------------------------------- theta law
 
@@ -291,12 +293,25 @@ def test_mcmc_color_and_site_paths_agree():
     spec = sp.EnsembleSpec("al", 16, beta=beta, potential=pot)
     fast = sp.sample_al_gge(spec, sp.McmcParams(sweeps=3000),
                             np.random.default_rng(53))
-    slow = sp.sample_al_gge(spec, sp.McmcParams(sweeps=3000),
-                            np.random.default_rng(54), force_path="site")
+    slow, _ = site_chain(spec, sp.McmcParams(sweeps=3000),
+                         np.random.default_rng(54))
     tf = cc.batch_trace_powers(fast.alphas, 1)[:, 0].real / 16
-    ts = cc.batch_trace_powers(slow.alphas, 1)[:, 0].real / 16
+    ts = cc.batch_trace_powers(slow, 1)[:, 0].real / 16
     se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
     assert abs(tf.mean() - ts.mean()) <= 4 * se
+
+
+def test_colour_chain_keeps_whole_sweeps():
+    # thinning rounds up to ceil(thinning / N) sweeps on the colour chain
+    spec = sp.EnsembleSpec("al", 16, 1.0, Potential("torus", cos=[0.0, 1.0]))
+
+    def kept(sweeps, thinning):
+        return sp.sample_al_gge(spec, sp.McmcParams(sweeps, thinning=thinning),
+                                sp.make_rng(12)).alphas
+
+    every_sweep = kept(40, 16)
+    assert np.array_equal(kept(40, 1), every_sweep)
+    assert np.array_equal(kept(20, 17), every_sweep[1::2])
 
 
 _T1 = Potential("torus", cos=[0.0, 0.5])
@@ -343,27 +358,26 @@ CHAIN_FINGERPRINTS = {
     "jacobi-1-i2": ("jacobi", 1, 1.0, _I2,
         ("a6a5ddbb70329e4a", 0.8301886792452831)),
 }
-# the degree-1 ring runs the colour chain unless the site path is forced
+# the sampler runs the colour chain on the degree-1 ring
 COLOUR_FINGERPRINTS = {"al-12-t1": ("ca4d0b4d1964cbbf", 0.8779761904761905)}
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_FINGERPRINTS))
 @pytest.mark.parametrize("path", [None, "site"])
 def test_chain_samples_match_recorded_fingerprints(name, path):
+    """path None runs the kind's own sampler, "site" the site-chain oracle."""
     kind, n, beta, pot, site = CHAIN_FINGERPRINTS[name]
     spec = sp.EnsembleSpec(kind, n, beta, pot)
     mcmc = sp.McmcParams(sweeps=25, burn_in=3)
     rng = sp.make_rng(2024)
-    if kind in ("al", "schur"):
-        sampler = sp.sample_al_gge if kind == "al" else sp.sample_schur_gge
-        batch = sampler(spec, mcmc, rng, force_path=path)
+    if path == "site":
+        alphas, rate = site_chain(spec, mcmc, rng)
     else:
-        sampler = (sp.sample_circular_beta if kind == "circular"
-                   else sp.sample_jacobi_beta)
-        batch = sampler(n, beta, pot, mcmc, rng, force_path=path)
-    digest = hashlib.sha256(batch.alphas.tobytes()).hexdigest()[:16]
+        batch = sp.sample_ensemble(spec, mcmc, rng)
+        alphas, rate = batch.alphas, batch.acceptance_rate
+    digest = hashlib.sha256(alphas.tobytes()).hexdigest()[:16]
     want = site if path else COLOUR_FINGERPRINTS.get(name, site)
-    assert (digest, batch.acceptance_rate) == want
+    assert (digest, rate) == want
 
 
 def test_mcmc_schur_with_potential_stays_real_and_bounded():

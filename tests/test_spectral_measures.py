@@ -34,7 +34,7 @@ def cardioid_density(m=2048):
 
     h = 2 * np.pi / m
     th = -np.pi + (np.arange(m) + 0.5) * h
-    return GridDensity.torus((1 + np.cos(th)) / (2 * np.pi))
+    return GridDensity("torus", (1 + np.cos(th)) / (2 * np.pi))
 
 
 class TestFourierCoefficients:
