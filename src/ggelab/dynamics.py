@@ -34,7 +34,14 @@ Integration is classical fourth-order Runge-Kutta with a fixed step.
 The step count is round(t_final / dt), so commensurate (dt, t_final)
 pairs land on t_final exactly.  No adaptivity: a trajectory that leaves
 the closed unit polydisk by more than 1e-8 aborts with a stability
-error instead of being renormalized.
+error instead of being renormalized.  One stepper, _Rk4, serves the
+single trajectories of integrate, the ensemble batches of
+gge_invariance_test and the probe step of lax_residual: it owns the four
+stages and the scratch arrays of one run, and every vector field is
+written into them in place, the cyclic neighbours by three slice
+operations instead of two rolled copies.  Each field keeps the
+operations of al_rhs and schur_rhs in their order, so a buffered step
+is bit-identical to the same formula over fresh arrays.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .cmv_core import (
     NumericalError,
     VerblunskyVector,
     _adjoint_band,
+    _check_size,
     _plus,
     batch_trace_powers,
     build_periodic_cmv,
@@ -88,8 +96,8 @@ class FlowState:
 
     `alphas` may be given as a VerblunskyVector or as a plain array of
     strictly interior entries; arrays are wrapped with the all-interior
-    boundary convention.  Schur states should be real arrays, AL states
-    complex.
+    boundary convention.  The ring size n must be even and at least 2.
+    Schur states should be real arrays, AL states complex.
     """
 
     alphas: VerblunskyVector
@@ -101,6 +109,7 @@ class FlowState:
                 self, "alphas",
                 VerblunskyVector(np.asarray(self.alphas),
                                  BoundaryMode.ALL_INTERIOR))
+        _check_size(self.alphas.n, "periodic")
         object.__setattr__(self, "time", float(self.time))
 
     @property
@@ -116,10 +125,10 @@ class IntegratorParams:
     t_final: float
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (self.t_final > 0 and math.isfinite(self.t_final)):
+            raise ValueError("t_final must be positive and finite")
         if self.dt > self.t_final:
             raise ValueError(
                 f"dt = {self.dt:g} exceeds t_final = {self.t_final:g}")
@@ -137,42 +146,110 @@ def _coefficients(state):
     return np.asarray(state)
 
 
+def _neighbours(a, op, out):
+    """out[..., j] = op(a[..., j+1], a[..., j-1]), the last axis cyclic.
+
+    `out` must be C-contiguous.  The interior runs as one loop over the
+    flattened arrays instead of one short loop per row; the entries it
+    gets wrong, at both ends of each row, are those the two edge columns
+    then overwrite.
+    """
+    flat = a.reshape(-1)
+    op(flat[2:], flat[:-2], out=out.reshape(-1, copy=False)[1:-1])
+    op(a[..., 1:2], a[..., -1:], out=out[..., :1])
+    op(a[..., :1], a[..., -2:-1], out=out[..., -1:])
+
+
+def _al_field(a, out, nb, r):
+    """Write the AL field of complex `a` into `out`; `nb` (complex) and `r`
+    (real) are scratch of a's shape.  The steps evaluate
+    i ((1 - |a|^2) nb - 2 a) in this order and these dtypes: |a|^2 as
+    re^2 + im^2, or the factor i as a swap of real and imaginary parts,
+    would change the last bits or signed zeros."""
+    _neighbours(a, np.add, nb)
+    np.abs(a, out=r)
+    np.square(r, out=r)
+    np.subtract(1.0, r, out=r)
+    np.multiply(r, nb, out=out)
+    np.multiply(2.0, a, out=nb)
+    np.subtract(out, nb, out=out)
+    return np.multiply(1j, out, out=out)
+
+
+def _schur_field(a, out, nb, r):
+    """Write the Schur field of real `a` into `out`; `nb` and `r` are real
+    scratch of a's shape."""
+    _neighbours(a, np.subtract, nb)
+    np.square(a, out=r)
+    np.subtract(1.0, r, out=r)
+    return np.multiply(r, nb, out=out)
+
+
+# flow name -> (coefficient dtype, in-place vector field)
+_FIELDS = {"al": (complex, _al_field), "schur": (float, _schur_field)}
+
+
+def _ring(a):
+    _check_size(a.shape[-1] if a.ndim else 0, "periodic")
+    return a
+
+
 def al_rhs(state):
     """Right-hand side of the Ablowitz-Ladik system.
 
     Accepts a FlowState, a VerblunskyVector, or a bare (..., n) array and
     returns i [rho^2 (alpha_{j+1} + alpha_{j-1}) - 2 alpha_j] with the
-    last axis treated cyclically.
+    last axis treated cyclically; n must be even and at least 2.
     """
-    a = np.asarray(_coefficients(state), dtype=complex)
-    nb = np.roll(a, -1, axis=-1) + np.roll(a, 1, axis=-1)
-    return 1j * ((1.0 - np.abs(a) ** 2) * nb - 2.0 * a)
+    a = _ring(np.asarray(_coefficients(state), dtype=complex))
+    out, nb = np.empty(a.shape, complex), np.empty(a.shape, complex)
+    return _al_field(a, out, nb, np.empty(a.shape))
 
 
 def schur_rhs(state):
     """Right-hand side rho^2 (alpha_{j+1} - alpha_{j-1}) of the Schur flow.
 
-    Defined on real vectors only; complex input is a domain error.  The
-    arithmetic never leaves the reals, so imaginary parts stay exactly
-    zero along any trajectory started from real data.
+    Defined on real vectors only; complex input is a domain error, and n
+    must be even and at least 2.  The arithmetic never leaves the reals,
+    so imaginary parts stay exactly zero along any trajectory started
+    from real data.
     """
     a = _coefficients(state)
     if np.iscomplexobj(a):
         raise ValueError("the Schur flow acts on real coefficient vectors")
-    a = np.asarray(a, dtype=float)
-    diff = np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)
-    return (1.0 - a**2) * diff
+    a = _ring(np.asarray(a, dtype=float))
+    return _schur_field(a, *(np.empty(a.shape) for _ in range(3)))
 
 
-_FLOWS = {"al": al_rhs, "schur": schur_rhs}
+class _Rk4:
+    """Classical RK4 steps of one flow on states of one shape.
 
+    Holds the four stages, the stage state and two scratch arrays, so a
+    step allocates only the new state it returns.
+    """
 
-def _rk4_step(rhs, a, h):
-    k1 = rhs(a)
-    k2 = rhs(a + (0.5 * h) * k1)
-    k3 = rhs(a + (0.5 * h) * k2)
-    k4 = rhs(a + h * k3)
-    return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    def __init__(self, flow, shape):
+        dtype, self._field = _FIELDS[flow]
+        self._k = [np.empty(shape, dtype) for _ in range(4)]
+        self._stage = np.empty(shape, dtype)
+        self._nb = np.empty(shape, dtype)
+        self._r = np.empty(shape, float)
+
+    def __call__(self, a, h):
+        """a + h/6 (k1 + 2 (k2 + k3) + k4), as a fresh array."""
+        k1, k2, k3, k4 = self._k
+        s, nb, r = self._stage, self._nb, self._r
+        self._field(a, k1, nb, r)
+        for c, k, kn in ((0.5 * h, k1, k2), (0.5 * h, k2, k3), (h, k3, k4)):
+            np.multiply(c, k, out=s)
+            np.add(a, s, out=s)
+            self._field(s, kn, nb, r)
+        np.add(k2, k3, out=k2)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(h / 6.0, k1, out=k1)
+        return np.add(a, k1)
 
 
 def _check_polydisk(a, t):
@@ -292,7 +369,7 @@ def integrate(state0, which_flow, params, max_frames=256,
             than 1e-8 (the step is too large for the data).
         ValueError: unknown flow or direction, or invalid parameters.
     """
-    if which_flow not in _FLOWS:
+    if which_flow not in _FIELDS:
         raise ValueError(f"unknown flow {which_flow!r}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -300,7 +377,6 @@ def integrate(state0, which_flow, params, max_frames=256,
         raise TypeError("params must be IntegratorParams")
     if not isinstance(state0, FlowState):
         state0 = FlowState(state0)
-    rhs = _FLOWS[which_flow]
     if max_frames < 2:
         raise ValueError("max_frames must be at least 2")
 
@@ -318,8 +394,9 @@ def integrate(state0, which_flow, params, max_frames=256,
 
     frames = [_frame(a, t0)]
     h = sign * params.dt
+    step = _Rk4(which_flow, a.shape)
     for k in range(1, n_steps + 1):
-        a = _rk4_step(rhs, a, h)
+        a = step(a, h)
         t = t0 + sign * k * params.dt
         _check_polydisk(a, t)
         if k % stride == 0 or k == n_steps:
@@ -438,7 +515,7 @@ def lax_residual(state, dt_probe=1e-6):
         raise NumericalError(f"the two Lax generators disagree by {gap:.3e}",
                              residual=gap)
 
-    a1 = _rk4_step(al_rhs, a0, dt_probe)
+    a1 = _Rk4("al", a0.shape)(a0, dt_probe)
     E1 = build_periodic_cmv(a1).dense()
     fd = (E1 - E0) / dt_probe
     return float(np.abs(fd - commutator).max())
@@ -525,15 +602,19 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
     The step is t_final / ceil(t_final / dt), so t_final is hit exactly;
     t_final = 0 skips the flow and every p-value is 1 by construction.
     Small ensembles get a warning entry instead of an error, except that
-    fewer than two samples cannot feed a z-test at all.
+    fewer than two samples cannot feed a z-test at all.  dt must be finite
+    and positive, t_final finite and nonnegative.
 
     Returns:
         InvarianceReport with per-statistic z and p values.
     """
-    if spec.kind not in _FLOWS:
+    if spec.kind not in _FIELDS:
         raise ValueError("the lattice flows act on 'al' or 'schur' ensembles")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (t_final >= 0 and math.isfinite(t_final)):
+        raise ValueError(
+            f"t_final must be nonnegative and finite, got {t_final!r}")
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need at least two samples for a z-test")
@@ -552,12 +633,12 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
         A1 = A0
         step = 0.0
     else:
-        rhs = _FLOWS[spec.kind]
         n_steps = max(1, math.ceil(t_final / dt))
         step = t_final / n_steps
-        A1 = np.array(A0)
+        A1 = A0
+        rk4 = _Rk4(spec.kind, A0.shape)
         for k in range(n_steps):
-            A1 = _rk4_step(rhs, A1, step)
+            A1 = rk4(A1, step)
             _check_polydisk(A1, (k + 1) * step)
     post = _ensemble_statistics(A1, k_max)
 

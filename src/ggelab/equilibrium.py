@@ -141,8 +141,8 @@ class GridDensity:
     grid of [-pi, pi), weights 2 pi / m.  Interval: values P(t_i) =
     sigma(theta) sin(theta) on the uniform grid in t = ln tan(theta/2) over
     [-T, T] with trapezoid weights, plus the two analytic edge masses (near
-    x = +1 and x = -1).  ``signed`` marks finite-difference outputs, which may
-    carry small negative values.
+    x = +1 and x = -1); a torus density has none.  ``signed`` marks
+    finite-difference outputs, which may carry small negative values.
     """
 
     def __init__(self, domain, values, edge_masses=(0.0, 0.0), *, residual=None,
@@ -163,6 +163,10 @@ class GridDensity:
         self.nodes, self.weights = _grid(domain, values.size)
         self.values = values
         self.edge_masses = (float(edge_masses[0]), float(edge_masses[1]))
+        if domain == "torus" and self.edge_masses != (0.0, 0.0):
+            # the circle has no edges: integrate and fourier would drop them
+            raise ValueError(f"a torus density has no edge masses, "
+                             f"got {self.edge_masses}")
         self.residual = residual
         self.iterations = iterations
         self.beta = beta

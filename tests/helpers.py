@@ -98,3 +98,13 @@ def keep_upper_cyclic(A):
     out[idx, (idx + 1) % n] = A[idx, (idx + 1) % n]
     out[idx, (idx + 2) % n] = A[idx, (idx + 2) % n]
     return out
+
+
+def reference_rk4_step(rhs, a, h):
+    """One classical RK4 step over fresh arrays: the oracle of the buffered
+    stepper in ggelab.dynamics, which must match it bit for bit."""
+    k1 = rhs(a)
+    k2 = rhs(a + (0.5 * h) * k1)
+    k3 = rhs(a + (0.5 * h) * k2)
+    k4 = rhs(a + h * k3)
+    return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)

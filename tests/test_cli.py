@@ -475,6 +475,14 @@ class TestDynamics:
         doc = json.loads((tmp_path / "conservation.json").read_text())
         assert doc["lax_residual"] < 1e-4
 
+    def test_odd_ring_rejected_before_integration(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["dynamics", "--n", "3", "--dt", "0.01", "--t-final",
+                     "0.1", "--seed", "2", "--out", str(out)])
+        assert code == 2
+        assert "even size" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_stability_error_exit(self, tmp_path, capsys):
         code = main(["dynamics", "--flow", "al", "--n", "8", "--dt", "3.0",
                      "--t-final", "30", "--init", "constant", "--rmax", "0.98",

@@ -21,6 +21,7 @@ from ggelab.cmv_core import (
     unitarity_residual,
 )
 from ggelab.dynamics import (
+    _Rk4,
     ConservationReport,
     FlowState,
     IntegratorParams,
@@ -33,7 +34,7 @@ from ggelab.dynamics import (
 )
 from ggelab.sampling import EnsembleSpec, make_rng
 
-from helpers import random_interior_alpha
+from helpers import random_interior_alpha, reference_rk4_step
 
 
 def lattice_hamiltonian(a):
@@ -97,6 +98,45 @@ class TestAlRhs:
         assert np.array_equal(from_state, al_rhs(a))
 
 
+class TestRingSize:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_flow_state_rejects_odd_or_tiny_rings(self, n):
+        with pytest.raises(ValueError, match="even size >= 2"):
+            FlowState(np.zeros(n, complex))
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (5, 3)])
+    def test_rhs_rejects_odd_rings(self, shape):
+        with pytest.raises(ValueError, match="even size >= 2"):
+            al_rhs(np.zeros(shape, complex))
+        with pytest.raises(ValueError, match="even size >= 2"):
+            schur_rhs(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_small_rings_match_rolled_formula(self, n):
+        # the slicing kernel's first and last site coincide with the
+        # wrap-around of the interior on these rings
+        rng = np.random.default_rng(60 + n)
+        a = random_interior_alpha(rng, n)
+        nb = np.roll(a, -1) + np.roll(a, 1)
+        rolled = 1j * ((1.0 - np.abs(a) ** 2) * nb - 2.0 * a)
+        assert al_rhs(a).tobytes() == rolled.tobytes()
+        x = a.real
+        rolled = (1.0 - x ** 2) * (np.roll(x, -1) - np.roll(x, 1))
+        assert schur_rhs(x).tobytes() == rolled.tobytes()
+
+    def test_strided_batches_match_rolled_formula(self):
+        # the interior neighbour sum runs over a flattened copy of these
+        rng = np.random.default_rng(64)
+        A = np.stack([random_interior_alpha(rng, 12) for _ in range(8)])
+        for v in (A[::2, ::3], np.asfortranarray(A), A[:, 1:9]):
+            nb = np.roll(v, -1, axis=-1) + np.roll(v, 1, axis=-1)
+            rolled = 1j * ((1.0 - np.abs(v) ** 2) * nb - 2.0 * v)
+            assert al_rhs(v).tobytes() == rolled.tobytes()
+            x = v.real
+            diff = np.roll(x, -1, axis=-1) - np.roll(x, 1, axis=-1)
+            assert schur_rhs(x).tobytes() == ((1.0 - x ** 2) * diff).tobytes()
+
+
 class TestSchurRhs:
     def test_formula(self):
         rng = np.random.default_rng(6)
@@ -130,6 +170,57 @@ class TestIntegratorParams:
             IntegratorParams(dt=0.1, t_final=0.0)
         with pytest.raises(ValueError):
             IntegratorParams(dt=2.0, t_final=1.0)
+
+    @pytest.mark.parametrize("dt, t_final", [(1e-3, math.inf),
+                                             (math.nan, 1.0),
+                                             (1e-3, math.nan)])
+    def test_non_finite_values_rejected(self, dt, t_final):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorParams(dt=dt, t_final=t_final)
+
+
+def _flow_states(flow, shape, rng):
+    """Random, all-zero, negative-zero and constant states of one flow."""
+    real = flow == "schur"
+    dtype = float if real else complex
+    n = shape[-1]
+    random = np.stack([random_interior_alpha(rng, n, rmax=0.8, real=real)
+                       for _ in range(int(np.prod(shape[:-1])))])
+    return {"random": random.reshape(shape),
+            "zero": np.zeros(shape, dtype),
+            "negative_zero": -np.zeros(shape, dtype),
+            "constant": np.full(shape, 0.3 if real else 0.37 - 0.21j)}
+
+
+class TestRk4Stepper:
+    """The buffered stepper against fresh-array RK4 over al_rhs/schur_rhs."""
+
+    @pytest.mark.parametrize("flow", ["al", "schur"])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (6,), (32,), (50, 32)])
+    def test_bit_identical_to_reference(self, flow, shape):
+        rhs = {"al": al_rhs, "schur": schur_rhs}[flow]
+        rng = np.random.default_rng(70 + shape[-1] + len(shape))
+        for name, a0 in _flow_states(flow, shape, rng).items():
+            for h in (0.01, -0.01):
+                step = _Rk4(flow, shape)
+                fast = ref = a0
+                for k in range(200):
+                    fast = step(fast, h)
+                    ref = reference_rk4_step(rhs, ref, h)
+                    assert fast.dtype == ref.dtype
+                    assert fast.tobytes() == ref.tobytes(), \
+                        f"{name} state, h = {h}: bits differ at step {k + 1}"
+
+    @pytest.mark.parametrize("flow", ["al", "schur"])
+    def test_returns_fresh_arrays(self, flow):
+        rng = np.random.default_rng(80)
+        a0 = _flow_states(flow, (3, 8), rng)["random"]
+        step = _Rk4(flow, a0.shape)
+        first = step(a0, 0.05)
+        kept = first.copy()
+        second = step(first, 0.05)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
 
 
 class TestIntegrate:
@@ -367,6 +458,15 @@ class TestGgeInvariance:
         spec = EnsembleSpec(kind="al", n=8, beta=1.0)
         with pytest.raises(ValueError, match="two samples"):
             gge_invariance_test(spec, 1.0, 1, make_rng(20))
+
+    @pytest.mark.parametrize("dt, t_final, name", [
+        (-0.02, 1.0, "dt"), (0.0, 1.0, "dt"), (math.nan, 1.0, "dt"),
+        (math.inf, 1.0, "dt"), (0.02, math.nan, "t_final"),
+        (0.02, math.inf, "t_final"), (0.02, -1.0, "t_final")])
+    def test_bad_step_or_horizon_rejected(self, dt, t_final, name):
+        spec = EnsembleSpec(kind="al", n=8, beta=1.0)
+        with pytest.raises(ValueError, match=name):
+            gge_invariance_test(spec, t_final, 100, make_rng(23), dt=dt)
 
     def test_non_lattice_ensemble_rejected(self):
         spec = EnsembleSpec(kind="circular", n=8, beta=1.0)

@@ -129,6 +129,11 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity("torus", np.full(64, 1.0))
 
+    def test_torus_edge_masses_rejected(self):
+        # the mass check would count them, integrate and fourier would not
+        with pytest.raises(ValueError, match="edge masses"):
+            GridDensity("torus", np.full(64, 0.8 / (2 * np.pi)), (0.1, 0.1))
+
     def test_arcsine_lift_has_vanishing_coefficients(self):
         ar = GridDensity.interval_arcsine(1024)
         assert abs(ar.mass() - 1.0) < 1e-12
