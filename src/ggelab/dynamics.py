@@ -147,15 +147,8 @@ def _coefficients(state):
 
 
 def _neighbours(a, op, out):
-    """out[..., j] = op(a[..., j+1], a[..., j-1]), the last axis cyclic.
-
-    `out` must be C-contiguous.  The interior runs as one loop over the
-    flattened arrays instead of one short loop per row; the entries it
-    gets wrong, at both ends of each row, are those the two edge columns
-    then overwrite.
-    """
-    flat = a.reshape(-1)
-    op(flat[2:], flat[:-2], out=out.reshape(-1, copy=False)[1:-1])
+    """out[..., j] = op(a[..., j+1], a[..., j-1]), the last axis cyclic."""
+    op(a[..., 2:], a[..., :-2], out=out[..., 1:-1])
     op(a[..., 1:2], a[..., -1:], out=out[..., :1])
     op(a[..., :1], a[..., -2:-1], out=out[..., -1:])
 

@@ -22,6 +22,7 @@ from ggelab.cmv_core import (
 )
 from ggelab.dynamics import (
     _Rk4,
+    _neighbours,
     ConservationReport,
     FlowState,
     IntegratorParams,
@@ -125,7 +126,7 @@ class TestRingSize:
         assert schur_rhs(x).tobytes() == rolled.tobytes()
 
     def test_strided_batches_match_rolled_formula(self):
-        # the interior neighbour sum runs over a flattened copy of these
+        # non-contiguous inputs, and a non-contiguous output buffer
         rng = np.random.default_rng(64)
         A = np.stack([random_interior_alpha(rng, 12) for _ in range(8)])
         for v in (A[::2, ::3], np.asfortranarray(A), A[:, 1:9]):
@@ -135,6 +136,9 @@ class TestRingSize:
             x = v.real
             diff = np.roll(x, -1, axis=-1) - np.roll(x, 1, axis=-1)
             assert schur_rhs(x).tobytes() == ((1.0 - x ** 2) * diff).tobytes()
+            out = np.zeros((v.shape[-1], v.shape[0])).T
+            _neighbours(x, np.subtract, out)
+            assert out.tobytes() == diff.tobytes()
 
 
 class TestSchurRhs:
