@@ -311,8 +311,6 @@ def cmd_minimize(args, cfg):
     """Minimize the free-energy functional and write the density."""
     v = parse_potential(args.potential)
     domain = args.domain or (v.domain if v is not None else "torus")
-    if v is not None and v.domain != domain:
-        raise ValueError(f"potential lives on the {v.domain}, not {domain}")
     given = {key: getattr(args, key) for key in _SOLVER_FLAGS
              if getattr(args, key) is not None}
     params = SolverParams(**given)

@@ -563,19 +563,17 @@ def e_plus(m):
 def trace_potential(m, potential):
     """Tr V(E) evaluated exactly from power traces.
 
-    Torus potentials use Tr cos(k theta) = Re Tr E^k and the sine analogue;
-    interval potentials count each conjugate pair of eigenvalues once, so
-    the constant term counts n/2 times (Potential.trace_weights).  Only a
-    real matrix of even size has its spectrum in conjugate pairs; any other
-    raises ValueError for an interval potential.
+    The atom count times Potential.spectral_mean: interval potentials count
+    each conjugate pair of eigenvalues once.  Only a real matrix of even
+    size has its spectrum in conjugate pairs; any other raises ValueError
+    for an interval potential.
     """
     atoms = potential.atoms(m.n)
     if potential.domain == "interval" and np.any(np.imag(m.band)):
         raise ValueError("interval potentials need a real matrix, whose "
                          "spectrum comes in conjugate pairs")
-    w = potential.trace_weights()
-    traces = _band_traces(m.band[None], w.size)[0]
-    return float(potential.constant * atoms + (w @ traces).real)
+    traces = _band_traces(m.band[None], potential.degree)[0]
+    return float(atoms * potential.spectral_mean(traces, m.n))
 
 
 def conserved_quantities(alpha, ell_max=4):

@@ -96,8 +96,9 @@ class FlowState:
 
     `alphas` may be given as a VerblunskyVector or as a plain array of
     strictly interior entries; arrays are wrapped with the all-interior
-    boundary convention.  The ring size n must be even and at least 2.
-    Schur states should be real arrays, AL states complex.
+    boundary convention, the only one the flows take (ValueError
+    otherwise).  The ring size n must be even and at least 2.  Schur
+    states should be real arrays, AL states complex.
     """
 
     alphas: VerblunskyVector
@@ -109,6 +110,9 @@ class FlowState:
                 self, "alphas",
                 VerblunskyVector(np.asarray(self.alphas),
                                  BoundaryMode.ALL_INTERIOR))
+        if self.alphas.boundary != BoundaryMode.ALL_INTERIOR:
+            raise ValueError("flow states need all-interior coefficients, "
+                             f"got boundary {self.alphas.boundary.value}")
         _check_size(self.alphas.n, "periodic")
         object.__setattr__(self, "time", float(self.time))
 

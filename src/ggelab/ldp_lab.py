@@ -21,6 +21,7 @@ with the keys "check", "parameters", "statistics" and "pass".
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import quad
@@ -122,12 +123,13 @@ class FreeEnergyEstimate:
     """Monte Carlo free energy with its propagated standard error.
 
     value integrates the mean potential trace per site over the coupling
-    constant s in [0, 1]; grid records the quadrature nodes used.
+    constant s in [0, 1]; grid records the quadrature nodes used, and
+    method names the one estimator.
     """
 
     value: float
     std_error: float
-    method: str = "ThermoIntegration"
+    method: ClassVar[str] = "ThermoIntegration"
     grid: tuple = ()
     ensemble: str = ""
     beta: float = 0.0
@@ -137,8 +139,6 @@ class FreeEnergyEstimate:
     def __post_init__(self):
         if not self.std_error >= 0.0:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
-        if self.method != "ThermoIntegration":
-            raise ValueError(f"unknown method {self.method!r}")
 
     def to_json(self, path=None):
         doc = {
@@ -266,19 +266,6 @@ def _draw(kind, n, beta, potential, mcmc, rng):
                              "(spectral pairs)")
         n //= 2
     return sample_ensemble(EnsembleSpec(kind, n, beta, potential), mcmc, rng)
-
-
-def _potential_series(alphas, v, kind):
-    """Per-sample Tr V(E) normalized by the atom count of the spectral law.
-
-    Torus potentials divide by the matrix size, interval potentials by the
-    number of conjugate pairs, so a constant potential c0 gives exactly c0.
-    """
-    A = np.atleast_2d(np.asarray(alphas))
-    atoms = v.atoms(A.shape[1])
-    w = v.trace_weights()
-    t = batch_trace_powers(A, w.size, KINDS[kind].topology)
-    return v.constant + (t @ w).real / atoms
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +429,9 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     total = 0
     for i, si in enumerate(s):
         batch = _draw(kind, n, beta, v.scaled(float(si)), mcmc, rng)
-        w = _potential_series(batch.alphas, v, kind)
+        traces = batch_trace_powers(batch.alphas, v.degree,
+                                    KINDS[kind].topology)
+        w = v.spectral_mean(traces, batch.alphas.shape[-1])
         mean, se, tau = _mean_and_error(w)
         means[i] = mean
         errors[i] = se
@@ -451,12 +440,12 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
             warnings.append(f"correlated chain at s = {si:g} "
                             f"(tau = {tau:.1f}); increase thinning")
 
-    value = float(np.trapezoid(means, s))
     # trapezoid weights: half-gaps at the ends, mean gaps inside
     gaps = np.diff(s)
     coeff = np.zeros(s.size)
     coeff[:-1] += 0.5 * gaps
     coeff[1:] += 0.5 * gaps
+    value = float(coeff @ means)
     std_error = float(np.sqrt(np.sum((coeff * errors) ** 2)))
     return FreeEnergyEstimate(value, std_error, grid=grid, ensemble=kind,
                               beta=float(beta), n_samples=total,
@@ -539,41 +528,34 @@ def check_free_energy_relation(v, beta, delta=0.1, s_grid=None, mcmc=None,
 # density of states
 
 
-def _torus_moment_rows(traces_over_n, target):
+# monomial moments E[x^k], k <= 4, from Chebyshev moments E[T_j(x)] at
+# position j - 1 of the last axis
+_MONOMIALS = (
+    ("x^1", lambda t: t[..., 0]),
+    ("x^2", lambda t: 0.5 * (1.0 + t[..., 1])),
+    ("x^3", lambda t: 0.25 * (3.0 * t[..., 0] + t[..., 2])),
+    ("x^4", lambda t: 0.125 * (3.0 + 4.0 * t[..., 1] + t[..., 3])),
+)
+
+
+def _moment_rows(traces_over_n, target, domain):
+    """Per-sample low moments against the target's, with z-scores: cos/sin
+    moments on the torus, monomial moments on the interval."""
     tk = fourier_coeffs(target, k_max=4).c
+    if domain == "torus":
+        table = [(f"{part}_{k}", take(traces_over_n[:, k - 1]),
+                  take(tk[k - 1]))
+                 for k in range(1, 5)
+                 for part, take in (("cos", np.real), ("sin", np.imag))]
+    else:
+        table = [(name, monomial(traces_over_n.real), monomial(tk.real))
+                 for name, monomial in _MONOMIALS]
     rows = []
-    for k in range(1, 5):
-        for part, series, goal in (
-                ("cos", traces_over_n[:, k - 1].real, tk[k - 1].real),
-                ("sin", traces_over_n[:, k - 1].imag, tk[k - 1].imag)):
-            mean, se, _ = _mean_and_error(series)
-            z = _z_score(mean - goal, se)
-            rows.append({"name": f"{part}_{k}", "mean": mean, "std_error": se,
-                         "target": float(goal), "z": z, "ok": abs(z) <= 3.0})
-    return rows
-
-
-def _interval_moment_rows(traces_over_n, target):
-    c = traces_over_n.real
-    tk = fourier_coeffs(target, k_max=4).c.real
-    series = {
-        "x^1": c[:, 0],
-        "x^2": 0.5 * (1.0 + c[:, 1]),
-        "x^3": 0.25 * (3.0 * c[:, 0] + c[:, 2]),
-        "x^4": 0.125 * (3.0 + 4.0 * c[:, 1] + c[:, 3]),
-    }
-    goals = {
-        "x^1": tk[0],
-        "x^2": 0.5 * (1.0 + tk[1]),
-        "x^3": 0.25 * (3.0 * tk[0] + tk[2]),
-        "x^4": 0.125 * (3.0 + 4.0 * tk[1] + tk[3]),
-    }
-    rows = []
-    for name, values in series.items():
-        mean, se, _ = _mean_and_error(values)
-        z = _z_score(mean - float(goals[name]), se)
+    for name, series, goal in table:
+        mean, se, _ = _mean_and_error(series)
+        z = _z_score(mean - float(goal), se)
         rows.append({"name": name, "mean": mean, "std_error": se,
-                     "target": float(goals[name]), "z": z, "ok": abs(z) <= 3.0})
+                     "target": float(goal), "z": z, "ok": abs(z) <= 3.0})
     return rows
 
 
@@ -611,10 +593,9 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     pooled = traces.mean(axis=0)
     if domain == "torus":
         empirical = FourierCoeffs(pooled)
-        rows = _torus_moment_rows(traces, target)
     else:
         empirical = FourierCoeffs(pooled.real.astype(complex))
-        rows = _interval_moment_rows(traces, target)
+    rows = _moment_rows(traces, target, domain)
     d_value = float(distance_D(empirical, target, k_max=k_max))
 
     warnings = []
@@ -670,8 +651,6 @@ def rate_function_value(mu, v, beta, side="circular", params=None):
     domain = KINDS[side].domain
     if getattr(mu, "domain", None) != domain:
         raise ValueError(f"the density must live on the {domain}")
-    if v is not None and v.domain != domain:
-        raise ValueError(f"the potential must live on the {domain}")
     if not beta > 0:
         raise ValueError("beta must be positive")
 

@@ -6,12 +6,29 @@ A torus potential is a real trigonometric polynomial
 
 an interval potential is a Chebyshev expansion V(x) = sum_k t_k T_k(x).
 Both admit exact evaluation of Tr V(E) from power traces of the Lax
-matrix, which is why no other basis is supported.
+matrix, which is why no other basis is supported.  A potential keeps its
+constant and one complex coefficient vector, w_k = c_k - i s_k on the torus
+and w_k = t_k on the interval, so that
+
+    Tr V(E) = constant * M + Re sum_k w_k Tr E^k
+
+with M atoms (every eigenvalue on the torus, each conjugate pair once on
+the interval, where the weights are halved).  Potential.spectral_mean is the
+one place that turns power traces into V; the Metropolis chains read the
+weights directly for the change of Tr V under a move.
 """
 
 import numpy as np
 
 __all__ = ["Potential"]
+
+
+def _frozen(coeffs):
+    """A read-only float copy, so the coefficients cannot drift from the
+    weight vector derived from them."""
+    out = np.atleast_1d(np.array(coeffs, float))
+    out.flags.writeable = False
+    return out
 
 
 class Potential:
@@ -22,6 +39,9 @@ class Potential:
         cos: cosine coefficients (c_0, c_1, ...); torus only.
         sin: sine coefficients (s_1, s_2, ...); torus only.
         cheb: Chebyshev coefficients (t_0, t_1, ...); interval only.
+
+    The coefficient arrays are kept as read-only copies; `constant` is c_0
+    on the torus and t_0 on the interval.
     """
 
     def __init__(self, domain="torus", cos=None, sin=None, cheb=None):
@@ -31,40 +51,34 @@ class Potential:
         if domain == "torus":
             if cheb is not None:
                 raise ValueError("cheb coefficients are for interval potentials")
-            self.cos = np.atleast_1d(np.asarray(cos if cos is not None else [0.0], float))
-            self.sin = np.atleast_1d(np.asarray(sin if sin is not None else [], float))
+            self.cos = _frozen(cos if cos is not None else [0.0])
+            self.sin = _frozen(sin if sin is not None else [])
             self.cheb = None
+            c, s = self.cos[1:], self.sin
+            w = (np.pad(c, (0, max(s.size - c.size, 0)))
+                 - 1j * np.pad(s, (0, max(c.size - s.size, 0))))
         else:
             if cos is not None or sin is not None:
                 raise ValueError("cos/sin coefficients are for torus potentials")
-            self.cheb = np.atleast_1d(np.asarray(cheb if cheb is not None else [0.0], float))
+            self.cheb = _frozen(cheb if cheb is not None else [0.0])
             self.cos = None
             self.sin = None
+            w = self.cheb[1:].astype(complex)
+        head = self.cos if domain == "torus" else self.cheb
+        if not head.size:
+            raise ValueError("a potential needs its constant term")
+        self.constant = float(head[0])
+        # w_k, k = 1..degree: c_k - i s_k on the torus, t_k on the interval
+        nz = np.flatnonzero(w)
+        self._w = w[:nz[-1] + 1] if nz.size else w[:0]
 
     @property
     def degree(self):
-        if self.domain == "torus":
-            deg = 0
-            if self.cos.size > 1:
-                nz = np.nonzero(self.cos[1:])[0]
-                if nz.size:
-                    deg = max(deg, int(nz[-1]) + 1)
-            if self.sin.size:
-                nz = np.nonzero(self.sin)[0]
-                if nz.size:
-                    deg = max(deg, int(nz[-1]) + 1)
-            return deg
-        nz = np.nonzero(self.cheb[1:])[0] if self.cheb.size > 1 else np.array([], int)
-        return int(nz[-1]) + 1 if nz.size else 0
+        return self._w.size
 
     @property
     def is_zero(self):
         return self.degree == 0 and self.constant == 0.0
-
-    @property
-    def constant(self):
-        """The constant term: c_0 on the torus, t_0 on the interval."""
-        return float(self.cos[0] if self.domain == "torus" else self.cheb[0])
 
     def trace_weights(self):
         """Complex weights w_k, k = 1..degree, of Tr V(E) in power traces.
@@ -75,17 +89,17 @@ class Potential:
         and count each pair once, so M is half the matrix size and
         w_k = t_k / 2.
         """
-        deg = self.degree
-        w = np.zeros(deg, complex)
-        if self.domain == "torus":
-            for k in range(1, deg + 1):
-                c_k = self.cos[k] if k < self.cos.size else 0.0
-                s_k = self.sin[k - 1] if k - 1 < self.sin.size else 0.0
-                w[k - 1] = c_k - 1j * s_k
-        else:
-            for k in range(1, deg + 1):
-                w[k - 1] = 0.5 * self.cheb[k]
-        return w
+        return self._w.copy() if self.domain == "torus" else 0.5 * self._w
+
+    def spectral_mean(self, traces, size):
+        """Tr V(E) / M from power traces Tr E^k, k = 1.., of size x size
+        matrices: the integral of V against the empirical spectral measure.
+
+        traces has shape (..., K) with K >= degree; M is atoms(size), so a
+        constant potential c0 gives exactly c0.
+        """
+        sums = (traces[..., :self.degree] @ self.trace_weights()).real
+        return self.constant + sums / self.atoms(size)
 
     def atoms(self, size):
         """The M of trace_weights for a matrix of this size: every eigenvalue

@@ -108,3 +108,37 @@ def reference_rk4_step(rhs, a, h):
     k3 = rhs(a + (0.5 * h) * k2)
     k4 = rhs(a + h * k3)
     return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def reference_degree(v):
+    """Degree of a Potential by scanning its coefficient arrays per domain:
+    the oracle of Potential.degree, which must match it exactly."""
+    if v.domain == "torus":
+        deg = 0
+        if v.cos.size > 1:
+            nz = np.nonzero(v.cos[1:])[0]
+            if nz.size:
+                deg = max(deg, int(nz[-1]) + 1)
+        if v.sin.size:
+            nz = np.nonzero(v.sin)[0]
+            if nz.size:
+                deg = max(deg, int(nz[-1]) + 1)
+        return deg
+    nz = np.nonzero(v.cheb[1:])[0] if v.cheb.size > 1 else np.array([], int)
+    return int(nz[-1]) + 1 if nz.size else 0
+
+
+def reference_trace_weights(v):
+    """Weights of Tr V(E) in power traces, one coefficient at a time: the
+    oracle of Potential.trace_weights, which must match it bit for bit."""
+    deg = reference_degree(v)
+    w = np.zeros(deg, complex)
+    if v.domain == "torus":
+        for k in range(1, deg + 1):
+            c_k = v.cos[k] if k < v.cos.size else 0.0
+            s_k = v.sin[k - 1] if k - 1 < v.sin.size else 0.0
+            w[k - 1] = c_k - 1j * s_k
+    else:
+        for k in range(1, deg + 1):
+            w[k - 1] = 0.5 * v.cheb[k]
+    return w

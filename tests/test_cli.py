@@ -415,6 +415,14 @@ class TestMinimize:
         assert "converge" in capsys.readouterr().err
         assert not (tmp_path / "minimize.json").exists()
 
+    def test_potential_off_the_domain_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["minimize", "--beta", "1", "--domain", "torus",
+                     "--potential", "t1=0.4", "--out", str(out)])
+        assert code == 2
+        assert "does not match" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_solver_flags_have_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["minimize", "--help"])

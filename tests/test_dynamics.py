@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ggelab.cmv_core import (
+    BoundaryMode,
     NumericalError,
     VerblunskyVector,
     build_periodic_cmv,
@@ -104,6 +105,15 @@ class TestRingSize:
     def test_flow_state_rejects_odd_or_tiny_rings(self, n):
         with pytest.raises(ValueError, match="even size >= 2"):
             FlowState(np.zeros(n, complex))
+
+    @pytest.mark.parametrize("last, mode", [
+        (1.0, BoundaryMode.LAST_ON_CIRCLE),
+        (-1.0, BoundaryMode.LAST_MINUS_ONE)])
+    def test_flow_state_rejects_a_boundary_entry(self, last, mode):
+        vector = VerblunskyVector(np.array([0.1, 0.2, 0.3, last], complex),
+                                  mode)
+        with pytest.raises(ValueError, match="all-interior"):
+            FlowState(vector)
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (5, 3)])
     def test_rhs_rejects_odd_rings(self, shape):

@@ -137,7 +137,7 @@ class TestFreeEnergyEstimate:
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FreeEnergyEstimate(0.0, -1.0)
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(TypeError, match="method"):
             FreeEnergyEstimate(0.0, 0.0, method="Jarzynski")
 
     def test_reproducible_under_seed(self):
@@ -145,6 +145,14 @@ class TestFreeEnergyEstimate:
         a = estimate_free_energy("al", COS, 1.0, rng=77, **kw)
         b = estimate_free_energy("al", COS, 1.0, rng=77, **kw)
         assert a.value == b.value and a.std_error == b.std_error
+
+    def test_needs_no_numpy_trapezoid(self, monkeypatch):
+        # np.trapezoid is numpy >= 2.0; the supported floor is 1.24
+        kw = dict(mcmc=McmcParams(sweeps=30), n=8, s_grid=(0.0, 0.4, 1.0))
+        want = estimate_free_energy("al", COS, 1.0, rng=5, **kw)
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        got = estimate_free_energy("al", COS, 1.0, rng=5, **kw)
+        assert got.value == want.value and got.std_error == want.std_error
 
     def test_al_tilt_lowers_value(self):
         fe = estimate_free_energy("al", COS, 1.0, mcmc=McmcParams(sweeps=300),
@@ -334,6 +342,8 @@ class TestRateFunction:
         rho = minimize_torus(COS, 1.0)
         with pytest.raises(ValueError, match="interval"):
             rate_function_value(rho, CHEB1, 1.0, side="jacobi")
+        with pytest.raises(ValueError, match="does not match"):
+            rate_function_value(rho, CHEB1, 1.0, side="circular")
         with pytest.raises(ValueError, match="side"):
             rate_function_value(rho, COS, 1.0, side="coulomb")
         with pytest.raises(ValueError, match="beta"):
