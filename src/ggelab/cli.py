@@ -211,7 +211,7 @@ def _batch_angles(batch):
     build = build_periodic_cmv if KINDS[batch.kind].periodic else build_cmv
     rows = np.empty((batch.n_samples, batch.size))
     for i in range(batch.n_samples):
-        rows[i] = np.sort(eigen_angles(build(batch.alphas[i].astype(complex))))
+        rows[i] = eigen_angles(build(batch.alphas[i]))
     return rows
 
 

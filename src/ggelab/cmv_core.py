@@ -16,12 +16,20 @@ Both variants are read from one closed-form band of five diagonals
 band: its dense matrix is a scatter of the band, and the factors L and M
 are formed on first use, as an independent check of the band.
 
-Power traces never touch an eigensolver: batch_trace_powers keeps E as
-one band (rows, 5, n) of closed-form diagonals, builds E^c only up to
-c = ceil(K/2) and reads each higher trace from two half powers,
-Tr E^(c + c') = sum_f <diag_f(E^c), shift_f(diag_-f(E^c'))>.  All K traces
-of a size-n row cost about 3 K^2 n multiply-adds (10 K^2 n by repeated
-banded multiplication), real for real coefficients, in fixed row blocks.
+Power traces never touch an eigensolver.  One kernel, _band_traces, takes
+a band of any half-width h and builds P_c = s B P_(c-1) - t P_(c-2) only up
+to c = ceil(K/2); every higher trace comes from two half powers,
+Tr P_(a+b) = s Tr(P_a P_b) - t Tr P_(a-b), one einsum over a strided view
+of the wider power's transposed band.  Complex and open rows run the
+five-diagonal CMV band with (s, t) = (1, 0), so P_c = E^c.  Real periodic
+rows run the three-diagonal band of X = J/2, half the size, where J is
+their Geronimus Jacobi matrix (geronimus_diagonals), with (s, t) = (2, 1):
+P_c is the Chebyshev polynomial T_c(X) and Tr E^k = 2 Tr T_k(X), with no
+detour through monomials, whose conversion to T_k amplifies rounding by
+about (1 + sqrt 2)^k.  All K traces of a size-n row cost about 3.5 K^2 n
+multiply-adds on the CMV band and 0.6 K^2 n on the Jacobi band, in fixed
+row blocks.  The same band gives the eigen-angles of a real ring: its n/2
+eigenvalues are the values cos(theta) of the conjugate pairs.
 
 A single-site chain needs only how Tr E and Tr E^2 change when one
 coefficient moves.  Both are sums of row terms over three neighbouring
@@ -30,12 +38,12 @@ three rows that contain the site, on Python scalars.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BoundaryMode",
@@ -53,6 +61,7 @@ __all__ = [
     "site_trace_increments",
     "periodic_diagonals",
     "open_diagonals",
+    "geronimus_diagonals",
     "e_plus",
     "trace_potential",
     "conserved_quantities",
@@ -236,23 +245,43 @@ def unitarity_residual(m):
     return float(np.abs(E.conj().T @ E - np.eye(m.n)).max())
 
 
+def _check_residual(resid, what):
+    """Raise NumericalError when a spectrum misses its set by more than 1e-9."""
+    if resid > 1e-9:
+        raise NumericalError(f"{what} by {resid:.3e}", residual=resid)
+
+
 def eigen_angles(m):
     """Sorted eigenvalue arguments in [-pi, pi).
 
+    A periodic matrix built from real coefficients takes its n/2 values
+    x = cos(theta) from a dense eigvalsh of its Geronimus Jacobi band X
+    (geronimus_diagonals) and returns the n angles +-arccos(x).  Complex
+    and open matrices, and matrices loaded from JSON, use a dense eigvals
+    of E.
+
     Raises NumericalError (with the offending residual) if the computed
-    spectrum strays from the unit circle by more than 1e-9 or if the
-    eigenvalue iteration fails.
+    spectrum strays from the unit circle, or x from [-1, 1], by more than
+    1e-9, or if the eigenvalue iteration fails.
     """
+    real_ring = (m.topology == "periodic" and m.alpha is not None
+                 and not np.iscomplexobj(m.alpha))
     try:
-        lam = np.linalg.eigvals(m.dense())
+        if real_ring:
+            x = np.linalg.eigvalsh(_scatter(geronimus_diagonals(m.alpha)))
+        else:
+            lam = np.linalg.eigvals(m.dense())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-    resid = float(np.abs(np.abs(lam) - 1.0).max())
-    if resid > 1e-9:
-        raise NumericalError(
-            f"spectrum off the unit circle by {resid:.3e}", residual=resid
-        )
-    angles = np.angle(lam)
+    if real_ring:
+        _check_residual(float(np.abs(x).max() - 1.0),
+                        "Jacobi spectrum outside [-1, 1]")
+        theta = np.arccos(np.clip(x, -1.0, 1.0))
+        angles = np.concatenate((theta, 0.0 - theta))  # +0, as np.angle
+    else:
+        _check_residual(float(np.abs(np.abs(lam) - 1.0).max()),
+                        "spectrum off the unit circle")
+        angles = np.angle(lam)
     angles[angles >= np.pi] = -np.pi
     return np.sort(angles)
 
@@ -415,6 +444,48 @@ def open_diagonals(alpha):
     return _band(*_extended(a, "open"))
 
 
+def geronimus_diagonals(alpha):
+    """The three diagonals of X = J/2 for real periodic coefficients, batched.
+
+    J is the (n/2) x (n/2) periodic Jacobi matrix of the Geronimus
+    relations (Simon, OPUC, Thm 13.1.7; Killip-Nenciu 2004), read with
+    indices mod n:
+
+        b_(k+1)   = (1 - alpha_(2k-1)) alpha_(2k) - (1 + alpha_(2k-1)) alpha_(2k-2),
+        a_(k+1)^2 = (1 - alpha_(2k-1)) (1 - alpha_(2k)^2) (1 + alpha_(2k+1)),
+
+    with b on the diagonal, a_(k+1) >= 0 joining rows k and k + 1, and the
+    corner a_(n/2) joining the last row to the first with sign +1.  Each
+    eigenvalue x of X, taken twice, is cos(theta) of a conjugate pair
+    exp(+-i theta) of the periodic CMV matrix, so Tr E^ell = 2 Tr T_ell(X).
+
+    Args:
+        alpha: real array (..., n) of interior coefficients, n even.
+
+    Returns:
+        array (..., 3, n/2) in the layout of periodic_diagonals: entry
+        [d + 1, k] holds the part of X[k, (k + d) mod n/2] reached at
+        offset d, and on rings of n/2 < 3 offsets that wrap add up.
+    """
+    a = np.asarray(alpha)
+    n = a.shape[-1]
+    _check_size(n, "periodic")
+    if np.iscomplexobj(a):
+        raise ValueError("the Geronimus relations need real coefficients")
+    rho = _interior_rho(np.abs(a))
+    back = np.concatenate((a[..., -2:], a[..., :-2]), axis=-1)
+    odd_before = back[..., 1::2]  # alpha_(2k-1); back[..., 0::2] is alpha_(2k-2)
+    minus = 1.0 - odd_before
+    band = np.empty(a.shape[:-1] + (3, n // 2))
+    band[..., 1, :] = 0.5 * (minus * a[..., 0::2]
+                             - (1.0 + odd_before) * back[..., 0::2])
+    band[..., 2, :] = 0.5 * rho[..., 0::2] * np.sqrt(minus
+                                                     * (1.0 + a[..., 1::2]))
+    band[..., 0, 1:] = band[..., 2, :-1]
+    band[..., 0, 0] = band[..., 2, -1]
+    return band
+
+
 _DIAGONALS = {"periodic": periodic_diagonals, "open": open_diagonals}
 
 
@@ -430,90 +501,176 @@ def _pattern(n, topology):
 
 
 def _scatter(band):
-    """The dense matrix of a band (5, n); offsets that wrap onto one entry
-    of a small ring add up, and an open band is zero outside the matrix."""
-    n = band.shape[-1]
+    """The dense matrix of a band (2h + 1, n); offsets that wrap onto one
+    entry of a small ring add up, and an open band is zero outside the
+    matrix."""
+    n, h = band.shape[-1], band.shape[0] // 2
     dense = np.zeros((n, n), band.dtype)
     i = np.arange(n)
-    for d in range(-2, 3):
-        dense[i, (i + d) % n] += band[d + 2]
+    for d in range(-h, h + 1):
+        dense[i, (i + d) % n] += band[d + h]
     return dense
 
 
-def _diagonal_sum(power, n):
-    """Tr of a banded power; the offsets that are multiples of n (only 0
-    once n exceeds the bandwidth) lie on the diagonal."""
-    half = power.shape[1] // 2
-    return power[:, np.arange(-half, half + 1) % n == 0].sum(axis=(1, 2))
+def _diagonal_sum(band, n):
+    """Tr of a band (rows, 2w + 1, n); the offsets that are multiples of n
+    (only 0 once n exceeds the bandwidth) lie on the diagonal."""
+    return band[:, band.shape[1] // 2 % n::n].sum(axis=(1, 2))
+
+
+def _strided(buf, row, col, shape, steps):
+    """The view v[r, ...] of a power buffer (rows, height, width) that starts
+    at buf[r, row, col] and moves by steps[k] = (rows, columns) along axis
+    k + 1.  The ndarray constructor checks that the view stays inside buf."""
+    s_row, s_off, s_site = buf.strides
+    return np.ndarray((buf.shape[0],) + shape, buf.dtype, buf,
+                      offset=row * s_off + col * s_site,
+                      strides=(s_row,) + tuple(dr * s_off + dc * s_site
+                                               for dr, dc in steps))
+
+
+def _power_buffer(rows, w, h, n, dtype):
+    """Zeroed buffer of a power of half-width w of a band of half-width h:
+    offset g at the centre row plus g, site i at column w + i between w
+    halo columns on each side.  2h zero rows on each side let the band
+    product read past the power; on rings of n <= 2w, 2w more let
+    _pair_trace read every offset that wraps onto the diagonal."""
+    pad = 2 * h + (2 * w if 2 * w >= n else 0)
+    return np.zeros((rows, 2 * (w + pad) + 1, n + 2 * w), dtype)
+
+
+def _power_rows(buf, n):
+    """The 2w + 1 offset rows of a power buffer, halo columns included."""
+    w, centre = (buf.shape[2] - n) // 2, buf.shape[1] // 2
+    return buf[:, centre - w:centre + w + 1]
+
+
+def _wrap(rows, n):
+    """Fill the halo columns of power rows from their n site columns, so
+    that column w + i holds site i mod n (on rings of n < w, many times)."""
+    w = (rows.shape[2] - n) // 2
+    for lo in range(w - n, -n, -n):
+        first = max(lo, 0)
+        rows[:, :, first:lo + n] = rows[:, :, w + first - lo:w + n]
+    for lo in range(w + n, n + 2 * w, n):
+        last = min(lo + n, n + 2 * w)
+        rows[:, :, lo:last] = rows[:, :, w:w + last - lo]
+
+
+def _next_power(sb, prev, prev2, t):
+    """The buffer of P_c = (s B) P_(c-1) - t P_(c-2) from the buffers of
+    P_(c-1) and P_(c-2) (None for P_0 = I).  The strided view
+    shifted[r, d, f, i] = P_(c-1)[f - d][i + d] of the previous buffer makes
+    the band product one einsum."""
+    rows, width, n = sb.shape
+    h = width // 2
+    w0 = (prev.shape[2] - n) // 2
+    w = w0 + h
+    cur = _power_buffer(rows, w, h, n, np.result_type(sb, prev))
+    shifted = _strided(prev, prev.shape[1] // 2 - w0, w0 - h,
+                       (width, 2 * w + 1, n), ((-1, 1), (1, 0), (0, 1)))
+    core = _power_rows(cur, n)
+    np.einsum("rdi,rdfi->rfi", sb, shifted, out=core[..., w:w + n])
+    if t and prev2 is None:
+        core[:, w, w:w + n] -= t
+    elif t:
+        w2 = w0 - h
+        core[:, 2 * h:2 * h + 2 * w2 + 1, w:w + n] -= \
+            t * _power_rows(prev2, n)[..., w2:w2 + n]
+    _wrap(core, n)
+    return cur
 
 
 def _pair_trace(a, b, n):
-    """Tr(A B) from the bands of A and B: offset f of A meets the offsets
-    g of B with f + g = 0 mod n, read at the rows i + f."""
-    ha, hb = a.shape[1] // 2, b.shape[1] // 2
-    f, g = np.nonzero((np.arange(-ha, ha + 1)[:, None]
-                       + np.arange(-hb, hb + 1)) % n == 0)
-    cols = (np.arange(n) + (f - ha)[:, None]) % n
-    rows = a.shape[0]
-    return (a[:, f].reshape(rows, 1, -1)
-            @ b[:, g[:, None], cols].reshape(rows, -1, 1))[:, 0, 0]
+    """Tr(A B) from the buffers of two powers, B no wider than A.
 
-
-def _band_traces(band, ell_max):
-    """Tr E^ell, ell = 1..ell_max, for each row of a band (rows, 5, n).
-
-    E^c, c <= ceil(ell_max / 2), lives in one of two buffers: offset row g
-    at row 4 + g between zero rows, site j at column 2 + j between two
-    wrapped halo columns, so the strided view shifted[r, d, f, i] =
-    P[f - d][(i + d - 2) mod n] makes E P one einsum.  Wrapping is exact
-    on the open topology too, whose bands are zero wherever i + d leaves
-    the matrix.  Tr E^(2c-1) and Tr E^(2c) pair E^c with E^(c-1) and E^c.
+    Offset g of B at row i meets the offsets f = m n - g of A at row
+    i + g, for each multiple m n of n that the two half-widths reach (only
+    m = 0 once n exceeds them).  These entries of A lie on one strided view
+    of its buffer, anti-diagonal in (g, i) and read through the halo
+    columns, so the trace is one einsum and nothing is gathered.
     """
-    rows, _, n = band.shape
-    half = -(-ell_max // 2)
+    wa, wb = (a.shape[2] - n) // 2, (b.shape[2] - n) // 2
+    reach = (wa + wb) // n
+    transposed = _strided(a, a.shape[1] // 2 - reach * n + wb, wa - wb,
+                          (2 * reach + 1, 2 * wb + 1, n),
+                          ((n, 0), (-1, 1), (0, 1)))
+    return np.einsum("rgi,rmgi->r", _power_rows(b, n)[..., wb:wb + n],
+                     transposed)
+
+
+def _band_traces(band, ell_max, s=1, t=0):
+    """Tr P_k, k = 1..ell_max, for each row of a band (rows, 2h + 1, n) of a
+    matrix B, where P_0 = I, P_1 = B and P_c = s B P_(c-1) - t P_(c-2).
+
+    (s, t) = (1, 0) gives the powers B^c of a CMV band, (2, 1) the
+    Chebyshev polynomials T_c(B) of a Jacobi band.  P_c has half-width h c
+    and is built only up to c = ceil(ell_max / 2), in its own buffer
+    (_power_buffer).  Past Tr B, every trace comes from the one pair rule
+
+        Tr P_k = s Tr(P_a P_b) - t Tr P_(a - b),  a = ceil(k/2), b = floor(k/2),
+
+    so no value depends on ell_max.  Halo columns wrap the ring, which is
+    exact on the open topology too, whose bands are zero wherever i + d
+    leaves the matrix.
+    """
+    rows, width, n = band.shape
     out = np.empty((rows, ell_max), band.dtype)
-    bufs = np.zeros((2, rows, 4 * max(half, 1) + 9, n + 4), band.dtype)
-    bufs[0, :, 4:9, 2:n + 2] = band
-    for c in range(1, half + 1):
-        width = 4 * c + 1
-        cur, prev = bufs[(c - 1) % 2], bufs[c % 2]
-        if c > 1:
-            s_row, s_off, s_site = prev.strides
-            shifted = as_strided(prev[:, 4:], (rows, 5, width, n),
-                                 (s_row, s_site - s_off, s_off, s_site),
-                                 writeable=False)
-            np.einsum("rdi,rdfi->rfi", band, shifted,
-                      out=cur[:, 4:4 + width, 2:n + 2])
-        cur[:, 4:4 + width, :2] = cur[:, 4:4 + width, n:n + 2]
-        cur[:, 4:4 + width, n + 2:] = cur[:, 4:4 + width, 2:4]
-        power = cur[:, 4:4 + width, 2:n + 2]
-        out[:, c - 1] = _diagonal_sum(power, n)
-        if half < 2 * c - 1 <= ell_max:
-            out[:, 2 * c - 2] = _pair_trace(power, prev[:, 4:width, 2:n + 2],
-                                            n)
-        if half < 2 * c <= ell_max:
-            out[:, 2 * c - 1] = _pair_trace(power, power, n)
+    if not ell_max:
+        return out
+    h = width // 2
+    out[:, 0] = _diagonal_sum(band, n)
+    sb = s * band
+    prev2 = prev = None
+    for c in range(1, -(-ell_max // 2) + 1):
+        if c == 1:
+            cur = _power_buffer(rows, h, h, n, band.dtype)
+            core = _power_rows(cur, n)
+            core[..., h:h + n] = band
+            _wrap(core, n)
+        else:
+            cur = _next_power(sb, prev, prev2, t)
+            out[:, 2 * c - 2] = s * _pair_trace(cur, prev, n) - t * out[:, 0]
+        if 2 * c <= ell_max:
+            out[:, 2 * c - 1] = s * _pair_trace(cur, cur, n) - t * n
+        prev2, prev = prev, cur
     return out
 
 
 def trace_power(m, ell):
     """Tr E^ell of a built matrix, through the banded kernel of
     batch_trace_powers applied to its band."""
-    ell = int(ell)
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    ell = _power_count(ell, "ell")
     if ell == 0:
         return complex(m.n)
     return complex(_band_traces(m.band[None], ell)[0, -1])
 
 
+def _power_count(value, name):
+    """`value` as an int >= 0: raises TypeError, naming the argument, for a
+    value that is not integral (2.5, "3"), and ValueError for a negative one."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if k < 0:
+        raise ValueError(f"{name} must be >= 0, got {k}")
+    return k
+
+
 def batch_trace_powers(alpha, ell_max, topology="periodic"):
     """Tr E^ell for ell = 1..ell_max over a batch of coefficient vectors.
+
+    Real periodic rows go through their Geronimus Jacobi band X
+    (geronimus_diagonals), whose spectrum cos(theta) carries each conjugate
+    pair of eigenvalues of E once: Tr E^ell = 2 Tr T_ell(X).  Complex and
+    open rows go through the CMV band.  Both run the one kernel
+    _band_traces, in fixed row blocks.
 
     Args:
         alpha: array (batch, n); periodic rows hold n (even) interior
             coefficients, open rows end with a unimodular entry.
-        ell_max: highest power.
+        ell_max: highest power, an integer >= 0.
         topology: "periodic" or "open".
 
     Returns:
@@ -522,13 +679,18 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
     """
     a = np.atleast_2d(np.asarray(alpha))
     _check_size(a.shape[-1], topology)
-    diagonals = _DIAGONALS[topology]
-    ell_max = int(ell_max)
+    ell_max = _power_count(ell_max, "ell_max")
+    real_ring = topology == "periodic" and not np.iscomplexobj(a)
     out = np.empty((a.shape[0], ell_max),
                    complex if np.iscomplexobj(a) else float)
     for lo in range(0, a.shape[0], _BLOCK):
-        out[lo:lo + _BLOCK] = _band_traces(diagonals(a[lo:lo + _BLOCK]),
-                                           ell_max)
+        block = a[lo:lo + _BLOCK]
+        if real_ring:
+            out[lo:lo + _BLOCK] = 2 * _band_traces(geronimus_diagonals(block),
+                                                   ell_max, 2, 1)
+        else:
+            out[lo:lo + _BLOCK] = _band_traces(_DIAGONALS[topology](block),
+                                               ell_max)
     return out
 
 

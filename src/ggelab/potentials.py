@@ -96,9 +96,12 @@ class Potential:
         matrices: the integral of V against the empirical spectral measure.
 
         traces has shape (..., K) with K >= degree; M is atoms(size), so a
-        constant potential c0 gives exactly c0.
+        constant potential c0 gives exactly c0.  Each row is reduced on its
+        own (einsum, not a BLAS matrix-vector product), so a single row gives
+        the same bits as that row of a batch.
         """
-        sums = (traces[..., :self.degree] @ self.trace_weights()).real
+        sums = np.einsum("...k,k->...", traces[..., :self.degree],
+                         self.trace_weights()).real
         return self.constant + sums / self.atoms(size)
 
     def atoms(self, size):

@@ -263,6 +263,125 @@ def test_batched_trace_powers_match_loop():
             assert abs(traces[b, ell - 1] - cc.trace_power(m, ell)) <= 1e-10
 
 
+# ------------------------------------------------- Geronimus Jacobi band
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 32, 128, 256])
+def test_geronimus_spectrum_is_the_cmv_cosine_spectrum(n):
+    # each eigenvalue x of X = J/2, taken twice, is cos(theta) of a conjugate
+    # pair; rings of n = 2 and 4 wrap the corner onto the inner offsets
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        alpha = random_interior_alpha(rng, n, rmax=0.95, real=True)
+        band = cc.geronimus_diagonals(alpha[None])[0]
+        assert band.shape == (3, n // 2)
+        x = np.linalg.eigvalsh(cc._scatter(band))
+        lam = np.linalg.eigvals(cc.build_periodic_cmv(alpha).dense())
+        assert np.abs(np.sort(np.r_[x, x]) - np.sort(lam.real)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 32, 64])
+def test_chebyshev_traces_match_the_cmv_band_kernel(n):
+    # real rings take Tr E^k = 2 Tr T_k(X); the CMV band kernel and the
+    # eigenvalue sums stay the oracle
+    rng = np.random.default_rng(400 + n)
+    alphas = np.stack([random_interior_alpha(rng, n, rmax=0.95, real=True)
+                       for _ in range(5)])
+    got = cc.batch_trace_powers(alphas, 16)
+    oracle = cc._band_traces(cc.periodic_diagonals(alphas), 16)
+    assert got.dtype == oracle.dtype == np.float64
+    assert np.abs(got - oracle).max() <= 1e-12 * n
+    for row, traces in zip(alphas, got):
+        lam = np.linalg.eigvals(cc.build_periodic_cmv(row).dense())
+        sums = (lam[:, None] ** np.arange(1, 17)).sum(axis=0)
+        assert np.abs(traces - sums).max() <= 1e-12 * n
+
+
+def test_geronimus_diagonals_check_their_input():
+    with pytest.raises(ValueError, match="real coefficients"):
+        cc.geronimus_diagonals(np.full(4, 0.1 + 0.1j))
+    with pytest.raises(ValueError, match="even"):
+        cc.geronimus_diagonals(np.zeros(5))
+    for bad in (np.array([0.2, 1.0]), np.array([np.nan, 0.1])):
+        with pytest.raises(ValueError, match=r"\|alpha_j\| < 1"):
+            cc.geronimus_diagonals(bad)
+
+
+@pytest.mark.parametrize("topology, real", [("periodic", True),
+                                            ("periodic", False),
+                                            ("open", True), ("open", False)])
+def test_traces_do_not_depend_on_ell_max(topology, real):
+    # every Tr P_k comes from one pair rule, so a column is the same bits
+    # whatever the number of columns asked for
+    for n in (2, 4, 6, 12, 40):
+        if topology == "open" and n == 2:
+            continue
+        alphas = np.stack([_random_matrix(RNG, n, topology, real)[0]
+                           for _ in range(20)])
+        full = cc.batch_trace_powers(alphas, 16, topology)
+        for ell_max in range(16):
+            assert np.array_equal(
+                cc.batch_trace_powers(alphas, ell_max, topology),
+                full[:, :ell_max]), (n, ell_max)
+
+
+@pytest.mark.parametrize("power, error", [
+    (2.5, TypeError), ("3", TypeError), (None, TypeError), (2.0, TypeError),
+    (-1, ValueError),
+])
+def test_powers_must_be_nonnegative_integers(power, error):
+    m = cc.build_periodic_cmv(np.array([0.1, 0.2, -0.3, 0.4]))
+    with pytest.raises(error, match="ell_max"):
+        cc.batch_trace_powers(m.alpha, power)
+    with pytest.raises(error, match="ell "):
+        cc.trace_power(m, power)
+
+
+def test_numpy_integer_powers_are_accepted():
+    alpha = np.array([0.1, 0.2, -0.3, 0.4])
+    m = cc.build_periodic_cmv(alpha)
+    want = cc.batch_trace_powers(alpha, 3)
+    assert np.array_equal(cc.batch_trace_powers(alpha, np.int64(3)), want)
+    assert cc.trace_power(m, np.int32(3)) == cc.trace_power(m, 3)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 32, 128, 256])
+def test_real_ring_eigen_angles_match_the_dense_spectrum(n):
+    # arccos loses accuracy near x = +-1, as does the dense pair split, so x
+    # is compared directly and |theta| within 1e-13 / |sin theta|; a pair
+    # near -1 may sit at -pi on one path and at +-(pi - eps) on the other
+    rng = np.random.default_rng(500 + n)
+    for _ in range(3):
+        alpha = random_interior_alpha(rng, n, rmax=0.95, real=True)
+        m = cc.build_periodic_cmv(alpha)
+        got = cc.eigen_angles(m)
+        dense = cc.eigen_angles(cc.CmvMatrix.from_json(m.to_json()))
+        assert got.shape == (n,) and np.all(np.diff(got) >= 0)
+        assert got.min() >= -np.pi and got.max() < np.pi
+        assert np.abs(np.sort(np.cos(got))
+                      - np.sort(np.cos(dense))).max() <= 1e-13
+        got, dense = np.sort(np.abs(got)), np.sort(np.abs(dense))
+        bound = 1e-13 / np.maximum(np.abs(np.sin(dense)), 1e-300)
+        assert np.all(np.abs(got - dense) <= bound)
+
+
+def test_real_ring_eigen_angles_at_the_band_edges():
+    # theta = pi is reported as -pi and theta = 0 as +0, as on the dense path
+    for n, want in ((2, [0.0, 0.0]), (4, [-np.pi, -np.pi, 0.0, 0.0])):
+        angles = cc.eigen_angles(cc.build_periodic_cmv(np.zeros(n)))
+        assert np.array_equal(angles, want)
+        assert not np.any(np.signbit(angles[angles == 0.0]))
+
+
+def test_real_ring_eigen_angles_reject_a_spectrum_off_the_interval(
+        monkeypatch):
+    m = cc.build_periodic_cmv(np.array([0.1, 0.2, -0.3, 0.4]))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.array([-0.5, 1.0 + 2e-9]))
+    with pytest.raises(cc.NumericalError, match=r"outside \[-1, 1\]") as info:
+        cc.eigen_angles(m)
+    assert info.value.residual == pytest.approx(2e-9, rel=1e-6)
+
+
 # the four ensemble kinds' coefficient vectors: (topology, real, last entry)
 SITE_CASES = {
     "al": ("periodic", False), "schur": ("periodic", True),
