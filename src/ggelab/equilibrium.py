@@ -93,8 +93,8 @@ class SolverParams:
     def __post_init__(self):
         if not 0 < self.damping <= 1:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.grid_size < 16:
@@ -128,6 +128,17 @@ def _potential_callable(v, domain):
     raise TypeError(f"potential must be None, Potential, or callable, got {type(v).__name__}")
 
 
+def _potential_values(v, domain, points):
+    """V at the grid points, a constant V broadcast to every point."""
+    vv = np.asarray(_potential_callable(v, domain)(points), dtype=float)
+    return np.full(points.size, float(vv)) if vv.shape == () else vv
+
+
+def _check_beta(beta):
+    if not (beta > 0 and np.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def _log_cosh(t):
     a = np.abs(t)
     return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
@@ -142,7 +153,7 @@ class GridDensity:
     sigma(theta) sin(theta) on the uniform grid in t = ln tan(theta/2) over
     [-T, T] with trapezoid weights, plus the two analytic edge masses (near
     x = +1 and x = -1); a torus density has none.  ``signed`` marks
-    finite-difference outputs, which may carry small negative values.
+    beta-derivative measures, which may carry small negative values.
     """
 
     def __init__(self, domain, values, edge_masses=(0.0, 0.0), *, residual=None,
@@ -394,50 +405,65 @@ def _torus_L(values, h, phase, kk):
     return -np.real(np.fft.fft(c))
 
 
-def minimize_torus(v, beta, params=None, init_values=None):
-    """Minimize f_beta^V by an accelerated damped log-space fixed point.
+def _centered_sup(res):
+    """Sup norm of a residual up to its free additive constant."""
+    return float(np.max(np.abs(res - res.mean())))
 
-    The Euler-Lagrange condition is rho ∝ exp(-V + 2 beta L[rho]) with
-    L[rho](theta) = -sum_k Re(mu_k e^{-ik theta})/k computed by FFT.  Updates
-    are damped per Fourier mode, gamma_k = gamma / (1 + 2 beta / k), which
-    keeps the iteration contractive for all beta (a mode-independent damping
-    corresponds to the update rho_{n+1} = normalize(rho_n^{1-gamma} target^gamma)
-    and destabilizes low modes once 2 beta > 1).  _fixed_point accelerates
-    this damped map and stops on its step.  Returns the density with
-    Euler-Lagrange residual and iteration count attached.
+
+def _torus_problem(v, beta, params):
+    """The torus fixed point at grid size m: V on the grid, the spacing h,
+    the field L[rho] and the damped step of a log-space difference.
+
+    Updates are damped per Fourier mode, gamma_k = gamma / (1 + 2 beta / k),
+    which keeps the iteration contractive for all beta (a mode-independent
+    damping corresponds to rho_{n+1} = normalize(rho_n^{1-gamma}
+    target^gamma) and destabilizes low modes once 2 beta > 1).  The circle
+    has no edge masses, so the field ignores any.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    params = params or SolverParams()
     m = params.grid_size
     theta, h = _torus_grid(m)
-    vfun = _potential_callable(v, "torus")
-    vv = np.asarray(vfun(theta), dtype=float)
-    if vv.shape == ():
-        vv = np.full(m, float(vv))
     k = np.arange(m)
     kfold = np.abs(((k + m // 2) % m) - m // 2).astype(float)
     damp = params.damping / (1.0 + 2.0 * beta / np.maximum(kfold, 1.0))
     phase = _torus_phase(k, h)
     kk = np.arange(1, m // 2)
 
+    def field(values, *edges):
+        return _torus_L(values, h, phase, kk)
+
+    def damped(diff):
+        return np.real(np.fft.fft(np.fft.ifft(diff - diff.mean()) * damp))
+
+    return _potential_values(v, "torus", theta), h, field, damped
+
+
+def minimize_torus(v, beta, params=None, init_values=None):
+    """Minimize f_beta^V by an accelerated damped log-space fixed point.
+
+    The Euler-Lagrange condition is rho ∝ exp(-V + 2 beta L[rho]) with
+    L[rho](theta) = -sum_k Re(mu_k e^{-ik theta})/k computed by FFT, each
+    mode damped as in _torus_problem.  _fixed_point accelerates this damped
+    map and stops on its step.  Returns the density with Euler-Lagrange
+    residual and iteration count attached.
+    """
+    _check_beta(beta)
+    params = params or SolverParams()
+    vv, h, field, damped = _torus_problem(v, beta, params)
+
     def normalize(lnr):
         return lnr - np.log(np.sum(np.exp(lnr)) * h)
 
     def step_map(lnr):
-        diff = -vv + 2 * beta * _torus_L(np.exp(lnr), h, phase, kk) - lnr
-        diff -= diff.mean()
-        step = np.real(np.fft.fft(np.fft.ifft(diff) * damp))
+        step = damped(-vv + 2 * beta * field(np.exp(lnr)) - lnr)
         return normalize(lnr + step), float(np.max(np.abs(step)))
 
     if init_values is not None:
-        lnr = normalize(_initial_log(init_values, m))
+        lnr = normalize(_initial_log(init_values, vv.size))
     else:
-        lnr = np.full(m, -np.log(2 * np.pi))
+        lnr = np.full(vv.size, -np.log(2 * np.pi))
     lnr, iterations = _fixed_point(step_map, lnr, params)
     rho = np.exp(lnr)
-    res = lnr + vv - 2 * beta * _torus_L(rho, h, phase, kk)
-    residual = float(np.max(np.abs(res - res.mean())))
+    residual = _centered_sup(lnr + vv - 2 * beta * field(rho))
     pot_meta = v if isinstance(v, Potential) else None
     return GridDensity("torus", rho, residual=residual, iterations=iterations, beta=beta,
                        potential=pot_meta)
@@ -451,8 +477,7 @@ def free_energy_torus(rho, v, beta):
     the displayed +beta log 2 of the functional; the two log 2 terms are what
     make the V = 0 minimal value equal beta log 2).  entropy uses 0 log 0 = 0.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if rho.domain != "torus":
         raise ValueError("free_energy_torus expects a torus density")
     if np.any(rho.values < 0):
@@ -587,6 +612,24 @@ def _edge_exponent(ln_p, h, end):
     return -slope - 1.0
 
 
+def _interval_problem(v, beta, params):
+    """The interval fixed point at grid size m: V on the t-grid, the cached
+    operator of _interval_operator, the field of a grid density P with edge
+    masses (gm, gp), and the damped step of a log-space difference."""
+    op = _interval_operator(params.grid_size)
+    t, h = op["t"], op["h"]
+    freq = np.fft.rfftfreq(t.size, d=h) * 2 * np.pi
+    damp = params.damping / (1.0 + np.pi * beta / np.maximum(freq, freq[1]))
+
+    def field(p, gm, gp):
+        return _log_field(op, p) + 2 * gm * op["k0"] + 2 * gp * op["kpi"]
+
+    def damped(diff):
+        return np.fft.irfft(np.fft.rfft(diff - diff.mean()) * damp, t.size)
+
+    return _potential_values(v, "interval", -np.tanh(t)), op, field, damped
+
+
 def minimize_interval(v, beta, params=None, init_values=None):
     """Minimize q_beta^V via the Euler-Lagrange fixed point in t-coordinates.
 
@@ -597,22 +640,18 @@ def minimize_interval(v, beta, params=None, init_values=None):
     two analytic edge masses.  The damped map is accelerated and stopped by
     _fixed_point, as in minimize_torus.  Raises EndpointSingularityError when
     an edge mass grows beyond what the tail model resolves (beta too small).
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    params = params or SolverParams()
-    op = _interval_operator(params.grid_size)
-    t, h, w = op["t"], op["h"], op["w"]
-    x = -np.tanh(t)
-    vfun = _potential_callable(v, "interval")
-    vv = np.asarray(vfun(x), dtype=float)
-    if vv.shape == ():
-        vv = np.full(t.size, float(vv))
-    freq = np.fft.rfftfreq(t.size, d=h) * 2 * np.pi
-    damp = params.damping / (1.0 + np.pi * beta / np.maximum(freq, freq[1]))
 
-    def field(p, gm, gp):
-        return _log_field(op, p) + 2 * gm * op["k0"] + 2 * gp * op["kpi"]
+    The grid spans t in [-T, T] with T = max(36, 0.04 m) (_interval_grid),
+    so from m of about 900 on the spacing stays near 0.08 and a larger
+    grid_size only widens the span; the O(spacing^2) quadrature bias then
+    stops shrinking (at beta = 1, V = 0 the second coefficient of the
+    beta-derivative measure misses 1/9 by -1.26e-4 for every m from 1024
+    to 8192).
+    """
+    _check_beta(beta)
+    params = params or SolverParams()
+    vv, op, field, damped = _interval_problem(v, beta, params)
+    t, h, w = op["t"], op["h"], op["w"]
 
     def step_map(ln_p):
         p = np.exp(ln_p)
@@ -624,9 +663,7 @@ def minimize_interval(v, beta, params=None, init_values=None):
                 f"edge mass {max(gm, gp):.3f} exceeds the resolvable tail "
                 f"(beta = {beta} too small); local angle-density exponent {expo:.3f}",
                 exponent=expo)
-        diff = -vv + 2 * beta * field(p, gm, gp) - ln_p
-        diff -= diff.mean()
-        step = np.fft.irfft(np.fft.rfft(diff) * damp, t.size)
+        step = damped(-vv + 2 * beta * field(p, gm, gp) - ln_p)
         return _interval_normalize(ln_p + step, w, beta), float(np.max(np.abs(step)))
 
     if init_values is not None:
@@ -636,8 +673,7 @@ def minimize_interval(v, beta, params=None, init_values=None):
     ln_p, iterations = _fixed_point(step_map, _interval_normalize(ln_p, w, beta), params)
     p = np.exp(ln_p)
     gm, gp = _charges(p, beta)
-    res = ln_p + vv - 2 * beta * field(p, gm, gp)
-    residual = float(np.max(np.abs(res - res.mean())))
+    residual = _centered_sup(ln_p + vv - 2 * beta * field(p, gm, gp))
     pot_meta = v if isinstance(v, Potential) else None
     return GridDensity("interval", p, (gm, gp), residual=residual, iterations=iterations,
                        beta=beta, potential=pot_meta)
@@ -655,8 +691,7 @@ def free_energy_interval(rho, v, beta):
     entropy G (ln 2 beta - 2 ln Y - 2), Y = 1/G, and pair self-energy
     G^2 ln 2 - (2/beta)(1/Y - (Y - 2 beta T)/(2 Y^2)).
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if rho.domain != "interval":
         raise ValueError("free_energy_interval expects an interval density")
     if np.any(rho.values < 0):
@@ -694,44 +729,57 @@ def _tail_entropy(g, beta):
 # -- beta derivative -----------------------------------------------------
 
 
-def _fd_combine(plus, minus, beta, delta):
-    """Central difference [(b+d) mu_{b+d} - (b-d) mu_{b-d}] / (2d) on a shared grid."""
-    vals = ((beta + delta) * plus.values - (beta - delta) * minus.values) / (2 * delta)
-    gm = ((beta + delta) * plus.edge_masses[0] - (beta - delta) * minus.edge_masses[0]) / (2 * delta)
-    gp = ((beta + delta) * plus.edge_masses[1] - (beta - delta) * minus.edge_masses[1]) / (2 * delta)
-    worst = float(vals.min())
+def beta_derivative_measure(v, beta, params=None, domain=None):
+    """nu = d/dbeta (beta mu_beta^V), exactly, from one solve at beta.
+
+    Differentiating the discrete Euler-Lagrange fixed point
+    ln rho = -V + 2 beta field[rho] + c in beta gives the linear fixed point
+
+        nu = rho (1 + 2 beta field[nu] + c'),   mass(nu) = 1,
+
+    where mass(nu) = 1 because d/dbeta (beta * 1) = 1.  On the torus the
+    field is L.  On the interval it also carries the point fields of the
+    edge masses: beta G = sqrt(beta P_end / 2) gives nu's edge masses
+    G_nu = nu_end G / (2 P_end).  The linear problem is iterated in
+    psi = nu / rho - 1 with the minimizer's own damped step and
+    _fixed_point, which is the minimizer's map linearized at rho.
+    ``residual`` covers both solves and ``iterations`` counts both.
+
+    The domain is ``domain`` when given, else the potential's, else the
+    torus; a potential on the other domain raises ValueError.
+    """
+    _check_beta(beta)
+    if domain is None:
+        domain = v.domain if isinstance(v, Potential) else "torus"
+    if domain not in ("torus", "interval"):
+        raise ValueError(f"unknown domain {domain!r}")
+    params = params or SolverParams()
+    # looked up by name at call time, so that wrappers of the minimizers see the solve
+    if domain == "torus":
+        rho = minimize_torus(v, beta, params)
+        _, _, field, damped = _torus_problem(v, beta, params)
+    else:
+        rho = minimize_interval(v, beta, params)
+        _, _, field, damped = _interval_problem(v, beta, params)
+    p, w = rho.values, rho.weights
+    half = 0.5 * np.array(rho.edge_masses)
+
+    def measure(psi):
+        return p * (1 + psi), half * (1 + psi[[0, -1]])
+
+    def step_map(psi):
+        nu, edges = measure(psi)
+        step = damped(2 * beta * field(nu, *edges) - psi)
+        nu, edges = measure(psi + step)
+        shift = (1 - w @ nu - edges.sum()) / (w @ p + half.sum())
+        return psi + step + shift, float(np.max(np.abs(step)))
+
+    psi, iterations = _fixed_point(step_map, np.zeros(p.size), params)
+    nu, edges = measure(psi)
+    worst = float(nu.min())
     if worst < -1e-6:
         warnings.warn(f"beta-derivative density dips to {worst:.3e}; clipping applies only on export")
-    out = GridDensity(plus.domain, vals, (gm, gp), signed=True, beta=plus.beta,
-                      potential=plus.potential)
-    if plus.residual is not None and minus.residual is not None:
-        out.residual = max(plus.residual, minus.residual)
-    return out
-
-
-def beta_derivative_measure(v, beta, delta=None, params=None, domain=None):
-    """nu = d/dbeta (beta mu_beta^V) by central finite difference.
-
-    Solves at beta +- delta on the shared grid and combines pointwise; the
-    result has mass exactly 1 because d/dbeta (beta * 1) = 1.  delta defaults
-    to 0.05 beta.  The domain comes from the potential when present, else the
-    ``domain`` argument ("torus" by default).
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if delta is None:
-        delta = 0.05 * beta
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if delta >= beta:
-        raise ValueError(f"delta = {delta} must be smaller than beta = {beta}")
-    if isinstance(v, Potential):
-        dom = v.domain
-    else:
-        dom = domain or "torus"
-    solver = minimize_torus if dom == "torus" else minimize_interval
-    plus = solver(v, beta + delta, params)
-    minus = solver(v, beta - delta, params)
-    out = _fd_combine(plus, minus, beta, delta)
-    out.beta = beta
-    return out
+    residual = _centered_sup(psi - 2 * beta * field(nu, *edges))
+    return GridDensity(domain, nu, edges, signed=True, beta=beta, potential=rho.potential,
+                       residual=max(rho.residual, residual),
+                       iterations=rho.iterations + iterations)

@@ -7,9 +7,15 @@ This module closes the loop between the Monte Carlo side of the package
   monotone bound variable Z_h with density h w^(h-1),
 * exponential-moment comparisons of Z_h against one-dimensional quadrature,
 * free energies by thermodynamic integration over a coupling constant,
+* the free-energy relation: the lattice thermodynamic integral against
+  d/dbeta [beta F_C] of the circular free energy,
 * a consistency check of the sampled density of states against the
   beta-derivative of the variational minimizer,
 * the rate function value f(mu) - min f of a candidate density.
+
+Both beta-derivatives are exact, from one solve at beta: the
+density-of-states target through equilibrium.beta_derivative_measure, the
+free-energy derivative by the envelope theorem.
 
 Free energies are normalized so that V = 0 gives exactly zero: the torus
 (circular) value is the minimized functional minus beta log 2, the lattice
@@ -27,8 +33,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cmv_core import NumericalError, batch_trace_powers
-from .equilibrium import (beta_derivative_measure, free_energy_interval,
-                          free_energy_torus, minimize_interval, minimize_torus)
+from .equilibrium import (_check_beta, beta_derivative_measure,
+                          free_energy_interval, free_energy_torus,
+                          minimize_interval, minimize_torus)
 from .potentials import Potential
 from .sampling import (KINDS, EnsembleSpec, McmcParams, make_rng,
                        sample_chi, sample_coupled_family, sample_coupled_pair,
@@ -54,6 +61,9 @@ COUPLING_SLACK = 1e-14
 
 # default acceptance threshold for the density-of-states distance
 DEFAULT_D_THRESHOLD = 0.02
+
+# integrated autocorrelation time above which a series draws a warning
+TAU_WARN = 10.0
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +245,13 @@ def _mean_and_error(w):
     return mean, se, tau
 
 
+def _correlation_warnings(taus):
+    """A warning per (label, tau_int) pair whose series is strongly
+    correlated (tau_int > TAU_WARN)."""
+    return [f"correlated chain at {label} (tau = {tau:.1f}); "
+            "increase thinning" for label, tau in taus if tau > TAU_WARN]
+
+
 def _normalize_kind(ensemble):
     kind = str(ensemble).lower()
     if kind not in KINDS:
@@ -399,8 +416,7 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         FreeEnergyEstimate with the trapezoid value and propagated error.
     """
     kind = _normalize_kind(ensemble)
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 5)
     s = np.asarray(s_grid, dtype=float)
@@ -436,9 +452,7 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         means[i] = mean
         errors[i] = se
         total += batch.n_samples
-        if tau > 10.0:
-            warnings.append(f"correlated chain at s = {si:g} "
-                            f"(tau = {tau:.1f}); increase thinning")
+        warnings += _correlation_warnings([(f"s = {si:g}", tau)])
 
     # trapezoid weights: half-gaps at the ends, mean gaps inside
     gaps = np.diff(s)
@@ -452,61 +466,49 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
                               warnings=tuple(warnings))
 
 
-def check_free_energy_relation(v, beta, delta=0.1, s_grid=None, mcmc=None,
+def _circular_beta_derivative(v, beta, params=None):
+    """d/dbeta [beta F_C(beta)] from one solve at beta, and its residual.
+
+    F_C(b) is the minimized torus functional minus b log 2.  Only the
+    interaction term b (sum_k |mu_k|^2/k + log 2) of the functional depends
+    on b, so by the envelope theorem the derivative is the minimal value
+    plus that interaction term at the minimizer, minus 2 beta log 2.
+    """
+    if v is None or v.is_zero:
+        return 0.0, 0.0
+    rho = minimize_torus(v, beta, params=params)
+    fe = free_energy_torus(rho, v, beta)
+    return fe.total + fe.interaction - 2.0 * beta * LOG2, float(rho.residual)
+
+
+def check_free_energy_relation(v, beta, delta=None, s_grid=None, mcmc=None,
                                rng=None, n=64, minimize_params=None):
     """Test the lattice free energy against the beta-derivative identity.
 
     The left side is the Monte Carlo thermodynamic integral for the lattice
-    ensemble at beta.  The right side differentiates b -> b F_C(b) by a
-    central difference at beta +/- delta, where F_C(b) is the minimized
-    torus functional minus b log 2.  The finite-difference error is
-    estimated by comparing delta with delta/2 (the residual Richardson
-    gap), and the verdict allows three combined error budgets.
+    ensemble at beta.  The right side is d/dbeta [beta F_C(beta)], computed
+    exactly from one torus solve (_circular_beta_derivative).  The right
+    side carries only solver error, far below the Monte Carlo error, so the
+    verdict allows three Monte Carlo standard errors.
+
+    delta is ignored.  It is kept only so that existing callers that pass
+    it, such as benchmarks/workloads.py (delta=0.1), keep working.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if not 0.0 < delta < beta:
-        raise ValueError(f"delta must lie in (0, beta), got {delta}")
+    _check_beta(beta)
     if v is not None and v.domain != "torus":
         raise ValueError("the relation check takes torus potentials")
 
     lhs = estimate_free_energy("al", v, beta, s_grid=s_grid, mcmc=mcmc,
                                rng=rng, n=n)
-
-    cache = {}
-
-    def circular_value(b):
-        if b not in cache:
-            if v is None or v.is_zero:
-                cache[b] = (0.0, 0.0)
-            else:
-                rho = minimize_torus(v, b, params=minimize_params)
-                total = free_energy_torus(rho, v, b).total - b * LOG2
-                cache[b] = (total, float(rho.residual or 0.0))
-        return cache[b]
-
-    def central(d):
-        up, _ = circular_value(beta + d)
-        down, _ = circular_value(beta - d)
-        return ((beta + d) * up - (beta - d) * down) / (2.0 * d)
-
-    rhs = central(delta)
-    rhs_half = central(0.5 * delta)
-    # leading error is O(delta^2); the delta -> delta/2 gap recovers 3/4 of it
-    fd_error = abs(rhs - rhs_half) * (4.0 / 3.0)
+    rhs, residual = _circular_beta_derivative(v, beta, minimize_params)
     discrepancy = lhs.value - rhs
-    combined = lhs.std_error + fd_error
-    passed = abs(discrepancy) <= 3.0 * combined
-    residual = max((r for _, r in cache.values()), default=0.0)
+    budget = 3.0 * lhs.std_error
 
     statistics = {
         "mc_value": lhs.value,
         "mc_std_error": lhs.std_error,
-        "fd_value": rhs,
-        "fd_value_half_delta": rhs_half,
-        "fd_error": fd_error,
+        "variational_value": rhs,
         "discrepancy": discrepancy,
-        "combined_error": combined,
     }
     return RelationReport(
         check="free_energy_relation",
@@ -515,10 +517,9 @@ def check_free_energy_relation(v, beta, delta=0.1, s_grid=None, mcmc=None,
         d_value=abs(discrepancy),
         mc_samples=lhs.n_samples,
         solver_residual=residual,
-        threshold=3.0 * combined,
-        passed=passed,
-        parameters={"delta": float(delta), "n": int(n),
-                    "s_grid": list(lhs.grid)},
+        threshold=budget,
+        passed=abs(discrepancy) <= budget,
+        parameters={"n": int(n), "s_grid": list(lhs.grid)},
         statistics=statistics,
         warnings=lhs.warnings,
     )
@@ -539,8 +540,9 @@ _MONOMIALS = (
 
 
 def _moment_rows(traces_over_n, target, domain):
-    """Per-sample low moments against the target's, with z-scores: cos/sin
-    moments on the torus, monomial moments on the interval."""
+    """Per-sample low moments against the target's, with z-scores and the
+    integrated autocorrelation time of each series: cos/sin moments on the
+    torus, monomial moments on the interval."""
     tk = fourier_coeffs(target, k_max=4).c
     if domain == "torus":
         table = [(f"{part}_{k}", take(traces_over_n[:, k - 1]),
@@ -552,10 +554,11 @@ def _moment_rows(traces_over_n, target, domain):
                  for name, monomial in _MONOMIALS]
     rows = []
     for name, series, goal in table:
-        mean, se, _ = _mean_and_error(series)
+        mean, se, tau = _mean_and_error(series)
         z = _z_score(mean - float(goal), se)
         rows.append({"name": name, "mean": mean, "std_error": se,
-                     "target": float(goal), "z": z, "ok": abs(z) <= 3.0})
+                     "tau_int": tau, "target": float(goal), "z": z,
+                     "ok": abs(z) <= 3.0})
     return rows
 
 
@@ -570,13 +573,16 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     threshold with low moments (k <= 4) within three standard errors:
     cos/sin moments on the torus, monomial moments on the interval, where
     the first interval row doubles as the symmetry check for even
-    potentials.
+    potentials.  A moment series with tau_int > TAU_WARN draws a warning.
+
+    delta is ignored: the target is the exact beta-derivative.  It is kept
+    only so that existing callers that pass it, such as
+    benchmarks/workloads.py (delta=0.05), keep working.
     """
     kind = _normalize_kind(ensemble)
     if not KINDS[kind].periodic:
         raise ValueError("density-of-states checks cover al and schur runs")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     n = int(n)
     if n < 2 or n % 2:
         raise ValueError("need an even matrix size of at least 2")
@@ -587,7 +593,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
 
     mcmc = mcmc if mcmc is not None else McmcParams()
     batch = _draw(kind, n, beta, v, mcmc, make_rng(rng))
-    target = beta_derivative_measure(v, beta, delta=delta, domain=domain)
+    target = beta_derivative_measure(v, beta, domain=domain)
 
     traces = batch_trace_powers(batch.alphas, k_max) / n
     pooled = traces.mean(axis=0)
@@ -598,7 +604,8 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     rows = _moment_rows(traces, target, domain)
     d_value = float(distance_D(empirical, target, k_max=k_max))
 
-    warnings = []
+    warnings = _correlation_warnings([(f"moment {row['name']}", row["tau_int"])
+                                      for row in rows])
     if batch.acceptance_rate is not None and batch.acceptance_rate < 0.2:
         warnings.append(f"low acceptance rate {batch.acceptance_rate:.3f}; "
                         "the chain may mix poorly")
@@ -621,7 +628,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
         threshold=float(threshold),
         passed=passed,
         parameters={"ensemble": kind, "n": n, "k_max": k_max,
-                    "delta": delta, "sweeps": mcmc.sweeps},
+                    "sweeps": mcmc.sweeps},
         statistics=statistics,
         warnings=tuple(warnings),
     )
@@ -651,8 +658,7 @@ def rate_function_value(mu, v, beta, side="circular", params=None):
     domain = KINDS[side].domain
     if getattr(mu, "domain", None) != domain:
         raise ValueError(f"the density must live on the {domain}")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
 
     if domain == "torus":
         value = free_energy_torus(mu, v, beta).total

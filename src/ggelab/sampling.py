@@ -358,8 +358,9 @@ class EnsembleSpec:
         kind: one of "al", "schur", "circular", "jacobi" (a key of KINDS).
         n: matrix size for al/schur/circular; number of spectral pairs
            for jacobi (the coefficient vector then has length 2n).
-        beta: inverse temperature, positive.  For circular this is the
-           per-site rate beta_tilde, for jacobi the exponent scale.
+        beta: inverse temperature, positive and finite.  For circular
+           this is the per-site rate beta_tilde, for jacobi the exponent
+           scale.
         potential: optional Potential tilting the law by exp(-Tr V(E)).
            Interval potentials count conjugate pairs once, so they are
            rejected on the torus kinds, whose spectra are not paired.
@@ -373,8 +374,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         kind = KINDS[self.kind]
         if (self.potential is not None and self.potential.domain == "interval"
                 and kind.domain == "torus"):

@@ -44,6 +44,18 @@ def reference_periodic_entries(alpha):
     return E
 
 
+def central_difference(f, beta, delta):
+    """[(beta + delta) f(beta + delta) - (beta - delta) f(beta - delta)] / (2 delta):
+    the finite-difference oracle of d/dbeta [beta f(beta)], error O(delta^2)."""
+    return ((beta + delta) * f(beta + delta) - (beta - delta) * f(beta - delta)) / (2 * delta)
+
+
+def richardson(f, beta, delta):
+    """central_difference at delta and delta/2 extrapolated to delta -> 0,
+    error O(delta^4): the oracle of the exact beta-derivatives."""
+    return (4 * central_difference(f, beta, delta / 2) - central_difference(f, beta, delta)) / 3
+
+
 def dense_interval_kernel(m):
     """The m x m log-kernel matrix q of the interval solver, assembled entry by
     entry on the solver's grid (field = q @ p): the Toeplitz lookup of the

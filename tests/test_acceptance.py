@@ -290,7 +290,7 @@ def test_10_free_energy_derivative_relation(capsys):
                                      mcmc=McmcParams(sweeps=2000),
                                      rng=make_rng(110), n=64)
     s = rep.statistics
-    ok = rep.passed and abs(s["discrepancy"]) <= 3.0 * s["combined_error"]
+    ok = rep.passed and abs(s["discrepancy"]) <= 3.0 * s["mc_std_error"]
     _verdict(capsys, 10, "free-energy derivative relation", ok, t0, 900.0,
              f"|disc|={abs(s['discrepancy']):.2e}<=3x"
-             f"(mc={s['mc_std_error']:.2e}+fd={s['fd_error']:.2e})")
+             f"(mc={s['mc_std_error']:.2e})")

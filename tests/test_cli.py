@@ -211,7 +211,7 @@ _RUNS = {
                           "b941a73164f4"),
     "relation": (["relation", "--ensemble", "al", "--n", "8", "--beta", "1",
                   "--samples", "20", "--threshold", "0.5", "--k-max", "4",
-                  "--seed", "4"], "d0e3d957b240"),
+                  "--seed", "4"], "1c8c85da29d5"),
     "dynamics": (["dynamics", "--flow", "al", "--n", "6", "--dt", "0.01",
                   "--t-final", "0.1", "--frames", "5", "--seed", "6"],
                  "f291c2db57f4"),
@@ -454,6 +454,38 @@ class TestRelation:
         doc = json.loads((tmp_path / "relation.json").read_text())
         assert doc["parameters"]["threshold"] == 1e-9
         assert doc["pass"] is False
+
+    def test_delta_is_no_option(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("delta = 0.1\n")
+        out = tmp_path / "out"
+        for extra in (["--delta", "0.1"], ["--config", str(p)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["relation", "--beta", "1", "--out", str(out)] + extra)
+            assert exc.value.code == 2
+        assert not out.exists()
+
+
+class TestNonFiniteInput:
+    """beta and the solver tolerance are checked where they enter."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--ensemble", "schur", "--beta", "inf"],
+        ["sample", "--beta", "nan"],
+        ["minimize", "--beta", "nan"],
+        ["minimize", "--beta", "inf"],
+        ["minimize", "--beta", "1", "--tolerance", "nan",
+         "--max-iterations", "50"],
+        ["minimize", "--beta", "1", "--tolerance", "inf"],
+        ["relation", "--beta", "inf", "--n", "8", "--samples", "5"],
+        ["free-energy", "--beta", "inf", "--potential", "c1=0.5", "--n", "8",
+         "--samples", "5"],
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDynamics:

@@ -32,7 +32,7 @@ from ggelab.equilibrium import (
 from ggelab.potentials import Potential
 from ggelab.spectral_measures import distance_D
 
-from helpers import dense_interval_kernel
+from helpers import dense_interval_kernel, richardson
 
 LOG2 = np.log(2.0)
 
@@ -60,6 +60,11 @@ class TestSolverParams:
             SolverParams(max_iterations=0)
         with pytest.raises(ValueError):
             SolverParams(grid_size=8)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverParams(tolerance=tolerance)
 
     def test_defaults(self):
         p = SolverParams()
@@ -536,7 +541,7 @@ class TestIntervalFreeEnergy:
 
 class TestBetaDerivative:
     def test_interval_flat_coefficients_match_family(self):
-        nd = beta_derivative_measure(None, 1.0, 0.05, domain="interval")
+        nd = beta_derivative_measure(None, 1.0, domain="interval")
         c = nd.fourier(4)
         assert abs(c[2].real - 1 / 9) < 3e-4
         assert abs(c[4].real - 67 / 675) < 3e-4
@@ -553,35 +558,64 @@ class TestBetaDerivative:
             assert abs(nd.integrate(lambda u: np.ones_like(u)) - 1.0) < 1e-12
 
     def test_flat_torus_derivative_is_uniform(self):
-        nd = beta_derivative_measure(None, 2.0, 0.3, params=SolverParams(grid_size=256))
+        nd = beta_derivative_measure(None, 2.0, params=SolverParams(grid_size=256))
         assert np.max(np.abs(nd.values - 1 / (2 * np.pi))) < 1e-12
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            beta_derivative_measure(None, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            beta_derivative_measure(None, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            beta_derivative_measure(None, 1.0, -0.1)
+    @pytest.mark.parametrize("domain,v,beta", [
+        ("torus", None, 1.0),
+        ("torus", Potential("torus", cos=[0.0, 1.0]), 1.0),
+        ("torus", Potential("torus", cos=[0.0, 0.5, 0.3], sin=[0.2]), 0.8),
+        ("interval", None, 1.0),
+        ("interval", None, 0.5),
+        ("interval", Potential("interval", cheb=[0.0, 0.3, 0.4]), 1.3),
+    ])
+    def test_matches_richardson_oracle(self, domain, v, beta):
+        solve = minimize_torus if domain == "torus" else minimize_interval
+        nd = beta_derivative_measure(v, beta, domain=domain)
+        oracle = richardson(lambda b: solve(v, b).fourier(16).c, beta, 0.05 * beta)
+        assert np.max(np.abs(nd.fourier(16).c - oracle)) < 1e-7
+        assert abs(nd.mass() - 1.0) < 1e-12
+        assert nd.residual >= solve(v, beta).residual
 
-    def test_richardson_order_on_interval(self):
-        errs = {}
-        for d in (0.2, 0.1):
-            nd = beta_derivative_measure(None, 1.0, d, domain="interval")
-            errs[d] = nd.fourier(2)[2].real - 1 / 9
-        ratio = errs[0.2] / errs[0.1]
-        assert 3.0 < ratio < 6.5, f"halving delta must shrink the error ~4x, got {ratio}"
+    def test_one_solve_and_its_counts(self, monkeypatch):
+        import ggelab.equilibrium as eq
 
-    def test_richardson_order_on_torus(self):
-        v = Potential("torus", cos=[0.0, 0.5])
-        fd = {d: beta_derivative_measure(v, 1.0, d,
-                                         params=SolverParams(grid_size=512)).fourier(1)[1].real
-              for d in (0.2, 0.1, 0.05)}
-        ratio = abs(fd[0.2] - fd[0.1]) / abs(fd[0.1] - fd[0.05])
-        assert 3.3 < ratio < 4.8, f"successive halvings must contract ~4x, got {ratio}"
+        calls = []
+        original = eq.minimize_interval
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eq, "minimize_interval", counted)
+        nd = beta_derivative_measure(None, 1.0, domain="interval")
+        assert calls == [1.0]
+        assert nd.iterations > original(None, 1.0).iterations
+
+    def test_domain_must_agree_with_the_potential(self):
+        with pytest.raises(ValueError, match="domain"):
+            beta_derivative_measure(Potential("interval", cheb=[0.0, 0.3]), 1.0,
+                                    domain="torus")
+        with pytest.raises(ValueError, match="domain"):
+            beta_derivative_measure(Potential("torus", cos=[0.0, 1.0]), 1.0,
+                                    domain="interval")
+        with pytest.raises(ValueError, match="domain"):
+            beta_derivative_measure(None, 1.0, domain="disk")
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_entry_points_reject_bad_beta(self, beta):
+        rho = GridDensity.uniform_torus(64)
+        for call in (lambda: minimize_torus(None, beta),
+                     lambda: minimize_interval(None, beta),
+                     lambda: beta_derivative_measure(None, beta),
+                     lambda: free_energy_torus(rho, None, beta),
+                     lambda: free_energy_interval(GridDensity.interval_arcsine(64),
+                                                  None, beta)):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                call()
 
     def test_signed_export_clips(self, tmp_path):
-        nd = beta_derivative_measure(None, 1.0, 0.05, domain="interval")
+        nd = beta_derivative_measure(None, 1.0, domain="interval")
         path = tmp_path / "nu.csv"
         nd.to_csv(path)
         rows = np.array([[float(v) for v in ln.split(",")]

@@ -15,13 +15,17 @@ import numpy as np
 import pytest
 
 from ggelab.cmv_core import NumericalError
-from ggelab.equilibrium import GridDensity, minimize_interval, minimize_torus
+from ggelab.equilibrium import (GridDensity, free_energy_torus,
+                                minimize_interval, minimize_torus)
 from ggelab.ldp_lab import (CheckReport, FreeEnergyEstimate, RelationReport,
-                            check_coupling_lemma, check_dos_relation,
-                            check_exp_moment, check_free_energy_relation,
-                            estimate_free_energy, rate_function_value)
+                            _circular_beta_derivative, check_coupling_lemma,
+                            check_dos_relation, check_exp_moment,
+                            check_free_energy_relation, estimate_free_energy,
+                            rate_function_value)
 from ggelab.potentials import Potential
 from ggelab.sampling import McmcParams
+
+from helpers import richardson
 
 COS = Potential("torus", cos=[0.0, 1.0])
 CHEB1 = Potential("interval", cheb=[0.0, 0.3])
@@ -203,24 +207,33 @@ class TestFreeEnergyRelation:
         assert rep.passed
         assert rep.d_value == 0.0
 
-    def test_delta_validation(self):
-        with pytest.raises(ValueError, match="delta"):
-            check_free_energy_relation(COS, 1.0, delta=1.0)
-        with pytest.raises(ValueError, match="delta"):
-            check_free_energy_relation(COS, 1.0, delta=-0.1)
+    @pytest.mark.parametrize("beta", [0.0, float("nan"), float("inf")])
+    def test_beta_validation(self, beta):
         with pytest.raises(ValueError, match="beta"):
-            check_free_energy_relation(COS, 0.0)
+            check_free_energy_relation(COS, beta)
 
-    def test_halving_shrinks_quadratically(self):
-        small = McmcParams(sweeps=50)
-        r1 = check_free_energy_relation(COS, 1.0, delta=0.2, mcmc=small,
-                                        rng=3, n=16)
-        r2 = check_free_energy_relation(COS, 1.0, delta=0.1, mcmc=small,
-                                        rng=4, n=16)
-        g1 = r1.statistics["fd_value"] - r1.statistics["fd_value_half_delta"]
-        g2 = r2.statistics["fd_value"] - r2.statistics["fd_value_half_delta"]
-        ratio = g1 / g2
-        assert 3.3 < ratio < 4.7, f"halving ratio {ratio} is not O(delta^2)"
+    @pytest.mark.parametrize("v,beta", [
+        (COS, 1.0),
+        (Potential("torus", cos=[0.0, 0.5, 0.3], sin=[0.2]), 0.8),
+    ])
+    def test_envelope_matches_richardson_oracle(self, v, beta):
+        def circular(b):
+            rho = minimize_torus(v, b)
+            return free_energy_torus(rho, v, b).total - b * math.log(2.0)
+
+        value, residual = _circular_beta_derivative(v, beta)
+        assert abs(value - richardson(circular, beta, 0.05 * beta)) < 1e-7
+        assert 0.0 <= residual < 1e-8
+
+    def test_budget_is_the_monte_carlo_error(self):
+        rep = check_free_energy_relation(COS, 1.0, mcmc=McmcParams(sweeps=50),
+                                         rng=3, n=16)
+        s = rep.statistics
+        assert set(s) == {"mc_value", "mc_std_error", "variational_value",
+                          "discrepancy"}
+        assert rep.threshold == 3.0 * s["mc_std_error"]
+        assert s["variational_value"] == _circular_beta_derivative(COS, 1.0)[0]
+        assert "delta" not in json.loads(rep.to_json())["parameters"]
 
     def test_json_schema(self):
         rep = check_free_energy_relation(None, 2.0, delta=0.5)
@@ -290,6 +303,22 @@ class TestDosRelation:
             check_dos_relation("al", None, 1.0, 15)
         with pytest.raises(ValueError, match="interval"):
             check_dos_relation("schur", COS, 1.0, 16)
+
+    def test_rows_carry_tau_int(self):
+        exact = check_dos_relation("schur", None, 1.0, 16,
+                                   mcmc=McmcParams(sweeps=200), rng=5)
+        assert all(0.0 < row["tau_int"] < 10.0
+                   for row in exact.statistics["moments"])
+        assert not any("correlated" in w for w in exact.warnings)
+        # one site update between kept states: a strongly correlated chain
+        slow = check_dos_relation("al", Potential("torus", cos=[0.0, 0.5, 0.3]),
+                                  1.0, 8, mcmc=McmcParams(sweeps=400, thinning=1),
+                                  rng=5)
+        flagged = [row["name"] for row in slow.statistics["moments"]
+                   if row["tau_int"] > 10.0]
+        assert flagged
+        for name in flagged:
+            assert any(f"at moment {name} (tau = " in w for w in slow.warnings)
 
     def test_json_schema(self):
         rep = check_dos_relation("al", None, 1.0, 16,
