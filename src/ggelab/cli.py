@@ -368,6 +368,8 @@ def cmd_relation(args, cfg):
 
 def cmd_dynamics(args, cfg):
     """Integrate one flow, write the trajectory and conservation report."""
+    if not np.isfinite(args.rmax):
+        raise ValueError(f"--rmax must be finite, got {args.rmax!r}")
     rng = make_rng(cfg.seed)
     n = args.n
     if args.init == "constant":

@@ -44,6 +44,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "BoundaryMode",
@@ -105,13 +106,14 @@ class VerblunskyVector:
         a = np.atleast_1d(np.asarray(self.alpha))
         object.__setattr__(self, "alpha", a)
         interior = a if self.boundary == BoundaryMode.ALL_INTERIOR else a[:-1]
-        if interior.size and np.abs(interior).max() >= 1.0:
+        # each comparison is written so that NaN fails it
+        if interior.size and not np.abs(interior).max() < 1.0:
             raise ValueError("interior Verblunsky entries must satisfy |alpha| < 1")
         if self.boundary == BoundaryMode.LAST_ON_CIRCLE:
-            if abs(abs(a[-1]) - 1.0) > BOUNDARY_TOL:
+            if not abs(abs(a[-1]) - 1.0) <= BOUNDARY_TOL:
                 raise ValueError("last entry must lie on the unit circle")
         elif self.boundary == BoundaryMode.LAST_MINUS_ONE:
-            if abs(a[-1] + 1.0) > BOUNDARY_TOL:
+            if not abs(a[-1] + 1.0) <= BOUNDARY_TOL:
                 raise ValueError("last entry must equal -1")
 
     @property
@@ -251,14 +253,41 @@ def _check_residual(resid, what):
         raise NumericalError(f"{what} by {resid:.3e}", residual=resid)
 
 
+def _geev_eigvals(E):
+    """Eigenvalues of a dense matrix from LAPACK geev without eigenvectors:
+    zgeev for complex E, dgeev for real E, with the workspace that geev
+    asks for.  These are the routine and workspace of np.linalg.eigvals,
+    without its per-call checks; the values agree bit for bit, except that
+    from n = 128 on two BLAS builds may split the blocked steps over their
+    threads differently.  LAPACK returns garbage for non-finite input, so
+    that is refused first."""
+    if not np.isfinite(E).all():
+        raise NumericalError("eigenvalue iteration failed: the matrix has "
+                             "non-finite entries")
+    n = E.shape[0]
+    if np.iscomplexobj(E):
+        work, _ = lapack.zgeev_lwork(n, compute_vl=0, compute_vr=0)
+        lam, _, _, info = lapack.zgeev(E, compute_vl=0, compute_vr=0,
+                                       lwork=int(work.real))
+    else:
+        work, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)
+        wr, wi, _, _, info = lapack.dgeev(E, compute_vl=0, compute_vr=0,
+                                          lwork=int(work))
+        lam = wr + 1j * wi
+    if info > 0:
+        raise NumericalError("eigenvalue iteration failed: the QR algorithm "
+                             f"did not converge (LAPACK info {info})")
+    return lam
+
+
 def eigen_angles(m):
     """Sorted eigenvalue arguments in [-pi, pi).
 
     A periodic matrix built from real coefficients takes its n/2 values
     x = cos(theta) from a dense eigvalsh of its Geronimus Jacobi band X
     (geronimus_diagonals) and returns the n angles +-arccos(x).  Complex
-    and open matrices, and matrices loaded from JSON, use a dense eigvals
-    of E.
+    and open matrices, and matrices loaded from JSON, take the eigenvalues
+    of the dense E from LAPACK zgeev (dgeev when E is real).
 
     Raises NumericalError (with the offending residual) if the computed
     spectrum strays from the unit circle, or x from [-1, 1], by more than
@@ -266,19 +295,18 @@ def eigen_angles(m):
     """
     real_ring = (m.topology == "periodic" and m.alpha is not None
                  and not np.iscomplexobj(m.alpha))
-    try:
-        if real_ring:
-            x = np.linalg.eigvalsh(_scatter(geronimus_diagonals(m.alpha)))
-        else:
-            lam = np.linalg.eigvals(m.dense())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     if real_ring:
+        try:
+            x = np.linalg.eigvalsh(_scatter(geronimus_diagonals(m.alpha)))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigenvalue iteration failed: {exc}") from exc
         _check_residual(float(np.abs(x).max() - 1.0),
                         "Jacobi spectrum outside [-1, 1]")
         theta = np.arccos(np.clip(x, -1.0, 1.0))
         angles = np.concatenate((theta, 0.0 - theta))  # +0, as np.angle
     else:
+        lam = _geev_eigvals(m.dense())
         _check_residual(float(np.abs(np.abs(lam) - 1.0).max()),
                         "spectrum off the unit circle")
         angles = np.angle(lam)

@@ -523,6 +523,18 @@ class TestDynamics:
         assert "even size" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("flow", ["al", "schur"])
+    @pytest.mark.parametrize("init", ["random", "constant"])
+    @pytest.mark.parametrize("rmax", ["nan", "inf"])
+    def test_non_finite_rmax_rejected_before_integration(
+            self, tmp_path, capsys, flow, init, rmax):
+        out = tmp_path / "out"
+        code = main(["dynamics", "--flow", flow, "--init", init, "--rmax",
+                     rmax, "--n", "8", "--seed", "2", "--out", str(out)])
+        assert code == 2
+        assert "rmax" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_stability_error_exit(self, tmp_path, capsys):
         code = main(["dynamics", "--flow", "al", "--n", "8", "--dt", "3.0",
                      "--t-final", "30", "--init", "constant", "--rmax", "0.98",

@@ -127,6 +127,66 @@ def test_eigen_angles_sorted_in_principal_range():
     assert angles.min() >= -np.pi and angles.max() < np.pi
 
 
+def _eigvals_angles(E):
+    """The dense angle path with np.linalg.eigvals as its eigensolver."""
+    angles = np.angle(np.linalg.eigvals(E))
+    angles[angles >= np.pi] = -np.pi
+    return np.sort(angles)
+
+
+@pytest.mark.parametrize("topology, real", [
+    ("periodic", False), ("open", False), ("open", True)])
+def test_dense_eigen_angles_match_numpy_eigvals(topology, real):
+    # eigen_angles calls LAPACK geev directly; np.linalg.eigvals runs the
+    # same routine with the same workspace and is the oracle.  Bit for bit
+    # up to n = 64; beyond, numpy's and scipy's BLAS builds may split the
+    # blocked Hessenberg steps over their threads differently
+    rng = np.random.default_rng(510)
+    sizes = list(range(2, 65, 2 if topology == "periodic" else 1))
+    for n in sizes + [128, 256]:
+        for _ in range(3 if n <= 64 else 1):
+            _, m = _random_matrix(rng, n, topology, real)
+            for matrix in (m, cc.CmvMatrix.from_json(m.to_json())):
+                got = cc.eigen_angles(matrix)
+                want = _eigvals_angles(matrix.dense())
+                if n <= 64:
+                    assert got.tobytes() == want.tobytes(), (n, topology)
+                else:
+                    gap = np.abs(np.exp(1j * got) - np.exp(1j * want)).max()
+                    assert gap <= 1e-13, (n, topology, gap)
+
+
+def test_dense_eigen_angles_use_the_workspace_geev_asks_for(monkeypatch):
+    # np.linalg.eigvals queries it too; the wrapper's minimal default
+    # workspace changes the last bits from n = 128 on
+    zgeev, seen = cc.lapack.zgeev, []
+
+    def spy(a, **kw):
+        seen.append(kw.get("lwork"))
+        return zgeev(a, **kw)
+
+    monkeypatch.setattr(cc.lapack, "zgeev", spy)
+    cc.eigen_angles(cc.build_periodic_cmv(random_interior_alpha(RNG, 128)))
+    work, _ = cc.lapack.zgeev_lwork(128, compute_vl=0, compute_vr=0)
+    assert seen == [int(work.real)]
+
+
+def test_dense_eigen_angles_reject_non_finite_entries():
+    m = cc.build_periodic_cmv(random_interior_alpha(RNG, 6))
+    doc = json.loads(m.to_json())
+    doc["entries"][0][2] = float("nan")
+    with pytest.raises(cc.NumericalError, match="iteration failed"):
+        cc.eigen_angles(cc.CmvMatrix.from_json(json.dumps(doc)))
+
+
+def test_dense_eigen_angles_report_a_failed_iteration(monkeypatch):
+    m = cc.build_periodic_cmv(random_interior_alpha(RNG, 6))
+    monkeypatch.setattr(cc.lapack, "zgeev",
+                        lambda a, **kw: (np.zeros(a.shape[0]), None, None, 3))
+    with pytest.raises(cc.NumericalError, match="iteration failed"):
+        cc.eigen_angles(m)
+
+
 def test_eigen_angle_sum_matches_determinant_argument():
     m = cc.build_periodic_cmv(random_interior_alpha(RNG, 12))
     angles = cc.eigen_angles(m)
@@ -621,3 +681,16 @@ def test_verblunsky_vector_validation():
     assert v.n == 2
     with pytest.raises(ValueError):
         cc.VerblunskyVector(np.array([0.2, 0.5]), cc.BoundaryMode.LAST_ON_CIRCLE)
+
+
+@pytest.mark.parametrize("mode", list(cc.BoundaryMode))
+@pytest.mark.parametrize("where", ["interior", "last"])
+def test_verblunsky_vector_rejects_nan(mode, where):
+    last = {cc.BoundaryMode.ALL_INTERIOR: 0.3,
+            cc.BoundaryMode.LAST_ON_CIRCLE: 1.0,
+            cc.BoundaryMode.LAST_MINUS_ONE: -1.0}[mode]
+    a = np.array([0.1, 0.2, 0.3, last], complex)
+    cc.VerblunskyVector(a, mode)
+    a[0 if where == "interior" else -1] = np.nan
+    with pytest.raises(ValueError, match="must"):
+        cc.VerblunskyVector(a, mode)

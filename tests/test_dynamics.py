@@ -21,6 +21,7 @@ from ggelab.cmv_core import (
     conserved_quantities,
     unitarity_residual,
 )
+from ggelab import dynamics
 from ggelab.dynamics import (
     _Rk4,
     _neighbours,
@@ -34,7 +35,7 @@ from ggelab.dynamics import (
     lax_residual,
     schur_rhs,
 )
-from ggelab.sampling import EnsembleSpec, make_rng
+from ggelab.sampling import EnsembleSpec, SampleBatch, make_rng
 
 from helpers import random_interior_alpha, reference_rk4_step
 
@@ -115,6 +116,13 @@ class TestRingSize:
         with pytest.raises(ValueError, match="all-interior"):
             FlowState(vector)
 
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_flow_state_rejects_nan(self, where):
+        a = np.array([0.1, 0.2, 0.3, 0.4], complex)
+        a[where] = np.nan
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+            FlowState(a)
+
     @pytest.mark.parametrize("shape", [(1,), (3,), (5, 3)])
     def test_rhs_rejects_odd_rings(self, shape):
         with pytest.raises(ValueError, match="even size >= 2"):
@@ -146,9 +154,10 @@ class TestRingSize:
             x = v.real
             diff = np.roll(x, -1, axis=-1) - np.roll(x, 1, axis=-1)
             assert schur_rhs(x).tobytes() == ((1.0 - x ** 2) * diff).tobytes()
-            out = np.zeros((v.shape[-1], v.shape[0])).T
-            _neighbours(x, np.subtract, out)
-            assert out.tobytes() == diff.tobytes()
+            # the private kernel is site-major: the ring is the first axis
+            out = np.zeros(v.shape).T
+            _neighbours(x.T, np.subtract, out)
+            assert out.T.tobytes() == diff.tobytes()
 
 
 class TestSchurRhs:
@@ -194,7 +203,8 @@ class TestIntegratorParams:
 
 
 def _flow_states(flow, shape, rng):
-    """Random, all-zero, negative-zero and constant states of one flow."""
+    """Random, all-zero, negative-zero and constant states of one flow, of
+    sample-major shape (..., n)."""
     real = flow == "schur"
     dtype = float if real else complex
     n = shape[-1]
@@ -207,28 +217,33 @@ def _flow_states(flow, shape, rng):
 
 
 class TestRk4Stepper:
-    """The buffered stepper against fresh-array RK4 over al_rhs/schur_rhs."""
+    """The buffered stepper against fresh-array RK4 over al_rhs/schur_rhs.
+
+    The stepper is site-major: a block of B rings of n sites has shape
+    (n, B), the transpose of the (B, n) batch the public fields take.
+    """
 
     @pytest.mark.parametrize("flow", ["al", "schur"])
-    @pytest.mark.parametrize("shape", [(2,), (4,), (6,), (32,), (50, 32)])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (6,), (32,), (32, 50)])
     def test_bit_identical_to_reference(self, flow, shape):
         rhs = {"al": al_rhs, "schur": schur_rhs}[flow]
-        rng = np.random.default_rng(70 + shape[-1] + len(shape))
-        for name, a0 in _flow_states(flow, shape, rng).items():
+        rng = np.random.default_rng(70 + shape[0] + len(shape))
+        for name, a0 in _flow_states(flow, shape[::-1], rng).items():
             for h in (0.01, -0.01):
                 step = _Rk4(flow, shape)
-                fast = ref = a0
+                fast, ref = np.ascontiguousarray(a0.T), a0
                 for k in range(200):
                     fast = step(fast, h)
                     ref = reference_rk4_step(rhs, ref, h)
+                    assert fast.shape == shape
                     assert fast.dtype == ref.dtype
-                    assert fast.tobytes() == ref.tobytes(), \
+                    assert fast.T.tobytes() == ref.tobytes(), \
                         f"{name} state, h = {h}: bits differ at step {k + 1}"
 
     @pytest.mark.parametrize("flow", ["al", "schur"])
     def test_returns_fresh_arrays(self, flow):
         rng = np.random.default_rng(80)
-        a0 = _flow_states(flow, (3, 8), rng)["random"]
+        a0 = np.ascontiguousarray(_flow_states(flow, (3, 8), rng)["random"].T)
         step = _Rk4(flow, a0.shape)
         first = step(a0, 0.05)
         kept = first.copy()
@@ -497,6 +512,64 @@ class TestGgeInvariance:
                                            "mean_abs_sq"}
         for stat in blob["statistics"].values():
             assert set(stat) == {"pre_mean", "post_mean", "z", "p_value"}
+
+
+def _whole_batch_flow(flow, A, n_steps, h):
+    """The ensemble flow as one fresh-array RK4 over the whole batch."""
+    rhs = {"al": al_rhs, "schur": schur_rhs}[flow]
+    for _ in range(n_steps):
+        A = reference_rk4_step(rhs, A, h)
+    return A
+
+
+class TestBlockedEnsemble:
+    """gge_invariance_test flows its batch site-major in column blocks;
+    the oracle flows the whole sample-major batch at once."""
+
+    @staticmethod
+    def _width(flow, n):
+        itemsize = 16 if flow == "al" else 8
+        return dynamics.ENSEMBLE_BLOCK_BYTES // (n * itemsize)
+
+    @pytest.mark.parametrize("flow, n", [("al", 32), ("schur", 16)])
+    def test_statistics_bit_identical_to_whole_batch(self, flow, n,
+                                                     monkeypatch):
+        # two full blocks and a ragged tail
+        n_samples = 2 * self._width(flow, n) + 37
+        spec = EnsembleSpec(kind=flow, n=n, beta=1.0)
+        got = gge_invariance_test(spec, 0.2, n_samples, make_rng(31))
+        monkeypatch.setattr(dynamics, "_flow_ensemble", _whole_batch_flow)
+        want = gge_invariance_test(spec, 0.2, n_samples, make_rng(31))
+        assert repr(got.statistics) == repr(want.statistics)
+
+    @pytest.mark.parametrize("flow", ["al", "schur"])
+    def test_flowed_batch_is_bit_identical_and_sample_major(self, flow):
+        n = 8
+        shape = (2 * self._width(flow, n) + 5, n)
+        rng = np.random.default_rng(90)
+        for name, A in _flow_states(flow, shape, rng).items():
+            got = dynamics._flow_ensemble(flow, A, 3, 0.05)
+            want = _whole_batch_flow(flow, A, 3, 0.05)
+            assert got.flags.c_contiguous and got.shape == shape
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_leaving_the_polydisk_in_a_later_block_raises(self, monkeypatch):
+        # only the last row, in the ragged tail, is unstable: a constant
+        # ring near the circle rotates at rate 2|c|^2, and RK4 amplifies
+        # it at that rate times dt = 2
+        n = 32
+        A = np.zeros((2 * self._width("al", n) + 3, n), complex)
+        A[-1] = 0.99
+        spec = EnsembleSpec(kind="al", n=n, beta=1.0)
+        batch = SampleBatch(alphas=A, kind="al", beta=1.0,
+                            boundary=BoundaryMode.ALL_INTERIOR)
+        monkeypatch.setattr(dynamics, "sample_ensemble",
+                            lambda spec, mcmc, rng: batch)
+        with pytest.raises(NumericalError, match=r"left the unit polydisk "
+                           r"\(max \|alpha\| = .* at t = .*\); try a "
+                           r"smaller dt"):
+            gge_invariance_test(spec, 4.0, len(A), make_rng(24), dt=2.0)
 
 
 class TestTrajectoryExport:
