@@ -544,11 +544,9 @@ def _build_parsers():
     beta_opts(p)
     p.add_argument("--grid-size", type=int, default=None,
                    help="grid nodes: equispaced angles on the torus, a "
-                        "uniform t = ln tan(theta/2) grid over [-T, T], "
-                        "T = max(36, 0.04 m), on the interval, whose spacing "
-                        "stays near 0.08 from about 900 nodes on, so more "
-                        "nodes there widen the span but do not refine it "
-                        f"(default {SolverParams.grid_size}, at least 16)")
+                        "uniform t = ln tan(theta/2) grid over [-36, 36] on "
+                        f"the interval (default {SolverParams.grid_size}, "
+                        "at least 16)")
     p.add_argument("--damping", type=float, default=None,
                    help="step factor in (0, 1] of the damped fixed-point "
                         "map (each Fourier mode is damped further); the "

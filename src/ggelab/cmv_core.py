@@ -124,7 +124,8 @@ class VerblunskyVector:
 @dataclass
 class ConservedQuantities:
     """k0 = prod(1 - |alpha_j|^2), k1 = -sum alpha_j conj(alpha_{j+1}),
-    and the power traces Tr E^ell for ell = 1..len(trace_powers)."""
+    and the power traces Tr E^ell for ell = 1..ell_max, along the last axis
+    of trace_powers; a batch holds arrays over its leading axes."""
 
     k0: float
     k1: complex
@@ -767,9 +768,17 @@ def trace_potential(m, potential):
 
 
 def conserved_quantities(alpha, ell_max=4):
-    """Conserved data of the periodic lattice for one coefficient vector."""
+    """Conserved data of the periodic lattice for coefficient vectors (..., n).
+
+    One vector gives a float k0, a complex k1 and trace_powers (ell_max,);
+    a batch gives arrays k0 (...) real, k1 (...) complex and trace_powers
+    (..., ell_max).
+    """
     a = np.asarray(alpha)
-    k0 = float(np.prod(1.0 - np.abs(a) ** 2))
-    k1 = complex(-np.sum(a * np.conj(np.roll(a, -1))))
-    traces = batch_trace_powers(a[None, :], ell_max)[0]
+    k0 = np.prod(1.0 - np.abs(a) ** 2, axis=-1)
+    k1 = -np.sum(a * np.conj(np.roll(a, -1, axis=-1)), axis=-1).astype(complex)
+    traces = batch_trace_powers(a.reshape(-1, a.shape[-1]), ell_max)
+    traces = traces.reshape(a.shape[:-1] + traces.shape[1:])
+    if a.ndim == 1:
+        k0, k1 = float(k0), complex(k1)
     return ConservedQuantities(k0=k0, k1=k1, trace_powers=traces)

@@ -27,8 +27,11 @@ runtime check rather than by documentation alone.
 Both flows are isospectral: K0 = prod_j rho_j^2, K1 = -sum_j alpha_j
 conj(alpha_{j+1}) and every power trace Tr E^ell are constant along
 trajectories.  conservation_report turns that into a drift diagnostic,
-and gge_invariance_test checks the statistical counterpart, namely that
-Gibbs ensembles built from conserved quantities are left invariant.
+the one place where conservation is checked, and gge_invariance_test
+checks the statistical counterpart, namely that Gibbs ensembles built
+from conserved quantities are left invariant.  It pairs each sampled
+state with its flowed image and compares only statistics that the flow
+moves: a conserved one would pass by construction.
 
 Integration is classical fourth-order Runge-Kutta with a fixed step.
 The step count is round(t_final / dt), so commensurate (dt, t_final)
@@ -69,8 +72,9 @@ from .cmv_core import (
     _adjoint_band,
     _check_size,
     _plus,
-    batch_trace_powers,
+    _power_count,
     build_periodic_cmv,
+    conserved_quantities,
     e_plus,
 )
 from .sampling import McmcParams, make_rng, sample_ensemble
@@ -320,20 +324,6 @@ class Trajectory:
     def final(self):
         return self.states[-1]
 
-    def conserved_series(self, ell_max=4):
-        """Per-frame conserved data.
-
-        Returns {"k0": (F,) real, "k1": (F,) complex, "trace_powers":
-        (F, ell_max), complex or real for real states}; every row should
-        be constant in exact arithmetic.
-        """
-        A = self.alphas
-        rho2 = 1.0 - np.abs(A) ** 2
-        k0 = np.prod(rho2, axis=-1).real.astype(float)
-        k1 = -np.sum(A * np.conj(np.roll(A, -1, axis=-1)), axis=-1)
-        return {"k0": k0, "k1": np.asarray(k1, complex),
-                "trace_powers": batch_trace_powers(A, ell_max)}
-
     def to_csv(self, path):
         """Frame table with header t,re_alpha_1,im_alpha_1,..."""
         n = self.states[0].n
@@ -472,7 +462,8 @@ def _drift(series):
 def conservation_report(trajectory, ell_max=4):
     """Relative drifts of K0, K1 and Tr E^ell (ell <= ell_max).
 
-    Accepts a Trajectory or any nonempty sequence of FlowState.
+    Accepts a Trajectory or any nonempty sequence of FlowState.  ell_max
+    must be an integer >= 1 (TypeError for a non-integral value).
     """
     if isinstance(trajectory, Trajectory):
         traj = trajectory
@@ -484,13 +475,13 @@ def conservation_report(trajectory, ell_max=4):
             not np.iscomplexobj(s.alphas.alpha) for s in states) else "al"
         traj = Trajectory(states=states, flow=flow, dt=float("nan"),
                           n_steps=len(states) - 1)
-    ell_max = int(ell_max)
+    ell_max = _power_count(ell_max, "ell_max")
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
-    series = traj.conserved_series(ell_max)
-    drifts = {"k0": _drift(series["k0"]), "k1": _drift(series["k1"])}
+    series = conserved_quantities(traj.alphas, ell_max)
+    drifts = {"k0": _drift(series.k0), "k1": _drift(series.k1)}
     for ell in range(1, ell_max + 1):
-        drifts[f"trace_{ell}"] = _drift(series["trace_powers"][:, ell - 1])
+        drifts[f"trace_{ell}"] = _drift(series.trace_powers[:, ell - 1])
     return ConservationReport(flow=traj.flow, n_sites=traj[0].n,
                               n_frames=len(traj), ell_max=ell_max,
                               drifts=drifts)
@@ -547,13 +538,13 @@ def lax_residual(state, dt_probe=1e-6):
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Two-sample comparison of ensemble statistics before and after a flow.
+    """Paired comparison of ensemble statistics before and after a flow.
 
-    statistics maps a name (re_trace_k for k = 1..k_max, mean_abs_sq) to
-    {pre_mean, post_mean, z, p_value}.  The trace statistics are
-    conserved along every trajectory, so for them the test doubles as an
-    integrator consistency check; mean |alpha|^2 moves per trajectory
-    and probes the invariance of the sampled law itself.
+    statistics maps a name (mean_abs_sq, mean_re: the site means of
+    |alpha_j|^2 and of Re alpha_j) to {pre_mean, post_mean, z, p_value},
+    z being that of the mean of post - pre over the samples.  Both move
+    along a trajectory, so they probe the invariance of the sampled law;
+    conserved quantities are left to conservation_report.
     """
 
     flow: str
@@ -590,14 +581,16 @@ class InvarianceReport:
         return blob
 
 
-def _ensemble_statistics(A, k_max):
-    """Per-sample Re Tr E^k (k <= k_max) and mean |alpha|^2, as columns."""
+def _ensemble_statistics(A):
+    """Per-sample site means of |alpha_j|^2 and of Re alpha_j, as columns.
+
+    No conserved quantity may enter: paired with itself it reads only the
+    integrator's round-off.  The site mean of Re(alpha_{j+1} conj(alpha_j)),
+    for one, is -Re K1 / n.
+    """
     A = np.atleast_2d(A)
-    traces = batch_trace_powers(A, k_max)
-    cols = {f"re_trace_{k}": traces[:, k - 1].real
-            for k in range(1, k_max + 1)}
-    cols["mean_abs_sq"] = np.mean(np.abs(A) ** 2, axis=-1)
-    return cols
+    return {"mean_abs_sq": np.mean(np.abs(A) ** 2, axis=-1),
+            "mean_re": np.mean(A.real, axis=-1)}
 
 
 def _flow_ensemble(flow, A, n_steps, h):
@@ -624,31 +617,34 @@ def _flow_ensemble(flow, A, n_steps, h):
     return out
 
 
-def _two_sample_z(x, y):
-    n, m = x.size, y.size
-    se = math.sqrt(x.var(ddof=1) / n + y.var(ddof=1) / m)
+def _paired_z(pre, post):
+    """z of the mean of post - pre over paired samples, and its two-sided p."""
+    d = post - pre
+    se = math.sqrt(d.var(ddof=1) / d.size)
     if se == 0.0:
-        z = 0.0 if float(x.mean()) == float(y.mean()) else math.inf
+        z = 0.0 if float(d.mean()) == 0.0 else math.inf
     else:
-        z = (float(y.mean()) - float(x.mean())) / se
+        z = float(d.mean()) / se
     return z, 2.0 * float(stats.norm.sf(abs(z)))
 
 
-def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
-                        k_max=4):
+def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02):
     """Check that the sampled Gibbs law is invariant under its flow.
 
     Draws n_samples states from the ensemble of `spec` ("al" or
-    "schur"), flows every state to t_final with RK4, and compares
-    pre/post ensemble averages of Re Tr E^k (k <= k_max) and of
-    (1/n) sum |alpha_j|^2 by two-sample z-tests.  The batch is flowed
+    "schur"), flows every state to t_final with RK4, and compares the
+    site means (1/n) sum |alpha_j|^2 and (1/n) sum Re alpha_j of each
+    state with those of its own image by a paired z-test on post - pre.
+    Both move along a trajectory while their law stays fixed under an
+    invariant ensemble; conserved quantities would pass by construction,
+    so they are left to conservation_report.  The batch is flowed
     site-major in blocks of columns sized to stay in an L2 cache
     (ENSEMBLE_BLOCK_BYTES per state array); each block runs all its steps
     in turn, and a block whose state leaves the polydisk raises
     NumericalError.
 
     The step is t_final / ceil(t_final / dt), so t_final is hit exactly;
-    t_final = 0 skips the flow and every p-value is 1 by construction.
+    t_final = 0 skips the flow, so every difference is 0, z = 0 and p = 1.
     Small ensembles get a warning entry instead of an error, except that
     fewer than two samples cannot feed a z-test at all.  dt must be finite
     and positive, t_final finite and nonnegative.
@@ -666,7 +662,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need at least two samples for a z-test")
-    rng = make_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = make_rng(rng)
     warnings = []
     if n_samples < 100:
         warnings.append(
@@ -675,7 +671,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
 
     batch = sample_ensemble(spec, McmcParams(sweeps=n_samples), rng)
     A0 = batch.alphas
-    pre = _ensemble_statistics(A0, k_max)
+    pre = _ensemble_statistics(A0)
 
     if t_final == 0:
         A1 = A0
@@ -684,11 +680,11 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02,
         n_steps = max(1, math.ceil(t_final / dt))
         step = t_final / n_steps
         A1 = _flow_ensemble(spec.kind, A0, n_steps, step)
-    post = _ensemble_statistics(A1, k_max)
+    post = _ensemble_statistics(A1)
 
     statistics = {}
     for name in pre:
-        z, p = _two_sample_z(np.asarray(pre[name]), np.asarray(post[name]))
+        z, p = _paired_z(pre[name], post[name])
         statistics[name] = {
             "pre_mean": float(np.mean(pre[name])),
             "post_mean": float(np.mean(post[name])),

@@ -498,13 +498,14 @@ def free_energy_torus(rho, v, beta):
 
 
 _INTERVAL_CACHE = {}
+# half-width T of the interval's t-grid, whatever its size
+_T_SPAN = 36.0
 
 
 def _interval_grid(m):
-    """Uniform t-grid with endpoint nodes at +-T, T = max(36, 0.04 m)."""
-    t_span = max(36.0, 0.04 * m)
-    t = np.linspace(-t_span, t_span, m)
-    return t, t_span, t[1] - t[0]
+    """Uniform t-grid with endpoint nodes at +-T: more nodes refine it."""
+    t = np.linspace(-_T_SPAN, _T_SPAN, m)
+    return t, _T_SPAN, t[1] - t[0]
 
 
 def _grid(domain, m):
@@ -641,12 +642,8 @@ def minimize_interval(v, beta, params=None, init_values=None):
     _fixed_point, as in minimize_torus.  Raises EndpointSingularityError when
     an edge mass grows beyond what the tail model resolves (beta too small).
 
-    The grid spans t in [-T, T] with T = max(36, 0.04 m) (_interval_grid),
-    so from m of about 900 on the spacing stays near 0.08 and a larger
-    grid_size only widens the span; the O(spacing^2) quadrature bias then
-    stops shrinking (at beta = 1, V = 0 the second coefficient of the
-    beta-derivative measure misses 1/9 by -1.26e-4 for every m from 1024
-    to 8192).
+    The grid spans t in [-T, T], T = 36 (_interval_grid), so a larger
+    grid_size refines it and the O(spacing^2) quadrature bias shrinks.
     """
     _check_beta(beta)
     params = params or SolverParams()

@@ -507,6 +507,18 @@ def test_conserved_quantities_values():
     assert abs(q.k1 - q.trace_powers[0]) <= 1e-13
 
 
+def test_batched_conserved_quantities_keep_leading_axes():
+    rng = np.random.default_rng(25)
+    a = np.stack([random_interior_alpha(rng, 6, rmax=0.6, real=True)
+                  for _ in range(6)]).reshape(2, 3, 6)
+    q = cc.conserved_quantities(a, 3)
+    assert q.k0.shape == (2, 3) and q.k1.shape == (2, 3)
+    assert q.k1.dtype == complex and q.trace_powers.shape == (2, 3, 3)
+    one = cc.conserved_quantities(a[1, 2], 3)
+    assert q.k0[1, 2] == one.k0 and q.k1[1, 2] == one.k1
+    assert np.array_equal(q.trace_powers[1, 2], one.trace_powers)
+
+
 # -------------------------------------------------------------------- e_plus
 
 def test_e_plus_truncation_identity():

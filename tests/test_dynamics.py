@@ -21,7 +21,7 @@ from ggelab.cmv_core import (
     conserved_quantities,
     unitarity_residual,
 )
-from ggelab import dynamics
+from ggelab import cmv_core, dynamics
 from ggelab.dynamics import (
     _Rk4,
     _neighbours,
@@ -365,12 +365,34 @@ class TestConservation:
         assert 8.0 < ratio < 32.0, f"dt halving gave drift ratio {ratio:.2f}"
 
     def test_report_matches_conserved_quantities(self, al_run):
-        series = al_run.conserved_series(4)
-        start = conserved_quantities(al_run[0].alphas.alpha, 4)
-        assert abs(series["k0"][0] - start.k0) < 1e-14
-        assert abs(series["k1"][0] - start.k1) < 1e-14
-        assert np.abs(series["trace_powers"][0] - start.trace_powers).max() \
-            < 1e-12
+        series = conserved_quantities(al_run.alphas, 4)
+        assert series.k0.shape == series.k1.shape == (len(al_run),)
+        assert series.trace_powers.shape == (len(al_run), 4)
+        for i in (0, len(al_run) // 2, len(al_run) - 1):
+            one = conserved_quantities(al_run[i].alphas.alpha, 4)
+            assert isinstance(one.k0, float) and isinstance(one.k1, complex)
+            assert series.k0[i] == one.k0 and series.k1[i] == one.k1
+            assert np.array_equal(series.trace_powers[i], one.trace_powers)
+        report = conservation_report(al_run, 4)
+        k0 = series.k0
+        assert report.drifts["k0"] == \
+            np.abs(k0 - k0[0]).max() / max(abs(k0[0]), 1.0)
+        t4 = series.trace_powers[:, 3]
+        assert report.drifts["trace_4"] == \
+            np.abs(t4 - t4[0]).max() / max(abs(t4[0]), 1.0)
+
+    @pytest.mark.parametrize("ell_max, error", [
+        (2.5, TypeError), (2.0, TypeError), ("3", TypeError),
+        (None, TypeError), (0, ValueError), (-1, ValueError)])
+    def test_ell_max_must_be_a_positive_integer(self, al_run, ell_max,
+                                                error):
+        with pytest.raises(error, match="ell_max"):
+            conservation_report(al_run, ell_max)
+
+    def test_numpy_integer_ell_max_accepted(self, al_run):
+        report = conservation_report(al_run, np.int64(3))
+        assert report.ell_max == 3 and type(report.ell_max) is int
+        assert report.drifts == conservation_report(al_run, 3).drifts
 
     def test_json_report(self, al_run, tmp_path):
         report = conservation_report(al_run, 2)
@@ -470,13 +492,6 @@ class TestGgeInvariance:
         report = gge_invariance_test(spec, 2.0, 500, make_rng(42))
         assert report.passes(0.01), f"p-values {report.p_values}"
 
-    def test_trace_statistics_are_consistency_checks(self):
-        # conserved per trajectory, so pre/post virtually coincide
-        spec = EnsembleSpec(kind="al", n=16, beta=2.0)
-        report = gge_invariance_test(spec, 1.0, 400, make_rng(18))
-        for k in range(1, 5):
-            assert report.statistics[f"re_trace_{k}"]["p_value"] > 0.99
-
     def test_small_sample_warning(self):
         spec = EnsembleSpec(kind="al", n=8, beta=1.0)
         report = gge_invariance_test(spec, 0.5, 50, make_rng(19))
@@ -507,11 +522,75 @@ class TestGgeInvariance:
         report = gge_invariance_test(spec, 0.5, 120, make_rng(22))
         blob = report.to_json(tmp_path / "inv.json")
         assert blob["flow"] == "al"
-        assert set(blob["statistics"]) == {"re_trace_1", "re_trace_2",
-                                           "re_trace_3", "re_trace_4",
-                                           "mean_abs_sq"}
+        assert set(blob["statistics"]) == {"mean_abs_sq", "mean_re"}
         for stat in blob["statistics"].values():
             assert set(stat) == {"pre_mean", "post_mean", "z", "p_value"}
+
+    def test_makes_no_trace_call(self, monkeypatch):
+        # conservation is checked by conservation_report alone
+        def no_traces(*args, **kwargs):
+            raise AssertionError("gge_invariance_test computed power traces")
+        monkeypatch.setattr(cmv_core, "_band_traces", no_traces)
+        for kind in ("al", "schur"):
+            report = gge_invariance_test(EnsembleSpec(kind, 16, 1.0), 0.5,
+                                         200, make_rng(26))
+            assert set(report.statistics) == {"mean_abs_sq", "mean_re"}
+
+    def test_paired_z_is_the_mean_difference_over_its_error(self,
+                                                           monkeypatch):
+        calls = []
+        real = dynamics._ensemble_statistics
+
+        def spy(A):
+            calls.append(real(A))
+            return calls[-1]
+        monkeypatch.setattr(dynamics, "_ensemble_statistics", spy)
+        report = gge_invariance_test(EnsembleSpec("al", 16, 1.0), 0.5, 300,
+                                     make_rng(27))
+        pre, post = calls
+        for name, stat in report.statistics.items():
+            d = post[name] - pre[name]
+            z = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
+            assert stat["z"] == pytest.approx(z, rel=1e-12)
+            assert stat["pre_mean"] == np.mean(pre[name])
+            assert stat["post_mean"] == np.mean(post[name])
+
+
+def _sign_alternating(A, rng):
+    return (-1.0) ** np.arange(A.shape[-1]) * np.abs(A)
+
+
+def _phase_walk(A, rng):
+    phi = (rng.uniform(0.0, 2 * np.pi, (A.shape[0], 1))
+           + np.cumsum(rng.normal(0.0, 0.3, A.shape), axis=-1))
+    return np.abs(A) * np.exp(1j * phi)
+
+
+class TestInvariancePositiveControls:
+    """Laws that no flow leaves invariant must fail the check at the size of
+    criterion 09 (n = 32, 2000 samples, t = 1, dt = 0.02): GGE moduli with
+    their phases or signs replaced."""
+
+    @pytest.mark.parametrize("kind, distort", [
+        ("al", lambda A, rng: np.abs(A).astype(complex)),
+        ("al", _phase_walk),
+        ("schur", lambda A, rng: np.abs(A)),
+        ("schur", _sign_alternating),
+    ], ids=["al-phases-zero", "al-phase-walk", "schur-signs-plus",
+            "schur-signs-alternating"])
+    def test_non_invariant_law_fails(self, kind, distort, monkeypatch):
+        real = dynamics.sample_ensemble
+
+        def distorted(spec, mcmc, rng):
+            batch = real(spec, mcmc, rng)
+            return SampleBatch(alphas=distort(batch.alphas, rng),
+                               kind=batch.kind, beta=batch.beta,
+                               boundary=batch.boundary)
+        monkeypatch.setattr(dynamics, "sample_ensemble", distorted)
+        report = gge_invariance_test(EnsembleSpec(kind, 32, 1.0), 1.0, 2000,
+                                     make_rng(99), dt=0.02)
+        assert not report.passes(0.01)
+        assert report.p_values["mean_abs_sq"] < 0.01
 
 
 def _whole_batch_flow(flow, A, n_steps, h):

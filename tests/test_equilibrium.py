@@ -546,6 +546,17 @@ class TestBetaDerivative:
         assert abs(c[2].real - 1 / 9) < 3e-4
         assert abs(c[4].real - 67 / 675) < 3e-4
 
+    def test_interval_grid_refines_with_its_size(self):
+        # the t-span is fixed, so doubling m halves the spacing and the
+        # O(h^2) quadrature bias of nu_2 falls about fourfold
+        errors = []
+        for m in (1024, 2048, 4096):
+            nd = beta_derivative_measure(None, 1.0, domain="interval",
+                                         params=SolverParams(grid_size=m))
+            errors.append(abs(nd.fourier(2)[2].real - 1 / 9))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine * 3.0 <= coarse, errors
+
     def test_interval_family_at_half(self):
         nd = beta_derivative_measure(None, 0.5, domain="interval")
         assert abs(nd.fourier(2)[2].real - 0.25) < 5e-4
