@@ -152,7 +152,7 @@ def _into_open_disk(z, bound=1.0 - 1e-15):
         return z * (bound / r) if r >= bound else z
     r = np.abs(z)
     hot = r >= bound
-    if np.any(hot):
+    if hot.any():
         z = np.where(hot, z * (bound / np.maximum(r, bound)), z)
     return z
 
@@ -486,7 +486,9 @@ def _run_color_chain(kind, params, wc, spacing, burn, thin, n_keep, rng):
 
     A degree-1 trace increment at site j only involves alpha_{j-1} and
     alpha_{j+1}, so sites of a common residue class mod `spacing` update
-    independently and one numpy call handles the whole class.
+    independently and one numpy call handles the whole class.  Each class's
+    site indices and those of its left and right neighbours are built once,
+    before the first sweep.
     """
     alpha = _draw_sites(kind, params, rng, size=1)[0]
     size_n = alpha.size
@@ -498,13 +500,14 @@ def _run_color_chain(kind, params, wc, spacing, burn, thin, n_keep, rng):
     sweep = 0
     k_idx = 0
     offsets = [np.arange(off, size_n, spacing) for off in range(spacing)]
+    classes = [(sites, (sites - 1) % size_n, (sites + 1) % size_n)
+               for sites in offsets]
     while k_idx < n_keep:
-        for sites in offsets:
+        for sites, left, right in classes:
             # periodic sites share one law, so one call draws the class
             prop = _draw_sites(kind, params, rng, sites[0], sites.size)
             d = prop - alpha[sites]
-            dtr = -(alpha[(sites - 1) % size_n] * np.conj(d)
-                    + d * np.conj(alpha[(sites + 1) % size_n]))
+            dtr = -(alpha[left] * np.conj(d) + d * np.conj(alpha[right]))
             dv = (w1 * dtr).real
             acc = np.log(rng.uniform(size=sites.size)) < -dv
             alpha[sites[acc]] = prop[acc]

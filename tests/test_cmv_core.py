@@ -290,6 +290,92 @@ def test_batch_rows_past_the_block_match_single_rows():
             assert np.abs(traces[b] - single).max() <= 1e-13
 
 
+# (n, ell_max, topology, real): the dos_torus shape, the real ring through
+# its Jacobi band, an open matrix of both dtypes, and rings of 2 and 4 sites,
+# where _pair_trace reads the pad rows of the buffers
+_KERNEL_CASES = [(256, 16, "periodic", False), (128, 16, "periodic", True),
+                 (10, 11, "open", False), (10, 11, "open", True),
+                 (2, 16, "periodic", False), (2, 16, "periodic", True),
+                 (4, 16, "periodic", False), (4, 16, "periodic", True)]
+
+
+def _kernel_batch(case, rows, seed):
+    n, _, topology, real = case
+    rng = np.random.default_rng(seed)
+    return np.stack([_random_matrix(rng, n, topology, real)[0]
+                     for _ in range(rows)])
+
+
+def _fresh_buffer_traces(batch, ell_max, topology):
+    """batch_trace_powers block by block, each block with buffers of its
+    own.  einsum may sum a product in another order for another row count
+    (single rows of small rings differ in the last bits), so the blocks
+    stay those of the kernel."""
+    real_ring = topology == "periodic" and not np.iscomplexobj(batch)
+    blocks = []
+    for lo in range(0, len(batch), cc._BLOCK):
+        block = batch[lo:lo + cc._BLOCK]
+        if real_ring:
+            band = cc.geronimus_diagonals(block)
+            blocks.append(2 * cc._band_traces(band, ell_max, 2, 1))
+        else:
+            band = cc._DIAGONALS[topology](block)
+            blocks.append(cc._band_traces(band, ell_max))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("case", _KERNEL_CASES,
+                         ids=["-".join(map(str, c)) for c in _KERNEL_CASES])
+def test_blocks_sharing_buffers_equal_fresh_buffers_bit_for_bit(case):
+    # two full blocks and a ragged one, which takes the first rows of
+    # buffers a full block has filled
+    n, ell_max, topology, _ = case
+    batch = _kernel_batch(case, 2 * cc._BLOCK + 5, 500)
+    traces = cc.batch_trace_powers(batch, ell_max, topology)
+    fresh = _fresh_buffer_traces(batch, ell_max, topology)
+    assert traces.dtype == fresh.dtype
+    assert traces.tobytes() == fresh.tobytes()
+    if n == 256:  # rows this long are summed alike at any row count
+        for row, got in zip(batch, traces):
+            single = cc.batch_trace_powers(row, ell_max, topology)[0]
+            assert got.tobytes() == single.tobytes()
+
+
+def test_consecutive_calls_keep_nothing_between_them():
+    cases = _KERNEL_CASES[:4] + [(6, 5, "periodic", False)]
+    batches = [_kernel_batch(case, 2 * cc._BLOCK + 5, 600 + i)
+               for i, case in enumerate(cases)]
+
+    def call(i):
+        _, ell_max, topology, _ = cases[i]
+        return cc.batch_trace_powers(batches[i], ell_max, topology).tobytes()
+
+    alone = [call(i) for i in range(len(cases))]
+    for i in range(len(cases)):
+        for j in range(len(cases)):
+            if i != j:
+                assert call(i) == alone[i] and call(j) == alone[j]
+
+
+@pytest.mark.parametrize("ell_max", [0, 1, 2, 11, 16])
+def test_each_half_power_buffer_is_allocated_once_per_call(ell_max,
+                                                           monkeypatch):
+    calls = []
+    fresh = cc._power_buffer
+
+    def counted(*args):
+        calls.append(args)
+        return fresh(*args)
+
+    monkeypatch.setattr(cc, "_power_buffer", counted)
+    for case in _KERNEL_CASES[:4]:
+        topology = case[2]
+        batch = _kernel_batch(case, 2 * cc._BLOCK + 5, 700)
+        calls.clear()
+        cc.batch_trace_powers(batch, ell_max, topology)
+        assert len(calls) <= -(-ell_max // 2)
+
+
 def test_batch_trace_powers_rejects_bad_input():
     with pytest.raises(ValueError):
         cc.batch_trace_powers(np.zeros(4), 2, "torus")

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from ggelab import cmv_core as cc
 from ggelab import sampling as sp
@@ -256,8 +256,10 @@ def test_mcmc_zero_delta_accepts_everything():
 def test_mcmc_two_site_chain_matches_quadrature():
     # N = 2 periodic: the wrap puts the rho_j rho_{j+1} entries on the
     # diagonal, so Tr E = 2 rho1 rho2 - 2 Re(a1 conj(a2)) and V = 2 eta cos
-    # tilts by exp(4 eta (r1 r2 cos psi - rho1 rho2)).  Stationary moments
-    # from 3D quadrature in (r1, r2, psi).
+    # tilts by exp(4 eta (r1 r2 cos psi - rho1 rho2)).  The psi integral is
+    # closed-form, int exp(c cos psi) (1, cos psi) dpsi = 2 pi (I0(c), I1(c))
+    # with c = 4 eta r1 r2, so the stationary moments are 2D quadratures in
+    # (r1, r2).
     beta, eta = 1.5, 0.4
     spec = sp.EnsembleSpec("al", 2, beta=beta,
                            potential=Potential("torus", cos=[0.0, 2 * eta]))
@@ -265,19 +267,20 @@ def test_mcmc_two_site_chain_matches_quadrature():
                              np.random.default_rng(52))
     assert 0.0 < batch.acceptance_rate <= 1.0
 
-    def weight(r1, r2, psi):
+    def radial(r1, r2):
         rho = np.sqrt((1 - r1**2) * (1 - r2**2))
         return (
             (1 - r1**2) ** (beta - 1) * (1 - r2**2) ** (beta - 1)
-            * np.exp(4 * eta * (r1 * r2 * np.cos(psi) - rho)) * r1 * r2
+            * np.exp(-4 * eta * rho) * r1 * r2 * 2 * np.pi
         )
 
-    z, _ = integrate.tplquad(weight, 0, 2 * np.pi, 0, 1, 0, 1)
-    m_r2, _ = integrate.tplquad(lambda r1, r2, psi: r1**2 * weight(r1, r2, psi),
-                                0, 2 * np.pi, 0, 1, 0, 1)
-    m_x, _ = integrate.tplquad(
-        lambda r1, r2, psi: r1 * r2 * np.cos(psi) * weight(r1, r2, psi),
-        0, 2 * np.pi, 0, 1, 0, 1)
+    def moment(f):
+        return integrate.dblquad(lambda r1, r2: f(r1, r2) * radial(r1, r2),
+                                 0, 1, 0, 1)[0]
+
+    z = moment(lambda r1, r2: special.i0(4 * eta * r1 * r2))
+    m_r2 = moment(lambda r1, r2: r1**2 * special.i0(4 * eta * r1 * r2))
+    m_x = moment(lambda r1, r2: r1 * r2 * special.i1(4 * eta * r1 * r2))
 
     a = batch.alphas
     obs_r2 = np.abs(a[:, 0]) ** 2
@@ -327,6 +330,8 @@ _I2 = Potential("interval", cheb=[0.2, 0.6, 0.5])
 CHAIN_FINGERPRINTS = {
     "al-12-t1": ("al", 12, 1.0, _T1,
         ("46b28b6105ea3c38", 0.8452380952380952)),
+    "al-24-t1": ("al", 24, 1.0, _T1,
+        ("0fb091fb88507e8e", 0.8809523809523809)),
     "circular-6-c": ("circular", 6, 1.0, Potential("torus", cos=[0.3]),
         ("a7802f106f76e1c8", 1.0)),
     "al-8-t2": ("al", 8, 1.0, _T2,
@@ -358,8 +363,10 @@ CHAIN_FINGERPRINTS = {
     "jacobi-1-i2": ("jacobi", 1, 1.0, _I2,
         ("a6a5ddbb70329e4a", 0.8301886792452831)),
 }
-# the sampler runs the colour chain on the degree-1 ring
-COLOUR_FINGERPRINTS = {"al-12-t1": ("ca4d0b4d1964cbbf", 0.8779761904761905)}
+# the sampler runs the colour chain on the degree-1 ring; at n = 24 each
+# colour class holds three sites and the neighbour indices wrap
+COLOUR_FINGERPRINTS = {"al-12-t1": ("ca4d0b4d1964cbbf", 0.8779761904761905),
+                       "al-24-t1": ("64ec94a3616b8a74", 0.8720238095238095)}
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_FINGERPRINTS))
