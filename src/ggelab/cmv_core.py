@@ -29,7 +29,10 @@ detour through monomials, whose conversion to T_k amplifies rounding by
 about (1 + sqrt 2)^k.  All K traces of a size-n row cost about 3.5 K^2 n
 multiply-adds on the CMV band and 0.6 K^2 n on the Jacobi band, in fixed
 row blocks.  The same band gives the eigen-angles of a real ring: its n/2
-eigenvalues are the values cos(theta) of the conjugate pairs.
+eigenvalues are the values cos(theta) of the conjugate pairs.  Every other
+matrix is unitary but not Hermitian; its angles come from the Hermitian
+Cayley transform i (I + E)^-1 (I - E), whose eigenvalues are tan(theta/2),
+so every eigen-angle comes from a Hermitian eigvalsh.
 
 A single-site chain needs only how Tr E and Tr E^2 change when one
 coefficient moves.  Both are sums of row terms over three neighbouring
@@ -44,7 +47,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "BoundaryMode",
@@ -254,63 +256,122 @@ def _check_residual(resid, what):
         raise NumericalError(f"{what} by {resid:.3e}", residual=resid)
 
 
-def _geev_eigvals(E):
-    """Eigenvalues of a dense matrix from LAPACK geev without eigenvectors:
-    zgeev for complex E, dgeev for real E, with the workspace that geev
-    asks for.  These are the routine and workspace of np.linalg.eigvals,
-    without its per-call checks; the values agree bit for bit, except that
-    from n = 128 on two BLAS builds may split the blocked steps over their
-    threads differently.  LAPACK returns garbage for non-finite input, so
-    that is refused first."""
+def _eigvalsh(h):
+    """np.linalg.eigvalsh, with a failed iteration raised as NumericalError."""
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+# A backward-stable solve of (I + E) X = I - E errs by about eps |X|^2, and
+# so leaves the transform that far from Hermitian: the skew max|A - A*| was
+# at most 1.3 eps (1 + max|tan(theta/2)|)^2 on complex rings, open rows and
+# jacobi rows up to n = 256.  A pass is trusted while its skew is within
+# _SKEW_EPS times that and |tan(theta/2)| <= _TAN_MAX, that is, while no
+# eigenvalue lies within about 2 / _TAN_MAX of -1.  Its angle error grows
+# as up to 6e-16 |tan(theta/2)|, at most 3e-13 at _TAN_MAX.  A solve that
+# meets an eigenvalue at -1 leaves a skew far above that (1e16 on odd real
+# open rows) even when every |tan(theta/2)| is small
+_SKEW_EPS = 16.0
+_TAN_MAX = 500.0
+
+
+def _cayley_pass(E):
+    """tan(theta/2) for a unitary E: the eigenvalues of the Hermitised
+    A = i (I + E)^-1 (I - E), and the skew max|A - A*| before that, which
+    is inf where the solve finds I + E singular."""
+    eye = np.eye(len(E))
+    try:
+        X = np.linalg.solve(eye + E, eye - E)  # A = i X
+    except np.linalg.LinAlgError:
+        return np.zeros(len(E)), np.inf
+    Xh = X.conj().T
+    return _eigvalsh(0.5j * (X - Xh)), float(np.abs(X + Xh).max())
+
+
+def _hermitian(lam, skew):
+    """Whether a pass's skew is no more than rounding leaves (_SKEW_EPS)."""
+    eps = np.finfo(float).eps
+    return skew <= _SKEW_EPS * eps * (1.0 + np.abs(lam).max()) ** 2
+
+
+def _gap_middle(angles):
+    """Middle of the largest gap between the angles, around the circle."""
+    s = np.sort(angles)
+    gaps = np.diff(s, append=s[0] + 2.0 * np.pi)
+    k = np.argmax(gaps)
+    return s[k] + 0.5 * gaps[k]
+
+
+def _cayley_angles(E):
+    """Eigen-angles of a unitary matrix E, unsorted.
+
+    A unitary E with eigenvalue exp(i theta) has the Hermitian Cayley
+    transform A = i (I + E)^-1 (I - E) with eigenvalue tan(theta/2), so
+    theta = 2 arctan of an eigvalsh.  When the pass is not trusted (I + E
+    singular, a skew above rounding, or max|tan(theta/2)| > _TAN_MAX), a
+    second pass runs on exp(-i phi) E and adds phi back; phi puts -1 in
+    the middle of the largest gap of a set known to hold the spectrum: the
+    first-pass angles where A was Hermitian, else +-arccos of the
+    eigenvalues of (E + E*)/2.  Such a gap is at least pi/n wide, so the
+    second pass has |tan(theta/2)| <= 4n/pi and an angle error of up to
+    about 8e-16 n; against np.linalg.eigvals, it was at most 3e-13 on the
+    circle up to n = 256.
+
+    Raises NumericalError for non-finite entries, for |E* E - I| above
+    1e-9 (the transform of a matrix that is not unitary still has real
+    eigenvalues, so eigvalsh cannot see it), when an eigvalsh fails, and
+    when the second pass is not Hermitian either.
+    """
     if not np.isfinite(E).all():
         raise NumericalError("eigenvalue iteration failed: the matrix has "
                              "non-finite entries")
-    n = E.shape[0]
-    if np.iscomplexobj(E):
-        work, _ = lapack.zgeev_lwork(n, compute_vl=0, compute_vr=0)
-        lam, _, _, info = lapack.zgeev(E, compute_vl=0, compute_vr=0,
-                                       lwork=int(work.real))
-    else:
-        work, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)
-        wr, wi, _, _, info = lapack.dgeev(E, compute_vl=0, compute_vr=0,
-                                          lwork=int(work))
-        lam = wr + 1j * wi
-    if info > 0:
-        raise NumericalError("eigenvalue iteration failed: the QR algorithm "
-                             f"did not converge (LAPACK info {info})")
-    return lam
+    _check_residual(float(np.abs(E.conj().T @ E - np.eye(len(E))).max()),
+                    "spectrum off the unit circle: E* E misses I")
+    lam, skew = _cayley_pass(E)
+    theta = 2.0 * np.arctan(lam)
+    hermitian = _hermitian(lam, skew)
+    if hermitian and np.abs(lam).max() <= _TAN_MAX:
+        return theta
+    if not hermitian:
+        x = np.arccos(np.clip(_eigvalsh(0.5 * (E + E.conj().T)), -1.0, 1.0))
+        theta = np.concatenate((x, -x))
+    phi = _gap_middle(theta) - np.pi
+    lam, skew = _cayley_pass(np.exp(-1j * phi) * E)
+    if not _hermitian(lam, skew):
+        raise NumericalError("eigenvalue iteration failed: the rotated "
+                             "Cayley transform is not Hermitian")
+    theta = 2.0 * np.arctan(lam) + phi
+    return np.remainder(theta + np.pi, 2.0 * np.pi) - np.pi
 
 
 def eigen_angles(m):
-    """Sorted eigenvalue arguments in [-pi, pi).
+    """Sorted eigenvalue arguments in [-pi, pi), by one rule.
 
     A periodic matrix built from real coefficients takes its n/2 values
     x = cos(theta) from a dense eigvalsh of its Geronimus Jacobi band X
-    (geronimus_diagonals) and returns the n angles +-arccos(x).  Complex
-    and open matrices, and matrices loaded from JSON, take the eigenvalues
-    of the dense E from LAPACK zgeev (dgeev when E is real).
+    (geronimus_diagonals) and returns the n angles +-arccos(x).  Every
+    other matrix (complex rows, open rows, matrices loaded from JSON)
+    takes theta = 2 arctan of the eigvalsh of its Hermitian Cayley
+    transform i (I + E)^-1 (I - E), with a second pass on a rotated E for
+    a matrix that has an eigenvalue near -1 or whose first pass fails
+    (_cayley_angles).
 
-    Raises NumericalError (with the offending residual) if the computed
-    spectrum strays from the unit circle, or x from [-1, 1], by more than
-    1e-9, or if the eigenvalue iteration fails.
+    Raises NumericalError (with the offending residual) if E has
+    non-finite entries, if |E* E - I| or |x| - 1 exceeds 1e-9, or if an
+    eigenvalue iteration fails.
     """
     real_ring = (m.topology == "periodic" and m.alpha is not None
                  and not np.iscomplexobj(m.alpha))
     if real_ring:
-        try:
-            x = np.linalg.eigvalsh(_scatter(geronimus_diagonals(m.alpha)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"eigenvalue iteration failed: {exc}") from exc
+        x = _eigvalsh(_scatter(geronimus_diagonals(m.alpha)))
         _check_residual(float(np.abs(x).max() - 1.0),
                         "Jacobi spectrum outside [-1, 1]")
         theta = np.arccos(np.clip(x, -1.0, 1.0))
         angles = np.concatenate((theta, 0.0 - theta))  # +0, as np.angle
     else:
-        lam = _geev_eigvals(m.dense())
-        _check_residual(float(np.abs(np.abs(lam) - 1.0).max()),
-                        "spectrum off the unit circle")
-        angles = np.angle(lam)
+        angles = _cayley_angles(m.dense())
     angles[angles >= np.pi] = -np.pi
     return np.sort(angles)
 

@@ -127,20 +127,22 @@ def test_eigen_angles_sorted_in_principal_range():
     assert angles.min() >= -np.pi and angles.max() < np.pi
 
 
-def _eigvals_angles(E):
-    """The dense angle path with np.linalg.eigvals as its eigensolver."""
-    angles = np.angle(np.linalg.eigvals(E))
-    angles[angles >= np.pi] = -np.pi
-    return np.sort(angles)
+def _circle_gap(angles, z):
+    """Largest distance on the circle from an angle to the nearest oracle
+    eigenvalue z, and from an oracle eigenvalue to the nearest angle."""
+    dist = np.abs(np.exp(1j * np.asarray(angles))[:, None] - z[None, :])
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max())
+
+
+def _assert_principal(angles):
+    assert np.all(np.diff(angles) >= 0)
+    assert angles.min() >= -np.pi and angles.max() < np.pi
 
 
 @pytest.mark.parametrize("topology, real", [
     ("periodic", False), ("open", False), ("open", True)])
 def test_dense_eigen_angles_match_numpy_eigvals(topology, real):
-    # eigen_angles calls LAPACK geev directly; np.linalg.eigvals runs the
-    # same routine with the same workspace and is the oracle.  Bit for bit
-    # up to n = 64; beyond, numpy's and scipy's BLAS builds may split the
-    # blocked Hessenberg steps over their threads differently
+    # np.linalg.eigvals (LAPACK geev) is the oracle of the Cayley route
     rng = np.random.default_rng(510)
     sizes = list(range(2, 65, 2 if topology == "periodic" else 1))
     for n in sizes + [128, 256]:
@@ -148,27 +150,51 @@ def test_dense_eigen_angles_match_numpy_eigvals(topology, real):
             _, m = _random_matrix(rng, n, topology, real)
             for matrix in (m, cc.CmvMatrix.from_json(m.to_json())):
                 got = cc.eigen_angles(matrix)
-                want = _eigvals_angles(matrix.dense())
-                if n <= 64:
-                    assert got.tobytes() == want.tobytes(), (n, topology)
-                else:
-                    gap = np.abs(np.exp(1j * got) - np.exp(1j * want)).max()
-                    assert gap <= 1e-13, (n, topology, gap)
+                _assert_principal(got)
+                gap = _circle_gap(got, np.linalg.eigvals(matrix.dense()))
+                assert gap <= 1e-12, (n, topology, real, gap)
 
 
-def test_dense_eigen_angles_use_the_workspace_geev_asks_for(monkeypatch):
-    # np.linalg.eigvals queries it too; the wrapper's minimal default
-    # workspace changes the last bits from n = 128 on
-    zgeev, seen = cc.lapack.zgeev, []
+@pytest.mark.parametrize("n", [2, 4, 8, 32, 64, 256])
+def test_cayley_angles_near_minus_one(n):
+    # random unitaries Q diag(exp(i theta)) Q* with an eigenvalue at
+    # distance d from -1 on either side, and one at -1 itself
+    rng = np.random.default_rng(900 + n)
+    for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12, 0.0):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(g)
+        theta = rng.uniform(-np.pi, np.pi, n)
+        theta[0] = np.pi - d
+        theta[-1] = -np.pi + d
+        U = (q * np.exp(1j * theta)) @ q.conj().T
+        got = cc._cayley_angles(U)
+        assert got.shape == (n,)
+        assert _circle_gap(got, np.linalg.eigvals(U)) <= 1e-12, d
 
-    def spy(a, **kw):
-        seen.append(kw.get("lwork"))
-        return zgeev(a, **kw)
 
-    monkeypatch.setattr(cc.lapack, "zgeev", spy)
-    cc.eigen_angles(cc.build_periodic_cmv(random_interior_alpha(RNG, 128)))
-    work, _ = cc.lapack.zgeev_lwork(128, compute_vl=0, compute_vr=0)
-    assert seen == [int(work.real)]
+def _zero_ring(n):
+    # E moves the even sites two places one way and the odd sites two
+    # places the other: two cycles of n/2 sites, so for even n/2 the
+    # eigenvalue -1 is exact and double
+    return cc.build_periodic_cmv(np.zeros(n, complex))
+
+
+@pytest.mark.parametrize("m", [
+    *(_zero_ring(n) for n in (4, 8, 256)),
+    cc.build_cmv(np.append(np.random.default_rng(9).uniform(-0.9, 0.9, 8),
+                           -1.0)),
+], ids=["ring4", "ring8", "ring256", "open9"])
+def test_eigen_angles_at_minus_one(m):
+    # I + E is singular: the solve raises on the zero rings and, on the real
+    # open n = 9 row, returns a transform far from Hermitian whose
+    # eigenvalues are all small; both take the second pass.  The oracle
+    # itself may put -1 at either end of [-pi, pi)
+    E = m.dense()
+    assert np.abs(np.linalg.eigvals(E) + 1.0).min() <= 1e-12
+    for matrix in (m, cc.CmvMatrix.from_json(m.to_json())):
+        got = cc.eigen_angles(matrix)
+        _assert_principal(got)
+        assert _circle_gap(got, np.linalg.eigvals(E)) <= 1e-12
 
 
 def test_dense_eigen_angles_reject_non_finite_entries():
@@ -179,12 +205,57 @@ def test_dense_eigen_angles_reject_non_finite_entries():
         cc.eigen_angles(cc.CmvMatrix.from_json(json.dumps(doc)))
 
 
+def test_dense_eigen_angles_reject_a_non_unitary_matrix():
+    m = cc.build_periodic_cmv(random_interior_alpha(RNG, 8))
+    doc = json.loads(m.to_json())
+    doc["entries"][3][2] += 1e-3
+    with pytest.raises(cc.NumericalError, match="unit circle") as info:
+        cc.eigen_angles(cc.CmvMatrix.from_json(json.dumps(doc)))
+    assert info.value.residual > 1e-9
+
+
 def test_dense_eigen_angles_report_a_failed_iteration(monkeypatch):
     m = cc.build_periodic_cmv(random_interior_alpha(RNG, 6))
-    monkeypatch.setattr(cc.lapack, "zgeev",
-                        lambda a, **kw: (np.zeros(a.shape[0]), None, None, 3))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(cc.NumericalError, match="iteration failed"):
         cc.eigen_angles(m)
+
+
+def test_dense_eigen_angles_report_a_failed_second_pass(monkeypatch):
+    # a rotated pass whose transform is not Hermitian either is an error,
+    # never a silent answer
+    m = cc.build_periodic_cmv(random_interior_alpha(RNG, 6))
+    monkeypatch.setattr(cc, "_cayley_pass",
+                        lambda E: (np.zeros(len(E)), np.inf))
+    with pytest.raises(cc.NumericalError, match="iteration failed"):
+        cc.eigen_angles(m)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_cayley_skew_just_above_rounding_takes_the_second_pass(monkeypatch,
+                                                               above):
+    # the first pass reports a skew at the trusted limit, or one ulp above
+    # it: only the latter is redone, and the answer holds either way
+    m = cc.build_periodic_cmv(random_interior_alpha(RNG, 32))
+    first_pass, skews = cc._cayley_pass, []
+
+    def spy(E):
+        lam, skew = first_pass(E)
+        if not skews:
+            limit = (cc._SKEW_EPS * np.finfo(float).eps
+                     * (1.0 + np.abs(lam).max()) ** 2)
+            skew = np.nextafter(limit, np.inf) if above else limit
+        skews.append(skew)
+        return lam, skew
+
+    monkeypatch.setattr(cc, "_cayley_pass", spy)
+    got = cc.eigen_angles(m)
+    assert len(skews) == (2 if above else 1)
+    assert _circle_gap(got, np.linalg.eigvals(m.dense())) <= 1e-12
 
 
 def test_eigen_angle_sum_matches_determinant_argument():

@@ -223,6 +223,22 @@ def test_circular_two_sites_pair_correlation():
     assert abs(vals.mean() + 0.5) <= 3 * se
 
 
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_jacobi_rows_eigen_angles_match_numpy_eigvals(n):
+    # alpha_2n = -1 exactly, and small beta puts coefficients near +-1 and
+    # eigenvalues near -1, where the Cayley route takes its second pass
+    batch = sp.sample_jacobi_beta(n, 0.5, None, sp.McmcParams(sweeps=20),
+                                  np.random.default_rng(49 + n))
+    for row in batch.alphas:
+        m = cc.build_cmv(row)
+        th = cc.eigen_angles(m)
+        assert np.all(np.diff(th) >= 0)
+        assert th.min() >= -np.pi and th.max() < np.pi
+        dist = np.abs(np.exp(1j * th)[:, None]
+                      - np.linalg.eigvals(m.dense())[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12
+
+
 def test_jacobi_v0_structure_and_marginal():
     n, beta = 4, 2.0
     batch = sp.sample_jacobi_beta(n, beta, None, sp.McmcParams(sweeps=3000),
