@@ -183,7 +183,6 @@ class GridDensity:
         self.beta = beta
         self.potential = potential
         self.signed = signed
-        self._fcache = {}
         m = self.mass()
         if not abs(m - 1.0) < 1e-10:
             raise ValueError(f"density mass {m} is not 1")
@@ -241,51 +240,47 @@ class GridDensity:
     def x_moment(self, p):
         if self.domain != "interval":
             raise AttributeError("x_moment is defined for interval densities only")
-        gm, gp = self.edge_masses
-        return float(self.weights @ (self.values * self.x ** p)) + gm + gp * (-1.0) ** p
+        return self.integrate(lambda x: x ** p)
 
     def fourier(self, k_max):
         """FourierCoeffs of the measure; interval densities use the symmetrized lift."""
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        if k_max not in self._fcache:
-            k = np.arange(1, k_max + 1)
-            if self.domain == "torus":
-                m = self.grid_size
-                h = 2 * np.pi / m
-                c = h * _torus_phase(k, h) * (np.fft.ifft(self.values) * m)[k % m]
-            else:
-                gm, gp = self.edge_masses
-                th = self.theta
-                c = np.cos(k[:, None] * th[None, :]) @ (self.weights * self.values)
-                c = c + gm + gp * np.cos(k * np.pi)
-                c = c.astype(complex)
-            tol = 1e-3 if self.signed else 1e-9
-            worst = float(np.max(np.abs(c)))
-            if not worst <= 1.0 + tol:
-                raise ValueError(f"|mu_k| = {worst} exceeds 1")
-            self._fcache[k_max] = FourierCoeffs(np.clip(np.abs(c), None, 1.0) * np.exp(1j * np.angle(c)))
-        return self._fcache[k_max]
+        k = np.arange(1, k_max + 1)
+        if self.domain == "torus":
+            m = self.grid_size
+            h = 2 * np.pi / m
+            c = h * _torus_phase(k, h) * (np.fft.ifft(self.values) * m)[k % m]
+        else:
+            gm, gp = self.edge_masses
+            th = self.theta
+            c = np.cos(k[:, None] * th[None, :]) @ (self.weights * self.values)
+            c = c + gm + gp * np.cos(k * np.pi)
+            c = c.astype(complex)
+        tol = 1e-3 if self.signed else 1e-9
+        worst = float(np.max(np.abs(c)))
+        if not worst <= 1.0 + tol:
+            raise ValueError(f"|mu_k| = {worst} exceeds 1")
+        return FourierCoeffs(np.clip(np.abs(c), None, 1.0) * np.exp(1j * np.angle(c)))
 
     # -- exports ---------------------------------------------------------
 
     def to_csv(self, path):
-        vals = np.clip(self.values, 0.0, None) if self.signed else self.values
+        if self.domain == "torus":
+            header, xs, rho = "theta", self.nodes, self.values
+        else:
+            # rows cover the resolvable interior; past |x| = 1 - 1e-12 the
+            # x-coordinate degenerates in floats and the layer lives in the
+            # edge masses of the sidecar instead
+            x = self.x
+            keep = np.abs(x) < 1.0 - 1e-12
+            header, xs, rho = "x", x[keep][::-1], self.density_x()[keep][::-1]
+        if self.signed:
+            rho = np.clip(rho, 0.0, None)
         with open(path, "w", newline="") as fh:
-            if self.domain == "torus":
-                fh.write("theta,rho\n")
-                for th, r in zip(self.nodes, vals):
-                    fh.write(f"{float(th)!r},{float(r)!r}\n")
-            else:
-                # rows cover the resolvable interior; past |x| = 1 - 1e-12 the
-                # x-coordinate degenerates in floats and the layer lives in the
-                # edge masses of the sidecar instead
-                rho_x = vals * np.cosh(self.nodes) ** 2
-                xs = self.x
-                keep = np.abs(xs) < 1.0 - 1e-12
-                fh.write("x,rho\n")
-                for xv, r in zip(xs[keep][::-1], rho_x[keep][::-1]):
-                    fh.write(f"{float(xv)!r},{float(r)!r}\n")
+            fh.write(f"{header},rho\n")
+            for xv, r in zip(xs, rho):
+                fh.write(f"{float(xv)!r},{float(r)!r}\n")
 
     def sidecar_json(self):
         pot = self.potential.to_dict() if isinstance(self.potential, Potential) else None

@@ -249,7 +249,7 @@ def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
     k_cut = int(np.ceil(np.sqrt(2 * np.log(1e18)) / bandwidth)) + 1
     k_cut = min(k_cut, 8 * grid_size)
     k = np.arange(1, k_cut + 1)
-    mk = np.exp(1j * k[:, None] * mu.angles[None, :]).mean(axis=1)
+    mk = fourier_coeffs(mu, k_cut).c
     damp = np.exp(-0.5 * (k * bandwidth) ** 2)
     theta, h = _torus_grid(grid_size)
     values = (1 + 2 * np.real((damp * mk)[None, :] * np.exp(-1j * theta[:, None] * k[None, :])).sum(axis=1)) / (2 * np.pi)
@@ -300,10 +300,11 @@ class BoundCheckReport:
         })
 
 
-def check_bv_lip_bound(a, b, f_dictionary=DEFAULT_TEST_FUNCTIONS, slack=1e-12):
+def check_bv_lip_bound(a, b, slack=1e-12):
     """Check |int f dmu(A) - int f dmu(B)| against the BV-rank and Lipschitz-entrywise bounds.
 
-    For each dictionary function the deviation must satisfy both
+    For each function of DEFAULT_TEST_FUNCTIONS the deviation must satisfy
+    both
 
         |.| <= bv(f) * rank(A - B) / N       and
         |.| <= lip(f) * (1/N) sum_ij |(A - B)_ij|,
@@ -325,7 +326,7 @@ def check_bv_lip_bound(a, b, f_dictionary=DEFAULT_TEST_FUNCTIONS, slack=1e-12):
     mu_a = EmpiricalMeasure(eigen_angles(a))
     mu_b = EmpiricalMeasure(eigen_angles(b))
     rows = []
-    for f in f_dictionary:
+    for f in DEFAULT_TEST_FUNCTIONS:
         dev = abs(integrate(f, mu_a) - integrate(f, mu_b))
         bv_bound = f.bv * rank / n
         lip_bound = f.lip * entry

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ggelab.cmv_core import (
     BoundaryMode,
@@ -554,6 +555,24 @@ class TestGgeInvariance:
             assert stat["z"] == pytest.approx(z, rel=1e-12)
             assert stat["pre_mean"] == np.mean(pre[name])
             assert stat["post_mean"] == np.mean(post[name])
+
+    def test_paired_p_is_the_two_sided_normal_tail(self):
+        rng = np.random.default_rng(28)
+        noise = rng.standard_normal(400)
+        noise = (noise - noise.mean()) / noise.std(ddof=1)
+        pre = rng.standard_normal(400)
+        zs = []
+        for target in np.linspace(-8.0, 8.0, 81):
+            # mean target / sqrt(n) over a unit standard deviation: z = target
+            z, p = dynamics._paired_z(pre, pre + noise + target / 20.0)
+            zs.append(z)
+            assert p == pytest.approx(2.0 * stats.norm.sf(abs(z)), rel=1e-13)
+        assert min(zs) < -7.9 and max(zs) > 7.9
+
+    def test_paired_p_at_zero_and_infinite_z(self):
+        pre = np.arange(50.0)
+        assert dynamics._paired_z(pre, pre.copy()) == (0.0, 1.0)
+        assert dynamics._paired_z(pre, pre + 0.5) == (math.inf, 0.0)
 
 
 def _sign_alternating(A, rng):

@@ -149,6 +149,47 @@ class TestGridDensity:
         # cos 2 theta = 2 x^2 - 1 pointwise, so mu_2 = 2 E[x^2] - 1 exactly
         assert abs(r.fourier(2)[2].real - (2 * r.x_moment(2) - 1)) < 1e-13
 
+    @staticmethod
+    def _interval_with_edges(signed=False):
+        # an arcsine body carrying 0.7 of the mass, 0.1 and 0.2 at the edges
+        body = GridDensity.interval_arcsine(256).values * 0.7
+        if signed:
+            body = body + 1e-3 * np.sin(np.arange(body.size))
+            body *= 0.7 / float(GridDensity.interval_arcsine(256).weights
+                                @ body)
+        return GridDensity("interval", body, (0.1, 0.2), signed=signed)
+
+    def test_x_moment_is_the_quadrature_of_x_to_the_p(self):
+        g = self._interval_with_edges()
+        for p in range(5):
+            assert g.x_moment(p) == g.integrate(lambda x: x ** p)
+        assert g.x_moment(1) == pytest.approx(-0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("domain", ["torus", "interval"])
+    def test_fourier_follows_values_changed_in_place(self, domain):
+        if domain == "torus":
+            th = _torus_grid(256)[0]
+            g = GridDensity("torus", (1 + 0.5 * np.cos(th)) / (2 * np.pi))
+        else:
+            g = self._interval_with_edges()
+        first = g.fourier(4).c
+        g.values *= 0.5
+        g.edge_masses = (0.05, 0.1)
+        assert np.abs(first).max() > 0.1
+        np.testing.assert_allclose(g.fourier(4).c, 0.5 * first, rtol=1e-14)
+
+    def test_signed_interval_csv_clips_the_density_in_x(self, tmp_path):
+        g = self._interval_with_edges(signed=True)
+        assert g.values.min() < 0
+        path = tmp_path / "nu.csv"
+        g.to_csv(path)
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in path.read_text().strip().splitlines()[1:]])
+        keep = np.abs(g.x) < 1.0 - 1e-12
+        rho_x = np.clip(g.values, 0.0, None) * np.cosh(g.nodes) ** 2
+        assert np.array_equal(rows[:, 0], g.x[keep][::-1])
+        assert np.array_equal(rows[:, 1], rho_x[keep][::-1])
+
     def test_torus_csv_export(self, tmp_path):
         g = GridDensity.uniform_torus(32)
         path = tmp_path / "rho.csv"

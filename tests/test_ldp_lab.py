@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ggelab.cmv_core import NumericalError
 from ggelab.equilibrium import (GridDensity, free_energy_torus,
@@ -92,6 +93,27 @@ class TestExpMoment:
         bound = rep.statistics["uniform_bound"]
         assert bound == max(r["exact"] for r in rep.statistics["rows"])
         assert bound < 2.0, f"uniform bound {bound} unexpectedly large"
+
+    @staticmethod
+    def _exact(h):
+        return check_exp_moment((h,), 2, rng=0).statistics["rows"][0]["exact"]
+
+    def test_exact_matches_algebraic_weight_quadrature_at_small_h(self):
+        # plain quadrature of exp(a u^(1/h)) returns 1.0 here; the weight
+        # w^(h - 1) taken out of the integrand leaves a smooth one
+        for h in (5e-5, 1e-4):
+            a = 1.0 - 0.5 * math.log(h)
+            oracle, _ = quad(lambda w: h * math.exp(a * w), 0.0, 1.0,
+                             weight="alg", wvar=(h - 1.0, 0.0))
+            assert self._exact(h) == pytest.approx(oracle, rel=1e-12, abs=0)
+        assert self._exact(1e-300) == pytest.approx(1.0, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0])
+    def test_exact_matches_quadrature(self, h):
+        a = 1.0 - 0.5 * math.log(h)
+        oracle, _ = quad(lambda u: math.exp(a * u ** (1.0 / h)), 0.0, 1.0,
+                         limit=200, epsabs=1e-11, epsrel=1e-11)
+        assert self._exact(h) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     def test_exact_values_decrease_with_shrinking_h(self):
         rep = check_exp_moment((0.05, 0.3, 0.8), 5000, rng=203)
