@@ -35,8 +35,7 @@ from .ldp_lab import (check_coupling_lemma, check_dos_relation,
 from .potentials import Potential
 from .sampling import (ENSEMBLE_KINDS, KINDS, EnsembleSpec, McmcParams,
                        make_rng, sample_ensemble)
-from .spectral_measures import (EmpiricalMeasure, IntervalEmpiricalMeasure,
-                                fourier_coeffs)
+from .spectral_measures import EmpiricalMeasure, fourier_coeffs
 
 __all__ = ["build_parser", "load_config", "main", "parse_potential"]
 
@@ -262,20 +261,17 @@ def cmd_dos(args, cfg):
     batch = sample_ensemble(_spec_from(args), _mcmc_from(args),
                             make_rng(cfg.seed))
     angles = _batch_angles(batch).ravel()
-    on_torus = KINDS[batch.kind].domain == "torus"
-    if on_torus:
-        pool = angles
-        lo, hi = -np.pi, np.pi
-        measure = EmpiricalMeasure(pool)
+    domain = KINDS[batch.kind].domain
+    if domain == "torus":
+        pool, lo, hi = angles, -np.pi, np.pi
     else:
         # fixed boundary coefficients can pin eigenvalues at exactly +-1
         pool = np.clip(np.cos(angles), -1.0 + 1e-12, 1.0 - 1e-12)
         lo, hi = -1.0, 1.0
-        measure = IntervalEmpiricalMeasure(pool)
     counts, edges = np.histogram(pool, bins=args.bins, range=(lo, hi),
                                  density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    coeffs = fourier_coeffs(measure, k_max=args.k_max).c
+    coeffs = fourier_coeffs(EmpiricalMeasure(pool, domain), k_max=args.k_max).c
 
     if cfg.fmt == "csv":
         paths = [
@@ -290,7 +286,7 @@ def cmd_dos(args, cfg):
             "ensemble": batch.kind,
             "beta": batch.beta,
             "n_samples": batch.n_samples,
-            "domain": "torus" if on_torus else "interval",
+            "domain": domain,
             "bin_centers": centers.tolist(),
             "density": counts.tolist(),
             "fourier_re": coeffs.real.tolist(),
@@ -390,9 +386,15 @@ def cmd_dynamics(args, cfg):
     residual = (float(lax_residual(traj.initial))
                 if args.flow == "al" else None)
 
-    tpath = _write_csv(cfg, "trajectory.csv",
-                       *_alpha_table("t", traj.times,
-                                     np.asarray(traj.alphas, complex)))
+    a = np.asarray(traj.alphas, complex)
+    if cfg.fmt == "csv":
+        tpath = _write_csv(cfg, "trajectory.csv",
+                           *_alpha_table("t", traj.times, a))
+    else:
+        tpath = _write_json(cfg, "trajectory.json",
+                            {"t": traj.times.tolist(),
+                             "alphas_re": a.real.tolist(),
+                             "alphas_im": a.imag.tolist()})
     doc = report.to_json()
     doc["lax_residual"] = residual
     doc["t_final"] = args.t_final
@@ -519,7 +521,9 @@ def _build_parsers():
                             "the matrix size)")
         p.add_argument("--thinning", type=int, default=None,
                        help="site updates between kept states "
-                            "(default one sweep); the colour chain of "
+                            "(default the matrix size: one sweep, or one "
+                            "sweep and one site for jacobi, whose last "
+                            "entry is fixed); the colour chain of "
                             "degree-1 torus potentials rounds it up to "
                             "whole sweeps")
 
@@ -577,7 +581,7 @@ def _build_parsers():
     p.add_argument("--dt", type=float, default=1e-3, help="RK4 step")
     p.add_argument("--t-final", type=float, default=1.0, help="end time")
     p.add_argument("--frames", type=int, default=256,
-                   help="most frames kept in trajectory.csv")
+                   help="most frames kept in the trajectory file")
     p.add_argument("--init", choices=("random", "constant"), default="random",
                    help="initial data: uniform within radius rmax, or "
                         "rmax at every site")

@@ -49,7 +49,7 @@ import numpy as np
 
 from .cmv_core import NumericalError
 from .potentials import Potential
-from .spectral_measures import FourierCoeffs
+from .spectral_measures import EmpiricalMeasure, FourierCoeffs
 
 __all__ = [
     "ConvergenceError",
@@ -57,6 +57,7 @@ __all__ = [
     "SolverParams",
     "FreeEnergyBreakdown",
     "GridDensity",
+    "density_estimate",
     "free_energy_torus",
     "minimize_torus",
     "free_energy_interval",
@@ -119,13 +120,11 @@ class FreeEnergyBreakdown:
 def _potential_callable(v, domain):
     if v is None:
         return lambda arr: np.zeros_like(arr)
-    if isinstance(v, Potential):
-        if v.domain != domain:
-            raise ValueError(f"potential domain {v.domain!r} does not match {domain!r}")
-        return v
-    if callable(v):
-        return v
-    raise TypeError(f"potential must be None, Potential, or callable, got {type(v).__name__}")
+    if not isinstance(v, Potential):
+        raise TypeError(f"potential must be None or a Potential, got {type(v).__name__}")
+    if v.domain != domain:
+        raise ValueError(f"potential domain {v.domain!r} does not match {domain!r}")
+    return v
 
 
 def _potential_values(v, domain, points):
@@ -283,7 +282,7 @@ class GridDensity:
                 fh.write(f"{float(xv)!r},{float(r)!r}\n")
 
     def sidecar_json(self):
-        pot = self.potential.to_dict() if isinstance(self.potential, Potential) else None
+        pot = self.potential.to_dict() if self.potential is not None else None
         grid = {"domain": self.domain, "size": int(self.grid_size)}
         if self.domain == "interval":
             grid["t_span"] = float(self.nodes[-1])
@@ -295,6 +294,39 @@ class GridDensity:
             "residual": self.residual,
             "iterations": self.iterations,
         })
+
+
+def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
+    """Histogram or wrapped-Gaussian KDE of a torus empirical measure.
+
+    Exactly one of ``bins`` (circular histogram) or ``bandwidth`` (KDE scale)
+    must be given.  The result is a torus GridDensity with unit mass.
+    """
+    if not isinstance(mu, EmpiricalMeasure) or mu.domain != "torus":
+        raise TypeError("density_estimate expects a torus EmpiricalMeasure")
+    if (bins is None) == (bandwidth is None):
+        raise ValueError("give exactly one of bins or bandwidth")
+    if bins is not None:
+        if bins <= 0:
+            raise ValueError(f"bins must be positive, got {bins}")
+        edges = np.linspace(-np.pi, np.pi, bins + 1)
+        counts, _ = np.histogram(mu.angles, bins=edges)
+        h = 2 * np.pi / bins
+        values = counts / (mu.count * h)
+        return GridDensity("torus", values)
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    # wrapped Gaussian via its Fourier series: rho = (1/2pi)(1 + 2 sum_k e^{-k^2 s^2/2} Re(mu_k e^{-ik theta}))
+    k_cut = int(np.ceil(np.sqrt(2 * np.log(1e18)) / bandwidth)) + 1
+    k_cut = min(k_cut, 8 * grid_size)
+    k = np.arange(1, k_cut + 1)
+    mk = mu.fourier(k_cut).c
+    damp = np.exp(-0.5 * (k * bandwidth) ** 2)
+    theta, h = _torus_grid(grid_size)
+    values = (1 + 2 * np.real((damp * mk)[None, :] * np.exp(-1j * theta[:, None] * k[None, :])).sum(axis=1)) / (2 * np.pi)
+    values = np.clip(values, 0.0, None)
+    values /= values.sum() * h
+    return GridDensity("torus", values)
 
 
 # -- accelerated fixed point ---------------------------------------------
@@ -459,9 +491,8 @@ def minimize_torus(v, beta, params=None, init_values=None):
     lnr, iterations = _fixed_point(step_map, lnr, params)
     rho = np.exp(lnr)
     residual = _centered_sup(lnr + vv - 2 * beta * field(rho))
-    pot_meta = v if isinstance(v, Potential) else None
     return GridDensity("torus", rho, residual=residual, iterations=iterations, beta=beta,
-                       potential=pot_meta)
+                       potential=v)
 
 
 def free_energy_torus(rho, v, beta):
@@ -666,9 +697,8 @@ def minimize_interval(v, beta, params=None, init_values=None):
     p = np.exp(ln_p)
     gm, gp = _charges(p, beta)
     residual = _centered_sup(ln_p + vv - 2 * beta * field(p, gm, gp))
-    pot_meta = v if isinstance(v, Potential) else None
     return GridDensity("interval", p, (gm, gp), residual=residual, iterations=iterations,
-                       beta=beta, potential=pot_meta)
+                       beta=beta, potential=v)
 
 
 def free_energy_interval(rho, v, beta):

@@ -334,6 +334,12 @@ def check_exp_moment(h_grid, n_samples, rng=None):
     Z_h from its chi-variable representation.  The report records the
     uniform bound K = max over the grid of the exact values; h = 1 is
     allowed (Z_1 is uniform).
+
+    The z-test under-covers for h below about 1e-3.  There exp(a Z_h) is
+    heavily skewed: most of E - 1 comes from rare draws near Z_h = 1, so
+    the sample variance underestimates.  At h = 1e-4 with 200k samples, z
+    had sd 1.56 over 40 streams.  The verdict rule is the same at every h;
+    the CLI grid (0.1, 0.5, 0.9) is not affected.
     """
     n_samples = int(n_samples)
     if n_samples < 2:

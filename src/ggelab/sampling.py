@@ -269,11 +269,16 @@ class McmcParams:
 
     Attributes:
         sweeps: number of kept states to emit (>= 1).  At the default
-            thinning one full sweep separates kept states, hence the name.
+            thinning about one full sweep separates kept states, hence
+            the name.
         burn_in: sweeps discarded before recording; None means 10 N.
-        thinning: site updates between kept states; None means N, i.e.
-            one sweep.  N is the matrix dimension in both defaults.  The
-            colour chain (degree-1 torus potentials on rings) updates
+        thinning: site updates between kept states; None means N.  N is
+            the matrix dimension in both defaults.  A sweep redraws the
+            sites that EnsembleKind.mutable counts: all N of them, except
+            on jacobi rows, whose fixed last entry leaves N - 1.  There
+            the default thinning is one sweep and one site, so each kept
+            state falls one site later in the sweep than the one before.
+            The colour chain (degree-1 torus potentials on rings) updates
             whole sweeps and keeps a state every ceil(thinning / N) of
             them, so every thinning up to N keeps one state per sweep.
     """

@@ -1,8 +1,10 @@
 """Empirical spectral measures, Fourier coefficients, and the distance D.
 
-Measures on the unit circle are represented by their eigenvalue angles in
-[-pi, pi); measures on [-1, 1] by their points x_j = cos(theta_j).  The
-quantitative metric is the truncated Fourier distance
+One EmpiricalMeasure type serves both domains: on the unit circle its atoms
+are eigenvalue angles in [-pi, pi), on [-1, 1] the points x_j = cos(theta_j).
+Every measure type answers fourier(k_max), and the empirical and grid
+measures answer integrate(f).  The quantitative metric is the truncated
+Fourier distance
 
     D(mu, nu) = sqrt(sum_{k=1}^{k_max} |mu_k - nu_k|^2 / k),
 
@@ -18,14 +20,12 @@ import json
 import numpy as np
 
 from .cmv_core import eigen_angles
-from .potentials import Potential
 
 DEFAULT_K_MAX = 256
 
 __all__ = [
     "DEFAULT_K_MAX",
     "EmpiricalMeasure",
-    "IntervalEmpiricalMeasure",
     "FourierCoeffs",
     "TruncatedDistance",
     "TestFunction",
@@ -34,7 +34,6 @@ __all__ = [
     "fourier_coeffs",
     "distance_D",
     "integrate",
-    "density_estimate",
     "check_bv_lip_bound",
 ]
 
@@ -48,89 +47,87 @@ def _wrap_angles(angles):
 
 
 class EmpiricalMeasure:
-    """Uniformly weighted atoms on the torus.
+    """Uniformly weighted atoms on the torus or on the interval.
 
     Parameters
     ----------
-    angles : array_like
-        Atom positions; wrapped into [-pi, pi) and sorted.
+    atoms : array_like
+        Atom positions, sorted: angles wrapped into [-pi, pi) on the torus,
+        points x_j = cos(theta_j) strictly inside (-1, 1) on the interval.
+    domain : {"torus", "interval"}
     """
 
-    def __init__(self, angles):
-        angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        if angles.size == 0:
+    def __init__(self, atoms, domain="torus"):
+        if domain not in ("torus", "interval"):
+            raise ValueError(f"unknown domain {domain!r}")
+        atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
+        if atoms.size == 0:
             raise ValueError("empirical measure needs at least one atom")
-        if not np.all(np.isfinite(angles)):
-            raise ValueError("angles must be finite")
-        self.angles = np.sort(_wrap_angles(angles))
-        self.weight = 1.0 / self.angles.size
-
-    @property
-    def count(self):
-        return self.angles.size
-
-    def mass(self):
-        return 1.0
-
-    def rotated(self, phi):
-        """Pushforward under theta -> theta + phi."""
-        return EmpiricalMeasure(self.angles + phi)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["theta", "weight"])
-            for th in self.angles:
-                writer.writerow([repr(float(th)), repr(float(self.weight))])
-
-    def to_json(self):
-        return json.dumps({
-            "type": "empirical_torus",
-            "convention": "angles in [-pi, pi), uniform weights",
-            "count": int(self.count),
-            "angles": self.angles.tolist(),
-        })
-
-
-class IntervalEmpiricalMeasure:
-    """Uniformly weighted atoms x_j = cos(theta_j) in the open interval (-1, 1)."""
-
-    def __init__(self, points):
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        if points.size == 0:
-            raise ValueError("empirical measure needs at least one point")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
-        if np.any(points <= -1.0) or np.any(points >= 1.0):
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms must be finite")
+        if domain == "torus":
+            atoms = _wrap_angles(atoms)
+        elif np.any(np.abs(atoms) >= 1.0):
             raise ValueError("points must lie strictly inside (-1, 1)")
-        self.points = np.sort(points)
-        self.weight = 1.0 / self.points.size
+        self.domain = domain
+        self.atoms = np.sort(atoms)
+        self.weight = 1.0 / self.atoms.size
 
     @property
     def count(self):
-        return self.points.size
+        return self.atoms.size
 
     def mass(self):
         return 1.0
 
     @property
     def angles(self):
-        """Angles theta_j = arccos(x_j) in [0, pi); the symmetrized torus lift."""
-        return np.arccos(self.points[::-1])
+        """The atoms on the torus; on the interval the angles
+        theta_j = arccos(x_j) in [0, pi) of the symmetrized torus lift."""
+        if self.domain == "torus":
+            return self.atoms
+        return np.arccos(self.atoms[::-1])
+
+    @property
+    def points(self):
+        if self.domain != "interval":
+            raise AttributeError("points are defined for interval measures only")
+        return self.atoms
+
+    def rotated(self, phi):
+        """Pushforward under theta -> theta + phi."""
+        if self.domain != "torus":
+            raise AttributeError("rotated is defined for torus measures only")
+        return EmpiricalMeasure(self.atoms + phi)
+
+    def integrate(self, f):
+        """Mean of f over the atoms (angles on the torus, points x on the interval)."""
+        return float(np.mean(f(self.atoms)))
+
+    def fourier(self, k_max):
+        """FourierCoeffs of the measure; on the interval those of the
+        symmetrized lift, the real means of T_k(x_j) = cos(k arccos x_j)."""
+        k = np.arange(1, k_max + 1)
+        if self.domain == "torus":
+            return FourierCoeffs(np.exp(1j * k[:, None] * self.atoms[None, :]).mean(axis=1))
+        th = np.arccos(self.atoms)
+        return FourierCoeffs(np.cos(k[:, None] * th[None, :]).mean(axis=1).astype(complex))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "weight"])
-            for x in self.points:
-                writer.writerow([repr(float(x)), repr(float(self.weight))])
+            writer.writerow(["theta" if self.domain == "torus" else "x", "weight"])
+            for a in self.atoms:
+                writer.writerow([repr(float(a)), repr(float(self.weight))])
 
     def to_json(self):
+        torus = self.domain == "torus"
         return json.dumps({
-            "type": "empirical_interval",
-            "convention": "points in (-1, 1), x = cos theta, uniform weights",
+            "type": f"empirical_{self.domain}",
+            "convention": ("angles in [-pi, pi)" if torus
+                           else "points in (-1, 1), x = cos theta") + ", uniform weights",
             "count": int(self.count),
-            "points": self.points.tolist(),
+            "angles" if torus else "points": self.atoms.tolist(),
         })
 
 
@@ -157,30 +154,23 @@ class FourierCoeffs:
             raise ValueError(f"cannot extend truncation {self.k_max} to {k_max}")
         return FourierCoeffs(self.c[:k_max])
 
+    def fourier(self, k_max):
+        """The coefficients up to k_max, or all of them if there are fewer."""
+        return self.truncated(min(k_max, self.k_max))
+
 
 def fourier_coeffs(mu, k_max=DEFAULT_K_MAX):
     """Fourier coefficients of a measure for k = 1..k_max.
 
-    Accepts EmpiricalMeasure, IntervalEmpiricalMeasure (symmetrized lift,
-    real coefficients mean T_k(x_j)), grid densities (their own quadrature),
-    or a FourierCoeffs passthrough (truncated).
+    Every measure type computes its own: EmpiricalMeasure (on the interval
+    the symmetrized lift, real coefficients mean T_k(x_j)), GridDensity (its
+    own quadrature), and FourierCoeffs (truncated).
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if isinstance(mu, FourierCoeffs):
-        return mu.truncated(min(k_max, mu.k_max))
-    if isinstance(mu, EmpiricalMeasure):
-        k = np.arange(1, k_max + 1)
-        c = np.exp(1j * k[:, None] * mu.angles[None, :]).mean(axis=1)
-        return FourierCoeffs(c)
-    if isinstance(mu, IntervalEmpiricalMeasure):
-        k = np.arange(1, k_max + 1)
-        th = np.arccos(mu.points)
-        c = np.cos(k[:, None] * th[None, :]).mean(axis=1).astype(complex)
-        return FourierCoeffs(c)
-    if hasattr(mu, "fourier"):
-        return mu.fourier(k_max)
-    raise TypeError(f"cannot compute Fourier coefficients of {type(mu).__name__}")
+    if not hasattr(mu, "fourier"):
+        raise TypeError(f"cannot compute Fourier coefficients of {type(mu).__name__}")
+    return mu.fourier(k_max)
 
 
 class TruncatedDistance(float):
@@ -212,50 +202,12 @@ def integrate(f, mu):
 
     ``f`` may be a Potential (evaluated in its native variable) or any
     callable; it receives angles for torus measures and points x for interval
-    measures.  Grid densities integrate by their own quadrature rule.
+    measures.  Each measure integrates by its own rule: the mean over the
+    atoms of an EmpiricalMeasure, the quadrature of a GridDensity.
     """
-    if isinstance(mu, EmpiricalMeasure):
-        return float(np.mean(f(mu.angles)))
-    if isinstance(mu, IntervalEmpiricalMeasure):
-        return float(np.mean(f(mu.points)))
-    if hasattr(mu, "integrate"):
-        return mu.integrate(f)
-    raise TypeError(f"cannot integrate against {type(mu).__name__}")
-
-
-def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
-    """Histogram or wrapped-Gaussian KDE of a torus empirical measure.
-
-    Exactly one of ``bins`` (circular histogram) or ``bandwidth`` (KDE scale)
-    must be given.  The result is a torus GridDensity with unit mass.
-    """
-    from .equilibrium import GridDensity, _torus_grid
-
-    if not isinstance(mu, EmpiricalMeasure):
-        raise TypeError("density_estimate expects a torus EmpiricalMeasure")
-    if (bins is None) == (bandwidth is None):
-        raise ValueError("give exactly one of bins or bandwidth")
-    if bins is not None:
-        if bins <= 0:
-            raise ValueError(f"bins must be positive, got {bins}")
-        edges = np.linspace(-np.pi, np.pi, bins + 1)
-        counts, _ = np.histogram(mu.angles, bins=edges)
-        h = 2 * np.pi / bins
-        values = counts / (mu.count * h)
-        return GridDensity("torus", values)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    # wrapped Gaussian via its Fourier series: rho = (1/2pi)(1 + 2 sum_k e^{-k^2 s^2/2} Re(mu_k e^{-ik theta}))
-    k_cut = int(np.ceil(np.sqrt(2 * np.log(1e18)) / bandwidth)) + 1
-    k_cut = min(k_cut, 8 * grid_size)
-    k = np.arange(1, k_cut + 1)
-    mk = fourier_coeffs(mu, k_cut).c
-    damp = np.exp(-0.5 * (k * bandwidth) ** 2)
-    theta, h = _torus_grid(grid_size)
-    values = (1 + 2 * np.real((damp * mk)[None, :] * np.exp(-1j * theta[:, None] * k[None, :])).sum(axis=1)) / (2 * np.pi)
-    values = np.clip(values, 0.0, None)
-    values /= values.sum() * h
-    return GridDensity("torus", values)
+    if not hasattr(mu, "integrate"):
+        raise TypeError(f"cannot integrate against {type(mu).__name__}")
+    return mu.integrate(f)
 
 
 class TestFunction:

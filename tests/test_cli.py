@@ -501,6 +501,22 @@ class TestDynamics:
         assert max(doc["drifts"].values()) < 1e-6
         assert doc["lax_residual"] < 1e-4
 
+    def test_json_format_writes_the_trajectory_as_json(self, tmp_path):
+        argv = ["dynamics", "--flow", "al", "--n", "6", "--dt", "0.01",
+                "--t-final", "0.1", "--frames", "5", "--seed", "6"]
+        assert main(argv + ["--out", str(tmp_path / "csv")]) == 0
+        assert main(argv + ["--format", "json",
+                            "--out", str(tmp_path / "json")]) == 0
+        assert sorted(os.listdir(tmp_path / "json")) == [
+            "conservation.json", "trajectory.json"]
+        doc = json.loads((tmp_path / "json" / "trajectory.json").read_text())
+        assert doc["seed"] == 6 and "config_hash" in doc
+        _, _, rows = read_csv(tmp_path / "csv" / "trajectory.csv")
+        rows = np.array(rows)
+        assert doc["t"] == rows[:, 0].tolist()
+        assert doc["alphas_re"] == rows[:, 1::2].tolist()
+        assert doc["alphas_im"] == rows[:, 2::2].tolist()
+
     def test_zero_data_zero_drift(self, tmp_path):
         main(["dynamics", "--flow", "schur", "--n", "8", "--dt", "0.05",
               "--t-final", "0.2", "--init", "constant", "--rmax", "0.0",

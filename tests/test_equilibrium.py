@@ -226,6 +226,10 @@ class TestGridDensity:
 
 
 class TestTorusMinimizer:
+    def test_plain_function_potential_is_rejected(self):
+        with pytest.raises(TypeError, match="Potential"):
+            minimize_torus(lambda th: 0.5 * np.cos(th), 1.0)
+
     def test_flat_potential_gives_exact_uniform(self):
         for beta in (0.5, 1.0, 4.0):
             r = minimize_torus(None, beta)

@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import ggelab
 from ggelab.cmv_core import build_periodic_cmv, build_cmv, eigen_angles
+from ggelab.equilibrium import GridDensity, density_estimate
 from ggelab.spectral_measures import (
     DEFAULT_TEST_FUNCTIONS,
     EmpiricalMeasure,
     FourierCoeffs,
-    IntervalEmpiricalMeasure,
     check_bv_lip_bound,
-    density_estimate,
     distance_D,
     fourier_coeffs,
     integrate,
@@ -30,8 +29,6 @@ def equispaced(n):
 
 
 def cardioid_density(m=2048):
-    from ggelab.equilibrium import GridDensity
-
     h = 2 * np.pi / m
     th = -np.pi + (np.arange(m) + 0.5) * h
     return GridDensity("torus", (1 + np.cos(th)) / (2 * np.pi))
@@ -55,7 +52,7 @@ class TestFourierCoefficients:
 
     def test_interval_atoms_give_real_chebyshev_averages(self):
         pts = np.array([-0.7, 0.1, 0.4])
-        c = fourier_coeffs(IntervalEmpiricalMeasure(pts), k_max=3)
+        c = fourier_coeffs(EmpiricalMeasure(pts, "interval"), k_max=3)
         # mu_k of the symmetrized lift is the mean of cos(k arccos x) = T_k(x)
         t2 = 2 * pts ** 2 - 1
         assert abs(c[2] - t2.mean()) < 1e-12
@@ -151,7 +148,7 @@ class TestIntegrate:
 
     def test_interval_measure_uses_points(self):
         pts = np.array([-0.5, 0.25])
-        assert abs(integrate(lambda x: x, IntervalEmpiricalMeasure(pts)) - pts.mean()) < 1e-15
+        assert abs(integrate(lambda x: x, EmpiricalMeasure(pts, "interval")) - pts.mean()) < 1e-15
 
 
 class TestDensityEstimate:
@@ -249,14 +246,14 @@ class TestExports:
         assert np.all(back[:, 1] == mu.weight)
 
     def test_interval_csv_header(self, tmp_path):
-        mu = IntervalEmpiricalMeasure([0.0, 0.5])
+        mu = EmpiricalMeasure([0.0, 0.5], "interval")
         path = tmp_path / "mu.csv"
         mu.to_csv(path)
         assert path.read_text().splitlines()[0] == "x,weight"
 
     @pytest.mark.parametrize("mu, expected", [
         (EmpiricalMeasure([0.5, -2.0]), b"theta,weight\n-2.0,0.5\n0.5,0.5\n"),
-        (IntervalEmpiricalMeasure([0.5, 0.0]), b"x,weight\n0.0,0.5\n0.5,0.5\n"),
+        (EmpiricalMeasure([0.5, 0.0], "interval"), b"x,weight\n0.0,0.5\n0.5,0.5\n"),
     ])
     def test_csv_lines_end_with_newline_only(self, tmp_path, mu, expected):
         path = tmp_path / "mu.csv"
@@ -267,7 +264,7 @@ class TestExports:
         blob = json.loads(EmpiricalMeasure([0.1]).to_json())
         assert blob["type"] == "empirical_torus"
         assert "[-pi, pi)" in blob["convention"]
-        blob = json.loads(IntervalEmpiricalMeasure([0.1]).to_json())
+        blob = json.loads(EmpiricalMeasure([0.1], "interval").to_json())
         assert blob["type"] == "empirical_interval"
         assert blob["count"] == 1
 
@@ -277,8 +274,44 @@ class TestWrapping:
         mu = EmpiricalMeasure([np.pi, -np.pi, 3 * np.pi])
         assert np.all(mu.angles >= -np.pi) and np.all(mu.angles < np.pi)
 
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure([0.1], "sphere")
+
     def test_interval_points_must_be_interior(self):
         with pytest.raises(ValueError):
-            IntervalEmpiricalMeasure([1.0])
+            EmpiricalMeasure([1.0], "interval")
         with pytest.raises(ValueError):
-            IntervalEmpiricalMeasure([-1.0, 0.0])
+            EmpiricalMeasure([-1.0, 0.0], "interval")
+
+
+class TestDomains:
+    def test_interval_angles_are_the_sorted_arccos_lift(self):
+        mu = EmpiricalMeasure([0.3, -0.6, 0.9], "interval")
+        assert np.array_equal(mu.points, [-0.6, 0.3, 0.9])
+        assert np.array_equal(mu.angles, np.arccos([0.9, 0.3, -0.6]))
+        assert np.all(np.diff(mu.angles) > 0)
+
+    def test_domain_specific_attributes(self):
+        with pytest.raises(AttributeError):
+            EmpiricalMeasure([0.1]).points
+        with pytest.raises(AttributeError):
+            EmpiricalMeasure([0.1], "interval").rotated(0.5)
+
+    def test_measures_answer_fourier_and_integrate_themselves(self):
+        rng = np.random.default_rng(8)
+        for mu in (EmpiricalMeasure(rng.uniform(-4, 4, 50)),
+                   EmpiricalMeasure(rng.uniform(-1, 1, 50), "interval"),
+                   cardioid_density()):
+            assert np.array_equal(mu.fourier(7).c, fourier_coeffs(mu, 7).c)
+            assert mu.integrate(np.cos) == integrate(np.cos, mu)
+
+    def test_unknown_measure_types_are_rejected(self):
+        with pytest.raises(TypeError):
+            fourier_coeffs(np.array([0.1, 0.2]), k_max=2)
+        with pytest.raises(TypeError):
+            integrate(np.cos, FourierCoeffs([0.5]))
+
+    def test_density_estimate_needs_a_torus_measure(self):
+        with pytest.raises(TypeError):
+            density_estimate(EmpiricalMeasure([0.1, 0.2], "interval"), bins=4)
