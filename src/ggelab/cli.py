@@ -9,6 +9,9 @@ gets the same checks, and explicit flags win.
 
 Every output file embeds the effective seed and a hash of the effective
 configuration, so reruns with the same inputs produce identical bytes.
+_write_csv and _write_json are the package's only file writers: the
+library returns arrays and reports, and the reports written here answer
+to_dict() with plain JSON-ready values.
 Potentials are written as comma-separated coefficients: `c0=..,c1=..,s1=..`
 builds a trigonometric polynomial on the torus, `t0=..,t1=..` a Chebyshev
 polynomial on [-1, 1].
@@ -167,8 +170,6 @@ def _out_path(cfg, name):
 
 
 def _write_json(cfg, name, doc):
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     doc["config_hash"] = cfg.hash
     doc["seed"] = cfg.seed
     path = _out_path(cfg, name)
@@ -355,7 +356,7 @@ def cmd_relation(args, cfg):
     rep = check_dos_relation(args.ensemble, v, args.beta, args.n,
                              mcmc=_mcmc_from(args), rng=make_rng(cfg.seed),
                              threshold=args.threshold, k_max=args.k_max)
-    path = _write_json(cfg, "relation.json", rep.to_json())
+    path = _write_json(cfg, "relation.json", rep.to_dict())
     verdict = "pass" if rep.passed else "FAIL"
     print(f"relation: {args.ensemble} beta={args.beta:g} D={rep.d_value:.5f} "
           f"threshold={rep.threshold:g} {verdict} -> {path}")
@@ -395,7 +396,7 @@ def cmd_dynamics(args, cfg):
                             {"t": traj.times.tolist(),
                              "alphas_re": a.real.tolist(),
                              "alphas_im": a.imag.tolist()})
-    doc = report.to_json()
+    doc = report.to_dict()
     doc["lax_residual"] = residual
     doc["t_final"] = args.t_final
     jpath = _write_json(cfg, "conservation.json", doc)
@@ -434,7 +435,7 @@ def cmd_verify(args, cfg):
     failures = []
     for name in names:
         rep = _verify_one(name, args.samples, rng)
-        _write_json(cfg, f"{name}.json", rep.to_json())
+        _write_json(cfg, f"{name}.json", rep.to_dict())
         verdict = "PASS" if rep.passed else "FAIL"
         print(f"{name}: {verdict}")
         if not rep.passed:
@@ -454,7 +455,7 @@ def cmd_free_energy(args, cfg):
     fe = estimate_free_energy(args.ensemble, v, args.beta, s_grid=grid,
                               mcmc=_mcmc_from(args), rng=make_rng(cfg.seed),
                               n=args.n)
-    path = _write_json(cfg, "free_energy.json", fe.to_json())
+    path = _write_json(cfg, "free_energy.json", fe.to_dict())
     print(f"free-energy: {args.ensemble} beta={args.beta:g} value="
           f"{fe.value:.6f} std_error={fe.std_error:.6f} -> {path}")
     return 0

@@ -40,7 +40,6 @@ coefficients (_row_traces), so site_trace_increments updates them from the
 three rows that contain the site, on Python scalars.
 """
 
-import json
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -142,7 +141,7 @@ class CmvMatrix:
         topology: "periodic" or "open".
         band: array (5, n) in the layout of periodic_diagonals and
             open_diagonals; the dense matrix and every trace come from it.
-        alpha: the generating coefficients, or None when reloaded from JSON.
+        alpha: the generating coefficients, or None when built from a band.
     """
 
     def __init__(self, topology, band, alpha=None):
@@ -176,51 +175,13 @@ class CmvMatrix:
 
     @property
     def l_factor(self):
-        """The odd-site block factor L, or None from JSON."""
+        """The odd-site block factor L, or None when built from a band."""
         return self._factors[0]
 
     @property
     def m_factor(self):
-        """The even-site block factor M, or None from JSON."""
+        """The even-site block factor M, or None when built from a band."""
         return self._factors[1]
-
-    def to_json(self):
-        """Serialize as {"n", "topology", "entries": [[row, col, re, im], ...]}
-        carrying only the structurally nonzero positions."""
-        E = self.dense()
-        rows, cols = np.nonzero(_scatter(_pattern(self.n, self.topology)))
-        entries = [[int(r), int(c), float(np.real(E[r, c])),
-                    float(np.imag(E[r, c]))] for r, c in zip(rows, cols)]
-        return json.dumps({"n": self.n, "topology": self.topology,
-                           "entries": entries})
-
-    @classmethod
-    def from_json(cls, blob):
-        """Rebuild a matrix from to_json output, each entry at the first band
-        offset that reaches it.  Raises ValueError for an unknown topology, a
-        size the topology cannot have, a non-integer or repeated index pair,
-        and an entry outside the matrix or outside its structural pattern."""
-        doc = json.loads(blob)
-        n, topology = int(doc["n"]), doc["topology"]
-        pattern = _pattern(n, topology)
-        band = np.zeros((5, n), complex)
-        seen = set()
-        for r, c, re, im in doc["entries"]:
-            if not (type(r) is int and type(c) is int):
-                raise ValueError(f"entry index ({r!r}, {c!r}) is not a pair of integers")
-            if (r, c) in seen:
-                raise ValueError(f"entry ({r}, {c}) is given twice")
-            seen.add((r, c))
-            if not (0 <= r < n and 0 <= c < n):
-                raise ValueError(f"entry ({r}, {c}) lies outside a matrix "
-                                 f"of size {n}")
-            hit = np.flatnonzero(pattern[:, r]
-                                 & ((r + np.arange(-2, 3) - c) % n == 0))
-            if not hit.size:
-                raise ValueError(f"entry ({r}, {c}) lies outside the "
-                                 f"{topology} band")
-            band[hit[0], r] = re + 1j * im
-        return cls(topology, band)
 
 
 def _build(v, topology):
@@ -352,7 +313,7 @@ def eigen_angles(m):
     A periodic matrix built from real coefficients takes its n/2 values
     x = cos(theta) from a dense eigvalsh of its Geronimus Jacobi band X
     (geronimus_diagonals) and returns the n angles +-arccos(x).  Every
-    other matrix (complex rows, open rows, matrices loaded from JSON)
+    other matrix (complex rows, open rows, matrices built from a band alone)
     takes theta = 2 arctan of the eigvalsh of its Hermitian Cayley
     transform i (I + E)^-1 (I - E), with a second pass on a rotated E for
     a matrix that has an eigenvalue near -1 or whose first pass fails
@@ -583,17 +544,6 @@ def geronimus_diagonals(alpha):
 
 
 _DIAGONALS = {"periodic": periodic_diagonals, "open": open_diagonals}
-
-
-def _pattern(n, topology):
-    """Boolean band (5, n) of the positions E can fill: offsets -1..2 on
-    even rows, -2..1 on odd rows, and on the open matrix only inside it."""
-    _check_size(n, topology)
-    d, i = np.arange(-2, 3)[:, None], np.arange(n)
-    keep = (d + i % 2 >= -1) & (d + i % 2 <= 2)
-    if topology == "open":
-        keep &= (i + d >= 0) & (i + d < n)
-    return keep
 
 
 def _scatter(band):

@@ -56,8 +56,6 @@ arrays.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -323,22 +321,6 @@ class Trajectory:
     def final(self):
         return self.states[-1]
 
-    def to_csv(self, path):
-        """Frame table with header t,re_alpha_1,im_alpha_1,..."""
-        n = self.states[0].n
-        header = ["t"]
-        for j in range(1, n + 1):
-            header += [f"re_alpha_{j}", f"im_alpha_{j}"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for s in self.states:
-                a = np.asarray(s.alphas.alpha, complex)
-                row = [repr(float(s.time))]
-                for j in range(n):
-                    row += [repr(float(a[j].real)), repr(float(a[j].imag))]
-                writer.writerow(row)
-
 
 def _frame(a, t):
     try:
@@ -437,8 +419,8 @@ class ConservationReport:
     def max_drift(self):
         return max(self.drifts.values())
 
-    def to_json(self, path=None):
-        blob = {
+    def to_dict(self):
+        return {
             "flow": self.flow,
             "n_sites": self.n_sites,
             "n_frames": self.n_frames,
@@ -446,10 +428,6 @@ class ConservationReport:
             "drifts": {k: float(v) for k, v in self.drifts.items()},
             "max_drift": float(self.max_drift),
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(blob, fh, indent=2, sort_keys=True)
-        return blob
 
 
 def _drift(series):
@@ -561,23 +539,6 @@ class InvarianceReport:
 
     def passes(self, level=0.01):
         return all(p > level for p in self.p_values.values())
-
-    def to_json(self, path=None):
-        blob = {
-            "flow": self.flow,
-            "beta": self.beta,
-            "n_sites": self.n_sites,
-            "n_samples": self.n_samples,
-            "t_final": self.t_final,
-            "dt": self.dt,
-            "statistics": {k: {kk: float(vv) for kk, vv in v.items()}
-                           for k, v in self.statistics.items()},
-            "warnings": list(self.warnings),
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(blob, fh, indent=2, sort_keys=True)
-        return blob
 
 
 def _ensemble_statistics(A):

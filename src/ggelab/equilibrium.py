@@ -41,7 +41,6 @@ matched profile.  Interval densities are stored in these coordinates together
 with their two analytic edge masses.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -261,39 +260,6 @@ class GridDensity:
         if not worst <= 1.0 + tol:
             raise ValueError(f"|mu_k| = {worst} exceeds 1")
         return FourierCoeffs(np.clip(np.abs(c), None, 1.0) * np.exp(1j * np.angle(c)))
-
-    # -- exports ---------------------------------------------------------
-
-    def to_csv(self, path):
-        if self.domain == "torus":
-            header, xs, rho = "theta", self.nodes, self.values
-        else:
-            # rows cover the resolvable interior; past |x| = 1 - 1e-12 the
-            # x-coordinate degenerates in floats and the layer lives in the
-            # edge masses of the sidecar instead
-            x = self.x
-            keep = np.abs(x) < 1.0 - 1e-12
-            header, xs, rho = "x", x[keep][::-1], self.density_x()[keep][::-1]
-        if self.signed:
-            rho = np.clip(rho, 0.0, None)
-        with open(path, "w", newline="") as fh:
-            fh.write(f"{header},rho\n")
-            for xv, r in zip(xs, rho):
-                fh.write(f"{float(xv)!r},{float(r)!r}\n")
-
-    def sidecar_json(self):
-        pot = self.potential.to_dict() if self.potential is not None else None
-        grid = {"domain": self.domain, "size": int(self.grid_size)}
-        if self.domain == "interval":
-            grid["t_span"] = float(self.nodes[-1])
-            grid["edge_masses"] = list(self.edge_masses)
-        return json.dumps({
-            "beta": self.beta,
-            "potential": pot,
-            "grid": grid,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        })
 
 
 def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
@@ -800,7 +766,7 @@ def beta_derivative_measure(v, beta, params=None, domain=None):
     nu, edges = measure(psi)
     worst = float(nu.min())
     if worst < -1e-6:
-        warnings.warn(f"beta-derivative density dips to {worst:.3e}; clipping applies only on export")
+        warnings.warn(f"beta-derivative density dips to {worst:.3e}; it is kept signed")
     residual = _centered_sup(psi - 2 * beta * field(nu, *edges))
     return GridDensity(domain, nu, edges, signed=True, beta=beta, potential=rho.potential,
                        residual=max(rho.residual, residual),

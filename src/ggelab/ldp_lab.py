@@ -20,11 +20,11 @@ free-energy derivative by the envelope theorem.
 Free energies are normalized so that V = 0 gives exactly zero: the torus
 (circular) value is the minimized functional minus beta log 2, the lattice
 value is the thermodynamic integral of the mean potential trace per site.
-Every check returns a report object whose ``to_json`` emits a flat document
-with the keys "check", "parameters", "statistics" and "pass".
+Every check returns a report object whose ``to_dict`` gives a plain
+JSON-ready dict with the keys "check", "parameters", "statistics", "pass"
+and "warnings"; the command line writes it to disk.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -108,19 +108,15 @@ class CheckReport:
     passed: bool
     warnings: tuple = ()
 
-    def to_json(self, path=None):
-        """The report as sorted, indented JSON text; written to path if given."""
-        text = json.dumps({
+    def to_dict(self):
+        """The report as a dict of plain JSON-ready values."""
+        return {
             "check": self.check,
             "parameters": _plain(self.parameters),
             "statistics": _plain(self.statistics),
             "pass": bool(self.passed),
             "warnings": list(self.warnings),
-        }, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        }
 
 
 @dataclass(frozen=True)
@@ -145,14 +141,14 @@ class FreeEnergyEstimate:
         if not self.std_error >= 0.0:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
 
-    def to_json(self, path=None):
+    def to_dict(self):
         return CheckReport(
             check="free_energy",
             parameters={"ensemble": self.ensemble, "beta": self.beta,
                         "grid": list(self.grid), "n_samples": self.n_samples},
             statistics={"value": self.value, "std_error": self.std_error,
                         "method": self.method},
-            passed=True, warnings=self.warnings).to_json(path)
+            passed=True, warnings=self.warnings).to_dict()
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,9 @@ class RelationReport:
         if not self.d_value >= 0.0:
             raise ValueError(f"d_value must be nonnegative, got {self.d_value}")
 
-    def to_json(self, path=None):
-        """CheckReport JSON; the top-level fields are defaults that entries
-        of parameters and statistics override."""
+    def to_dict(self):
+        """The CheckReport dict of the relation; the top-level fields are
+        defaults that entries of parameters and statistics override."""
         return CheckReport(
             check=self.check,
             parameters={"beta": self.beta, "potential": self.potential,
@@ -191,7 +187,7 @@ class RelationReport:
             statistics={"d_value": self.d_value, "mc_samples": self.mc_samples,
                         "solver_residual": self.solver_residual,
                         **self.statistics},
-            passed=self.passed, warnings=self.warnings).to_json(path)
+            passed=self.passed, warnings=self.warnings).to_dict()
 
 
 # --------------------------------------------------------------------------
@@ -253,20 +249,21 @@ def _domain_of(kind, v):
     return domain
 
 
-def _draw(kind, n, beta, potential, mcmc, rng):
-    """Sample one ensemble kind at matrix size n, high-temperature scaling.
+def _spec(kind, n, beta, potential):
+    """EnsembleSpec of one kind at matrix size n, high-temperature scaling.
 
     The circular per-site rate is 2 beta / n, which keeps the variational
     description valid at finite size; jacobi runs take n/2 spectral pairs.
+    EnsembleSpec rejects a size its kind cannot have.
     """
-    if kind == "circular":
+    if kind == "circular" and n > 0:
         beta = 2.0 * beta / n
     elif kind == "jacobi":
         if n % 2:
             raise ValueError("jacobi runs need an even matrix size "
                              "(spectral pairs)")
         n //= 2
-    return sample_ensemble(EnsembleSpec(kind, n, beta, potential), mcmc, rng)
+    return EnsembleSpec(kind, n, beta, potential)
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +389,8 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     Integrates d/ds of -(1/M) log E[exp(-s Tr V)] = E_{sV}[Tr V / M] over
     the coupling s in [0, 1], where M counts the spectral atoms (matrix
     size on the torus, conjugate pairs on the interval).  V = None or a
-    zero potential gives exactly 0; a constant c0 gives exactly c0.
+    zero potential gives exactly 0, and a constant c0 gives exactly c0,
+    once n and the domain of V have passed the checks of a sampled run.
 
     Args:
         ensemble: "al", "circular", "schur" or "jacobi".
@@ -419,10 +417,11 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         raise ValueError("s_grid must run from 0 to 1")
 
     grid = tuple(float(x) for x in s)
+    _domain_of(kind, v)
+    _spec(kind, n, beta, v)
     if v is None or v.is_zero:
         return FreeEnergyEstimate(0.0, 0.0, grid=grid, ensemble=kind,
                                   beta=float(beta))
-    _domain_of(kind, v)
     if v.degree == 0:
         return FreeEnergyEstimate(v.constant, 0.0, grid=grid, ensemble=kind,
                                   beta=float(beta))
@@ -435,7 +434,8 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     warnings = []
     total = 0
     for i, si in enumerate(s):
-        batch = _draw(kind, n, beta, v.scaled(float(si)), mcmc, rng)
+        batch = sample_ensemble(_spec(kind, n, beta, v.scaled(float(si))),
+                                mcmc, rng)
         traces = batch_trace_powers(batch.alphas, v.degree,
                                     KINDS[kind].topology)
         w = v.spectral_mean(traces, batch.alphas.shape[-1])
@@ -565,6 +565,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     cos/sin moments on the torus, monomial moments on the interval, where
     the first interval row doubles as the symmetry check for even
     potentials.  A moment series with tau_int > TAU_WARN draws a warning.
+    threshold must be positive and finite, or no D could pass.
 
     delta is ignored: the target is the exact beta-derivative.  It is kept
     only so that existing callers that pass it, such as
@@ -581,9 +582,13 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     k_max = int(k_max)
     if k_max < 4:
         raise ValueError("k_max must be at least 4 to cover the moment table")
+    threshold = float(threshold)
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be positive and finite, "
+                         f"got {threshold}")
 
     mcmc = mcmc if mcmc is not None else McmcParams()
-    batch = _draw(kind, n, beta, v, mcmc, make_rng(rng))
+    batch = sample_ensemble(_spec(kind, n, beta, v), mcmc, make_rng(rng))
     target = beta_derivative_measure(v, beta, domain=domain)
 
     traces = batch_trace_powers(batch.alphas, k_max) / n
@@ -616,7 +621,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
         d_value=d_value,
         mc_samples=batch.n_samples,
         solver_residual=target.residual,
-        threshold=float(threshold),
+        threshold=threshold,
         passed=passed,
         parameters={"ensemble": kind, "n": n, "k_max": k_max,
                     "sweeps": mcmc.sweeps},

@@ -14,9 +14,6 @@ inequalities are exercised through a fixed dictionary of test functions with
 hand-computed norms (check_bv_lip_bound).
 """
 
-import csv
-import json
-
 import numpy as np
 
 from .cmv_core import eigen_angles
@@ -71,7 +68,6 @@ class EmpiricalMeasure:
             raise ValueError("points must lie strictly inside (-1, 1)")
         self.domain = domain
         self.atoms = np.sort(atoms)
-        self.weight = 1.0 / self.atoms.size
 
     @property
     def count(self):
@@ -112,23 +108,6 @@ class EmpiricalMeasure:
             return FourierCoeffs(np.exp(1j * k[:, None] * self.atoms[None, :]).mean(axis=1))
         th = np.arccos(self.atoms)
         return FourierCoeffs(np.cos(k[:, None] * th[None, :]).mean(axis=1).astype(complex))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["theta" if self.domain == "torus" else "x", "weight"])
-            for a in self.atoms:
-                writer.writerow([repr(float(a)), repr(float(self.weight))])
-
-    def to_json(self):
-        torus = self.domain == "torus"
-        return json.dumps({
-            "type": f"empirical_{self.domain}",
-            "convention": ("angles in [-pi, pi)" if torus
-                           else "points in (-1, 1), x = cos theta") + ", uniform weights",
-            "count": int(self.count),
-            "angles" if torus else "points": self.atoms.tolist(),
-        })
 
 
 class FourierCoeffs:
@@ -242,14 +221,6 @@ class BoundCheckReport:
         self.entrywise_sum = entrywise_sum
         self.rows = rows
         self.all_pass = all(r["bv_ok"] and r["lip_ok"] for r in rows)
-
-    def to_json(self):
-        return json.dumps({
-            "rank": int(self.rank),
-            "entrywise_sum": self.entrywise_sum,
-            "rows": self.rows,
-            "all_pass": self.all_pass,
-        })
 
 
 def check_bv_lip_bound(a, b, slack=1e-12):

@@ -4,11 +4,13 @@ import hashlib
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ggelab.cli import load_config, main, parse_potential
+from ggelab.cli import (_write_csv, _write_json, load_config, main,
+                        parse_potential)
 
 
 def read_csv(path):
@@ -262,6 +264,41 @@ class TestByteIdentity:
                           "dd53e3cadb14a7902968e8bcba237537")
 
 
+class TestWriters:
+    """_write_csv and _write_json write every data file of the lab."""
+
+    @pytest.mark.parametrize("header, rows, expected", [
+        (["theta", "weight"], [[-2.0, 0.5], [0.5, 0.5]],
+         b"theta,weight\n-2.0,0.5\n0.5,0.5\n"),
+        (["x", "weight"], [[0, 0.5], [np.float64(0.5), 0.5]],
+         b"x,weight\n0.0,0.5\n0.5,0.5\n"),
+    ])
+    def test_csv_bytes(self, tmp_path, header, rows, expected):
+        cfg = SimpleNamespace(out=str(tmp_path / "out"), hash="abc", seed=3)
+        path = _write_csv(cfg, "mu.csv", header, rows)
+        assert open(path, "rb").read() == \
+            b"# config_hash=abc\n# seed=3\n" + expected
+
+    def test_csv_floats_round_trip(self, tmp_path):
+        cfg = SimpleNamespace(out=str(tmp_path), hash="abc", seed=0)
+        values = [0.1, 1 / 3, -1e-300, 2.0 ** 53 + 2, np.pi, -0.0]
+        _write_csv(cfg, "v.csv", ["v"], [[v] for v in values])
+        comments, header, rows = read_csv(tmp_path / "v.csv")
+        assert comments == ["# config_hash=abc", "# seed=0"]
+        assert header == ["v"]
+        assert [r[0] for r in rows] == values
+        assert str(rows[-1][0]) == "-0.0"
+
+    def test_json_adds_hash_and_seed(self, tmp_path):
+        cfg = SimpleNamespace(out=str(tmp_path), hash="abc", seed=4)
+        path = _write_json(cfg, "r.json", {"b": [1.5, 2], "a": None})
+        text = open(path).read()
+        assert text.endswith("}\n") and "\r" not in text
+        assert json.loads(text) == {"a": None, "b": [1.5, 2],
+                                    "config_hash": "abc", "seed": 4}
+        assert list(json.loads(text)) == ["a", "b", "config_hash", "seed"]
+
+
 class TestSample:
     def test_csv_output(self, tmp_path):
         code = main(["sample", "--ensemble", "al", "--n", "8", "--beta", "1",
@@ -467,7 +504,8 @@ class TestRelation:
 
 
 class TestNonFiniteInput:
-    """beta and the solver tolerance are checked where they enter."""
+    """beta, the solver tolerance and the relation threshold are checked
+    where they enter."""
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--ensemble", "schur", "--beta", "inf"],
@@ -478,6 +516,10 @@ class TestNonFiniteInput:
          "--max-iterations", "50"],
         ["minimize", "--beta", "1", "--tolerance", "inf"],
         ["relation", "--beta", "inf", "--n", "8", "--samples", "5"],
+        ["relation", "--beta", "1", "--threshold", "nan", "--n", "8",
+         "--samples", "5"],
+        ["relation", "--beta", "1", "--threshold", "-1", "--n", "8",
+         "--samples", "5"],
         ["free-energy", "--beta", "inf", "--potential", "c1=0.5", "--n", "8",
          "--samples", "5"],
     ])
@@ -630,6 +672,16 @@ class TestFreeEnergyCommand:
         doc = json.loads((tmp_path / "free_energy.json").read_text())
         assert doc["parameters"]["grid"] == [0.0, 0.5, 1.0]
         assert doc["statistics"]["value"] < 0.0
+
+    @pytest.mark.parametrize("extra", [
+        ["--n", "3"], ["--n", "0"], ["--ensemble", "jacobi", "--n", "3"]])
+    def test_bad_size_of_a_zero_potential_exits_2(self, tmp_path, capsys,
+                                                  extra):
+        out = tmp_path / "out"
+        assert main(["free-energy", "--beta", "1", "--seed", "1",
+                     "--out", str(out)] + extra) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_s_grid_exit(self, tmp_path):
         code = main(["free-energy", "--ensemble", "al", "--beta", "1",

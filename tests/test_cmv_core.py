@@ -1,7 +1,5 @@
 """Lax matrix construction, spectra, and banded trace powers."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,7 +146,7 @@ def test_dense_eigen_angles_match_numpy_eigvals(topology, real):
     for n in sizes + [128, 256]:
         for _ in range(3 if n <= 64 else 1):
             _, m = _random_matrix(rng, n, topology, real)
-            for matrix in (m, cc.CmvMatrix.from_json(m.to_json())):
+            for matrix in (m, cc.CmvMatrix(m.topology, m.band)):
                 got = cc.eigen_angles(matrix)
                 _assert_principal(got)
                 gap = _circle_gap(got, np.linalg.eigvals(matrix.dense()))
@@ -191,7 +189,7 @@ def test_eigen_angles_at_minus_one(m):
     # itself may put -1 at either end of [-pi, pi)
     E = m.dense()
     assert np.abs(np.linalg.eigvals(E) + 1.0).min() <= 1e-12
-    for matrix in (m, cc.CmvMatrix.from_json(m.to_json())):
+    for matrix in (m, cc.CmvMatrix(m.topology, m.band)):
         got = cc.eigen_angles(matrix)
         _assert_principal(got)
         assert _circle_gap(got, np.linalg.eigvals(E)) <= 1e-12
@@ -199,18 +197,18 @@ def test_eigen_angles_at_minus_one(m):
 
 def test_dense_eigen_angles_reject_non_finite_entries():
     m = cc.build_periodic_cmv(random_interior_alpha(RNG, 6))
-    doc = json.loads(m.to_json())
-    doc["entries"][0][2] = float("nan")
+    band = m.band.copy()
+    band[2, 0] = np.nan
     with pytest.raises(cc.NumericalError, match="iteration failed"):
-        cc.eigen_angles(cc.CmvMatrix.from_json(json.dumps(doc)))
+        cc.eigen_angles(cc.CmvMatrix(m.topology, band))
 
 
 def test_dense_eigen_angles_reject_a_non_unitary_matrix():
     m = cc.build_periodic_cmv(random_interior_alpha(RNG, 8))
-    doc = json.loads(m.to_json())
-    doc["entries"][3][2] += 1e-3
+    band = m.band.copy()
+    band[2, 3] += 1e-3
     with pytest.raises(cc.NumericalError, match="unit circle") as info:
-        cc.eigen_angles(cc.CmvMatrix.from_json(json.dumps(doc)))
+        cc.eigen_angles(cc.CmvMatrix(m.topology, band))
     assert info.value.residual > 1e-9
 
 
@@ -571,7 +569,7 @@ def test_real_ring_eigen_angles_match_the_dense_spectrum(n):
         alpha = random_interior_alpha(rng, n, rmax=0.95, real=True)
         m = cc.build_periodic_cmv(alpha)
         got = cc.eigen_angles(m)
-        dense = cc.eigen_angles(cc.CmvMatrix.from_json(m.to_json()))
+        dense = cc.eigen_angles(cc.CmvMatrix(m.topology, m.band))
         assert got.shape == (n,) and np.all(np.diff(got) >= 0)
         assert got.min() >= -np.pi and got.max() < np.pi
         assert np.abs(np.sort(np.cos(got))
@@ -781,66 +779,21 @@ def test_trace_identity_property(half, seed):
     assert abs(cc.trace_power(m, 1) - k1) <= 1e-12
 
 
-# ------------------------------------------------------------------ json form
-
-def test_json_round_trip_and_structural_entries():
-    alpha = random_interior_alpha(RNG, 10)
-    m = cc.build_periodic_cmv(alpha)
-    blob = m.to_json()
-    doc = json.loads(blob)
-    assert doc["n"] == 10 and doc["topology"] == "periodic"
-    # no entry outside the structural pattern, and the dense matrix rebuilds
-    mask = np.abs(reference_periodic_entries(np.full(10, 0.5 + 0.25j))) > 0
-    for r, c, re, im in doc["entries"]:
-        assert mask[r, c]
-    m2 = cc.CmvMatrix.from_json(blob)
-    assert np.abs(m2.dense() - m.dense()).max() <= 1e-15
-
-
-def test_trace_power_after_json_round_trip():
-    for n, topology in ((4, "periodic"), (10, "periodic"), (7, "open")):
-        _, m = _random_matrix(RNG, n, topology, real=False)
-        m2 = cc.CmvMatrix.from_json(m.to_json())
-        assert m2.alpha is None
-        for ell in range(8):
-            assert abs(cc.trace_power(m2, ell) - cc.trace_power(m, ell)) \
-                <= 1e-12
-
-
-def _json_doc(n, topology, entries):
-    return json.dumps({"n": n, "topology": topology, "entries": entries})
-
-
-@pytest.mark.parametrize("blob", [
-    _json_doc(4, "torus", [[0, 0, 1.0, 0.0]]),
-    _json_doc(5, "periodic", [[0, 0, 1.0, 0.0]]),
-    _json_doc(0, "periodic", []),
-    _json_doc(1, "open", [[0, 0, 1.0, 0.0]]),
-    _json_doc(4, "periodic", [[-1, 0, 1.0, 0.0]]),
-    _json_doc(4, "open", [[7, 0, 1.0, 0.0]]),
-    _json_doc(4, "open", [[0, 4, 1.0, 0.0]]),
-    _json_doc(4, "open", [[0, 3, 1.0, 0.0]]),
-    _json_doc(8, "periodic", [[0, 4, 1.0, 0.0]]),
-    _json_doc(8, "periodic", [[0, 6, 1.0, 0.0]]),
-    _json_doc(4, "open", [[0.5, 0, 1.0, 0.0]]),
-    _json_doc(4, "open", [[0, "1", 1.0, 0.0]]),
-], ids=["unknown-topology", "odd-ring", "empty-ring", "open-size-1",
-        "negative-row", "row-past-n", "column-past-n", "open-outside-band",
-        "ring-outside-band", "ring-even-row-offset-minus-2",
-        "non-integer-row", "string-column"])
-def test_from_json_rejects_bad_documents(blob):
-    with pytest.raises(ValueError):
-        cc.CmvMatrix.from_json(blob)
-
-
-@pytest.mark.parametrize("topology", ["periodic", "open"])
-def test_from_json_rejects_repeated_entry(topology):
-    _, m = _random_matrix(RNG, 6, topology, real=False)
-    doc = json.loads(m.to_json())
-    first = doc["entries"][0]
-    doc["entries"].append([first[0], first[1], first[2] + 1.0, first[3]])
-    with pytest.raises(ValueError, match="twice"):
-        cc.CmvMatrix.from_json(json.dumps(doc))
+@pytest.mark.parametrize("n,topology", [(4, "periodic"), (10, "periodic"),
+                                        (7, "open")])
+def test_band_only_matrix_keeps_its_traces(n, topology):
+    # a matrix built from a band alone has no coefficients and no block
+    # factors, but its dense form and trace powers are those of the original
+    _, m = _random_matrix(RNG, n, topology, real=False)
+    m2 = cc.CmvMatrix(m.topology, m.band)
+    assert m2.alpha is None and m2.l_factor is None and m2.m_factor is None
+    assert m.l_factor is not None and m.m_factor is not None
+    assert np.array_equal(m2.dense(), m.dense())
+    E = m.dense()
+    for ell in range(8):
+        dense_trace = np.trace(np.linalg.matrix_power(E, ell))
+        assert abs(cc.trace_power(m2, ell) - dense_trace) <= 1e-12
+        assert abs(cc.trace_power(m2, ell) - cc.trace_power(m, ell)) <= 1e-12
 
 
 def test_verblunsky_vector_validation():

@@ -8,13 +8,13 @@ Anchors used here:
     1/4 + (1 - log 2).
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ggelab import ldp_lab
 from ggelab.cmv_core import NumericalError
 from ggelab.equilibrium import (GridDensity, free_energy_torus,
                                 minimize_interval, minimize_torus)
@@ -74,7 +74,7 @@ class TestCouplingLemma:
 
     def test_json_schema(self):
         rep = check_coupling_lemma(3.0, 0.3, 500, rng=9)
-        doc = json.loads(rep.to_json())
+        doc = rep.to_dict()
         assert set(doc) == {"check", "parameters", "statistics", "pass", "warnings"}
         assert doc["check"] == "coupling_lemma"
         assert doc["pass"] is True
@@ -150,9 +150,22 @@ class TestFreeEnergyEstimate:
         with pytest.raises(ValueError, match="endpoints"):
             estimate_free_energy("al", COS, 1.0, s_grid=(1.0,))
 
+    @pytest.mark.parametrize("kind, v, n", [
+        ("al", None, 3), ("al", None, 0), ("circular", None, 0),
+        ("circular", None, -4), ("jacobi", None, 3), ("jacobi", None, 0),
+        ("al", Potential("torus", cos=[0.7]), 1),
+        ("schur", Potential("interval", cheb=[-0.4]), 5)])
+    def test_exact_shortcuts_check_the_size(self, kind, v, n):
+        # V = 0 and constant V need no sample, but n must still be a size
+        # the sampled run would take
+        with pytest.raises(ValueError, match="size|coefficients"):
+            estimate_free_energy(kind, v, 1.0, n=n)
+
     def test_domain_mismatch(self):
         with pytest.raises(ValueError, match="torus"):
             estimate_free_energy("al", CHEB1, 1.0)
+        with pytest.raises(ValueError, match="torus"):
+            estimate_free_energy("al", Potential("interval", cheb=[0.0]), 1.0)
         with pytest.raises(ValueError, match="interval"):
             estimate_free_energy("jacobi", COS, 1.0)
 
@@ -207,9 +220,9 @@ class TestFreeEnergyEstimate:
         assert fe.value < 0.0
         assert fe.std_error > 0.0
 
-    def test_json_roundtrip(self):
+    def test_report_dict(self):
         fe = estimate_free_energy("al", None, 1.0)
-        doc = json.loads(fe.to_json())
+        doc = fe.to_dict()
         assert doc["check"] == "free_energy"
         assert doc["statistics"]["method"] == "ThermoIntegration"
 
@@ -255,11 +268,11 @@ class TestFreeEnergyRelation:
                           "discrepancy"}
         assert rep.threshold == 3.0 * s["mc_std_error"]
         assert s["variational_value"] == _circular_beta_derivative(COS, 1.0)[0]
-        assert "delta" not in json.loads(rep.to_json())["parameters"]
+        assert "delta" not in rep.to_dict()["parameters"]
 
     def test_json_schema(self):
         rep = check_free_energy_relation(None, 2.0, delta=0.5)
-        doc = json.loads(rep.to_json())
+        doc = rep.to_dict()
         assert set(doc) == {"check", "parameters", "statistics", "pass", "warnings"}
         assert doc["check"] == "free_energy_relation"
         assert doc["statistics"]["d_value"] == 0.0
@@ -326,6 +339,15 @@ class TestDosRelation:
         with pytest.raises(ValueError, match="interval"):
             check_dos_relation("schur", COS, 1.0, 16)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_is_checked_before_sampling(self, monkeypatch,
+                                                  threshold):
+        def no_sampling(*args):
+            raise AssertionError("sampled with a threshold no D can pass")
+        monkeypatch.setattr(ldp_lab, "sample_ensemble", no_sampling)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            check_dos_relation("al", None, 1.0, 16, threshold=threshold)
+
     def test_rows_carry_tau_int(self):
         exact = check_dos_relation("schur", None, 1.0, 16,
                                    mcmc=McmcParams(sweeps=200), rng=5)
@@ -345,7 +367,7 @@ class TestDosRelation:
     def test_json_schema(self):
         rep = check_dos_relation("al", None, 1.0, 16,
                                  mcmc=McmcParams(sweeps=100), rng=2)
-        doc = json.loads(rep.to_json())
+        doc = rep.to_dict()
         assert set(doc) == {"check", "parameters", "statistics", "pass", "warnings"}
         assert doc["parameters"]["ensemble"] == "al"
         assert "d_value" in doc["statistics"]

@@ -1,6 +1,5 @@
 """Empirical measures, Fourier coefficients, the distance D, and the BV/Lip bounds."""
 
-import json
 import os
 import subprocess
 import sys
@@ -225,48 +224,15 @@ class TestBvLipBounds:
         with pytest.raises(ValueError):
             check_bv_lip_bound(a, b)
 
-    def test_report_serializes(self):
+    def test_report_rows(self):
         rng = np.random.default_rng(4)
         a = build_periodic_cmv(random_alpha(rng, 8))
         b = build_periodic_cmv(random_alpha(rng, 8))
-        blob = json.loads(check_bv_lip_bound(a, b).to_json())
-        assert set(blob) == {"rank", "entrywise_sum", "rows", "all_pass"}
-        assert {r["name"] for r in blob["rows"]} == {"cos", "sin", "cos2"}
-
-
-class TestExports:
-    def test_torus_csv_round_trip(self, tmp_path):
-        mu = EmpiricalMeasure([0.5, -2.0, 1.25])
-        path = tmp_path / "mu.csv"
-        mu.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "theta,weight"
-        back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(back[:, 0], mu.angles)
-        assert np.all(back[:, 1] == mu.weight)
-
-    def test_interval_csv_header(self, tmp_path):
-        mu = EmpiricalMeasure([0.0, 0.5], "interval")
-        path = tmp_path / "mu.csv"
-        mu.to_csv(path)
-        assert path.read_text().splitlines()[0] == "x,weight"
-
-    @pytest.mark.parametrize("mu, expected", [
-        (EmpiricalMeasure([0.5, -2.0]), b"theta,weight\n-2.0,0.5\n0.5,0.5\n"),
-        (EmpiricalMeasure([0.5, 0.0], "interval"), b"x,weight\n0.0,0.5\n0.5,0.5\n"),
-    ])
-    def test_csv_lines_end_with_newline_only(self, tmp_path, mu, expected):
-        path = tmp_path / "mu.csv"
-        mu.to_csv(path)
-        assert path.read_bytes() == expected
-
-    def test_json_carries_convention(self):
-        blob = json.loads(EmpiricalMeasure([0.1]).to_json())
-        assert blob["type"] == "empirical_torus"
-        assert "[-pi, pi)" in blob["convention"]
-        blob = json.loads(EmpiricalMeasure([0.1], "interval").to_json())
-        assert blob["type"] == "empirical_interval"
-        assert blob["count"] == 1
+        rep = check_bv_lip_bound(a, b)
+        assert {r["name"] for r in rep.rows} == {"cos", "sin", "cos2"}
+        assert rep.all_pass == all(r["bv_ok"] and r["lip_ok"]
+                                   for r in rep.rows)
+        assert 0 < rep.rank <= 8 and rep.entrywise_sum > 0
 
 
 class TestWrapping:
