@@ -521,12 +521,9 @@ def _build_parsers():
                        help="sweeps discarded first (default 10 times "
                             "the matrix size)")
         p.add_argument("--thinning", type=int, default=None,
-                       help="site updates between kept states "
-                            "(default the matrix size: one sweep, or one "
-                            "sweep and one site for jacobi, whose last "
-                            "entry is fixed); the colour chain of "
-                            "degree-1 torus potentials rounds it up to "
-                            "whole sweeps")
+                       help="site updates between kept states; a state is "
+                            "kept every ceil(thinning / N) sweeps, N the "
+                            "matrix size (default N: one sweep)")
 
     p = command("sample", cmd_sample,
                 "draw coefficient vectors from one ensemble")

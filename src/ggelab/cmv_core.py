@@ -33,11 +33,6 @@ eigenvalues are the values cos(theta) of the conjugate pairs.  Every other
 matrix is unitary but not Hermitian; its angles come from the Hermitian
 Cayley transform i (I + E)^-1 (I - E), whose eigenvalues are tan(theta/2),
 so every eigen-angle comes from a Hermitian eigvalsh.
-
-A single-site chain needs only how Tr E and Tr E^2 change when one
-coefficient moves.  Both are sums of row terms over three neighbouring
-coefficients (_row_traces), so site_trace_increments updates them from the
-three rows that contain the site, on Python scalars.
 """
 
 import operator
@@ -59,8 +54,6 @@ __all__ = [
     "eigen_angles",
     "trace_power",
     "batch_trace_powers",
-    "has_site_increments",
-    "site_trace_increments",
     "periodic_diagonals",
     "open_diagonals",
     "geronimus_diagonals",
@@ -368,66 +361,6 @@ def _band(a, rho):
     odd[..., 1, :] = -at(rho, 1, 1) * at(a, 2, 1)
     odd[..., 3, :] = -at(a, 1, 1) * at(rho, 0, 1)
     return band
-
-
-def _row_traces(a, rho_sq, rows):
-    """Sums over the window positions `rows` of the row terms of Tr E and
-    Tr E^2,
-
-        Tr E   = -sum_m conj(alpha_m) alpha_{m-1},
-        Tr E^2 =  sum_m (conj(alpha_m) alpha_{m-1})^2
-                  - 2 conj(alpha_{m+1}) alpha_{m-1} rho_m^2,
-
-    read from windows of Python scalars: the row m at position c has
-    alpha_{m-1}, alpha_m, alpha_{m+1} = a[c - 1], a[c], a[c + 1] and
-    rho_m^2 = rho_sq[c].  The full sums run over the rows of _band's
-    layout: indices mod n on a ring of n >= 6 sites, and m = 0..n-1 on the
-    open matrix with alpha_{-1} = -1, alpha_n = 0 and rho_{n-1} = 0.  On
-    smaller rings band offsets wrap onto each other and Tr E^2 has further
-    terms.
-    """
-    s1 = s2 = 0.0
-    for c in rows:
-        prev = a[c - 1]
-        t = a[c].conjugate() * prev
-        s1 -= t
-        s2 += t * t - 2.0 * a[c + 1].conjugate() * prev * rho_sq[c]
-    return s1, s2
-
-
-def has_site_increments(n, topology, ell_max):
-    """Whether site_trace_increments gives Tr E^ell, ell <= ell_max, for a
-    size-n vector of this topology: degree <= 2, and a ring of >= 6 sites."""
-    return ell_max <= 2 and (topology == "open" or n >= 6)
-
-
-def site_trace_increments(alpha, j, new, topology):
-    """(d Tr E, d Tr E^2) when alpha_j alone becomes `new`.
-
-    `alpha` is a list of Python scalars, the state of a single-site chain.
-    Only the rows j - 1, j, j + 1 of _row_traces contain alpha_j, so the
-    cost does not grow with n.  Valid where has_site_increments holds.
-    """
-    n = len(alpha)
-    ring = topology == "periodic"
-    sites = range(j - 2, j + 3)
-    if ring:
-        a = [alpha[i % n] for i in sites]
-    else:
-        a = [alpha[i] if 0 <= i < n else -1.0 if i == -1 else 0.0
-             for i in sites]
-    # the rows j - 1, j, j + 1 sit at window positions 1, 2, 3; the open
-    # matrix has no rows outside 0..n-1, and rho_{n-1} = 0 at position `zero`
-    rows = [c for c in (1, 2, 3) if ring or 0 <= j + c - 2 < n]
-    zero = -1 if ring else n + 1 - j
-    rho_sq = [0.0 if c == zero else 1.0 - (x.real * x.real + x.imag * x.imag)
-              for c, x in enumerate(a)]
-    old1, old2 = _row_traces(a, rho_sq, rows)
-    a[2] = new
-    if zero != 2:
-        rho_sq[2] = 1.0 - (new.real * new.real + new.imag * new.imag)
-    new1, new2 = _row_traces(a, rho_sq, rows)
-    return new1 - old1, new2 - old2
 
 
 def _check_size(n, topology):

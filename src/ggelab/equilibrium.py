@@ -155,7 +155,7 @@ class GridDensity:
     """
 
     def __init__(self, domain, values, edge_masses=(0.0, 0.0), *, residual=None,
-                 iterations=None, beta=None, potential=None, signed=False):
+                 iterations=None, signed=False):
         if domain not in ("torus", "interval"):
             raise ValueError(f"unknown domain {domain!r}")
         values = np.asarray(values, dtype=float)
@@ -178,8 +178,6 @@ class GridDensity:
                              f"got {self.edge_masses}")
         self.residual = residual
         self.iterations = iterations
-        self.beta = beta
-        self.potential = potential
         self.signed = signed
         m = self.mass()
         if not abs(m - 1.0) < 1e-10:
@@ -215,12 +213,6 @@ class GridDensity:
         if self.domain != "interval":
             raise AttributeError("x is defined for interval densities only")
         return -np.tanh(self.nodes)
-
-    def density_x(self):
-        """Density with respect to dx: rho_x(x_i) = P_i cosh^2(t_i)."""
-        if self.domain != "interval":
-            raise AttributeError("density_x is defined for interval densities only")
-        return self.values * np.cosh(self.nodes) ** 2
 
     # -- measure interface ----------------------------------------------
 
@@ -457,8 +449,7 @@ def minimize_torus(v, beta, params=None, init_values=None):
     lnr, iterations = _fixed_point(step_map, lnr, params)
     rho = np.exp(lnr)
     residual = _centered_sup(lnr + vv - 2 * beta * field(rho))
-    return GridDensity("torus", rho, residual=residual, iterations=iterations, beta=beta,
-                       potential=v)
+    return GridDensity("torus", rho, residual=residual, iterations=iterations)
 
 
 def free_energy_torus(rho, v, beta):
@@ -663,8 +654,7 @@ def minimize_interval(v, beta, params=None, init_values=None):
     p = np.exp(ln_p)
     gm, gp = _charges(p, beta)
     residual = _centered_sup(ln_p + vv - 2 * beta * field(p, gm, gp))
-    return GridDensity("interval", p, (gm, gp), residual=residual, iterations=iterations,
-                       beta=beta, potential=v)
+    return GridDensity("interval", p, (gm, gp), residual=residual, iterations=iterations)
 
 
 def free_energy_interval(rho, v, beta):
@@ -768,6 +758,6 @@ def beta_derivative_measure(v, beta, params=None, domain=None):
     if worst < -1e-6:
         warnings.warn(f"beta-derivative density dips to {worst:.3e}; it is kept signed")
     residual = _centered_sup(psi - 2 * beta * field(nu, *edges))
-    return GridDensity(domain, nu, edges, signed=True, beta=beta, potential=rho.potential,
+    return GridDensity(domain, nu, edges, signed=True,
                        residual=max(rho.residual, residual),
                        iterations=rho.iterations + iterations)

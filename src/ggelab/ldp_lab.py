@@ -576,8 +576,6 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
         raise ValueError("density-of-states checks cover al and schur runs")
     _check_beta(beta)
     n = int(n)
-    if n < 2 or n % 2:
-        raise ValueError("need an even matrix size of at least 2")
     domain = _domain_of(kind, v)
     k_max = int(k_max)
     if k_max < 4:

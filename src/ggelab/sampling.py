@@ -4,15 +4,14 @@ Zero-potential laws are sampled exactly; a nonzero potential is handled
 by Metropolis-within-Gibbs with fresh single-site proposals drawn from
 the zero-potential marginals, so the acceptance probability reduces to
 min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly.
-Degree-1 torus potentials on rings update a whole colour class of sites
-per numpy call.  The single-site chain takes the increment of a degree <= 2
-potential from the closed-form row terms of Tr E and Tr E^2 around the
-site (cmv_core.site_trace_increments), at a cost independent of N, and
-recomputes the power traces of the whole state for higher degrees and for
-rings of fewer than six sites.
+Tr E^K couples only coefficients within distance K, so one chain
+(_run_chain) updates a whole class of sites K + 1 or more apart per numpy
+call, on rings and open rows alike.  A class's increments of Tr E and
+Tr E^2 are closed forms over the rows around each site; higher degrees
+and rings of n <= 2K take one batched trace call on the class's trial
+rows.
 """
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -125,13 +124,7 @@ def sample_theta(params, rng, size=None):
 
 def _radial_theta(nu, rng, size=None):
     """The radial method of sample_theta, nu unchecked: |z|^2 ~ Beta(1,
-    (nu - 1)/2) and a uniform phase.  One draw (size None) is a Python
-    complex with the bits the array form gives."""
-    if size is None:
-        # rng.uniform(lo, hi) draws lo + (hi - lo) * rng.random()
-        r = math.sqrt(rng.beta(1.0, (nu - 1.0) / 2.0))
-        phase = 2.0 * math.pi * rng.random()
-        return _into_open_disk(r * complex(math.cos(phase), math.sin(phase)))
+    (nu - 1)/2) and a uniform phase."""
     r = np.sqrt(rng.beta(1.0, (nu - 1.0) / 2.0, size=size))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
     return _into_open_disk(r * np.exp(1j * phase))
@@ -142,14 +135,8 @@ def _into_open_disk(z, bound=1.0 - 1e-15):
 
     For nu barely above 1 the radial law puts visible mass within one ulp
     of the unit circle, where rounding can push |z| to 1 or slightly past
-    it; downstream factorizations need |z| < 1 strictly.  A Python complex
-    stays one, and np.abs decides near the bound, as for arrays.
+    it; downstream factorizations need |z| < 1 strictly.
     """
-    if isinstance(z, complex):
-        if abs(z) < bound - 1e-15:  # abs and np.abs differ by an ulp or so
-            return z
-        r = float(np.abs(z))
-        return z * (bound / r) if r >= bound else z
     r = np.abs(z)
     hot = r >= bound
     if hot.any():
@@ -269,18 +256,13 @@ class McmcParams:
 
     Attributes:
         sweeps: number of kept states to emit (>= 1).  At the default
-            thinning about one full sweep separates kept states, hence
-            the name.
+            thinning one full sweep separates kept states, hence the name.
         burn_in: sweeps discarded before recording; None means 10 N.
-        thinning: site updates between kept states; None means N.  N is
-            the matrix dimension in both defaults.  A sweep redraws the
-            sites that EnsembleKind.mutable counts: all N of them, except
-            on jacobi rows, whose fixed last entry leaves N - 1.  There
-            the default thinning is one sweep and one site, so each kept
-            state falls one site later in the sweep than the one before.
-            The colour chain (degree-1 torus potentials on rings) updates
-            whole sweeps and keeps a state every ceil(thinning / N) of
-            them, so every thinning up to N keeps one state per sweep.
+        thinning: site updates between kept states; None means N, the
+            matrix dimension, as in the burn-in default.  The chain runs
+            whole sweeps, each redrawing the sites that EnsembleKind.mutable
+            counts, and keeps a state every ceil(thinning / N) of them, so
+            every thinning up to N keeps one state per sweep.
     """
 
     sweeps: int = 1000
@@ -433,87 +415,143 @@ def _real_interior(rng, a, b, size=None):
 
     Tiny shape parameters pile mass onto the endpoints, where rounding can
     produce exactly +-1; the clip keeps downstream factorizations valid.
-    One draw (size None) is a Python float.
     """
     vals = 2.0 * rng.beta(a, b, size=size) - 1.0
-    if size is None:
-        return min(max(vals, -1.0 + 1e-15), 1.0 - 1e-15)
     return np.clip(vals, -1.0 + 1e-15, 1.0 - 1e-15)
 
 
-def _draw_sites(kind, params, rng, site=None, size=None):
+def _draw_sites(kind, params, rng, sites=None, size=None):
     """Fresh draws from the V = 0 site laws of one ensemble kind.
 
-    `params` is kind.interior(beta, N).  With `site` given this draws
-    `size` values of that site alone (a Python scalar for None, the
-    single-site chain's proposal); without it, `size` whole coefficient
-    vectors.  Fixed seeds reproduce batches bit for bit, so the order of
-    generator calls is fixed too: periodic rows come from one (size, N)
-    call, open rows column by column.
+    `params` is kind.interior(beta, N).  With `sites` given (an index
+    array) this draws one value per entry, in its shape: the proposals of
+    one class of a chain, where index N - 1 of a circular row is uniform
+    on the unit circle.  Without it, `size` whole coefficient vectors.
+    Fixed seeds reproduce batches bit for bit, so the order of generator
+    calls is fixed too: periodic rows come from one (size, N) call, open
+    rows column by column.
     """
-    if site is None:
+    if sites is None:
         if kind.periodic:
-            return _draw_sites(kind, params, rng, 0, (size, params.size))
-        out = np.empty((size, params.size + 1),
-                       complex if kind.domain == "torus" else float)
-        for j in range(params.size + 1):
-            out[:, j] = _draw_sites(kind, params, rng, j, size)
+            return _draw_sites(kind, params, rng, np.broadcast_to(
+                np.arange(params.size), (size, params.size)))
+        out = np.full((size, params.size + 1), -1.0,
+                      complex if kind.domain == "torus" else float)
+        for j in range(kind.mutable(params.size + 1)):
+            out[:, j] = _draw_sites(kind, params, rng, np.full(size, j))
         return out
-    if site == params.size:  # the last entry of an open matrix
-        if kind.boundary == cc.BoundaryMode.LAST_MINUS_ONE:
-            return -1.0
-        if size is None:
-            return cmath.exp(2j * math.pi * rng.random())
-        return np.exp(2j * np.pi * rng.uniform(size=size))
+    if kind.periodic:  # every site of a ring has one law
+        p = params[0]
+    elif sites[0] == params.size:  # the last entry of a circular row
+        return np.exp(2j * np.pi * rng.uniform(size=sites.shape))
+    else:
+        p = params[sites]
     if kind.domain == "torus":
-        return _radial_theta(params[site], rng, size)
-    return _real_interior(rng, params[site], params[site], size=size)
+        return _radial_theta(p, rng, sites.shape)
+    return _real_interior(rng, p, p, sites.shape)
 
 
 # --------------------------------------------------------------------------
 # Metropolis machinery
 
 
-def _color_spacing(n):
-    """Spacing s dividing n with s >= 3, so same-colour sites do not share
-    neighbours; None when no such divisor exists (n = 2)."""
-    for s in (8, 4, 3, 5, 6, 7):
-        if s <= n and n % s == 0:
-            return s
-    for s in range(9, n + 1):
-        if n % s == 0:
-            return s
-    return None
+def _padded(alpha, periodic):
+    """A chain's state ext, with ext[i + 2] = alpha_i.  Open rows read
+    alpha_-1 = -1 (the leading 1 of M) and zeros past their ends; a ring
+    leaves the four pads unused."""
+    ext = np.zeros(alpha.size + 4, alpha.dtype)
+    ext[1] = 0.0 if periodic else -1.0
+    ext[2:-2] = alpha
+    return ext
 
 
-def _run_color_chain(kind, params, wc, spacing, burn, thin, n_keep, rng):
-    """Vectorised sweeps for periodic matrices and degree <= 1 torus V.
+def _classes(kind, n, degree, colour):
+    """The site classes of one sweep, in order, as index windows (5, m)
+    into the padded state: row k + 2 indexes alpha_(j + k) of each site j.
 
-    A degree-1 trace increment at site j only involves alpha_{j-1} and
-    alpha_{j+1}, so sites of a common residue class mod `spacing` update
-    independently and one numpy call handles the whole class.  Each class's
-    site indices and those of its left and right neighbours are built once,
-    before the first sweep.
+    Sites of a class are at least degree + 1 apart, so Tr E^degree never
+    couples two of them.  A ring takes the smallest divisor s of n with
+    s > degree (n itself if there is none) and the classes j = r mod s;
+    degree <= 1 torus potentials (`colour`) on rings of n > 2 keep the
+    spacing 8 or 4 where it divides n, else the smallest divisor >= 3.  An
+    open row spaces its interior sites degree + 1 apart, and a circular
+    row's unimodular last site is a class of its own.
     """
-    alpha = _draw_sites(kind, params, rng, size=1)[0]
-    size_n = alpha.size
-    w1 = wc[0] if wc.size else 0.0
-    stride = max(1, -(-thin // size_n))
-    kept = np.empty((n_keep, size_n), dtype=alpha.dtype)
-    accepted = 0
-    proposed = 0
-    sweep = 0
-    k_idx = 0
-    offsets = [np.arange(off, size_n, spacing) for off in range(spacing)]
-    classes = [(sites, (sites - 1) % size_n, (sites + 1) % size_n)
-               for sites in offsets]
+    offsets = np.arange(-2, 3)[:, None]
+    if kind.periodic:
+        if colour and n > 2:
+            spacings = [8, 4] + list(range(3, n + 1))
+        else:
+            spacings = list(range(degree + 1, n + 1))
+        s = next((s for s in spacings if n % s == 0), n)
+        return [(np.arange(r, n, s) + offsets) % n + 2 for r in range(s)]
+    s = degree + 1
+    classes = [np.arange(r, n - 1, s) + offsets + 2
+               for r in range(min(s, n - 1))]
+    if kind.boundary == cc.BoundaryMode.LAST_ON_CIRCLE:
+        classes.append(np.array([n - 1]) + offsets + 2)
+    return classes
+
+
+def _class_delta_v(ext, win, prop, wc, topology):
+    """delta Tr V = Re sum_k wc[k-1] delta Tr E^k, k = 1..len(wc), of each
+    site's move when it alone takes its proposal: array (m,) for one class.
+
+    Site j enters the row terms of Tr E = -sum_m conj(alpha_m) alpha_(m-1)
+    through its two neighbours, and those of
+
+        Tr E^2 = sum_m (conj(alpha_m) alpha_(m-1))^2
+                 - 2 conj(alpha_(m+1)) alpha_(m-1) rho_m^2
+
+    through the rows m = j - 1, j, j + 1, read from the window
+    alpha_(j-2) .. alpha_(j+2); on an open row the pads of _padded make
+    these sums stop at its ends.  On a ring of n <= 2 degree, band offsets
+    wrap onto the diagonal and the row terms miss parts of the traces, so
+    there, and for degree > 2, one batch_trace_powers call on the class's
+    trial rows, the state first, gives the increments.
+    """
+    degree = wc.size
+    if degree > 2 or (topology == "periodic" and ext.size - 4 <= 2 * degree):
+        trial = np.tile(ext[2:-2], (prop.size + 1, 1))
+        trial[np.arange(1, prop.size + 1), win[2] - 2] = prop
+        tr = cc.batch_trace_powers(trial, degree, topology)
+        return ((tr[1:] - tr[0]) @ wc).real
+    d = prop - ext[win[2]]
+    dv = (wc[0] if degree else 0.0) * -(ext[win[1]] * np.conj(d)
+                                        + d * np.conj(ext[win[3]]))
+    if degree == 2:  # the three rows at the state, then with the proposals
+        m = prop.size
+        both = np.tile(ext[win], 2)
+        both[2, m:] = prop
+        mid = both[1:4]
+        t = np.conj(mid) * both[:3]
+        rho_sq = 1.0 - (mid.real ** 2 + mid.imag ** 2)
+        rows = (t * t - 2.0 * np.conj(both[2:]) * both[:3] * rho_sq).sum(0)
+        dv = dv + wc[1] * (rows[m:] - rows[:m])
+    return dv.real
+
+
+def _run_chain(kind, params, wc, colour, burn, stride, n_keep, rng):
+    """Metropolis-within-Gibbs by classes of sites that update together.
+
+    A sweep visits the classes of _classes in order.  For each it draws
+    the proposals, one per site, then one uniform per site, and moves the
+    sites whose log-uniform lies below -delta Tr V (_class_delta_v, with
+    the potential's trace weights `wc`).  After `burn`
+    sweeps a state is kept every `stride` sweeps.  Returns the kept states
+    and the acceptance rate over all proposals.
+    """
+    ext = _padded(_draw_sites(kind, params, rng, size=1)[0], kind.periodic)
+    alpha = ext[2:-2]
+    topology = kind.topology
+    classes = [(win[2] - 2, win)
+               for win in _classes(kind, alpha.size, wc.size, colour)]
+    kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
+    accepted = proposed = sweep = k_idx = 0
     while k_idx < n_keep:
-        for sites, left, right in classes:
-            # periodic sites share one law, so one call draws the class
-            prop = _draw_sites(kind, params, rng, sites[0], sites.size)
-            d = prop - alpha[sites]
-            dtr = -(alpha[left] * np.conj(d) + d * np.conj(alpha[right]))
-            dv = (w1 * dtr).real
+        for sites, win in classes:
+            prop = _draw_sites(kind, params, rng, sites)
+            dv = _class_delta_v(ext, win, prop, wc, topology)
             acc = np.log(rng.uniform(size=sites.size)) < -dv
             alpha[sites[acc]] = prop[acc]
             accepted += int(acc.sum())
@@ -523,53 +561,6 @@ def _run_color_chain(kind, params, wc, spacing, burn, thin, n_keep, rng):
             kept[k_idx] = alpha
             k_idx += 1
     return kept, accepted / proposed
-
-
-def _run_site_chain(kind, params, wc, burn, thin, n_keep, rng):
-    """Sequential single-site chain, exact for any potential degree.
-
-    The state is a list of Python scalars.  For degree <= 2 the trace
-    increment of an update is the closed form cc.site_trace_increments,
-    whose cost does not grow with N; higher degrees and rings of fewer than
-    six sites recompute every trace of the state, O(N) work per update.
-    """
-    deg = wc.size
-    alpha = _draw_sites(kind, params, rng, size=1)[0]
-    topology = kind.topology
-    local = cc.has_site_increments(alpha.size, topology, deg)
-    if local:
-        w1, w2 = wc.tolist() + [0.0] * (2 - deg)
-    else:
-        tr_cur = cc.batch_trace_powers(alpha, deg, topology)[0]
-    state = alpha.tolist()
-    mutable = kind.mutable(alpha.size)
-    kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
-    burn_updates = burn * mutable
-    accepted = 0
-    updates = 0
-    k_idx = 0
-    while k_idx < n_keep:
-        j = updates % mutable
-        prop = _draw_sites(kind, params, rng, j)
-        if local:
-            d1, d2 = cc.site_trace_increments(state, j, prop, topology)
-            dv = (w1 * d1 + w2 * d2).real
-        else:
-            old, state[j] = state[j], prop
-            tr_new = cc.batch_trace_powers(state, deg, topology)[0]
-            state[j] = old
-            dv = float(np.real(wc @ (tr_new - tr_cur)))
-        u = rng.random()  # the draw of rng.uniform()
-        if u == 0.0 or math.log(u) < -dv:
-            state[j] = prop
-            if not local:
-                tr_cur = tr_new
-            accepted += 1
-        updates += 1
-        if updates > burn_updates and (updates - burn_updates) % thin == 0:
-            kept[k_idx] = state
-            k_idx += 1
-    return kept, accepted / updates
 
 
 def _sample(spec, mcmc, rng):
@@ -587,15 +578,9 @@ def _sample(spec, mcmc, rng):
         wc = potential.trace_weights()
         burn = int(mcmc.burn_in) if mcmc.burn_in is not None else 10 * size_n
         thin = int(mcmc.thinning) if mcmc.thinning is not None else size_n
-        spacing = _color_spacing(size_n) if kind.periodic else None
-        use_color = (kind.periodic and potential.domain == "torus"
-                     and wc.size <= 1 and spacing is not None)
-        if use_color:
-            alphas, rate = _run_color_chain(kind, params, wc, spacing, burn,
-                                            thin, n_keep, rng)
-        else:
-            alphas, rate = _run_site_chain(kind, params, wc, burn, thin,
-                                           n_keep, rng)
+        colour = potential.domain == "torus" and wc.size <= 1
+        alphas, rate = _run_chain(kind, params, wc, colour, burn,
+                                  -(-thin // size_n), n_keep, rng)
     return SampleBatch(alphas=alphas, kind=spec.kind, beta=beta,
                        boundary=kind.boundary, acceptance_rate=rate,
                        seed=seed, potential=potential)

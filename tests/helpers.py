@@ -1,6 +1,11 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
+
+from ggelab import cmv_core as cc
+from ggelab import sampling as sp
 
 
 def random_interior_alpha(rng, n, rmax=0.9, real=False):
@@ -84,19 +89,40 @@ def dense_interval_kernel(m):
 
 
 def site_chain(spec, mcmc, rng):
-    """Run the single-site Metropolis chain on a tilted spec, even where the
-    sampler would pick the colour chain: the exact oracle of the colour chain.
-    Burn-in and thinning default as in the samplers.  Returns the kept states
-    and the acceptance rate."""
-    from ggelab import sampling as sp
-
+    """Run the single-site Metropolis chain on a tilted spec, recomputing
+    every power trace of the state per update: the exact oracle of the
+    sampler's class-parallel chain.  Sites are visited one at a time in
+    order; each draws its proposal (a size-1 array draw), then one uniform.
+    Burn-in counts sweeps of the mutable sites and thinning counts site
+    updates, with the samplers' defaults (10 N and N).  Returns the kept
+    states and the acceptance rate."""
     kind = sp.KINDS[spec.kind]
-    size = spec.size
+    size, topology = spec.size, kind.topology
     burn = 10 * size if mcmc.burn_in is None else int(mcmc.burn_in)
     thin = size if mcmc.thinning is None else int(mcmc.thinning)
-    return sp._run_site_chain(kind, kind.interior(float(spec.beta), size),
-                              spec.potential.trace_weights(), burn, thin,
-                              int(mcmc.sweeps), sp.make_rng(rng))
+    params = kind.interior(float(spec.beta), size)
+    wc = spec.potential.trace_weights()
+    rng = sp.make_rng(rng)
+    state = sp._draw_sites(kind, params, rng, size=1)[0]
+    traces = cc.batch_trace_powers(state, wc.size, topology)[0]
+    mutable = kind.mutable(size)
+    kept = np.empty((int(mcmc.sweeps), size), dtype=state.dtype)
+    burn_updates = burn * mutable
+    accepted = updates = k_idx = 0
+    while k_idx < kept.shape[0]:
+        j = updates % mutable
+        trial = state.copy()
+        trial[j] = sp._draw_sites(kind, params, rng, np.array([j]))[0]
+        new = cc.batch_trace_powers(trial, wc.size, topology)[0]
+        u = rng.uniform()
+        if u == 0.0 or math.log(u) < -float(np.real(wc @ (new - traces))):
+            state, traces = trial, new
+            accepted += 1
+        updates += 1
+        if updates > burn_updates and (updates - burn_updates) % thin == 0:
+            kept[k_idx] = state
+            k_idx += 1
+    return kept, accepted / updates
 
 
 def keep_upper_cyclic(A):

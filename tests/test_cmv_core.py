@@ -597,59 +597,6 @@ def test_real_ring_eigen_angles_reject_a_spectrum_off_the_interval(
     assert info.value.residual == pytest.approx(2e-9, rel=1e-6)
 
 
-# the four ensemble kinds' coefficient vectors: (topology, real, last entry)
-SITE_CASES = {
-    "al": ("periodic", False), "schur": ("periodic", True),
-    "circular": ("open", False), "jacobi": ("open", True),
-}
-
-
-def _site_state(kind, n, rng):
-    topology, real = SITE_CASES[kind]
-    alpha = random_interior_alpha(rng, n, rmax=0.95, real=real)
-    if topology == "open":
-        alpha[-1] = -1.0 if real else np.exp(2j * np.pi * rng.uniform())
-    return alpha
-
-
-@pytest.mark.parametrize("kind", sorted(SITE_CASES))
-def test_site_trace_increments_match_full_traces(kind):
-    topology, real = SITE_CASES[kind]
-    rng = np.random.default_rng(71)
-    sizes = range(6, 33, 2) if topology == "periodic" else range(2, 33)
-    for n in sizes:
-        assert cc.has_site_increments(n, topology, 2)
-        alpha = _site_state(kind, n, rng)
-        # row j of `moved` replaces alpha_j by a fresh draw of its site law
-        moved = np.tile(alpha, (n, 1))
-        fresh = _site_state(kind, n, rng)
-        moved[np.arange(n), np.arange(n)] = fresh
-        want = (cc.batch_trace_powers(moved, 2, topology)
-                - cc.batch_trace_powers(alpha, 2, topology))
-        state, proposals = alpha.tolist(), fresh.tolist()
-        for j in range(n):
-            got = cc.site_trace_increments(state, j, proposals[j], topology)
-            assert np.abs(np.array(got) - want[j]).max() <= 1e-13, (n, j)
-        assert state == alpha.tolist()
-
-
-def test_site_increments_cover_rings_of_six_sites_and_degree_two():
-    # on rings of 2 and 4 sites band offsets wrap onto each other, so the
-    # row terms miss parts of Tr E^2; the chain then recomputes all traces
-    for n, topology, ell_max in ((4, "periodic", 2), (2, "periodic", 1),
-                                 (8, "periodic", 3), (8, "open", 3)):
-        assert not cc.has_site_increments(n, topology, ell_max)
-    assert cc.has_site_increments(2, "open", 2)
-    alpha = _site_state("al", 4, np.random.default_rng(72))
-    moved = alpha.copy()
-    moved[1] = 0.5j
-    want = (cc.batch_trace_powers(moved, 2)
-            - cc.batch_trace_powers(alpha, 2))[0]
-    got = cc.site_trace_increments(alpha.tolist(), 1, 0.5j, "periodic")
-    assert abs(got[0] - want[0]) <= 1e-13
-    assert abs(got[1] - want[1]) > 1e-3
-
-
 def test_conserved_quantities_values():
     alpha = random_interior_alpha(RNG, 12)
     q = cc.conserved_quantities(alpha, ell_max=4)

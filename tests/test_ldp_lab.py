@@ -348,16 +348,23 @@ class TestDosRelation:
         with pytest.raises(ValueError, match="threshold must be positive"):
             check_dos_relation("al", None, 1.0, 16, threshold=threshold)
 
+    def test_odd_size_is_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled at a size the ring cannot have")
+        monkeypatch.setattr(ldp_lab, "sample_ensemble", no_sampling)
+        for kind in ("al", "schur"):
+            with pytest.raises(ValueError, match="even"):
+                check_dos_relation(kind, None, 1.0, 15)
+
     def test_rows_carry_tau_int(self):
         exact = check_dos_relation("schur", None, 1.0, 16,
                                    mcmc=McmcParams(sweeps=200), rng=5)
         assert all(0.0 < row["tau_int"] < 10.0
                    for row in exact.statistics["moments"])
         assert not any("correlated" in w for w in exact.warnings)
-        # one site update between kept states: a strongly correlated chain
-        slow = check_dos_relation("al", Potential("torus", cos=[0.0, 0.5, 0.3]),
-                                  1.0, 8, mcmc=McmcParams(sweeps=400, thinning=1),
-                                  rng=5)
+        # a strong degree-2 tilt: the chain mixes slowly over whole sweeps
+        slow = check_dos_relation("al", Potential("torus", cos=[0.0, 0.0, 3.0]),
+                                  1.0, 8, mcmc=McmcParams(sweeps=400), rng=5)
         flagged = [row["name"] for row in slow.statistics["moments"]
                    if row["tau_int"] > 10.0]
         assert flagged

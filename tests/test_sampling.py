@@ -10,7 +10,7 @@ from ggelab import cmv_core as cc
 from ggelab import sampling as sp
 from ggelab.potentials import Potential
 
-from helpers import site_chain
+from helpers import random_interior_alpha, site_chain
 
 
 # ------------------------------------------------------------------- theta law
@@ -306,33 +306,6 @@ def test_mcmc_two_site_chain_matches_quadrature():
         assert abs(obs.mean() - target) <= 4 * se, (obs.mean(), target, se)
 
 
-def test_mcmc_color_and_site_paths_agree():
-    beta, eta = 1.0, 0.5
-    pot = Potential("torus", cos=[0.0, 2 * eta])
-    spec = sp.EnsembleSpec("al", 16, beta=beta, potential=pot)
-    fast = sp.sample_al_gge(spec, sp.McmcParams(sweeps=3000),
-                            np.random.default_rng(53))
-    slow, _ = site_chain(spec, sp.McmcParams(sweeps=3000),
-                         np.random.default_rng(54))
-    tf = cc.batch_trace_powers(fast.alphas, 1)[:, 0].real / 16
-    ts = cc.batch_trace_powers(slow, 1)[:, 0].real / 16
-    se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
-    assert abs(tf.mean() - ts.mean()) <= 4 * se
-
-
-def test_colour_chain_keeps_whole_sweeps():
-    # thinning rounds up to ceil(thinning / N) sweeps on the colour chain
-    spec = sp.EnsembleSpec("al", 16, 1.0, Potential("torus", cos=[0.0, 1.0]))
-
-    def kept(sweeps, thinning):
-        return sp.sample_al_gge(spec, sp.McmcParams(sweeps, thinning=thinning),
-                                sp.make_rng(12)).alphas
-
-    every_sweep = kept(40, 16)
-    assert np.array_equal(kept(40, 1), every_sweep)
-    assert np.array_equal(kept(20, 17), every_sweep[1::2])
-
-
 _T1 = Potential("torus", cos=[0.0, 0.5])
 _T2 = Potential("torus", cos=[0.1, 0.5, 0.3], sin=[0.2, -0.1])
 _T3 = Potential("torus", cos=[0.0, 0.4, 0.2, 0.3])
@@ -383,6 +356,26 @@ CHAIN_FINGERPRINTS = {
 # colour class holds three sites and the neighbour indices wrap
 COLOUR_FINGERPRINTS = {"al-12-t1": ("ca4d0b4d1964cbbf", 0.8779761904761905),
                        "al-24-t1": ("64ec94a3616b8a74", 0.8720238095238095)}
+# the sampler's class-parallel chain where it updates sites in another order
+# than the site chain: classes of several sites draw all their proposals,
+# then their uniforms, and kept states fall ceil(thinning / N) whole sweeps
+# apart.  al-4-t2 and circular-2-t2 visit one site per class, in the site
+# chain's order, and keep its fingerprints.
+CLASS_FINGERPRINTS = {
+    "al-6-t2": ("3a884e35fe813a78", 0.7976190476190477),
+    "al-8-t2": ("0ca0864c81abd967", 0.8526785714285714),
+    "al-8-t3": ("4787156ec7ab4227", 0.84375),
+    "circular-16-t1-grazing": ("9386936a304eba9e", 0.7611607142857143),
+    "circular-6-c": ("3541631a7581d19f", 1.0),
+    "circular-8-t1": ("4db0ab687ca7765a", 0.8973214285714286),
+    "circular-8-t2": ("c16660babb10cce0", 0.7946428571428571),
+    "jacobi-1-i2": ("684100d566b7c029", 0.8571428571428571),
+    "jacobi-4-i1": ("4049f193b641f812", 0.8010204081632653),
+    "jacobi-4-i2": ("f57b9ab2ff00a400", 0.8724489795918368),
+    "schur-6-i2": ("cf721e1bac78aa16", 0.9107142857142857),
+    "schur-8-i1": ("5428a71bc0b18f9a", 0.8928571428571429),
+    "schur-8-i2": ("7b5359dd012eee45", 0.8705357142857143),
+}
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_FINGERPRINTS))
@@ -399,8 +392,128 @@ def test_chain_samples_match_recorded_fingerprints(name, path):
         batch = sp.sample_ensemble(spec, mcmc, rng)
         alphas, rate = batch.alphas, batch.acceptance_rate
     digest = hashlib.sha256(alphas.tobytes()).hexdigest()[:16]
-    want = site if path else COLOUR_FINGERPRINTS.get(name, site)
+    sampler = {**COLOUR_FINGERPRINTS, **CLASS_FINGERPRINTS}
+    want = site if path else sampler.get(name, site)
     assert (digest, rate) == want
+
+
+@pytest.mark.parametrize("kind, n, pot", [
+    ("al", 16, _T2), ("al", 8, _T3), ("schur", 16, _I2), ("jacobi", 8, _I2),
+    ("circular", 32, _T1)],
+    ids=["al-16-t2", "al-8-t3", "schur-16-i2", "jacobi-8-i2",
+         "circular-32-t1"])
+def test_mcmc_chain_matches_site_oracle(kind, n, pot):
+    # every case runs the sampler on stream 53 and the oracle on stream 54
+    spec = sp.EnsembleSpec(kind, n, 1.0, pot)
+    mcmc = sp.McmcParams(sweeps=3000)
+    fast = sp.sample_ensemble(spec, mcmc, np.random.default_rng(53)).alphas
+    slow, _ = site_chain(spec, mcmc, np.random.default_rng(54))
+    wc = pot.trace_weights()
+    tf, ts = ((cc.batch_trace_powers(a, wc.size, sp.KINDS[kind].topology)
+               @ wc).real / spec.size for a in (fast, slow))
+    se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
+    assert abs(tf.mean() - ts.mean()) <= 4 * se
+
+
+@pytest.mark.parametrize("kind, n, pot", [
+    ("al", 16, Potential("torus", cos=[0.0, 1.0])), ("circular", 16, _T1),
+    ("jacobi", 8, _I1)])
+def test_chain_keeps_whole_sweeps(kind, n, pot):
+    # thinning rounds up to ceil(thinning / N) whole sweeps, N the matrix size
+    spec = sp.EnsembleSpec(kind, n, 1.0, pot)
+
+    def kept(sweeps, thinning):
+        mcmc = sp.McmcParams(sweeps, thinning=thinning)
+        return sp.sample_ensemble(spec, mcmc, sp.make_rng(12)).alphas
+
+    every_sweep = kept(40, spec.size)
+    assert np.array_equal(kept(40, 1), every_sweep)
+    assert np.array_equal(kept(20, spec.size + 1), every_sweep[1::2])
+
+
+# the four ensemble kinds' coefficient vectors: (topology, real)
+SITE_CASES = {
+    "al": ("periodic", False), "schur": ("periodic", True),
+    "circular": ("open", False), "jacobi": ("open", True),
+}
+
+
+def _site_state(kind, n, rng):
+    topology, real = SITE_CASES[kind]
+    alpha = random_interior_alpha(rng, n, rmax=0.95, real=real)
+    if topology == "open":
+        alpha[-1] = -1.0 if real else np.exp(2j * np.pi * rng.uniform())
+    return alpha
+
+
+def _class_increments(ext, win, prop, degree, topology):
+    """Tr E^k increments, k = 1..degree, read back from the chain's
+    _class_delta_v: the weight e_k gives Re, the weight i e_k gives -Im."""
+    unit = np.eye(degree, dtype=complex)
+    return np.array([sp._class_delta_v(ext, win, prop, w, topology)
+                     - 1j * sp._class_delta_v(ext, win, prop, 1j * w, topology)
+                     for w in unit])
+
+
+def _full_increments(alpha, sites, prop, degree, topology):
+    """Tr E^k, k = 1..degree, of each trial row (sites[i] moved to prop[i])
+    minus that of alpha, from whole traces: array (degree, m)."""
+    moved = np.tile(alpha, (sites.size, 1))
+    moved[np.arange(sites.size), sites] = prop
+    return (cc.batch_trace_powers(moved, degree, topology)
+            - cc.batch_trace_powers(alpha, degree, topology)).T
+
+
+@pytest.mark.parametrize("kind", sorted(SITE_CASES))
+def test_site_trace_increments_match_full_traces(kind):
+    topology, _ = SITE_CASES[kind]
+    entry = sp.KINDS[kind]
+    rng = np.random.default_rng(71)
+    sizes = range(6, 33, 2) if topology == "periodic" else range(2, 33)
+    for n in sizes:
+        alpha, fresh = _site_state(kind, n, rng), _site_state(kind, n, rng)
+        ext = sp._padded(alpha, entry.periodic)
+        classes = sp._classes(entry, n, 2, False)
+        sites = [win[2] - 2 for win in classes]
+        assert np.array_equal(np.sort(np.concatenate(sites)),
+                              np.arange(entry.mutable(n)))
+        for win, at in zip(classes, sites):
+            got = _class_increments(ext, win, fresh[at], 2, topology)
+            want = _full_increments(alpha, at, fresh[at], 2, topology)
+            assert np.abs(got - want).max() <= 1e-13, (n, at)
+        assert np.array_equal(ext[2:-2], alpha)
+
+
+def test_small_rings_and_high_degrees_take_batched_traces(monkeypatch):
+    # on rings of n <= 2K band offsets wrap onto the diagonal, so the closed
+    # forms miss terms of Tr E^K, and above degree 2 there are none: those
+    # classes take one batch_trace_powers call on their trial rows
+    calls = []
+    full = cc.batch_trace_powers
+
+    def spy(alpha, ell_max, topology="periodic"):
+        calls.append(len(alpha))
+        return full(alpha, ell_max, topology)
+
+    monkeypatch.setattr(cc, "batch_trace_powers", spy)
+    rng = np.random.default_rng(72)
+    for kind, n, degree, batched in (
+            ("al", 2, 1, True), ("schur", 2, 2, True), ("al", 4, 2, True),
+            ("al", 8, 3, True), ("circular", 8, 3, True),
+            ("jacobi", 8, 3, True), ("al", 4, 1, False),
+            ("schur", 6, 2, False), ("circular", 2, 2, False)):
+        topology, _ = SITE_CASES[kind]
+        entry = sp.KINDS[kind]
+        alpha, fresh = _site_state(kind, n, rng), _site_state(kind, n, rng)
+        ext = sp._padded(alpha, entry.periodic)
+        for win in sp._classes(entry, n, degree, False):
+            at = win[2] - 2
+            calls.clear()
+            sp._class_delta_v(ext, win, fresh[at], np.ones(degree), topology)
+            assert calls == ([at.size + 1] if batched else []), (kind, n)
+            got = _class_increments(ext, win, fresh[at], degree, topology)
+            want = _full_increments(alpha, at, fresh[at], degree, topology)
+            assert np.abs(got - want).max() <= 1e-13, (kind, n, degree)
 
 
 def test_mcmc_schur_with_potential_stays_real_and_bounded():
