@@ -411,7 +411,7 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     s = np.asarray(s_grid, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise ValueError("s_grid needs at least the two endpoints")
-    if np.any(np.diff(s) <= 0):
+    if not np.all(np.diff(s) > 0):
         raise ValueError("s_grid must be strictly increasing")
     if abs(s[0]) > 1e-12 or abs(s[-1] - 1.0) > 1e-12:
         raise ValueError("s_grid must run from 0 to 1")

@@ -25,8 +25,10 @@ __all__ = ["Potential"]
 
 def _frozen(coeffs):
     """A read-only float copy, so the coefficients cannot drift from the
-    weight vector derived from them."""
+    weight vector derived from them.  Every coefficient must be finite."""
     out = np.atleast_1d(np.array(coeffs, float))
+    if not np.isfinite(out).all():
+        raise ValueError("potential coefficients must be finite")
     out.flags.writeable = False
     return out
 

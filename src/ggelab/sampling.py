@@ -6,7 +6,8 @@ the zero-potential marginals, so the acceptance probability reduces to
 min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly.
 Tr E^K couples only coefficients within distance K, so one chain
 (_run_chain) updates a whole class of sites K + 1 or more apart per numpy
-call, on rings and open rows alike.  A class's increments of Tr E and
+call, on rings and open rows alike; a ring of n sites spaces its classes
+by the smallest divisor of n above K.  A class's increments of Tr E and
 Tr E^2 are closed forms over the rows around each site; higher degrees
 and rings of n <= 2K take one batched trace call on the class's trial
 rows.
@@ -392,10 +393,8 @@ class SampleBatch:
     alphas: np.ndarray
     kind: str
     beta: float
-    boundary: cc.BoundaryMode
     acceptance_rate: Optional[float] = None
     seed: Optional[int] = None
-    potential: Optional[Potential] = None
 
     @property
     def n_samples(self):
@@ -465,25 +464,19 @@ def _padded(alpha, periodic):
     return ext
 
 
-def _classes(kind, n, degree, colour):
+def _classes(kind, n, degree):
     """The site classes of one sweep, in order, as index windows (5, m)
     into the padded state: row k + 2 indexes alpha_(j + k) of each site j.
 
     Sites of a class are at least degree + 1 apart, so Tr E^degree never
     couples two of them.  A ring takes the smallest divisor s of n with
-    s > degree (n itself if there is none) and the classes j = r mod s;
-    degree <= 1 torus potentials (`colour`) on rings of n > 2 keep the
-    spacing 8 or 4 where it divides n, else the smallest divisor >= 3.  An
-    open row spaces its interior sites degree + 1 apart, and a circular
+    s > degree (n itself if there is none) and the classes j = r mod s.
+    An open row spaces its interior sites degree + 1 apart, and a circular
     row's unimodular last site is a class of its own.
     """
     offsets = np.arange(-2, 3)[:, None]
     if kind.periodic:
-        if colour and n > 2:
-            spacings = [8, 4] + list(range(3, n + 1))
-        else:
-            spacings = list(range(degree + 1, n + 1))
-        s = next((s for s in spacings if n % s == 0), n)
+        s = next((s for s in range(degree + 1, n) if n % s == 0), n)
         return [(np.arange(r, n, s) + offsets) % n + 2 for r in range(s)]
     s = degree + 1
     classes = [np.arange(r, n - 1, s) + offsets + 2
@@ -531,7 +524,7 @@ def _class_delta_v(ext, win, prop, wc, topology):
     return dv.real
 
 
-def _run_chain(kind, params, wc, colour, burn, stride, n_keep, rng):
+def _run_chain(kind, params, wc, burn, stride, n_keep, rng):
     """Metropolis-within-Gibbs by classes of sites that update together.
 
     A sweep visits the classes of _classes in order.  For each it draws
@@ -545,7 +538,7 @@ def _run_chain(kind, params, wc, colour, burn, stride, n_keep, rng):
     alpha = ext[2:-2]
     topology = kind.topology
     classes = [(win[2] - 2, win)
-               for win in _classes(kind, alpha.size, wc.size, colour)]
+               for win in _classes(kind, alpha.size, wc.size)]
     kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
     accepted = proposed = sweep = k_idx = 0
     while k_idx < n_keep:
@@ -578,12 +571,10 @@ def _sample(spec, mcmc, rng):
         wc = potential.trace_weights()
         burn = int(mcmc.burn_in) if mcmc.burn_in is not None else 10 * size_n
         thin = int(mcmc.thinning) if mcmc.thinning is not None else size_n
-        colour = potential.domain == "torus" and wc.size <= 1
-        alphas, rate = _run_chain(kind, params, wc, colour, burn,
-                                  -(-thin // size_n), n_keep, rng)
+        alphas, rate = _run_chain(kind, params, wc, burn, -(-thin // size_n),
+                                  n_keep, rng)
     return SampleBatch(alphas=alphas, kind=spec.kind, beta=beta,
-                       boundary=kind.boundary, acceptance_rate=rate,
-                       seed=seed, potential=potential)
+                       acceptance_rate=rate, seed=seed)
 
 
 # --------------------------------------------------------------------------

@@ -504,8 +504,8 @@ class TestRelation:
 
 
 class TestNonFiniteInput:
-    """beta, the solver tolerance and the relation threshold are checked
-    where they enter."""
+    """beta, the solver tolerance, the relation threshold and the potential
+    coefficients are checked where they enter."""
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--ensemble", "schur", "--beta", "inf"],
@@ -527,6 +527,20 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
         assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["sample", "--n", "8", "--samples", "5"], ["minimize"],
+        ["relation", "--n", "8", "--samples", "5"],
+        ["free-energy", "--n", "8", "--samples", "5"]],
+        ids=["sample", "minimize", "relation", "free-energy"])
+    def test_non_finite_potential_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        assert main(command + ["--beta", "1", "--potential", f"c1={value}",
+                               "--seed", "1", "--out", str(out)]) == 2
+        assert "coefficients must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -600,8 +600,7 @@ class TestInvariancePositiveControls:
         def distorted(spec, mcmc, rng):
             batch = real(spec, mcmc, rng)
             return SampleBatch(alphas=distort(batch.alphas, rng),
-                               kind=batch.kind, beta=batch.beta,
-                               boundary=batch.boundary)
+                               kind=batch.kind, beta=batch.beta)
         monkeypatch.setattr(dynamics, "sample_ensemble", distorted)
         report = gge_invariance_test(EnsembleSpec(kind, 32, 1.0), 1.0, 2000,
                                      make_rng(99), dt=0.02)
@@ -657,8 +656,7 @@ class TestBlockedEnsemble:
         A = np.zeros((2 * self._width("al", n) + 3, n), complex)
         A[-1] = 0.99
         spec = EnsembleSpec(kind="al", n=n, beta=1.0)
-        batch = SampleBatch(alphas=A, kind="al", beta=1.0,
-                            boundary=BoundaryMode.ALL_INTERIOR)
+        batch = SampleBatch(alphas=A, kind="al", beta=1.0)
         monkeypatch.setattr(dynamics, "sample_ensemble",
                             lambda spec, mcmc, rng: batch)
         with pytest.raises(NumericalError, match=r"left the unit polydisk "

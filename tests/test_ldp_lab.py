@@ -145,6 +145,8 @@ class TestFreeEnergyEstimate:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             estimate_free_energy("al", COS, 1.0, s_grid=(0.0, 0.5, 0.5, 1.0))
+        with pytest.raises(ValueError, match="increasing"):
+            estimate_free_energy("al", COS, 1.0, s_grid=(0.0, math.nan, 1.0))
         with pytest.raises(ValueError, match="0 to 1"):
             estimate_free_energy("al", COS, 1.0, s_grid=(0.1, 1.0))
         with pytest.raises(ValueError, match="endpoints"):
@@ -229,13 +231,23 @@ class TestFreeEnergyEstimate:
 
 class TestFreeEnergyRelation:
     def test_cos_potential_passes(self):
-        rep = check_free_energy_relation(COS, 1.0, delta=0.1,
-                                         mcmc=McmcParams(sweeps=500),
-                                         rng=21, n=64)
-        assert rep.passed, f"discrepancy {rep.statistics['discrepancy']}"
-        assert rep.statistics["mc_value"] < 0.0
-        assert rep.solver_residual >= 0.0
-        assert rep.d_value == abs(rep.statistics["discrepancy"])
+        """The relation on streams 21-25; at most one may miss.
+
+        One stream's 3-standard-error check misses about 2% of the time on
+        a correct sampler (3 misses in 150 fresh streams), so this test
+        fails falsely with probability 1 - 0.98^5 - 5 (0.02) 0.98^4, about
+        0.4%.
+        """
+        misses = []
+        for rng in range(21, 26):
+            rep = check_free_energy_relation(COS, 1.0, delta=0.1,
+                                             mcmc=McmcParams(sweeps=500),
+                                             rng=rng, n=64)
+            assert rep.solver_residual >= 0.0
+            assert rep.d_value == abs(rep.statistics["discrepancy"])
+            if not (rep.passed and rep.statistics["mc_value"] < 0.0):
+                misses.append((rng, rep.statistics))
+        assert len(misses) <= 1, misses
 
     def test_zero_potential_trivial(self):
         rep = check_free_energy_relation(None, 1.0, delta=0.1)
@@ -288,12 +300,22 @@ class TestDosRelation:
         assert rep.solver_residual < 1e-10
 
     def test_al_tilted_moments(self):
-        rep = check_dos_relation("al", COS, 1.0, 64,
-                                 mcmc=McmcParams(sweeps=1500), rng=32)
-        assert rep.passed
-        zs = [row["z"] for row in rep.statistics["moments"]]
-        assert max(abs(z) for z in zs) <= 3.0
-        assert len(zs) == 8
+        """The check on streams 32-36; at most one may miss.
+
+        One stream's check (every moment within 3 standard errors) misses
+        about 2% of the time on a correct sampler (3 misses in 150 fresh
+        streams), so this test fails falsely with probability
+        1 - 0.98^5 - 5 (0.02) 0.98^4, about 0.4%.
+        """
+        misses = []
+        for rng in range(32, 37):
+            rep = check_dos_relation("al", COS, 1.0, 64,
+                                     mcmc=McmcParams(sweeps=1500), rng=rng)
+            zs = [row["z"] for row in rep.statistics["moments"]]
+            assert len(zs) == 8
+            if not (rep.passed and max(abs(z) for z in zs) <= 3.0):
+                misses.append((rng, rep.d_value, zs))
+        assert len(misses) <= 1, misses
 
     def test_al_asymmetric_potential(self):
         v = Potential("torus", cos=[0.0, 0.3], sin=[0.4])

@@ -82,6 +82,16 @@ def test_empty_constant_term_rejected():
         Potential("interval", cheb=[])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    # a NaN delta V fails every Metropolis comparison and freezes the chain
+    for coeffs in (dict(cos=[bad]), dict(cos=[0.0, bad]),
+                   dict(cos=[0.0, 1.0], sin=[0.0, bad]),
+                   dict(domain="interval", cheb=[0.0, 0.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            Potential(**coeffs)
+
+
 @pytest.mark.parametrize("kind, v", [
     ("al", Potential("torus", cos=[0.2, 1.0, -0.3, 0.0],
                      sin=[0.5, 0.1, 0.4])),
