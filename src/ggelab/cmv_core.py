@@ -58,7 +58,6 @@ __all__ = [
     "open_diagonals",
     "geronimus_diagonals",
     "e_plus",
-    "trace_potential",
     "conserved_quantities",
     "unitarity_residual",
 ]
@@ -716,22 +715,6 @@ def e_plus(m):
     if m.topology != "periodic":
         raise UnsupportedTopologyError("e_plus requires a periodic matrix")
     return _plus(m.band)
-
-
-def trace_potential(m, potential):
-    """Tr V(E) evaluated exactly from power traces.
-
-    The atom count times Potential.spectral_mean: interval potentials count
-    each conjugate pair of eigenvalues once.  Only a real matrix of even
-    size has its spectrum in conjugate pairs; any other raises ValueError
-    for an interval potential.
-    """
-    atoms = potential.atoms(m.n)
-    if potential.domain == "interval" and np.any(np.imag(m.band)):
-        raise ValueError("interval potentials need a real matrix, whose "
-                         "spectrum comes in conjugate pairs")
-    traces = _band_traces(m.band[None], potential.degree)[0]
-    return float(atoms * potential.spectral_mean(traces, m.n))
 
 
 def conserved_quantities(alpha, ell_max=4):

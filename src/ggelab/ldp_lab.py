@@ -36,7 +36,7 @@ from .equilibrium import (_check_beta, beta_derivative_measure,
                           free_energy_interval, free_energy_torus,
                           minimize_interval, minimize_torus)
 from .potentials import Potential
-from .sampling import (KINDS, EnsembleSpec, McmcParams, make_rng,
+from .sampling import (KINDS, EnsembleSpec, McmcParams, _sample, make_rng,
                        sample_chi, sample_coupled_family, sample_coupled_pair,
                        sample_ensemble)
 from .spectral_measures import FourierCoeffs, distance_D, fourier_coeffs
@@ -63,6 +63,9 @@ DEFAULT_D_THRESHOLD = 0.02
 
 # integrated autocorrelation time above which a series draws a warning
 TAU_WARN = 10.0
+
+# Metropolis acceptance rate below which a chain draws a warning
+ACCEPTANCE_WARN = 0.2
 
 
 # --------------------------------------------------------------------------
@@ -232,6 +235,24 @@ def _correlation_warnings(taus):
             "increase thinning" for label, tau in taus if tau > TAU_WARN]
 
 
+def _acceptance_warning(rate, where=""):
+    """A warning, as a list of zero or one, when a chain's acceptance rate
+    lies below ACCEPTANCE_WARN; exact draws (rate None) draw none."""
+    if rate is None or rate >= ACCEPTANCE_WARN:
+        return []
+    return [f"low acceptance rate {rate:.3f}{where}; the chain may mix poorly"]
+
+
+def _chain_params(mcmc):
+    """mcmc, or the default McmcParams.  A standard error needs at least
+    two kept states per chain; one would report an error of zero."""
+    mcmc = mcmc if mcmc is not None else McmcParams()
+    if int(mcmc.sweeps) < 2:
+        raise ValueError("need at least two samples per chain for a "
+                         "standard error")
+    return mcmc
+
+
 def _normalize_kind(ensemble):
     kind = str(ensemble).lower()
     if kind not in KINDS:
@@ -390,14 +411,17 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     the coupling s in [0, 1], where M counts the spectral atoms (matrix
     size on the torus, conjugate pairs on the interval).  V = None or a
     zero potential gives exactly 0, and a constant c0 gives exactly c0,
-    once n and the domain of V have passed the checks of a sampled run.
+    once n, mcmc and the domain of V have passed the checks of a sampled
+    run.  The s = 0 node takes exact draws; the s > 0 nodes run as one
+    stacked Metropolis chain, one chain per node, on the shared rng.  A
+    node whose acceptance rate lies below ACCEPTANCE_WARN draws a warning.
 
     Args:
         ensemble: "al", "circular", "schur" or "jacobi".
         v: Potential on the matching domain, or None.
         beta: inverse temperature, positive.
         s_grid: increasing coupling nodes from 0 to 1 (default 5 nodes).
-        mcmc: chain parameters per node.
+        mcmc: chain parameters per node, at least two kept states.
         rng: generator or seed, shared by all nodes.
         n: matrix size.
 
@@ -418,7 +442,8 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
 
     grid = tuple(float(x) for x in s)
     _domain_of(kind, v)
-    _spec(kind, n, beta, v)
+    spec = _spec(kind, n, beta, v)
+    mcmc = _chain_params(mcmc)
     if v is None or v.is_zero:
         return FreeEnergyEstimate(0.0, 0.0, grid=grid, ensemble=kind,
                                   beta=float(beta))
@@ -426,16 +451,11 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         return FreeEnergyEstimate(v.constant, 0.0, grid=grid, ensemble=kind,
                                   beta=float(beta))
 
-    mcmc = mcmc if mcmc is not None else McmcParams()
-    rng = make_rng(rng)
-
     means = np.empty(s.size)
     errors = np.empty(s.size)
     warnings = []
     total = 0
-    for i, si in enumerate(s):
-        batch = sample_ensemble(_spec(kind, n, beta, v.scaled(float(si))),
-                                mcmc, rng)
+    for i, (si, batch) in enumerate(zip(s, _sample(spec, mcmc, rng, s))):
         traces = batch_trace_powers(batch.alphas, v.degree,
                                     KINDS[kind].topology)
         w = v.spectral_mean(traces, batch.alphas.shape[-1])
@@ -444,6 +464,8 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         errors[i] = se
         total += batch.n_samples
         warnings += _correlation_warnings([(f"s = {si:g}", tau)])
+        warnings += _acceptance_warning(batch.acceptance_rate,
+                                        f" at s = {si:g}")
 
     # trapezoid weights: half-gaps at the ends, mean gaps inside
     gaps = np.diff(s)
@@ -564,8 +586,10 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     threshold with low moments (k <= 4) within three standard errors:
     cos/sin moments on the torus, monomial moments on the interval, where
     the first interval row doubles as the symmetry check for even
-    potentials.  A moment series with tau_int > TAU_WARN draws a warning.
-    threshold must be positive and finite, or no D could pass.
+    potentials.  A moment series with tau_int > TAU_WARN draws a warning,
+    and so does an acceptance rate below ACCEPTANCE_WARN.  threshold must
+    be positive and finite, or no D could pass, and mcmc must keep at least
+    two states.
 
     delta is ignored: the target is the exact beta-derivative.  It is kept
     only so that existing callers that pass it, such as
@@ -585,7 +609,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
         raise ValueError(f"threshold must be positive and finite, "
                          f"got {threshold}")
 
-    mcmc = mcmc if mcmc is not None else McmcParams()
+    mcmc = _chain_params(mcmc)
     batch = sample_ensemble(_spec(kind, n, beta, v), mcmc, make_rng(rng))
     target = beta_derivative_measure(v, beta, domain=domain)
 
@@ -600,9 +624,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
 
     warnings = _correlation_warnings([(f"moment {row['name']}", row["tau_int"])
                                       for row in rows])
-    if batch.acceptance_rate is not None and batch.acceptance_rate < 0.2:
-        warnings.append(f"low acceptance rate {batch.acceptance_rate:.3f}; "
-                        "the chain may mix poorly")
+    warnings += _acceptance_warning(batch.acceptance_rate)
     moments_ok = all(row["ok"] for row in rows)
     passed = d_value <= threshold and moments_ok
 

@@ -10,7 +10,9 @@ call, on rings and open rows alike; a ring of n sites spaces its classes
 by the smallest divisor of n above K.  A class's increments of Tr E and
 Tr E^2 are closed forms over the rows around each site; higher degrees
 and rings of n <= 2K take one batched trace call on the class's trial
-rows.
+rows.  The chain runs a stack of independent chains in lockstep, one per
+scale of the potential (the nodes of a thermodynamic integral), so each
+class pays its numpy calls, its Beta draws included, once for all of them.
 """
 
 import math
@@ -424,11 +426,11 @@ def _draw_sites(kind, params, rng, sites=None, size=None):
 
     `params` is kind.interior(beta, N).  With `sites` given (an index
     array) this draws one value per entry, in its shape: the proposals of
-    one class of a chain, where index N - 1 of a circular row is uniform
-    on the unit circle.  Without it, `size` whole coefficient vectors.
-    Fixed seeds reproduce batches bit for bit, so the order of generator
-    calls is fixed too: periodic rows come from one (size, N) call, open
-    rows column by column.
+    one class of a stack of chains, chain after chain, where index N - 1 of
+    a circular row is uniform on the unit circle.  Without it, `size` whole
+    coefficient vectors.  Fixed seeds reproduce batches bit for bit, so the
+    order of generator calls is fixed too: periodic rows come from one
+    (size, N) call, open rows column by column.
     """
     if sites is None:
         if kind.periodic:
@@ -455,12 +457,12 @@ def _draw_sites(kind, params, rng, sites=None, size=None):
 
 
 def _padded(alpha, periodic):
-    """A chain's state ext, with ext[i + 2] = alpha_i.  Open rows read
-    alpha_-1 = -1 (the leading 1 of M) and zeros past their ends; a ring
-    leaves the four pads unused."""
-    ext = np.zeros(alpha.size + 4, alpha.dtype)
-    ext[1] = 0.0 if periodic else -1.0
-    ext[2:-2] = alpha
+    """A chain's state ext, with ext[..., i + 2] = alpha_i, for one row or a
+    stack of rows.  Open rows read alpha_-1 = -1 (the leading 1 of M) and
+    zeros past their ends; a ring leaves the four pads unused."""
+    ext = np.zeros(alpha.shape[:-1] + (alpha.shape[-1] + 4,), alpha.dtype)
+    ext[..., 1] = 0.0 if periodic else -1.0
+    ext[..., 2:-2] = alpha
     return ext
 
 
@@ -487,8 +489,14 @@ def _classes(kind, n, degree):
 
 
 def _class_delta_v(ext, win, prop, wc, topology):
-    """delta Tr V = Re sum_k wc[k-1] delta Tr E^k, k = 1..len(wc), of each
-    site's move when it alone takes its proposal: array (m,) for one class.
+    """delta Tr V = Re sum_k wc[k-1] delta Tr E^k, k = 1..K, of each site's
+    move when it alone takes its proposal: array (M,).
+
+    ext is one padded state (N + 4,) or a stack of them (C, N + 4), and
+    win holds the windows (5, M) of the moved sites, as indices into
+    ext.reshape(-1): for a stack, chain after chain, chain c's shifted by
+    c (N + 4) (_run_chain).  wc holds the trace weights (K,), or one column
+    (K, M) per site.
 
     Site j enters the row terms of Tr E = -sum_m conj(alpha_m) alpha_(m-1)
     through its two neighbours, and those of
@@ -500,21 +508,31 @@ def _class_delta_v(ext, win, prop, wc, topology):
     alpha_(j-2) .. alpha_(j+2); on an open row the pads of _padded make
     these sums stop at its ends.  On a ring of n <= 2 degree, band offsets
     wrap onto the diagonal and the row terms miss parts of the traces, so
-    there, and for degree > 2, one batch_trace_powers call on the class's
-    trial rows, the state first, gives the increments.
+    there, and for degree > 2, one batch_trace_powers call on the trial
+    rows of every state, each state first, gives the increments.
     """
-    degree = wc.size
-    if degree > 2 or (topology == "periodic" and ext.size - 4 <= 2 * degree):
-        trial = np.tile(ext[2:-2], (prop.size + 1, 1))
-        trial[np.arange(1, prop.size + 1), win[2] - 2] = prop
-        tr = cc.batch_trace_powers(trial, degree, topology)
-        return ((tr[1:] - tr[0]) @ wc).real
-    d = prop - ext[win[2]]
-    dv = (wc[0] if degree else 0.0) * -(ext[win[1]] * np.conj(d)
-                                        + d * np.conj(ext[win[3]]))
+    degree = wc.shape[0]
+    width = ext.shape[-1]
+    if degree > 2 or (topology == "periodic" and width - 4 <= 2 * degree):
+        rows = ext.reshape(-1, width)
+        chains = rows.shape[0]
+        m = prop.size // chains
+        trial = np.repeat(rows[:, None, 2:-2], m + 1, axis=1)
+        trial[np.arange(chains)[:, None], np.arange(1, m + 1),
+              (win[2] % width - 2).reshape(chains, m)] = prop.reshape(chains, m)
+        tr = cc.batch_trace_powers(trial.reshape(-1, width - 4), degree,
+                                   topology).reshape(chains, m + 1, degree)
+        # each chain's weights: the column of its first site
+        w = wc.reshape(degree, chains, -1)[:, :, 0].T[:, :, None]
+        return ((tr[:, 1:] - tr[:, :1]) @ w).reshape(-1).real
+    flat = ext.reshape(-1)
+    d = prop - flat[win[2]]
+    dv = (wc[0] if degree else 0.0) * -(flat[win[1]] * np.conj(d)
+                                        + d * np.conj(flat[win[3]]))
     if degree == 2:  # the three rows at the state, then with the proposals
         m = prop.size
-        both = np.tile(ext[win], 2)
+        both = flat[win]
+        both = np.concatenate((both, both), axis=1)
         both[2, m:] = prop
         mid = both[1:4]
         t = np.conj(mid) * both[:3]
@@ -525,56 +543,83 @@ def _class_delta_v(ext, win, prop, wc, topology):
 
 
 def _run_chain(kind, params, wc, burn, stride, n_keep, rng):
-    """Metropolis-within-Gibbs by classes of sites that update together.
+    """Metropolis-within-Gibbs by classes of sites that update together,
+    for a stack of independent chains, one per row of trace weights wc
+    (C, K), run in lockstep on one generator.
 
     A sweep visits the classes of _classes in order.  For each it draws
-    the proposals, one per site, then one uniform per site, and moves the
-    sites whose log-uniform lies below -delta Tr V (_class_delta_v, with
-    the potential's trace weights `wc`).  After `burn`
-    sweeps a state is kept every `stride` sweeps.  Returns the kept states
-    and the acceptance rate over all proposals.
+    the proposals of every chain, chain after chain, in one call, then one
+    uniform per proposal, and moves the sites whose log-uniform lies below
+    -delta Tr V (_class_delta_v).  A class's sites are evenly spaced, so
+    its move is one masked copy into a basic slice of the states.  After
+    `burn` sweeps a state is kept every `stride` sweeps.  Returns the kept
+    states (C, n_keep, N) and each chain's acceptance rate over all its
+    proposals.  With C = 1 the generator sees the calls of a single chain.
     """
-    ext = _padded(_draw_sites(kind, params, rng, size=1)[0], kind.periodic)
-    alpha = ext[2:-2]
+    chains = wc.shape[0]
+    ext = _padded(_draw_sites(kind, params, rng, size=chains), kind.periodic)
+    alpha = ext[:, 2:-2]
+    size = alpha.shape[1]
+    shift = (size + 4) * np.arange(chains)[:, None]
+    classes = []
+    for win in _classes(kind, size, wc.shape[1]):
+        at = win[2] - 2
+        step = at[1] - at[0] if at.size > 1 else 1
+        classes.append((alpha[:, at[0]:at[-1] + 1:step],
+                        (win[:, None] + shift).reshape(5, -1),
+                        np.tile(at, chains), np.repeat(wc.T, at.size, axis=1),
+                        np.zeros(chains * at.size, dtype=int)))
     topology = kind.topology
-    classes = [(win[2] - 2, win)
-               for win in _classes(kind, alpha.size, wc.size)]
-    kept = np.empty((n_keep, alpha.size), dtype=alpha.dtype)
-    accepted = proposed = sweep = k_idx = 0
+    kept = np.empty((chains, n_keep, size), dtype=alpha.dtype)
+    sweep = k_idx = 0
     while k_idx < n_keep:
-        for sites, win in classes:
+        for view, win, sites, weights, accepted in classes:
             prop = _draw_sites(kind, params, rng, sites)
-            dv = _class_delta_v(ext, win, prop, wc, topology)
+            dv = _class_delta_v(ext, win, prop, weights, topology)
             acc = np.log(rng.uniform(size=sites.size)) < -dv
-            alpha[sites[acc]] = prop[acc]
-            accepted += int(acc.sum())
-            proposed += sites.size
+            np.copyto(view, prop.reshape(view.shape),
+                      where=acc.reshape(view.shape))
+            accepted += acc
         sweep += 1
         if sweep > burn and (sweep - burn) % stride == 0:
-            kept[k_idx] = alpha
+            kept[:, k_idx] = alpha
             k_idx += 1
-    return kept, accepted / proposed
+    # each chain proposes a move at every mutable site once per sweep
+    moves = sum(c[-1].reshape(chains, -1).sum(1) for c in classes)
+    return kept, moves / (sweep * kind.mutable(size))
 
 
-def _sample(spec, mcmc, rng):
+def _sample(spec, mcmc, rng, scales=(1.0,)):
+    """One SampleBatch per scale s, drawn from the spec's law tilted by
+    s V, V = spec.potential.  Scales whose potential s V is zero take exact
+    draws, first and in order; all others run as one stack of chains
+    (_run_chain), one chain per scale, in order.  sample_ensemble is the
+    single scale 1.
+    """
     rng = make_rng(rng)
     seed = getattr(rng, "seed_value", None)
     n_keep = int(mcmc.sweeps)
     kind = KINDS[spec.kind]
     size_n, beta, potential = spec.size, float(spec.beta), spec.potential
     params = kind.interior(beta, size_n)
-
-    if potential is None or potential.is_zero:
-        alphas = _draw_sites(kind, params, rng, size=n_keep)
-        rate = None
-    else:
-        wc = potential.trace_weights()
+    tilts = [None if potential is None else potential.scaled(float(s))
+             for s in scales]
+    batches = [SampleBatch(alphas=_draw_sites(kind, params, rng, size=n_keep),
+                           kind=spec.kind, beta=beta, seed=seed)
+               if v is None or v.is_zero else None for v in tilts]
+    chained = [i for i, batch in enumerate(batches) if batch is None]
+    if chained:
+        degree = max(tilts[i].degree for i in chained)
+        wc = np.array([np.pad(tilts[i].trace_weights(),
+                              (0, degree - tilts[i].degree)) for i in chained])
         burn = int(mcmc.burn_in) if mcmc.burn_in is not None else 10 * size_n
         thin = int(mcmc.thinning) if mcmc.thinning is not None else size_n
-        alphas, rate = _run_chain(kind, params, wc, burn, -(-thin // size_n),
-                                  n_keep, rng)
-    return SampleBatch(alphas=alphas, kind=spec.kind, beta=beta,
-                       acceptance_rate=rate, seed=seed)
+        alphas, rates = _run_chain(kind, params, wc, burn, -(-thin // size_n),
+                                   n_keep, rng)
+        for i, a, rate in zip(chained, alphas, rates):
+            batches[i] = SampleBatch(alphas=a, kind=spec.kind, beta=beta,
+                                     acceptance_rate=float(rate), seed=seed)
+    return batches
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +635,7 @@ def sample_al_gge(spec, mcmc, rng=None):
     """
     if spec.kind != "al":
         raise ValueError(f"spec is for {spec.kind!r}, expected 'al'")
-    return _sample(spec, mcmc, rng)
+    return _sample(spec, mcmc, rng)[0]
 
 
 def sample_schur_gge(spec, mcmc, rng=None):
@@ -598,7 +643,7 @@ def sample_schur_gge(spec, mcmc, rng=None):
     (1 + alpha_j)/2 ~ Beta(beta, beta) when the potential vanishes."""
     if spec.kind != "schur":
         raise ValueError(f"spec is for {spec.kind!r}, expected 'schur'")
-    return _sample(spec, mcmc, rng)
+    return _sample(spec, mcmc, rng)[0]
 
 
 def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None):
@@ -609,7 +654,7 @@ def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None):
     the ensemble's eigen-angles.
     """
     spec = EnsembleSpec("circular", int(n), float(beta_tilde), potential)
-    return _sample(spec, mcmc, rng)
+    return _sample(spec, mcmc, rng)[0]
 
 
 def sample_jacobi_beta(n, beta, potential, mcmc, rng=None):
@@ -620,7 +665,7 @@ def sample_jacobi_beta(n, beta, potential, mcmc, rng=None):
     pairs cos(theta) on [-1, 1].
     """
     spec = EnsembleSpec("jacobi", int(n), float(beta), potential)
-    return _sample(spec, mcmc, rng)
+    return _sample(spec, mcmc, rng)[0]
 
 
 def sample_ensemble(spec, mcmc, rng=None):

@@ -471,6 +471,22 @@ class TestMinimize:
             assert phrase in out
 
 
+class TestOneSample:
+    """A run that keeps one state per chain has no standard error, so
+    free-energy and relation refuse it where it enters."""
+
+    @pytest.mark.parametrize("command", [
+        ["free-energy", "--potential", "c1=0.5"], ["relation"]],
+        ids=["free-energy", "relation"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(command + ["--ensemble", "al", "--beta", "1", "--n", "8",
+                               "--samples", "1", "--seed", "3",
+                               "--out", str(out)]) == 2
+        assert "two samples" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRelation:
     def test_al_report(self, tmp_path, capsys):
         code = main(["relation", "--ensemble", "al", "--beta", "1",

@@ -655,17 +655,23 @@ def test_lax_commutator_forms_agree():
     assert np.abs(c1 - c2).max() <= 1e-12
 
 
-# ------------------------------------------------------------ trace potential
+# ------------------------------------------------------ Tr V from traces
 
-def test_trace_potential_torus_matches_eigen_sum():
+def _trace_of_v(alpha, p, topology):
+    """Tr V(E): the atom count times the spectral mean of the power traces."""
+    traces = cc.batch_trace_powers(alpha, p.degree, topology)
+    return p.atoms(alpha.size) * p.spectral_mean(traces, alpha.size)[0]
+
+
+def test_trace_of_v_torus_matches_eigen_sum():
     alpha = random_interior_alpha(RNG, 32)
     m = cc.build_periodic_cmv(alpha)
     p = Potential("torus", cos=[0.2, 1.0, -0.3], sin=[0.5, 0.1])
     angles = cc.eigen_angles(m)
-    assert abs(cc.trace_potential(m, p) - p(angles).sum()) <= 1e-8
+    assert abs(_trace_of_v(alpha, p, "periodic") - p(angles).sum()) <= 1e-8
 
 
-def test_trace_potential_interval_matches_paired_eigen_sum():
+def test_trace_of_v_interval_matches_paired_eigen_sum():
     alpha = random_interior_alpha(RNG, 15, real=True)
     alpha = np.append(alpha, -1.0)
     m = cc.build_cmv(alpha)
@@ -673,31 +679,14 @@ def test_trace_potential_interval_matches_paired_eigen_sum():
     angles = cc.eigen_angles(m)
     x = np.cos(angles[angles >= 0])
     assert len(x) == 8
-    assert abs(cc.trace_potential(m, p) - p(x).sum()) <= 1e-8
+    assert abs(_trace_of_v(alpha, p, "open") - p(x).sum()) <= 1e-8
 
 
-def test_trace_potential_open_circular_matches_eigen_sum():
-    _, m = _random_matrix(RNG, 11, "open", real=False)
+def test_trace_of_v_open_circular_matches_eigen_sum():
+    alpha, m = _random_matrix(RNG, 11, "open", real=False)
     p = Potential("torus", cos=[0.3, -0.7, 0.2, 0.1], sin=[0.4, 0.0, -0.2])
     angles = cc.eigen_angles(m)
-    assert abs(cc.trace_potential(m, p) - p(angles).sum()) <= 1e-10
-
-
-@pytest.mark.parametrize("topology", ["periodic", "open"])
-def test_trace_potential_interval_rejects_complex_matrix(topology):
-    # a complex spectrum is not conjugate-paired, so the pair rule is wrong
-    _, m = _random_matrix(RNG, 8, topology, real=False)
-    with pytest.raises(ValueError, match="real matrix"):
-        cc.trace_potential(m, Potential("interval", cheb=[0.0, 1.0]))
-
-
-def test_trace_potential_interval_rejects_odd_size():
-    # an odd real spectrum has an unpaired eigenvalue, so there is no pair count
-    m = cc.build_cmv(np.append(random_interior_alpha(RNG, 6, real=True), -1.0))
-    with pytest.raises(ValueError, match="even matrix size"):
-        cc.trace_potential(m, Potential("interval", cheb=[0.0, 1.0]))
-    assert Potential("interval").atoms(8) == 4
-    assert Potential("torus").atoms(7) == 7
+    assert abs(_trace_of_v(alpha, p, "open") - p(angles).sum()) <= 1e-10
 
 
 # ----------------------------------------------------------------- properties

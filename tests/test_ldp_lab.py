@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ggelab import ldp_lab
+from ggelab import ldp_lab, sampling
 from ggelab.cmv_core import NumericalError
 from ggelab.equilibrium import (GridDensity, free_energy_torus,
                                 minimize_interval, minimize_torus)
@@ -30,6 +30,16 @@ from helpers import richardson
 
 COS = Potential("torus", cos=[0.0, 1.0])
 CHEB1 = Potential("interval", cheb=[0.0, 0.3])
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the arguments were checked")
+
+
+def _forbid_sampling(monkeypatch):
+    """Make every sampler that ldp_lab calls fail the test."""
+    for name in ("_sample", "sample_ensemble"):
+        monkeypatch.setattr(ldp_lab, name, _no_sampling)
 
 
 def torus_density(values_fn, m=2048):
@@ -142,6 +152,37 @@ class TestFreeEnergyEstimate:
         fe = estimate_free_energy("schur", Potential("interval", cheb=[-0.4]), 1.0)
         assert fe.value == -0.4 and fe.std_error == 0.0
 
+    @pytest.mark.parametrize("v", [None, Potential("torus", cos=[0.7]), COS])
+    def test_one_sample_per_node_rejected(self, monkeypatch, v):
+        # one kept state has no standard error; the check comes before any
+        # sampling and before the exact shortcuts
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="two samples"):
+            estimate_free_energy("al", v, 1.0, mcmc=McmcParams(sweeps=1), n=8)
+
+    def test_one_stacked_chain_per_estimate(self, monkeypatch):
+        # the s = 0 node takes exact draws, the other four nodes of the
+        # default grid run as the four rows of one chain
+        rows = []
+        run = sampling._run_chain
+
+        def counted(kind, params, wc, *rest):
+            rows.append(wc.shape[0])
+            return run(kind, params, wc, *rest)
+
+        monkeypatch.setattr(sampling, "_run_chain", counted)
+        estimate_free_energy("al", COS, 1.0, mcmc=McmcParams(sweeps=5), rng=3,
+                             n=8)
+        assert rows == [4]
+
+    def test_low_acceptance_warns_at_its_node(self):
+        # cos = [0, 5] on 8 sites accepts about one move in ten at s = 1
+        fe = estimate_free_energy("al", Potential("torus", cos=[0.0, 5.0]),
+                                  1.0, mcmc=McmcParams(sweeps=50), rng=1, n=8)
+        low = [w for w in fe.warnings if w.startswith("low acceptance rate")]
+        assert any(" at s = 1;" in w for w in low), fe.warnings
+        assert not any(" at s = 0;" in w for w in low)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             estimate_free_energy("al", COS, 1.0, s_grid=(0.0, 0.5, 0.5, 1.0))
@@ -201,6 +242,7 @@ class TestFreeEnergyEstimate:
         assert fe.value < 0.0
         assert 0.0 < fe.std_error < 0.01
         assert fe.n_samples == 300 * len(fe.grid)
+        assert not any("acceptance" in w for w in fe.warnings)
 
     def test_circular_matches_variational_value(self):
         # high-temperature scaling: MC at n = 32 against the minimized
@@ -245,6 +287,7 @@ class TestFreeEnergyRelation:
                                              rng=rng, n=64)
             assert rep.solver_residual >= 0.0
             assert rep.d_value == abs(rep.statistics["discrepancy"])
+            assert not any("acceptance" in w for w in rep.warnings)
             if not (rep.passed and rep.statistics["mc_value"] < 0.0):
                 misses.append((rng, rep.statistics))
         assert len(misses) <= 1, misses
@@ -253,6 +296,12 @@ class TestFreeEnergyRelation:
         rep = check_free_energy_relation(None, 1.0, delta=0.1)
         assert rep.passed
         assert rep.d_value == 0.0
+
+    @pytest.mark.parametrize("v", [None, COS])
+    def test_one_sample_per_node_rejected(self, monkeypatch, v):
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="two samples"):
+            check_free_energy_relation(v, 1.0, mcmc=McmcParams(sweeps=1), n=8)
 
     @pytest.mark.parametrize("beta", [0.0, float("nan"), float("inf")])
     def test_beta_validation(self, beta):
@@ -291,6 +340,13 @@ class TestFreeEnergyRelation:
 
 
 class TestDosRelation:
+    @pytest.mark.parametrize("v", [None, COS])
+    def test_one_sample_rejected(self, monkeypatch, v):
+        # a series of one state would report moments with a zero error
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="two samples"):
+            check_dos_relation("al", v, 1.0, 8, mcmc=McmcParams(sweeps=1))
+
     def test_al_zero_potential_noise_floor(self):
         sweeps, n = 2000, 64
         rep = check_dos_relation("al", None, 1.0, n,

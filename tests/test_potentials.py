@@ -136,3 +136,10 @@ def test_spectral_mean_of_a_constant_is_exact():
                   == -0.4)
     with pytest.raises(ValueError, match="even matrix size"):
         Potential("interval", cheb=[0.0, 1.0]).spectral_mean(traces, 7)
+
+
+def test_atoms_count_every_eigenvalue_on_the_torus_and_pairs_on_the_interval():
+    assert Potential("interval").atoms(8) == 4
+    assert Potential("torus").atoms(7) == 7
+    with pytest.raises(ValueError, match="even matrix size"):
+        Potential("interval").atoms(7)

@@ -394,23 +394,27 @@ def test_chain_samples_match_recorded_fingerprints(name, path):
     assert (digest, rate) == want
 
 
-@pytest.mark.parametrize("kind, n, pot", [
-    ("al", 16, Potential("torus", cos=[0.0, 1.0])), ("al", 16, _T2),
-    ("al", 8, _T3), ("schur", 16, _I2), ("jacobi", 8, _I2),
-    ("circular", 32, _T1)],
+@pytest.mark.parametrize("kind, n, pot, scales", [
+    ("al", 16, Potential("torus", cos=[0.0, 1.0]), (1.0,)),
+    ("al", 16, _T2, (1.0,)), ("al", 8, _T3, (1.0,)),
+    ("schur", 16, _I2, (1.0,)), ("jacobi", 8, _I2, (1.0,)),
+    ("circular", 32, _T1, (1.0,)), ("al", 16, _T2, (0.5, 1.0))],
     ids=["al-16-cos", "al-16-t2", "al-8-t3", "schur-16-i2", "jacobi-8-i2",
-         "circular-32-t1"])
-def test_mcmc_chain_matches_site_oracle(kind, n, pot):
-    # every case runs the sampler on stream 53 and the oracle on stream 54
+         "circular-32-t1", "al-16-t2-stacked"])
+def test_mcmc_chain_matches_site_oracle(kind, n, pot, scales):
+    # every case runs the sampler, one stacked chain with a row per scale,
+    # on stream 53, and the oracle at the k-th scale on stream 54 + k
     spec = sp.EnsembleSpec(kind, n, 1.0, pot)
     mcmc = sp.McmcParams(sweeps=3000)
-    fast = sp.sample_ensemble(spec, mcmc, np.random.default_rng(53)).alphas
-    slow, _ = site_chain(spec, mcmc, np.random.default_rng(54))
+    batches = sp._sample(spec, mcmc, np.random.default_rng(53), scales)
     wc = pot.trace_weights()
-    tf, ts = ((cc.batch_trace_powers(a, wc.size, sp.KINDS[kind].topology)
-               @ wc).real / spec.size for a in (fast, slow))
-    se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
-    assert abs(tf.mean() - ts.mean()) <= 4 * se
+    for k, (scale, batch) in enumerate(zip(scales, batches)):
+        tilted = sp.EnsembleSpec(kind, n, 1.0, pot.scaled(scale))
+        slow, _ = site_chain(tilted, mcmc, np.random.default_rng(54 + k))
+        tf, ts = ((cc.batch_trace_powers(a, wc.size, sp.KINDS[kind].topology)
+                   @ wc).real / spec.size for a in (batch.alphas, slow))
+        se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
+        assert abs(tf.mean() - ts.mean()) <= 4 * se, scale
 
 
 @pytest.mark.parametrize("kind, n, pot", [
@@ -529,6 +533,44 @@ def test_small_rings_and_high_degrees_take_batched_traces(monkeypatch):
             got = _class_increments(ext, win, fresh[at], degree, topology)
             want = _full_increments(alpha, at, fresh[at], degree, topology)
             assert np.abs(got - want).max() <= 1e-13, (kind, n, degree)
+
+
+@pytest.mark.parametrize("kind", sorted(SITE_CASES))
+def test_stacked_class_increments_match_each_row(kind, monkeypatch):
+    # a stack of 3 states, windows shifted by one padded row per chain and
+    # one column of weights per site, gives every row's own increments bit
+    # for bit; where the batched trace call serves (rings of n <= 2K,
+    # degree > 2) it traces all 3 (m + 1) trial rows at once
+    calls = []
+    full = cc.batch_trace_powers
+
+    def spy(alpha, ell_max, topology="periodic"):
+        calls.append(len(alpha))
+        return full(alpha, ell_max, topology)
+
+    monkeypatch.setattr(cc, "batch_trace_powers", spy)
+    topology, _ = SITE_CASES[kind]
+    entry = sp.KINDS[kind]
+    rng = np.random.default_rng(73)
+    for n in (2, 4, 8) if entry.periodic else (2, 3, 8):
+        for degree in (1, 2, 3):
+            alpha = np.array([_site_state(kind, n, rng) for _ in range(3)])
+            fresh = np.array([_site_state(kind, n, rng) for _ in range(3)])
+            wc = rng.normal(size=(3, degree)) + 1j * rng.normal(size=(3, degree))
+            ext = sp._padded(alpha, entry.periodic)
+            batched = degree > 2 or (entry.periodic and n <= 2 * degree)
+            for win in sp._classes(entry, n, degree):
+                at = win[2] - 2
+                stacked = (win[:, None] + (n + 4) * np.arange(3)[:, None])
+                calls.clear()
+                got = sp._class_delta_v(
+                    ext, stacked.reshape(5, -1), fresh[:, at].reshape(-1),
+                    np.repeat(wc.T, at.size, axis=1), topology)
+                assert calls == ([3 * (at.size + 1)] if batched else [])
+                want = [sp._class_delta_v(row, win, f[at], w, topology)
+                        for row, f, w in zip(ext, fresh, wc)]
+                assert np.array_equal(got, np.concatenate(want)), (n, degree)
+            assert np.array_equal(ext[:, 2:-2], alpha)
 
 
 def test_mcmc_schur_with_potential_stays_real_and_bounded():
