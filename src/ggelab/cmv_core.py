@@ -59,7 +59,6 @@ __all__ = [
     "geronimus_diagonals",
     "e_plus",
     "conserved_quantities",
-    "unitarity_residual",
 ]
 
 BOUNDARY_TOL = 1e-10
@@ -195,12 +194,6 @@ def build_cmv(v):
     factors are L = diag(Xi_1, Xi_3, ...) and M = diag(1, Xi_2, ...), the
     final coefficient entering as the scalar block conj(alpha_n)."""
     return _build(v, "open")
-
-
-def unitarity_residual(m):
-    """Largest entry of |E* E - I|."""
-    E = m.dense()
-    return float(np.abs(E.conj().T @ E - np.eye(m.n)).max())
 
 
 def _check_residual(resid, what):
@@ -639,15 +632,16 @@ def trace_power(m, ell):
     return complex(_band_traces(m.band[None], ell)[0, -1])
 
 
-def _power_count(value, name):
-    """`value` as an int >= 0: raises TypeError, naming the argument, for a
-    value that is not integral (2.5, "3"), and ValueError for a negative one."""
+def _power_count(value, name, least=0):
+    """`value` as an int >= least: raises TypeError, naming the argument,
+    for a value that is not integral (2.5, "3"), and ValueError below the
+    bound."""
     try:
         k = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if k < 0:
-        raise ValueError(f"{name} must be >= 0, got {k}")
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
     return k
 
 

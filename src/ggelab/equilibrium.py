@@ -185,17 +185,6 @@ class GridDensity:
 
     # -- constructors ----------------------------------------------------
 
-    @classmethod
-    def uniform_torus(cls, grid_size=1024):
-        return cls("torus", np.full(grid_size, 1.0 / (2 * np.pi)))
-
-    @classmethod
-    def interval_arcsine(cls, grid_size=1024):
-        """The arcsine law 1/(pi sqrt(1-x^2)): P(t) = sech(t)/pi, no edge mass."""
-        t, w = _grid("interval", grid_size)
-        p = 1.0 / (np.pi * np.cosh(t))
-        return cls("interval", p / float(w @ p))
-
     # -- geometry --------------------------------------------------------
 
     @property

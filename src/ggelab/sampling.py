@@ -4,6 +4,9 @@ Zero-potential laws are sampled exactly; a nonzero potential is handled
 by Metropolis-within-Gibbs with fresh single-site proposals drawn from
 the zero-potential marginals, so the acceptance probability reduces to
 min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly.
+Every Theta_nu draw, exact or proposed, takes |z|^2 from the exact
+inverse CDF of Beta(1, (nu - 1)/2) and a uniform phase, so a disk-law
+draw costs two uniforms and no rejection loop.
 Tr E^K couples only coefficients within distance K, so one chain
 (_run_chain) updates a whole class of sites K + 1 or more apart per numpy
 call, on rings and open rows alike; a ring of n sites spaces its classes
@@ -11,8 +14,10 @@ by the smallest divisor of n above K.  A class's increments of Tr E and
 Tr E^2 are closed forms over the rows around each site; higher degrees
 and rings of n <= 2K take one batched trace call on the class's trial
 rows.  The chain runs a stack of independent chains in lockstep, one per
-scale of the potential (the nodes of a thermodynamic integral), so each
-class pays its numpy calls, its Beta draws included, once for all of them.
+scale of the potential (the nodes of a thermodynamic integral), and draws
+a whole sweep's proposals and acceptance uniforms, for every class and
+chain, before the sweep's classes run: one generator call per sweep on
+the torus kinds, two on the interval kinds.
 """
 
 import math
@@ -92,9 +97,10 @@ class ThetaParams:
 
     Attributes:
         nu: shape parameter, must exceed 1.
-        method: "radial" draws |z|^2 ~ Beta(1, (nu-1)/2) with a uniform
-            phase; "ratio" builds (X1 + i X2)/sqrt(X1^2 + X2^2 + Y^2)
-            with Y a chi variable with nu - 1 degrees of freedom.
+        method: "radial" draws |z|^2 ~ Beta(1, (nu-1)/2) by its exact
+            inverse CDF 1 - (1 - U)^(2/(nu-1)), with a uniform phase;
+            "ratio" builds (X1 + i X2)/sqrt(X1^2 + X2^2 + Y^2) with Y a
+            chi variable with nu - 1 degrees of freedom.
     """
 
     nu: float
@@ -118,32 +124,44 @@ def sample_theta(params, rng, size=None):
         params = ThetaParams(float(params))
     nu = params.nu
     if params.method == "radial":
-        return _radial_theta(nu, rng, size)
+        u = rng.uniform(size=(2,) if size is None else (2, *np.atleast_1d(size)))
+        return _disk_modulus(u[0], (nu - 1.0) / 2.0) * np.exp(2j * np.pi * u[1])
     x1 = rng.standard_normal(size)
     x2 = rng.standard_normal(size)
     y = sample_chi(nu - 1.0, rng, size)
     return _into_open_disk((x1 + 1j * x2) / np.sqrt(x1**2 + x2**2 + y**2))
 
 
-def _radial_theta(nu, rng, size=None):
-    """The radial method of sample_theta, nu unchecked: |z|^2 ~ Beta(1,
-    (nu - 1)/2) and a uniform phase."""
-    r = np.sqrt(rng.beta(1.0, (nu - 1.0) / 2.0, size=size))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    return _into_open_disk(r * np.exp(1j * phase))
-
-
 def _into_open_disk(z, bound=1.0 - 1e-15):
     """Pull boundary-grazing draws back to the largest usable modulus.
 
-    For nu barely above 1 the radial law puts visible mass within one ulp
-    of the unit circle, where rounding can push |z| to 1 or slightly past
-    it; downstream factorizations need |z| < 1 strictly.
+    For nu barely above 1 the law puts visible mass within one ulp of the
+    unit circle, where rounding can push |z| to 1 or slightly past it;
+    downstream factorizations need |z| < 1 strictly.
     """
     r = np.abs(z)
     hot = r >= bound
     if hot.any():
         z = np.where(hot, z * (bound / np.maximum(r, bound)), z)
+    return z
+
+
+def _disk_modulus(u, b):
+    """|z| of Theta_nu, b = (nu - 1)/2, from uniforms u on [0, 1) by the
+    exact inverse CDF of |z|^2 ~ Beta(1, b): 1 - (1 - u)^(1/b), computed as
+    -expm1(log1p(-u) / b), which keeps the digits of small u and large b.
+    The modulus is capped at 1 - 1e-15, as in _into_open_disk."""
+    return np.minimum(np.sqrt(-np.expm1(np.log1p(-u) / b)), 1.0 - 1e-15)
+
+
+def _torus_sites(u, b):
+    """Theta draws from uniform pairs u (2, ..., M), radius then phase:
+    phase 2 pi u[1] everywhere, and at the first b.shape[-1] sites along
+    the last axis the modulus _disk_modulus(u[0], b).  The sites past them,
+    a circular row's last, stay on the unit circle (r = 1)."""
+    z = np.exp(2j * np.pi * u[1])
+    k = b.shape[-1]
+    z[..., :k] *= _disk_modulus(u[0, ..., :k], b)
     return z
 
 
@@ -273,12 +291,12 @@ class McmcParams:
     thinning: Optional[int] = None
 
     def __post_init__(self):
-        if int(self.sweeps) < 1:
-            raise ValueError("sweeps must be at least 1")
-        if self.burn_in is not None and int(self.burn_in) < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if self.thinning is not None and int(self.thinning) < 1:
-            raise ValueError("thinning must be at least 1")
+        # plain ints: a non-integral value (2.5, "3") raises TypeError
+        for name, least in (("sweeps", 1), ("burn_in", 0), ("thinning", 1)):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name,
+                                   cc._power_count(value, name, least))
 
 
 @dataclass(frozen=True)
@@ -421,35 +439,43 @@ def _real_interior(rng, a, b, size=None):
     return np.clip(vals, -1.0 + 1e-15, 1.0 - 1e-15)
 
 
-def _draw_sites(kind, params, rng, sites=None, size=None):
-    """Fresh draws from the V = 0 site laws of one ensemble kind.
+def _draw_sites(kind, params, rng, size):
+    """`size` exact draws of whole coefficient vectors from the V = 0 site
+    laws of one ensemble kind, params = kind.interior(beta, N).
 
-    `params` is kind.interior(beta, N).  With `sites` given (an index
-    array) this draws one value per entry, in its shape: the proposals of
-    one class of a stack of chains, chain after chain, where index N - 1 of
-    a circular row is uniform on the unit circle.  Without it, `size` whole
-    coefficient vectors.  Fixed seeds reproduce batches bit for bit, so the
-    order of generator calls is fixed too: periodic rows come from one
-    (size, N) call, open rows column by column.
+    Fixed seeds reproduce batches bit for bit, so the generator calls are
+    fixed too.  Torus rows take one uniform call (2, size, N) for
+    _torus_sites, so a circular row's last entry is uniform on the unit
+    circle.  Interval rows take one Beta call: (size, N) at a ring's one
+    shape, or (N - 1, size) at per-site shapes for an open row, column
+    after column, whose last entry is -1.
     """
-    if sites is None:
-        if kind.periodic:
-            return _draw_sites(kind, params, rng, np.broadcast_to(
-                np.arange(params.size), (size, params.size)))
-        out = np.full((size, params.size + 1), -1.0,
-                      complex if kind.domain == "torus" else float)
-        for j in range(kind.mutable(params.size + 1)):
-            out[:, j] = _draw_sites(kind, params, rng, np.full(size, j))
-        return out
-    if kind.periodic:  # every site of a ring has one law
-        p = params[0]
-    elif sites[0] == params.size:  # the last entry of a circular row
-        return np.exp(2j * np.pi * rng.uniform(size=sites.shape))
-    else:
-        p = params[sites]
+    n = params.size if kind.periodic else params.size + 1
     if kind.domain == "torus":
-        return _radial_theta(p, rng, sites.shape)
-    return _real_interior(rng, p, p, sites.shape)
+        return _torus_sites(rng.uniform(size=(2, size, n)), (params - 1.0) / 2.0)
+    if kind.periodic:
+        return _real_interior(rng, params[0], params[0], (size, n))
+    out = np.full((size, n), -1.0)
+    p = params[:, None]
+    out[:, :-1] = _real_interior(rng, p, p, (n - 1, size)).T
+    return out
+
+
+def _sweep_draws(kind, shapes, count, rng):
+    """One sweep's `count` proposals from the V = 0 site laws, class after
+    class and, within a class, chain after chain, and as many acceptance
+    uniforms.  `shapes` holds the sites' Beta shapes: b = (nu - 1)/2 on the
+    torus kinds, for all but a circular row's last site (the sweep's last
+    class, which _torus_sites puts on the unit circle), and s on the
+    interval kinds.  Torus kinds take one uniform call (3, count): radius,
+    phase and acceptance; interval kinds one Beta call, then one uniform
+    call.  Proposals do not depend on the state, so drawing them before
+    the sweep leaves the chain's law exact.
+    """
+    if kind.domain == "torus":
+        u = rng.uniform(size=(3, count))
+        return _torus_sites(u[:2], shapes), u[2]
+    return _real_interior(rng, shapes, shapes, count), rng.uniform(size=count)
 
 
 # --------------------------------------------------------------------------
@@ -547,36 +573,44 @@ def _run_chain(kind, params, wc, burn, stride, n_keep, rng):
     for a stack of independent chains, one per row of trace weights wc
     (C, K), run in lockstep on one generator.
 
-    A sweep visits the classes of _classes in order.  For each it draws
-    the proposals of every chain, chain after chain, in one call, then one
-    uniform per proposal, and moves the sites whose log-uniform lies below
-    -delta Tr V (_class_delta_v).  A class's sites are evenly spaced, so
-    its move is one masked copy into a basic slice of the states.  After
-    `burn` sweeps a state is kept every `stride` sweeps.  Returns the kept
-    states (C, n_keep, N) and each chain's acceptance rate over all its
-    proposals.  With C = 1 the generator sees the calls of a single chain.
+    A sweep first draws its proposals and acceptance uniforms for every
+    class and chain (_sweep_draws: one generator call on the torus kinds,
+    two on the interval kinds), then visits the classes of _classes in
+    order.  Each class reads its slice of both, chain after chain, and
+    moves the sites whose log-uniform lies below -delta Tr V
+    (_class_delta_v), with no generator call.  A class's sites are evenly
+    spaced, so its move is one masked copy into a basic slice of the
+    states.  After `burn` sweeps a state is kept every `stride` sweeps.
+    Returns the kept states (C, n_keep, N) and each chain's acceptance
+    rate over all its proposals.
     """
     chains = wc.shape[0]
-    ext = _padded(_draw_sites(kind, params, rng, size=chains), kind.periodic)
+    ext = _padded(_draw_sites(kind, params, rng, chains), kind.periodic)
     alpha = ext[:, 2:-2]
     size = alpha.shape[1]
     shift = (size + 4) * np.arange(chains)[:, None]
-    classes = []
+    row = (params - 1.0) / 2.0 if kind.domain == "torus" else params
+    classes, shapes, end = [], [], 0
     for win in _classes(kind, size, wc.shape[1]):
         at = win[2] - 2
         step = at[1] - at[0] if at.size > 1 else 1
-        classes.append((alpha[:, at[0]:at[-1] + 1:step],
+        m = chains * at.size
+        end += m
+        shapes.append(np.tile(row[at[at < row.size]], chains))
+        classes.append((slice(end - m, end), alpha[:, at[0]:at[-1] + 1:step],
                         (win[:, None] + shift).reshape(5, -1),
-                        np.tile(at, chains), np.repeat(wc.T, at.size, axis=1),
-                        np.zeros(chains * at.size, dtype=int)))
+                        np.repeat(wc.T, at.size, axis=1),
+                        np.zeros(m, dtype=int)))
+    shapes = np.concatenate(shapes)
     topology = kind.topology
     kept = np.empty((chains, n_keep, size), dtype=alpha.dtype)
     sweep = k_idx = 0
     while k_idx < n_keep:
-        for view, win, sites, weights, accepted in classes:
-            prop = _draw_sites(kind, params, rng, sites)
+        props, uniforms = _sweep_draws(kind, shapes, end, rng)
+        for cut, view, win, weights, accepted in classes:
+            prop = props[cut]
             dv = _class_delta_v(ext, win, prop, weights, topology)
-            acc = np.log(rng.uniform(size=sites.size)) < -dv
+            acc = np.log(uniforms[cut]) < -dv
             np.copyto(view, prop.reshape(view.shape),
                       where=acc.reshape(view.shape))
             accepted += acc
@@ -598,13 +632,13 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
     """
     rng = make_rng(rng)
     seed = getattr(rng, "seed_value", None)
-    n_keep = int(mcmc.sweeps)
+    n_keep = mcmc.sweeps
     kind = KINDS[spec.kind]
     size_n, beta, potential = spec.size, float(spec.beta), spec.potential
     params = kind.interior(beta, size_n)
     tilts = [None if potential is None else potential.scaled(float(s))
              for s in scales]
-    batches = [SampleBatch(alphas=_draw_sites(kind, params, rng, size=n_keep),
+    batches = [SampleBatch(alphas=_draw_sites(kind, params, rng, n_keep),
                            kind=spec.kind, beta=beta, seed=seed)
                if v is None or v.is_zero else None for v in tilts]
     chained = [i for i, batch in enumerate(batches) if batch is None]
@@ -612,8 +646,8 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
         degree = max(tilts[i].degree for i in chained)
         wc = np.array([np.pad(tilts[i].trace_weights(),
                               (0, degree - tilts[i].degree)) for i in chained])
-        burn = int(mcmc.burn_in) if mcmc.burn_in is not None else 10 * size_n
-        thin = int(mcmc.thinning) if mcmc.thinning is not None else size_n
+        burn = mcmc.burn_in if mcmc.burn_in is not None else 10 * size_n
+        thin = mcmc.thinning if mcmc.thinning is not None else size_n
         alphas, rates = _run_chain(kind, params, wc, burn, -(-thin // size_n),
                                    n_keep, rng)
         for i, a, rate in zip(chained, alphas, rates):

@@ -6,6 +6,7 @@ import numpy as np
 
 from ggelab import cmv_core as cc
 from ggelab import sampling as sp
+from ggelab.equilibrium import GridDensity, _grid
 
 
 def random_interior_alpha(rng, n, rmax=0.9, real=False):
@@ -49,6 +50,25 @@ def reference_periodic_entries(alpha):
     return E
 
 
+def unitarity_residual(m):
+    """Largest entry of |E* E - I| of a built CMV matrix."""
+    E = m.dense()
+    return float(np.abs(E.conj().T @ E - np.eye(m.n)).max())
+
+
+def uniform_torus(grid_size=1024):
+    """The uniform GridDensity on the torus."""
+    return GridDensity("torus", np.full(grid_size, 1.0 / (2 * np.pi)))
+
+
+def interval_arcsine(grid_size=1024):
+    """The arcsine law 1/(pi sqrt(1-x^2)) as a GridDensity: P(t) =
+    sech(t)/pi, no edge mass."""
+    t, w = _grid("interval", grid_size)
+    p = 1.0 / (np.pi * np.cosh(t))
+    return GridDensity("interval", p / float(w @ p))
+
+
 def central_difference(f, beta, delta):
     """[(beta + delta) f(beta + delta) - (beta - delta) f(beta - delta)] / (2 delta):
     the finite-difference oracle of d/dbeta [beta f(beta)], error O(delta^2)."""
@@ -88,14 +108,32 @@ def dense_interval_kernel(m):
     return q_log + (r_smooth + b_kernel) * w[None, :]
 
 
+def site_law_draw(kind, params, rng, j, rows=1):
+    """`rows` draws at site j from the V = 0 law of one ensemble kind,
+    params = kind.interior(beta, N), with numpy's own samplers: Theta_nu as
+    |z|^2 ~ rng.beta(1, (nu - 1)/2) with a uniform phase (independent of
+    the sampler's inverse CDF), uniform on the unit circle at a circular
+    row's last site, and (1 + alpha)/2 ~ Beta(s, s) on the interval kinds."""
+    if not kind.periodic and j == params.size:
+        return np.exp(2j * np.pi * rng.uniform(size=rows))
+    p = params[0] if kind.periodic else params[j]
+    if kind.domain == "interval":
+        return sp._real_interior(rng, p, p, rows)
+    r = np.sqrt(rng.beta(1.0, (p - 1.0) / 2.0, size=rows))
+    return sp._into_open_disk(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
+                                                          size=rows)))
+
+
 def site_chain(spec, mcmc, rng):
     """Run the single-site Metropolis chain on a tilted spec, recomputing
     every power trace of the state per update: the exact oracle of the
-    sampler's class-parallel chain.  Sites are visited one at a time in
-    order; each draws its proposal (a size-1 array draw), then one uniform.
-    Burn-in counts sweeps of the mutable sites and thinning counts site
-    updates, with the samplers' defaults (10 N and N).  Returns the kept
-    states and the acceptance rate."""
+    sampler's class-parallel chain.  Every draw comes from site_law_draw,
+    one site at a time: a ring's initial state in one draw of N values at
+    its one law, an open row's site after site.  Sites are visited one at a
+    time in order; each draws its proposal, then one uniform.  Burn-in
+    counts sweeps of the mutable sites and thinning counts site updates,
+    with the samplers' defaults (10 N and N).  Returns the kept states and
+    the acceptance rate."""
     kind = sp.KINDS[spec.kind]
     size, topology = spec.size, kind.topology
     burn = 10 * size if mcmc.burn_in is None else int(mcmc.burn_in)
@@ -103,16 +141,21 @@ def site_chain(spec, mcmc, rng):
     params = kind.interior(float(spec.beta), size)
     wc = spec.potential.trace_weights()
     rng = sp.make_rng(rng)
-    state = sp._draw_sites(kind, params, rng, size=1)[0]
-    traces = cc.batch_trace_powers(state, wc.size, topology)[0]
     mutable = kind.mutable(size)
+    if kind.periodic:
+        state = site_law_draw(kind, params, rng, 0, size)
+    else:
+        state = np.full(size, -1.0, complex if kind.domain == "torus" else float)
+        for j in range(mutable):
+            state[j] = site_law_draw(kind, params, rng, j)[0]
+    traces = cc.batch_trace_powers(state, wc.size, topology)[0]
     kept = np.empty((int(mcmc.sweeps), size), dtype=state.dtype)
     burn_updates = burn * mutable
     accepted = updates = k_idx = 0
     while k_idx < kept.shape[0]:
         j = updates % mutable
         trial = state.copy()
-        trial[j] = sp._draw_sites(kind, params, rng, np.array([j]))[0]
+        trial[j] = site_law_draw(kind, params, rng, j)[0]
         new = cc.batch_trace_powers(trial, wc.size, topology)[0]
         u = rng.uniform()
         if u == 0.0 or math.log(u) < -float(np.real(wc @ (new - traces))):

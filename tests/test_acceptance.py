@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import i0
 
 from ggelab.cmv_core import (build_cmv, build_periodic_cmv, eigen_angles,
-                             trace_power, unitarity_residual)
+                             trace_power)
 from ggelab.dynamics import (FlowState, IntegratorParams, conservation_report,
                              gge_invariance_test, integrate, lax_residual)
 from ggelab.equilibrium import free_energy_torus, minimize_torus
@@ -26,6 +26,8 @@ from ggelab.sampling import (EnsembleSpec, McmcParams, ThetaParams, make_rng,
                              sample_circular_beta, sample_coupled_family,
                              sample_coupled_pair, sample_theta)
 from ggelab.spectral_measures import check_bv_lip_bound
+
+from helpers import unitarity_residual
 
 
 def _verdict(capsys, num, label, ok, t0, budget, detail=""):

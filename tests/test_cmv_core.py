@@ -8,7 +8,7 @@ from ggelab import cmv_core as cc
 from ggelab.potentials import Potential
 
 from helpers import (keep_upper_cyclic, random_interior_alpha,
-                     reference_periodic_entries)
+                     reference_periodic_entries, unitarity_residual)
 
 
 RNG = np.random.default_rng(20260821)
@@ -84,7 +84,7 @@ def test_unitarity(n, topology):
     else:
         alpha[-1] = np.exp(1j * RNG.uniform(-np.pi, np.pi))
         m = cc.build_cmv(alpha)
-    assert cc.unitarity_residual(m) <= 1e-12
+    assert unitarity_residual(m) <= 1e-12
 
 
 def test_periodic_requires_even_size():
@@ -702,7 +702,7 @@ def test_trace_of_v_open_circular_matches_eigen_sum():
 def test_unitarity_property(polar):
     alpha = np.array([r * np.exp(1j * p) for r, p in polar])
     m = cc.build_periodic_cmv(alpha)
-    assert cc.unitarity_residual(m) <= 1e-12
+    assert unitarity_residual(m) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,6 @@ from ggelab.cmv_core import (
     VerblunskyVector,
     build_periodic_cmv,
     conserved_quantities,
-    unitarity_residual,
 )
 from ggelab import cmv_core, dynamics
 from ggelab.dynamics import (
@@ -37,7 +36,8 @@ from ggelab.dynamics import (
 )
 from ggelab.sampling import EnsembleSpec, SampleBatch, make_rng
 
-from helpers import random_interior_alpha, reference_rk4_step
+from helpers import (random_interior_alpha, reference_rk4_step,
+                     unitarity_residual)
 
 
 def lattice_hamiltonian(a):

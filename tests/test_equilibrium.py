@@ -31,7 +31,8 @@ from ggelab.equilibrium import (
 from ggelab.potentials import Potential
 from ggelab.spectral_measures import distance_D
 
-from helpers import dense_interval_kernel, richardson
+from helpers import (dense_interval_kernel, interval_arcsine, richardson,
+                     uniform_torus)
 
 LOG2 = np.log(2.0)
 
@@ -85,7 +86,7 @@ class TestBreakdown:
 
 class TestGridDensity:
     def test_uniform_torus_basics(self):
-        g = GridDensity.uniform_torus(512)
+        g = uniform_torus(512)
         assert abs(g.mass() - 1.0) < 1e-12
         assert abs(g.integrate(lambda th: np.ones_like(th)) - 1.0) < 1e-14
         assert np.max(np.abs(g.fourier(16).c)) < 1e-13
@@ -139,7 +140,7 @@ class TestGridDensity:
             GridDensity("torus", np.full(64, 0.8 / (2 * np.pi)), (0.1, 0.1))
 
     def test_arcsine_lift_has_vanishing_coefficients(self):
-        ar = GridDensity.interval_arcsine(1024)
+        ar = interval_arcsine(1024)
         assert abs(ar.mass() - 1.0) < 1e-12
         assert np.max(np.abs(ar.fourier(8).c)) < 1e-12
 
@@ -151,10 +152,10 @@ class TestGridDensity:
     @staticmethod
     def _interval_with_edges(signed=False):
         # an arcsine body carrying 0.7 of the mass, 0.1 and 0.2 at the edges
-        body = GridDensity.interval_arcsine(256).values * 0.7
+        body = interval_arcsine(256).values * 0.7
         if signed:
             body = body + 1e-3 * np.sin(np.arange(body.size))
-            body *= 0.7 / float(GridDensity.interval_arcsine(256).weights
+            body *= 0.7 / float(interval_arcsine(256).weights
                                 @ body)
         return GridDensity("interval", body, (0.1, 0.2), signed=signed)
 
@@ -280,7 +281,7 @@ class TestTorusFreeEnergy:
         assert abs(fe.interaction - LOG2 - 0.25) < 1e-12
 
     def test_interaction_vanishes_with_beta(self):
-        g = GridDensity.uniform_torus(256)
+        g = uniform_torus(256)
         fe = free_energy_torus(g, None, 1e-8)
         assert abs(fe.interaction) < 1e-7
 
@@ -513,7 +514,7 @@ class TestAcceleratedFixedPoint:
 
 class TestIntervalFreeEnergy:
     def test_arcsine_interaction_is_beta_log_two(self):
-        ar = GridDensity.interval_arcsine(1024)
+        ar = interval_arcsine(1024)
         for beta in (1.0, 2.0):
             fe = free_energy_interval(ar, None, beta)
             assert abs(fe.interaction - beta * LOG2) < 1e-3 * max(1.0, beta)
@@ -527,7 +528,7 @@ class TestIntervalFreeEnergy:
         assert abs(a.total - b.total) < 1e-12
 
     def test_interaction_vanishes_with_beta(self):
-        ar = GridDensity.interval_arcsine(1024)
+        ar = interval_arcsine(1024)
         fe = free_energy_interval(ar, None, 1e-8)
         assert abs(fe.interaction) < 1e-7
 
@@ -620,12 +621,12 @@ class TestBetaDerivative:
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
     def test_entry_points_reject_bad_beta(self, beta):
-        rho = GridDensity.uniform_torus(64)
+        rho = uniform_torus(64)
         for call in (lambda: minimize_torus(None, beta),
                      lambda: minimize_interval(None, beta),
                      lambda: beta_derivative_measure(None, beta),
                      lambda: free_energy_torus(rho, None, beta),
-                     lambda: free_energy_interval(GridDensity.interval_arcsine(64),
+                     lambda: free_energy_interval(interval_arcsine(64),
                                                   None, beta)):
             with pytest.raises(ValueError, match="beta must be positive and finite"):
                 call()

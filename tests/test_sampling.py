@@ -55,6 +55,33 @@ def test_theta_mean_is_zero():
     assert abs(z.mean()) <= 3 * se
 
 
+@pytest.mark.parametrize("nu, seed", [(1.5, 301), (3.0, 302), (7.0, 303),
+                                      (201.0, 304)])
+def test_theta_inverse_cdf_matches_exact_law(nu, seed):
+    # |z|^2 ~ Beta(1, b), b = (nu - 1)/2, whose CDF is 1 - (1 - x)^b
+    b = (nu - 1.0) / 2.0
+    z = sp.sample_theta(nu, np.random.default_rng(seed), size=200_000)
+    cdf = lambda x: -np.expm1(b * np.log1p(-np.clip(x, 0.0, 1.0)))
+    assert stats.kstest(np.abs(z) ** 2, cdf).pvalue > 0.01
+
+
+def test_theta_grazing_draws_stay_inside_the_disk():
+    # nu = 1 + 1e-3 puts most of the mass within an ulp of the unit circle
+    r = np.abs(sp.sample_theta(1.0 + 1e-3, np.random.default_rng(305),
+                               size=100_000))
+    assert r.max() < 1.0
+    assert np.mean(r >= 1.0 - 2e-15) > 0.5
+
+
+@pytest.mark.parametrize("pot", [None, Potential("torus", cos=[0.0, 0.5])],
+                         ids=["exact", "tilted"])
+def test_circular_last_site_is_unimodular(pot):
+    spec = sp.EnsembleSpec("circular", 16, 1e-3, pot)
+    a = sp.sample_ensemble(spec, sp.McmcParams(sweeps=200), 306).alphas
+    assert np.all(np.abs(np.abs(a[:, -1]) - 1.0) <= 1e-15)
+    assert np.abs(a[:, :-1]).max() < 1.0
+
+
 def test_theta_rejects_bad_nu():
     rng = np.random.default_rng(0)
     for nu in (1.0, 0.3, -2.0):
@@ -352,28 +379,52 @@ CHAIN_FINGERPRINTS = {
     "jacobi-1-i2": ("jacobi", 1, 1.0, _I2,
         ("a6a5ddbb70329e4a", 0.8301886792452831)),
 }
-# the sampler's class-parallel chain where it updates sites in another order
-# than the site chain: classes of several sites draw all their proposals,
-# then their uniforms, and kept states fall ceil(thinning / N) whole sweeps
-# apart.  al-4-t2 and circular-2-t2 visit one site per class, in the site
-# chain's order, and keep its fingerprints.
+# the sampler's class-parallel chain: a sweep draws all its proposals and
+# uniforms first, class after class, and kept states fall ceil(thinning /
+# N) whole sweeps apart.  Its Theta proposals come from the inverse CDF and
+# the site chain's from numpy's Beta sampler, so only jacobi-1-i2 (one
+# interval site per sweep) repeats the site chain's bytes.
 CLASS_FINGERPRINTS = {
-    "al-12-t1": ("855fd8b74d398127", 0.8779761904761905),
-    "al-24-t1": ("1a1ccb38ac634f1c", 0.8869047619047619),
-    "al-6-t2": ("3a884e35fe813a78", 0.7976190476190477),
-    "al-8-t2": ("0ca0864c81abd967", 0.8526785714285714),
-    "al-8-t3": ("4787156ec7ab4227", 0.84375),
-    "circular-16-t1-grazing": ("9386936a304eba9e", 0.7611607142857143),
-    "circular-6-c": ("3541631a7581d19f", 1.0),
-    "circular-8-t1": ("4db0ab687ca7765a", 0.8973214285714286),
-    "circular-8-t2": ("c16660babb10cce0", 0.7946428571428571),
+    "al-12-t1": ("23b67e0843dec135", 0.8809523809523809),
+    "al-24-t1": ("2974484d19684d8f", 0.9047619047619048),
+    "al-4-t2": ("9aa20ff7abb23d81", 0.8035714285714286),
+    "al-6-t2": ("b6c63e5cefaf7a3f", 0.7857142857142857),
+    "al-8-t2": ("a528c78ecc6071ef", 0.8705357142857143),
+    "al-8-t3": ("85a46fc2bbbb55e0", 0.8526785714285714),
+    "circular-16-t1-grazing": ("462e0da8fc4599c3", 0.734375),
+    "circular-2-t2": ("d9c920ebe5fb8b43", 0.9107142857142857),
+    "circular-6-c": ("93b8bfc25ba56de8", 1.0),
+    "circular-8-t1": ("6803a0b9f380139e", 0.8883928571428571),
+    "circular-8-t2": ("85a6bf88fc1ee183", 0.8883928571428571),
     "jacobi-1-i2": ("684100d566b7c029", 0.8571428571428571),
-    "jacobi-4-i1": ("4049f193b641f812", 0.8010204081632653),
-    "jacobi-4-i2": ("f57b9ab2ff00a400", 0.8724489795918368),
-    "schur-6-i2": ("cf721e1bac78aa16", 0.9107142857142857),
-    "schur-8-i1": ("5428a71bc0b18f9a", 0.8928571428571429),
-    "schur-8-i2": ("7b5359dd012eee45", 0.8705357142857143),
+    "jacobi-4-i1": ("be43259082d52862", 0.7755102040816326),
+    "jacobi-4-i2": ("d4afa9083704d01d", 0.826530612244898),
+    "schur-6-i2": ("2d1846182f94dc67", 0.9107142857142857),
+    "schur-8-i1": ("a63e13c6244354d5", 0.8660714285714286),
+    "schur-8-i2": ("cba86152c92dbee3", 0.8616071428571429),
 }
+
+
+# exact V = 0 draws of sample_ensemble, 25 rows on stream 2024: name:
+# (kind, n, beta, SHA-256 prefix of alphas).  schur and jacobi take
+# numpy's Beta sampler, al and circular the disk law's inverse CDF;
+# circular-16-grazing puts most of its draws on the modulus cap.
+EXACT_FINGERPRINTS = {
+    "al-8": ("al", 8, 1.0, "916feb034ed75025"),
+    "schur-8": ("schur", 8, 0.6, "ac4d474d8bc30c24"),
+    "circular-6": ("circular", 6, 1.0, "f00b53d3ca5d1eff"),
+    "circular-16-grazing": ("circular", 16, 1e-3, "e759de692c29f2cc"),
+    "jacobi-4": ("jacobi", 4, 2.0, "47b628dffe1e8116"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_FINGERPRINTS))
+def test_exact_draws_match_recorded_fingerprints(name):
+    kind, n, beta, want = EXACT_FINGERPRINTS[name]
+    batch = sp.sample_ensemble(sp.EnsembleSpec(kind, n, beta),
+                               sp.McmcParams(sweeps=25), sp.make_rng(2024))
+    assert batch.acceptance_rate is None
+    assert hashlib.sha256(batch.alphas.tobytes()).hexdigest()[:16] == want
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_FINGERPRINTS))
@@ -390,7 +441,7 @@ def test_chain_samples_match_recorded_fingerprints(name, path):
         batch = sp.sample_ensemble(spec, mcmc, rng)
         alphas, rate = batch.alphas, batch.acceptance_rate
     digest = hashlib.sha256(alphas.tobytes()).hexdigest()[:16]
-    want = site if path else CLASS_FINGERPRINTS.get(name, site)
+    want = site if path else CLASS_FINGERPRINTS[name]
     assert (digest, rate) == want
 
 
@@ -690,6 +741,33 @@ def test_kind_table_site_parameters(kind, expected):
     assert entry.domain == ("torus" if kind in ("al", "circular")
                             else "interval")
     assert sp.EnsembleSpec(kind, 4, 1.0).size == (8 if kind == "jacobi" else 4)
+
+
+def test_mcmc_params_store_plain_ints():
+    m = sp.McmcParams(np.int64(30), burn_in=np.int32(4), thinning=np.int16(1))
+    assert (m.sweeps, m.burn_in, m.thinning) == (30, 4, 1)
+    assert all(type(v) is int for v in (m.sweeps, m.burn_in, m.thinning))
+    assert sp.McmcParams(5).burn_in is None and sp.McmcParams(5).thinning is None
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(sweeps=2.5, burn_in=1.7, thinning=1.9), "sweeps"),
+    (dict(sweeps="3"), "sweeps"), (dict(sweeps=3.0), "sweeps"),
+    (dict(sweeps=3, burn_in=1.7), "burn_in"),
+    (dict(sweeps=3, thinning=0.5), "thinning"),
+    (dict(sweeps=3, thinning="2"), "thinning")])
+def test_mcmc_params_reject_non_integral_values(kw, field):
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        sp.McmcParams(**kw)
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(sweeps=0), "sweeps"), (dict(sweeps=-2), "sweeps"),
+    (dict(sweeps=3, burn_in=-1), "burn_in"),
+    (dict(sweeps=3, thinning=0), "thinning")])
+def test_mcmc_params_reject_values_below_their_bound(kw, field):
+    with pytest.raises(ValueError, match=f"{field} must be >="):
+        sp.McmcParams(**kw)
 
 
 def test_ensemble_spec_validation():
