@@ -497,22 +497,18 @@ def _build_parsers():
         p.set_defaults(func=func)
         return p
 
-    def beta_opts(p, beta_help="inverse temperature"):
-        p.add_argument("--beta", type=float, required=True, help=beta_help)
+    def beta_opts(p):
+        p.add_argument("--beta", type=float, required=True,
+                       help="inverse temperature")
         p.add_argument("--potential", default=None,
                        help="c0=..,c1=..,s1=.. on the torus or t0=..,t1=.. "
                             "on the interval")
 
-    def ensemble_opts(p, n, kinds=ENSEMBLE_KINDS, n_help="matrix size",
-                      beta_help="inverse temperature"):
+    def ensemble_opts(p, n, kinds=ENSEMBLE_KINDS):
         p.add_argument("--ensemble", choices=kinds, default="al",
                        help="Gibbs family")
-        p.add_argument("--n", type=int, default=n, help=n_help)
-        beta_opts(p, beta_help)
-
-    # sample and dos pass --n and --beta to EnsembleSpec unchanged
-    spec_help = {"n_help": "matrix size (al/schur/circular) or pairs (jacobi)",
-                 "beta_help": "inverse temperature; per-site rate for circular"}
+        p.add_argument("--n", type=int, default=n, help="matrix size")
+        beta_opts(p)
 
     def mcmc_opts(p, samples):
         p.add_argument("--samples", type=int, default=samples,
@@ -527,13 +523,13 @@ def _build_parsers():
 
     p = command("sample", cmd_sample,
                 "draw coefficient vectors from one ensemble")
-    ensemble_opts(p, n=32, **spec_help)
+    ensemble_opts(p, n=32)
     p.add_argument("--angles", action="store_true",
                    help="also write sorted eigen-angles")
     mcmc_opts(p, samples=100)
 
     p = command("dos", cmd_dos, "Monte Carlo density of states")
-    ensemble_opts(p, n=64, **spec_help)
+    ensemble_opts(p, n=64)
     p.add_argument("--bins", type=int, default=64, help="histogram bins")
     p.add_argument("--k-max", type=int, default=16,
                    help="Fourier coefficients written")

@@ -653,7 +653,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02):
             "p_value": p,
         }
     return InvarianceReport(flow=spec.kind, beta=spec.beta,
-                            n_sites=spec.size, n_samples=n_samples,
+                            n_sites=spec.n, n_samples=n_samples,
                             t_final=float(t_final), dt=float(step),
                             statistics=statistics,
                             warnings=tuple(warnings))

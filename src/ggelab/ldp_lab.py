@@ -253,40 +253,6 @@ def _chain_params(mcmc):
     return mcmc
 
 
-def _normalize_kind(ensemble):
-    kind = str(ensemble).lower()
-    if kind not in KINDS:
-        raise ValueError(f"unknown ensemble {ensemble!r}; "
-                         f"expected one of {sorted(KINDS)}")
-    return kind
-
-
-def _domain_of(kind, v):
-    """Where the potentials of an ensemble kind live; v must live there."""
-    domain = KINDS[kind].domain
-    if v is not None and v.domain != domain:
-        raise ValueError(f"{kind} ensembles take {domain} potentials, "
-                         f"got {v.domain}")
-    return domain
-
-
-def _spec(kind, n, beta, potential):
-    """EnsembleSpec of one kind at matrix size n, high-temperature scaling.
-
-    The circular per-site rate is 2 beta / n, which keeps the variational
-    description valid at finite size; jacobi runs take n/2 spectral pairs.
-    EnsembleSpec rejects a size its kind cannot have.
-    """
-    if kind == "circular" and n > 0:
-        beta = 2.0 * beta / n
-    elif kind == "jacobi":
-        if n % 2:
-            raise ValueError("jacobi runs need an even matrix size "
-                             "(spectral pairs)")
-        n //= 2
-    return EnsembleSpec(kind, n, beta, potential)
-
-
 # --------------------------------------------------------------------------
 # coupling checks
 
@@ -411,25 +377,25 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     the coupling s in [0, 1], where M counts the spectral atoms (matrix
     size on the torus, conjugate pairs on the interval).  V = None or a
     zero potential gives exactly 0, and a constant c0 gives exactly c0,
-    once n, mcmc and the domain of V have passed the checks of a sampled
-    run.  The s = 0 node takes exact draws; the s > 0 nodes run as one
-    stacked Metropolis chain, one chain per node, on the shared rng.  A
-    node whose acceptance rate lies below ACCEPTANCE_WARN draws a warning.
+    once EnsembleSpec has checked the kind, n, beta and the domain of V,
+    and mcmc its two kept states, as for a sampled run.  The s = 0 node
+    takes exact draws; the s > 0 nodes run as one stacked Metropolis
+    chain, one chain per node, on the shared rng.  A node whose acceptance
+    rate lies below ACCEPTANCE_WARN draws a warning.
 
     Args:
-        ensemble: "al", "circular", "schur" or "jacobi".
-        v: Potential on the matching domain, or None.
-        beta: inverse temperature, positive.
+        ensemble: "al", "circular", "schur" or "jacobi", as in EnsembleSpec.
+        v: Potential on the kind's domain, or None.
+        beta: the paper's inverse temperature, positive.
         s_grid: increasing coupling nodes from 0 to 1 (default 5 nodes).
         mcmc: chain parameters per node, at least two kept states.
         rng: generator or seed, shared by all nodes.
-        n: matrix size.
+        n: matrix size, as in EnsembleSpec.
 
     Returns:
         FreeEnergyEstimate with the trapezoid value and propagated error.
     """
-    kind = _normalize_kind(ensemble)
-    _check_beta(beta)
+    spec = EnsembleSpec(ensemble, n, beta, v)
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 5)
     s = np.asarray(s_grid, dtype=float)
@@ -441,15 +407,13 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
         raise ValueError("s_grid must run from 0 to 1")
 
     grid = tuple(float(x) for x in s)
-    _domain_of(kind, v)
-    spec = _spec(kind, n, beta, v)
     mcmc = _chain_params(mcmc)
     if v is None or v.is_zero:
-        return FreeEnergyEstimate(0.0, 0.0, grid=grid, ensemble=kind,
+        return FreeEnergyEstimate(0.0, 0.0, grid=grid, ensemble=spec.kind,
                                   beta=float(beta))
     if v.degree == 0:
-        return FreeEnergyEstimate(v.constant, 0.0, grid=grid, ensemble=kind,
-                                  beta=float(beta))
+        return FreeEnergyEstimate(v.constant, 0.0, grid=grid,
+                                  ensemble=spec.kind, beta=float(beta))
 
     means = np.empty(s.size)
     errors = np.empty(s.size)
@@ -457,7 +421,7 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     total = 0
     for i, (si, batch) in enumerate(zip(s, _sample(spec, mcmc, rng, s))):
         traces = batch_trace_powers(batch.alphas, v.degree,
-                                    KINDS[kind].topology)
+                                    KINDS[spec.kind].topology)
         w = v.spectral_mean(traces, batch.alphas.shape[-1])
         mean, se, tau = _mean_and_error(w)
         means[i] = mean
@@ -474,7 +438,7 @@ def estimate_free_energy(ensemble, v, beta, s_grid=None, mcmc=None, rng=None,
     coeff[1:] += 0.5 * gaps
     value = float(coeff @ means)
     std_error = float(np.sqrt(np.sum((coeff * errors) ** 2)))
-    return FreeEnergyEstimate(value, std_error, grid=grid, ensemble=kind,
+    return FreeEnergyEstimate(value, std_error, grid=grid, ensemble=spec.kind,
                               beta=float(beta), n_samples=total,
                               warnings=tuple(warnings))
 
@@ -499,18 +463,15 @@ def check_free_energy_relation(v, beta, delta=None, s_grid=None, mcmc=None,
     """Test the lattice free energy against the beta-derivative identity.
 
     The left side is the Monte Carlo thermodynamic integral for the lattice
-    ensemble at beta.  The right side is d/dbeta [beta F_C(beta)], computed
-    exactly from one torus solve (_circular_beta_derivative).  The right
+    ensemble at beta, with V on the torus.  The right side is d/dbeta
+    [beta F_C(beta)], computed exactly from one torus solve
+    (_circular_beta_derivative).  The right
     side carries only solver error, far below the Monte Carlo error, so the
     verdict allows three Monte Carlo standard errors.
 
     delta is ignored.  It is kept only so that existing callers that pass
     it, such as benchmarks/workloads.py (delta=0.1), keep working.
     """
-    _check_beta(beta)
-    if v is not None and v.domain != "torus":
-        raise ValueError("the relation check takes torus potentials")
-
     lhs = estimate_free_energy("al", v, beta, s_grid=s_grid, mcmc=mcmc,
                                rng=rng, n=n)
     rhs, residual = _circular_beta_derivative(v, beta)
@@ -532,7 +493,7 @@ def check_free_energy_relation(v, beta, delta=None, s_grid=None, mcmc=None,
         solver_residual=residual,
         threshold=budget,
         passed=abs(discrepancy) <= budget,
-        parameters={"n": int(n), "s_grid": list(lhs.grid)},
+        parameters={"n": n, "s_grid": list(lhs.grid)},
         statistics=statistics,
         warnings=lhs.warnings,
     )
@@ -595,12 +556,10 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     only so that existing callers that pass it, such as
     benchmarks/workloads.py (delta=0.05), keep working.
     """
-    kind = _normalize_kind(ensemble)
-    if not KINDS[kind].periodic:
+    spec = EnsembleSpec(ensemble, n, beta, v)
+    if not KINDS[spec.kind].periodic:
         raise ValueError("density-of-states checks cover al and schur runs")
-    _check_beta(beta)
-    n = int(n)
-    domain = _domain_of(kind, v)
+    domain = KINDS[spec.kind].domain
     k_max = int(k_max)
     if k_max < 4:
         raise ValueError("k_max must be at least 4 to cover the moment table")
@@ -610,10 +569,10 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
                          f"got {threshold}")
 
     mcmc = _chain_params(mcmc)
-    batch = sample_ensemble(_spec(kind, n, beta, v), mcmc, make_rng(rng))
+    batch = sample_ensemble(spec, mcmc, make_rng(rng))
     target = beta_derivative_measure(v, beta, domain=domain)
 
-    traces = batch_trace_powers(batch.alphas, k_max) / n
+    traces = batch_trace_powers(batch.alphas, k_max) / spec.n
     pooled = traces.mean(axis=0)
     if domain == "torus":
         empirical = FourierCoeffs(pooled)
@@ -643,7 +602,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
         solver_residual=target.residual,
         threshold=threshold,
         passed=passed,
-        parameters={"ensemble": kind, "n": n, "k_max": k_max,
+        parameters={"ensemble": spec.kind, "n": spec.n, "k_max": k_max,
                     "sweeps": mcmc.sweeps},
         statistics=statistics,
         warnings=tuple(warnings),

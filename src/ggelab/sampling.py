@@ -315,16 +315,15 @@ class EnsembleKind:
             periodic matrix, translation invariant, so every site has the
             same law; the other two are the open matrix, whose last entry
             is uniform on the unit circle or fixed at -1.
-        pairs: EnsembleSpec.n counts spectral pairs, so the coefficient
-            vector has 2n entries.
-        interior: (beta, size) -> the shape parameters nu_j or s_j of the
-            interior sites j = 1, 2, ..., all `size` sites when periodic,
-            the first size - 1 otherwise.
+        interior: (beta, n) -> the shape parameters nu_j or s_j of the
+            interior sites j = 1, 2, ... of an n x n matrix at the paper's
+            beta: all n sites when periodic, the first n - 1 otherwise.
+            The open kinds hold the high-temperature scaling, a per-site
+            rate 2 beta / n.
     """
 
     domain: str
     boundary: cc.BoundaryMode
-    pairs: bool
     interior: Callable
 
     @property
@@ -343,16 +342,16 @@ class EnsembleKind:
 
 
 KINDS = {
-    "al": EnsembleKind("torus", cc.BoundaryMode.ALL_INTERIOR, False,
-                       lambda beta, size: np.full(size, 2.0 * beta + 1.0)),
-    "schur": EnsembleKind("interval", cc.BoundaryMode.ALL_INTERIOR, False,
-                          lambda beta, size: np.full(size, beta)),
+    "al": EnsembleKind("torus", cc.BoundaryMode.ALL_INTERIOR,
+                       lambda beta, n: np.full(n, 2.0 * beta + 1.0)),
+    "schur": EnsembleKind("interval", cc.BoundaryMode.ALL_INTERIOR,
+                          lambda beta, n: np.full(n, beta)),
     "circular": EnsembleKind(
-        "torus", cc.BoundaryMode.LAST_ON_CIRCLE, False,
-        lambda beta, size: beta * np.arange(size - 1, 0, -1) + 1.0),
+        "torus", cc.BoundaryMode.LAST_ON_CIRCLE,
+        lambda beta, n: 2.0 * beta / n * np.arange(n - 1, 0, -1) + 1.0),
     "jacobi": EnsembleKind(
-        "interval", cc.BoundaryMode.LAST_MINUS_ONE, True,
-        lambda beta, size: beta * (1.0 - np.arange(1, size) / size)),
+        "interval", cc.BoundaryMode.LAST_MINUS_ONE,
+        lambda beta, n: beta * (1.0 - np.arange(1, n) / n)),
 }
 
 ENSEMBLE_KINDS = tuple(KINDS)
@@ -364,14 +363,13 @@ class EnsembleSpec:
 
     Attributes:
         kind: one of "al", "schur", "circular", "jacobi" (a key of KINDS).
-        n: matrix size for al/schur/circular; number of spectral pairs
-           for jacobi (the coefficient vector then has length 2n).
-        beta: inverse temperature, positive and finite.  For circular
-           this is the per-site rate beta_tilde, for jacobi the exponent
-           scale.
-        potential: optional Potential tilting the law by exp(-Tr V(E)).
-           Interval potentials count conjugate pairs once, so they are
-           rejected on the torus kinds, whose spectra are not paired.
+        n: matrix size, the length of the coefficient vector, for every
+           kind; stored as a plain int.  Rings and interval kinds need an
+           even n.
+        beta: the paper's inverse temperature, positive and finite, for
+           every kind; KINDS[kind].interior turns it into site laws.
+        potential: optional Potential tilting the law by exp(-Tr V(E)), on
+           the kind's domain.
     """
 
     kind: str
@@ -384,21 +382,21 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        # a plain int: a non-integral n (6.5, "6") raises TypeError, and
+        # the size rule below words the lower bound
+        n = cc._power_count(self.n, "n", -math.inf)
+        object.__setattr__(self, "n", n)
         kind = KINDS[self.kind]
-        if (self.potential is not None and self.potential.domain == "interval"
-                and kind.domain == "torus"):
-            raise ValueError(f"{self.kind} spectra are not conjugate pairs; "
-                             "interval potentials need an interval kind")
-        periodic = kind.periodic
-        if self.size < 2 or (periodic and self.size % 2):
-            even = " and an even count" if periodic else ""
+        domain = getattr(self.potential, "domain", kind.domain)
+        if domain != kind.domain:
+            raise ValueError(f"{self.kind} ensembles take {kind.domain} "
+                             f"potentials, not {domain} potentials")
+        # rings pair their sites, interval spectra their eigenvalues
+        even = kind.periodic or kind.domain == "interval"
+        if n < 2 or (even and n % 2):
             raise ValueError(f"{self.kind} needs at least two coefficients"
-                             f"{even}, got n = {self.n}")
-
-    @property
-    def size(self):
-        """Length of the coefficient vector."""
-        return 2 * self.n if KINDS[self.kind].pairs else self.n
+                             f"{' and an even count' if even else ''}, "
+                             f"got n = {n}")
 
 
 @dataclass
@@ -634,8 +632,8 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
     seed = getattr(rng, "seed_value", None)
     n_keep = mcmc.sweeps
     kind = KINDS[spec.kind]
-    size_n, beta, potential = spec.size, float(spec.beta), spec.potential
-    params = kind.interior(beta, size_n)
+    n, beta, potential = spec.n, float(spec.beta), spec.potential
+    params = kind.interior(beta, n)
     tilts = [None if potential is None else potential.scaled(float(s))
              for s in scales]
     batches = [SampleBatch(alphas=_draw_sites(kind, params, rng, n_keep),
@@ -646,9 +644,9 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
         degree = max(tilts[i].degree for i in chained)
         wc = np.array([np.pad(tilts[i].trace_weights(),
                               (0, degree - tilts[i].degree)) for i in chained])
-        burn = mcmc.burn_in if mcmc.burn_in is not None else 10 * size_n
-        thin = mcmc.thinning if mcmc.thinning is not None else size_n
-        alphas, rates = _run_chain(kind, params, wc, burn, -(-thin // size_n),
+        burn = mcmc.burn_in if mcmc.burn_in is not None else 10 * n
+        thin = mcmc.thinning if mcmc.thinning is not None else n
+        alphas, rates = _run_chain(kind, params, wc, burn, -(-thin // n),
                                    n_keep, rng)
         for i, a, rate in zip(chained, alphas, rates):
             batches[i] = SampleBatch(alphas=a, kind=spec.kind, beta=beta,
@@ -680,35 +678,33 @@ def sample_schur_gge(spec, mcmc, rng=None):
     return _sample(spec, mcmc, rng)[0]
 
 
-def sample_circular_beta(n, beta_tilde, potential, mcmc, rng=None):
-    """Sample the circular ensemble through its coefficient law.
+def sample_circular_beta(n, beta, potential, mcmc, rng=None):
+    """Sample the circular ensemble of n x n matrices through its
+    coefficient law.
 
-    Site j (1-based) follows Theta_(beta_tilde (n - j) + 1) and the last
-    entry is uniform on the unit circle, so the open CMV matrix carries
-    the ensemble's eigen-angles.
+    Site j (1-based) follows Theta_(2 beta (n - j)/n + 1), the paper's
+    beta at the high-temperature per-site rate 2 beta / n, and the last
+    entry is uniform on the unit circle, so the open CMV matrix carries the
+    ensemble's eigen-angles.
     """
-    spec = EnsembleSpec("circular", int(n), float(beta_tilde), potential)
+    spec = EnsembleSpec("circular", n, beta, potential)
     return _sample(spec, mcmc, rng)[0]
 
 
 def sample_jacobi_beta(n, beta, potential, mcmc, rng=None):
-    """Sample the Jacobi-type ensemble on 2n coefficients.
+    """Sample the Jacobi-type ensemble on n coefficients, n even.
 
-    (1 + alpha_j)/2 ~ Beta(s_j, s_j) with s_j = beta (1 - j/(2n)) for
-    j < 2n, and alpha_2n = -1 exactly; eigenvalues come in conjugate
-    pairs cos(theta) on [-1, 1].
+    (1 + alpha_j)/2 ~ Beta(s_j, s_j) with s_j = beta (1 - j/n) for j < n,
+    and alpha_n = -1 exactly; the n/2 eigenvalue pairs read as cos(theta)
+    on [-1, 1].
     """
-    spec = EnsembleSpec("jacobi", int(n), float(beta), potential)
+    spec = EnsembleSpec("jacobi", n, beta, potential)
     return _sample(spec, mcmc, rng)[0]
 
 
 def sample_ensemble(spec, mcmc, rng=None):
-    """Sample the ensemble of any kind through its own sampler.
-
-    spec.beta and spec.n keep EnsembleSpec's convention: the circular
-    beta is the per-site rate beta_tilde, and jacobi's n counts spectral
-    pairs.
-    """
+    """Sample the ensemble of any kind through its own sampler; spec.n is
+    the matrix size and spec.beta the paper's beta for every kind."""
     if spec.kind == "al":
         return sample_al_gge(spec, mcmc, rng)
     if spec.kind == "schur":

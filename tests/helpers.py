@@ -1,6 +1,10 @@
 """Shared helpers for the test suite."""
 
+import ast
+import io
 import math
+import sys
+import tokenize
 
 import numpy as np
 
@@ -135,7 +139,7 @@ def site_chain(spec, mcmc, rng):
     with the samplers' defaults (10 N and N).  Returns the kept states and
     the acceptance rate."""
     kind = sp.KINDS[spec.kind]
-    size, topology = spec.size, kind.topology
+    size, topology = spec.n, kind.topology
     burn = 10 * size if mcmc.burn_in is None else int(mcmc.burn_in)
     thin = size if mcmc.thinning is None else int(mcmc.thinning)
     params = kind.interior(float(spec.beta), size)
@@ -223,3 +227,32 @@ def reference_trace_weights(v):
         for k in range(1, deg + 1):
             w[k - 1] = 0.5 * v.cheb[k]
     return w
+
+
+def code_lines(source):
+    """Lines of Python source that hold code: lines with a token other than
+    a comment or a line break, outside the docstrings of the module, its
+    classes and its functions.  A multi-line token, such as a string that
+    is not a docstring, counts every line it spans.  The package's code
+    size is the sum over its modules:
+
+        PYTHONPATH=src python tests/helpers.py src/ggelab/*.py
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(
+                                 node, clean=False) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in blank:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+if __name__ == "__main__":
+    print(sum(code_lines(open(path).read()) for path in sys.argv[1:]))

@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ggelab.cli import (_write_csv, _write_json, load_config, main,
-                        parse_potential)
+from ggelab import ldp_lab
+from ggelab.cli import (_build_parsers, _write_csv, _write_json, load_config,
+                        main, parse_potential)
 
 
 def read_csv(path):
@@ -415,6 +416,62 @@ class TestDos:
         main(argv + ["--out", str(b)])
         assert (a / "dos_histogram.csv").read_bytes() == \
             (b / "dos_histogram.csv").read_bytes()
+
+
+class TestEnsembleConvention:
+    """--n is the matrix size and --beta the paper's beta in every
+    subcommand."""
+
+    def test_one_help_text_for_n_and_for_beta(self):
+        helps = {"--n": set(), "--beta": set()}
+        for name, parser in _build_parsers()[1].items():
+            for action in parser._actions:
+                for flag in set(helps) & set(action.option_strings):
+                    # the flow size of dynamics is no ensemble's
+                    if (name, flag) != ("dynamics", "--n"):
+                        helps[flag].add(action.help)
+        assert all(len(texts) == 1 for texts in helps.values()), helps
+
+    def test_jacobi_rows_have_n_coefficients_in_sample_and_free_energy(
+            self, tmp_path, monkeypatch):
+        assert main(["sample", "--ensemble", "jacobi", "--n", "16", "--beta",
+                     "1", "--samples", "2", "--seed", "3", "--format", "json",
+                     "--out", str(tmp_path / "sample")]) == 0
+        doc = json.loads((tmp_path / "sample" / "samples.json").read_text())
+        assert doc["size"] == 16
+        assert np.asarray(doc["alphas_re"]).shape == (2, 16)
+        rows = []
+        sample = ldp_lab._sample
+
+        def spy(spec, mcmc, rng, scales):
+            batches = sample(spec, mcmc, rng, scales)
+            rows.extend(b.alphas.shape[1] for b in batches)
+            return batches
+
+        monkeypatch.setattr(ldp_lab, "_sample", spy)
+        assert main(["free-energy", "--ensemble", "jacobi", "--n", "16",
+                     "--beta", "1", "--potential", "t1=0.5", "--samples", "2",
+                     "--seed", "3", "--out", str(tmp_path / "fe")]) == 0
+        assert rows and set(rows) == {16}
+
+    @pytest.mark.parametrize("command", ["sample", "dos"])
+    def test_odd_jacobi_size_exits_2(self, tmp_path, capsys, command):
+        code = main([command, "--ensemble", "jacobi", "--n", "3", "--beta",
+                     "1", "--samples", "2", "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "even count" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["sample", "dos"])
+    def test_torus_potential_on_schur_exits_2(self, tmp_path, capsys,
+                                              command):
+        code = main([command, "--ensemble", "schur", "--n", "8", "--beta",
+                     "1", "--samples", "2", "--seed", "1", "--potential",
+                     "c1=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "not torus potentials" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestMinimize:

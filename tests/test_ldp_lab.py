@@ -216,6 +216,18 @@ class TestFreeEnergyEstimate:
         with pytest.raises(ValueError, match="ensemble"):
             estimate_free_energy("toda", COS, 1.0)
 
+    def test_kind_names_are_case_sensitive(self, monkeypatch):
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="unknown ensemble kind 'AL'"):
+            estimate_free_energy("AL", COS, 1.0)
+
+    @pytest.mark.parametrize("v", [None, COS])
+    def test_non_integral_size_rejected_before_sampling(self, monkeypatch, v):
+        # at a non-integral n the rate 2 beta / n and the row size disagree
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(TypeError, match="n must be an integer"):
+            estimate_free_energy("circular", v, 1.0, n=6.5)
+
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FreeEnergyEstimate(0.0, -1.0)
@@ -425,6 +437,12 @@ class TestDosRelation:
         monkeypatch.setattr(ldp_lab, "sample_ensemble", no_sampling)
         with pytest.raises(ValueError, match="threshold must be positive"):
             check_dos_relation("al", None, 1.0, 16, threshold=threshold)
+
+    def test_non_integral_size_is_rejected_before_sampling(self,
+                                                          monkeypatch):
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(TypeError, match="n must be an integer"):
+            check_dos_relation("al", None, 1.0, 32.9)
 
     def test_odd_size_is_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):

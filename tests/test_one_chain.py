@@ -65,12 +65,11 @@ class CountingGenerator(np.random.Generator):
     ("al", 8, Potential("torus", cos=[0.0, 0.4, 0.2, 0.3])),
     ("schur", 8, Potential("interval", cheb=[0.2, 0.6, 0.5])),
     ("circular", 12, Potential("torus", cos=[0.0, 0.5])),
-    ("jacobi", 4, Potential("interval", cheb=[0.0, 0.8]))],
+    ("jacobi", 8, Potential("interval", cheb=[0.0, 0.8]))],
     ids=["al-16-t2", "al-8-t3", "schur-8-i2", "circular-12-t1", "jacobi-4-i1"])
 def test_chain_draws_once_per_sweep_and_never_per_class(kind, n, pot,
                                                         monkeypatch):
     # two stacked chains; the generator's count is read at every class
-    spec = sp.EnsembleSpec(kind, n, 1.0, pot)
     entry = sp.KINDS[kind]
     wc = np.array([pot.trace_weights()] * 2)
     rng = CountingGenerator(7)
@@ -83,8 +82,8 @@ def test_chain_draws_once_per_sweep_and_never_per_class(kind, n, pot,
 
     monkeypatch.setattr(sp, "_class_delta_v", spy)
     sweeps = 6
-    sp._run_chain(entry, entry.interior(1.0, spec.size), wc, 0, 1, sweeps, rng)
-    classes = len(sp._classes(entry, spec.size, wc.shape[1]))
+    sp._run_chain(entry, entry.interior(1.0, n), wc, 0, 1, sweeps, rng)
+    classes = len(sp._classes(entry, n, wc.shape[1]))
     assert classes > 1
     at_class = np.array(seen).reshape(sweeps, classes)
     assert np.all(at_class == at_class[:, :1]), "a class drew from the generator"

@@ -99,13 +99,13 @@ def test_non_finite_coefficients_rejected(bad):
     ("jacobi", Potential("interval", cheb=[-0.3, 0.0, 0.6, 0.25])),
 ])
 def test_spectral_mean_is_the_eigenvalue_mean(kind, v):
-    batch = sample_ensemble(EnsembleSpec(kind, 6, 1.0), McmcParams(sweeps=5),
+    n = 12 if kind == "jacobi" else 6  # jacobi: six conjugate pairs
+    batch = sample_ensemble(EnsembleSpec(kind, n, 1.0), McmcParams(sweeps=5),
                             np.random.default_rng(7))
     alphas = batch.alphas
     topology = KINDS[kind].topology
     size = alphas.shape[-1]
-    if kind == "jacobi":
-        assert size == 12
+    assert size == n
     build = cc.build_periodic_cmv if KINDS[kind].periodic else cc.build_cmv
     angles = np.array([cc.eigen_angles(build(row.astype(complex)))
                        for row in alphas])

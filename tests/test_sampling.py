@@ -76,7 +76,7 @@ def test_theta_grazing_draws_stay_inside_the_disk():
 @pytest.mark.parametrize("pot", [None, Potential("torus", cos=[0.0, 0.5])],
                          ids=["exact", "tilted"])
 def test_circular_last_site_is_unimodular(pot):
-    spec = sp.EnsembleSpec("circular", 16, 1e-3, pot)
+    spec = sp.EnsembleSpec("circular", 16, 8e-3, pot)  # per-site rate 1e-3
     a = sp.sample_ensemble(spec, sp.McmcParams(sweeps=200), 306).alphas
     assert np.all(np.abs(np.abs(a[:, -1]) - 1.0) <= 1e-15)
     assert np.abs(a[:, :-1]).max() < 1.0
@@ -226,20 +226,22 @@ def test_schur_v0_trace_moment_oracles():
 
 
 def test_circular_v0_structure_and_marginal():
-    n, bt = 6, 0.8
-    batch = sp.sample_circular_beta(n, bt, None, sp.McmcParams(sweeps=3000),
+    n, beta = 6, 2.4  # per-site rate 2 beta / n = 0.8
+    batch = sp.sample_circular_beta(n, beta, None, sp.McmcParams(sweeps=3000),
                                     np.random.default_rng(46))
     a = batch.alphas
     assert np.abs(np.abs(a[:, -1]) - 1.0).max() <= 1e-12
     assert np.abs(a[:, :-1]).max() < 1.0
-    cdf = stats.beta(1.0, bt * (n - 1) / 2.0).cdf  # site j=1: nu = bt(n-1)+1
+    # site j = 1: nu = 2 beta (n - 1)/n + 1, |alpha|^2 ~ Beta(1, (nu - 1)/2)
+    cdf = stats.beta(1.0, beta * (n - 1) / n).cdf
     assert stats.kstest(np.abs(a[:, 0]) ** 2, cdf).pvalue > 0.01
     assert stats.kstest(np.angle(a[:, -1]), stats.uniform(-np.pi, 2 * np.pi).cdf).pvalue > 0.01
 
 
 def test_circular_two_sites_pair_correlation():
-    # beta_tilde = 2 gives joint density prop to |e^{i t1} - e^{i t2}|^2,
-    # whose pair correlation is E[cos(t1 - t2)] = -1/2
+    # beta = 2 at n = 2 is the per-site rate 2 beta / n = 2: joint density
+    # prop to |e^{i t1} - e^{i t2}|^2, whose pair correlation is
+    # E[cos(t1 - t2)] = -1/2
     batch = sp.sample_circular_beta(2, 2.0, None, sp.McmcParams(sweeps=20000),
                                     np.random.default_rng(47))
     vals = np.empty(batch.alphas.shape[0])
@@ -250,12 +252,13 @@ def test_circular_two_sites_pair_correlation():
     assert abs(vals.mean() + 0.5) <= 3 * se
 
 
-@pytest.mark.parametrize("n", [1, 4, 16, 64])
-def test_jacobi_rows_eigen_angles_match_numpy_eigvals(n):
-    # alpha_2n = -1 exactly, and small beta puts coefficients near +-1 and
+@pytest.mark.parametrize("pairs", [1, 4, 16, 64])
+def test_jacobi_rows_eigen_angles_match_numpy_eigvals(pairs):
+    # alpha_n = -1 exactly, and small beta puts coefficients near +-1 and
     # eigenvalues near -1, where the Cayley route takes its second pass
-    batch = sp.sample_jacobi_beta(n, 0.5, None, sp.McmcParams(sweeps=20),
-                                  np.random.default_rng(49 + n))
+    batch = sp.sample_jacobi_beta(2 * pairs, 0.5, None,
+                                  sp.McmcParams(sweeps=20),
+                                  np.random.default_rng(49 + pairs))
     for row in batch.alphas:
         m = cc.build_cmv(row)
         th = cc.eigen_angles(m)
@@ -267,20 +270,20 @@ def test_jacobi_rows_eigen_angles_match_numpy_eigvals(n):
 
 
 def test_jacobi_v0_structure_and_marginal():
-    n, beta = 4, 2.0
+    n, beta = 8, 2.0
     batch = sp.sample_jacobi_beta(n, beta, None, sp.McmcParams(sweeps=3000),
                                   np.random.default_rng(48))
     a = batch.alphas
     assert a.shape == (3000, 8)
     assert np.all(a[:, -1] == -1.0)
-    s1 = beta * (1 - 1 / (2 * n))
+    s1 = beta * (1 - 1 / n)
     assert stats.kstest((1 + a[:, 0]) / 2, stats.beta(s1, s1).cdf).pvalue > 0.01
 
 
 def test_jacobi_one_pair_cos_squared_moment():
-    # n = 1, beta = 2: s_1 = 1, alpha_1 uniform; cos(theta) = alpha_1 so
+    # n = 2, beta = 2: s_1 = 1, alpha_1 uniform; cos(theta) = alpha_1 so
     # E[cos^2 theta] = 1/3
-    batch = sp.sample_jacobi_beta(1, 2.0, None, sp.McmcParams(sweeps=20000),
+    batch = sp.sample_jacobi_beta(2, 2.0, None, sp.McmcParams(sweeps=20000),
                                   np.random.default_rng(49))
     c2 = batch.alphas[:, 0] ** 2
     se = c2.std(ddof=1) / np.sqrt(c2.size)
@@ -341,14 +344,15 @@ _I2 = Potential("interval", cheb=[0.2, 0.6, 0.5])
 # name: (kind, n, beta, potential, (SHA-256 prefix of alphas, acceptance
 # rate) of the site chain).  Recorded from the full-recompute site chain;
 # they cover degrees 0-3, real and complex coefficients, rings of 4, 6, 8
-# and 12 sites, both open boundaries, and a circular chain at beta_tilde =
-# 1e-3 whose nu_j near 1 put most draws within an ulp of the unit circle.
+# and 12 sites, both open boundaries, and a circular chain at a per-site
+# rate 2 beta / n = 1e-3 whose nu_j near 1 put most draws within an ulp of
+# the unit circle.
 CHAIN_FINGERPRINTS = {
     "al-12-t1": ("al", 12, 1.0, _T1,
         ("46b28b6105ea3c38", 0.8452380952380952)),
     "al-24-t1": ("al", 24, 1.0, _T1,
         ("0fb091fb88507e8e", 0.8809523809523809)),
-    "circular-6-c": ("circular", 6, 1.0, Potential("torus", cos=[0.3]),
+    "circular-6-c": ("circular", 6, 3.0, Potential("torus", cos=[0.3]),
         ("a7802f106f76e1c8", 1.0)),
     "al-8-t2": ("al", 8, 1.0, _T2,
         ("6d0d267ab412826e", 0.8258928571428571)),
@@ -364,19 +368,19 @@ CHAIN_FINGERPRINTS = {
         ("0920109887c3e18c", 0.8616071428571429)),
     "schur-6-i2": ("schur", 6, 1.5, _I2,
         ("a5adc7a66f75f76b", 0.9464285714285714)),
-    "circular-8-t1": ("circular", 8, 1.0, _T1,
+    "circular-8-t1": ("circular", 8, 4.0, _T1,
         ("7f4b618f769c1d2d", 0.9107142857142857)),
-    "circular-8-t2": ("circular", 8, 0.7, _T2,
+    "circular-8-t2": ("circular", 8, 2.8, _T2,
         ("2d97a9ff527a9fec", 0.8303571428571429)),
     "circular-2-t2": ("circular", 2, 1.0, _T2,
         ("14610fce66061aa7", 0.8035714285714286)),
-    "circular-16-t1-grazing": ("circular", 16, 1e-3, _T1,
+    "circular-16-t1-grazing": ("circular", 16, 8e-3, _T1,
         ("bf553b9d747be3df", 0.7745535714285714)),
-    "jacobi-4-i1": ("jacobi", 4, 1.0, _I1,
+    "jacobi-4-i1": ("jacobi", 8, 1.0, _I1,
         ("3661a6565a02e5b7", 0.8733031674208145)),
-    "jacobi-4-i2": ("jacobi", 4, 2.0, _I2,
+    "jacobi-4-i2": ("jacobi", 8, 2.0, _I2,
         ("a82809d2bf58fc2b", 0.9049773755656109)),
-    "jacobi-1-i2": ("jacobi", 1, 1.0, _I2,
+    "jacobi-1-i2": ("jacobi", 2, 1.0, _I2,
         ("a6a5ddbb70329e4a", 0.8301886792452831)),
 }
 # the sampler's class-parallel chain: a sweep draws all its proposals and
@@ -412,9 +416,9 @@ CLASS_FINGERPRINTS = {
 EXACT_FINGERPRINTS = {
     "al-8": ("al", 8, 1.0, "916feb034ed75025"),
     "schur-8": ("schur", 8, 0.6, "ac4d474d8bc30c24"),
-    "circular-6": ("circular", 6, 1.0, "f00b53d3ca5d1eff"),
-    "circular-16-grazing": ("circular", 16, 1e-3, "e759de692c29f2cc"),
-    "jacobi-4": ("jacobi", 4, 2.0, "47b628dffe1e8116"),
+    "circular-6": ("circular", 6, 3.0, "f00b53d3ca5d1eff"),
+    "circular-16-grazing": ("circular", 16, 8e-3, "e759de692c29f2cc"),
+    "jacobi-4": ("jacobi", 8, 2.0, "47b628dffe1e8116"),
 }
 
 
@@ -448,22 +452,24 @@ def test_chain_samples_match_recorded_fingerprints(name, path):
 @pytest.mark.parametrize("kind, n, pot, scales", [
     ("al", 16, Potential("torus", cos=[0.0, 1.0]), (1.0,)),
     ("al", 16, _T2, (1.0,)), ("al", 8, _T3, (1.0,)),
-    ("schur", 16, _I2, (1.0,)), ("jacobi", 8, _I2, (1.0,)),
+    ("schur", 16, _I2, (1.0,)), ("jacobi", 16, _I2, (1.0,)),
     ("circular", 32, _T1, (1.0,)), ("al", 16, _T2, (0.5, 1.0))],
     ids=["al-16-cos", "al-16-t2", "al-8-t3", "schur-16-i2", "jacobi-8-i2",
          "circular-32-t1", "al-16-t2-stacked"])
 def test_mcmc_chain_matches_site_oracle(kind, n, pot, scales):
     # every case runs the sampler, one stacked chain with a row per scale,
-    # on stream 53, and the oracle at the k-th scale on stream 54 + k
-    spec = sp.EnsembleSpec(kind, n, 1.0, pot)
+    # on stream 53, and the oracle at the k-th scale on stream 54 + k; the
+    # circular row runs at the per-site rate 2 beta / n = 1
+    beta = n / 2 if kind == "circular" else 1.0
+    spec = sp.EnsembleSpec(kind, n, beta, pot)
     mcmc = sp.McmcParams(sweeps=3000)
     batches = sp._sample(spec, mcmc, np.random.default_rng(53), scales)
     wc = pot.trace_weights()
     for k, (scale, batch) in enumerate(zip(scales, batches)):
-        tilted = sp.EnsembleSpec(kind, n, 1.0, pot.scaled(scale))
+        tilted = sp.EnsembleSpec(kind, n, beta, pot.scaled(scale))
         slow, _ = site_chain(tilted, mcmc, np.random.default_rng(54 + k))
         tf, ts = ((cc.batch_trace_powers(a, wc.size, sp.KINDS[kind].topology)
-                   @ wc).real / spec.size for a in (batch.alphas, slow))
+                   @ wc).real / n for a in (batch.alphas, slow))
         se = np.sqrt(tf.var() / tf.size + ts.var() / ts.size)
         assert abs(tf.mean() - ts.mean()) <= 4 * se, scale
 
@@ -479,9 +485,9 @@ def test_chain_keeps_whole_sweeps(kind, n, pot):
         mcmc = sp.McmcParams(sweeps, thinning=thinning)
         return sp.sample_ensemble(spec, mcmc, sp.make_rng(12)).alphas
 
-    every_sweep = kept(40, spec.size)
+    every_sweep = kept(40, n)
     assert np.array_equal(kept(40, 1), every_sweep)
-    assert np.array_equal(kept(20, spec.size + 1), every_sweep[1::2])
+    assert np.array_equal(kept(20, n + 1), every_sweep[1::2])
 
 
 # the four ensemble kinds' coefficient vectors: (topology, real)
@@ -625,7 +631,7 @@ def test_stacked_class_increments_match_each_row(kind, monkeypatch):
 
 
 def test_mcmc_schur_with_potential_stays_real_and_bounded():
-    pot = Potential("torus", cos=[0.0, 1.0])
+    pot = Potential("interval", cheb=[0.0, 2.0])
     spec = sp.EnsembleSpec("schur", 16, beta=1.0, potential=pot)
     batch = sp.sample_schur_gge(spec, sp.McmcParams(sweeps=200),
                                 np.random.default_rng(55))
@@ -635,7 +641,7 @@ def test_mcmc_schur_with_potential_stays_real_and_bounded():
 
 def test_mcmc_jacobi_with_interval_potential_runs():
     pot = Potential("interval", cheb=[0.0, 0.8])
-    batch = sp.sample_jacobi_beta(3, 1.5, pot, sp.McmcParams(sweeps=100),
+    batch = sp.sample_jacobi_beta(6, 1.5, pot, sp.McmcParams(sweeps=100),
                                   np.random.default_rng(56))
     assert np.all(batch.alphas[:, -1] == -1.0)
     assert 0.0 < batch.acceptance_rate <= 1.0
@@ -699,7 +705,7 @@ KIND_CASES = {
     "circular": (6, 0.7, Potential("torus", cos=[0.0, 0.5], sin=[0.2]),
                  lambda spec, mcmc, rng: sp.sample_circular_beta(
                      spec.n, spec.beta, spec.potential, mcmc, rng)),
-    "jacobi": (3, 1.5, Potential("interval", cheb=[0.0, 0.8]),
+    "jacobi": (6, 1.5, Potential("interval", cheb=[0.0, 0.8]),
                lambda spec, mcmc, rng: sp.sample_jacobi_beta(
                    spec.n, spec.beta, spec.potential, mcmc, rng)),
 }
@@ -714,7 +720,7 @@ def test_sample_ensemble_matches_own_sampler(kind, tilted):
     got = sp.sample_ensemble(spec, mcmc, 61)  # an integer seed works too
     ref = own(spec, mcmc, sp.make_rng(61))
     assert got.kind == kind
-    assert got.alphas.shape == (20, spec.size)
+    assert got.alphas.shape == (20, n)
     assert np.array_equal(got.alphas, ref.alphas)
     assert got.acceptance_rate == ref.acceptance_rate
     assert (got.acceptance_rate is None) == (not tilted)
@@ -725,9 +731,10 @@ def test_sample_ensemble_matches_own_sampler(kind, tilted):
     ("al", lambda beta, n: [2 * beta + 1] * n),
     # schur: Beta(beta, beta) at every site
     ("schur", lambda beta, n: [beta] * n),
-    # circular: nu_j = beta_tilde (n - j) + 1 for j = 1..n-1
-    ("circular", lambda beta, n: [beta * (n - j) + 1 for j in range(1, n)]),
-    # jacobi on 2m coefficients: s_j = beta (1 - j/(2m)) for j < 2m
+    # circular: nu_j = 2 beta (n - j)/n + 1 for j = 1..n-1
+    ("circular",
+     lambda beta, n: [2 * beta * (n - j) / n + 1 for j in range(1, n)]),
+    # jacobi: s_j = beta (1 - j/n) for j < n
     ("jacobi", lambda beta, n: [beta * (1 - j / n) for j in range(1, n)]),
 ])
 def test_kind_table_site_parameters(kind, expected):
@@ -740,7 +747,6 @@ def test_kind_table_site_parameters(kind, expected):
     assert entry.periodic == (kind in ("al", "schur"))
     assert entry.domain == ("torus" if kind in ("al", "circular")
                             else "interval")
-    assert sp.EnsembleSpec(kind, 4, 1.0).size == (8 if kind == "jacobi" else 4)
 
 
 def test_mcmc_params_store_plain_ints():
@@ -777,3 +783,54 @@ def test_ensemble_spec_validation():
         sp.EnsembleSpec("schur", 8, beta=0.0)
     with pytest.raises(ValueError):
         sp.EnsembleSpec("toda", 8, beta=1.0)
+
+
+def test_ensemble_spec_stores_a_plain_int_size():
+    spec = sp.EnsembleSpec("al", np.int64(8), 1.0)
+    assert spec.n == 8 and type(spec.n) is int
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("circular", 6.5), ("jacobi", 1.5), ("al", 8.0), ("schur", "8")])
+def test_ensemble_spec_rejects_a_non_integral_size(kind, n):
+    with pytest.raises(TypeError, match="n must be an integer"):
+        sp.EnsembleSpec(kind, n, 0.3)
+
+
+def test_thin_samplers_reject_a_non_integral_size():
+    mcmc = sp.McmcParams(sweeps=2)
+    with pytest.raises(TypeError, match="n must be an integer"):
+        sp.sample_circular_beta(6.7, 1.0, None, mcmc, 1)
+    with pytest.raises(TypeError, match="n must be an integer"):
+        sp.sample_jacobi_beta(4.2, 1.0, None, mcmc, 1)
+
+
+@pytest.mark.parametrize("kind, n, even", [
+    ("al", 7, True), ("schur", 1, True), ("jacobi", 3, True),
+    ("jacobi", 0, True), ("circular", 1, False), ("circular", -4, False)])
+def test_ensemble_spec_size_rule(kind, n, even):
+    # rings and interval kinds need an even count; circular rows any n >= 2
+    words = "at least two coefficients" + (" and an even count" if even
+                                           else ", got")
+    with pytest.raises(ValueError, match=words):
+        sp.EnsembleSpec(kind, n, 1.0)
+
+
+@pytest.mark.parametrize("kind, pot", [
+    ("al", Potential("interval", cheb=[0.0, 1.0])),
+    ("circular", Potential("interval", cheb=[0.0, 1.0])),
+    ("schur", Potential("torus", cos=[0.0, 1.0])),
+    ("jacobi", Potential("torus", cos=[0.0, 1.0]))])
+def test_ensemble_spec_takes_potentials_on_its_own_domain(kind, pot):
+    domain = sp.KINDS[kind].domain
+    with pytest.raises(ValueError, match=f"take {domain} potentials, not "
+                                         f"{pot.domain} potentials"):
+        sp.EnsembleSpec(kind, 8, 1.0, pot)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("al", 8), ("schur", 8), ("circular", 7), ("jacobi", 8)])
+def test_every_kind_samples_rows_of_n_coefficients(kind, n):
+    batch = sp.sample_ensemble(sp.EnsembleSpec(kind, n, 1.0),
+                               sp.McmcParams(sweeps=3), 9)
+    assert batch.alphas.shape == (3, n)
