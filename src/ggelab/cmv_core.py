@@ -13,8 +13,9 @@ eigenvalues realize the circular and Jacobi beta ensembles.
 
 Both variants are read from one closed-form band of five diagonals
 (periodic_diagonals, open_diagonals).  A built CmvMatrix holds only that
-band: its dense matrix is a scatter of the band, and the factors L and M
-are formed on first use, as an independent check of the band.
+band: its dense matrix is a scatter of the band.  The factors L and M are
+not formed; the tests build them block by block as an independent check
+of the band.
 
 Power traces never touch an eigensolver.  One kernel, _band_traces, takes
 a band of any half-width h and builds P_c = s B P_(c-1) - t P_(c-2) only up
@@ -38,7 +39,6 @@ so every eigen-angle comes from a Hermitian eigvalsh.
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -144,35 +144,6 @@ class CmvMatrix:
     def dense(self):
         """The n x n matrix, scattered from the band."""
         return _scatter(self.band)
-
-    @cached_property
-    def _factors(self):
-        """(L, M) with the block Xi(alpha_j) on rows j, j + 1: in L for even
-        j, in M for odd j.  The ring wraps row n onto row 0; the open matrix
-        adds the block of alpha_{-1} = -1 and drops rows outside the matrix,
-        as open_diagonals does."""
-        if self.alpha is None:
-            return None, None
-        n, ring = self.n, self.topology == "periodic"
-        a, rho = _extended(self.alpha, self.topology)
-        pad = 0 if ring else 1
-        f = np.zeros((2, n + 2 * pad, n + 2 * pad), self.band.dtype)
-        for j in range(-pad, n):
-            rows = np.array([j, j + 1])
-            rows = rows % n if ring else rows + pad
-            f[j % 2][np.ix_(rows, rows)] = [[np.conj(a[j + 2]), rho[j + 2]],
-                                            [rho[j + 2], -a[j + 2]]]
-        return f[:, pad:n + pad, pad:n + pad]
-
-    @property
-    def l_factor(self):
-        """The odd-site block factor L, or None when built from a band."""
-        return self._factors[0]
-
-    @property
-    def m_factor(self):
-        """The even-site block factor M, or None when built from a band."""
-        return self._factors[1]
 
 
 def _build(v, topology):

@@ -368,6 +368,7 @@ def integrate(state0, which_flow, params, max_frames=256,
         raise TypeError("params must be IntegratorParams")
     if not isinstance(state0, FlowState):
         state0 = FlowState(state0)
+    max_frames = _power_count(max_frames, "max_frames", -math.inf)
     if max_frames < 2:
         raise ValueError("max_frames must be at least 2")
 
@@ -437,30 +438,22 @@ def _drift(series):
 
 
 def conservation_report(trajectory, ell_max=4):
-    """Relative drifts of K0, K1 and Tr E^ell (ell <= ell_max).
-
-    Accepts a Trajectory or any nonempty sequence of FlowState.  ell_max
-    must be an integer >= 1 (TypeError for a non-integral value).
+    """Relative drifts of K0, K1 and Tr E^ell (ell <= ell_max) over the
+    frames of a Trajectory (TypeError for anything else).  ell_max must be
+    an integer >= 1 (TypeError for a non-integral value).
     """
-    if isinstance(trajectory, Trajectory):
-        traj = trajectory
-    else:
-        states = tuple(trajectory)
-        if not states:
-            raise ValueError("trajectory is empty")
-        flow = "schur" if all(
-            not np.iscomplexobj(s.alphas.alpha) for s in states) else "al"
-        traj = Trajectory(states=states, flow=flow, dt=float("nan"),
-                          n_steps=len(states) - 1)
+    if not isinstance(trajectory, Trajectory):
+        raise TypeError(f"conservation_report takes a Trajectory, "
+                        f"got {type(trajectory).__name__}")
     ell_max = _power_count(ell_max, "ell_max")
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
-    series = conserved_quantities(traj.alphas, ell_max)
+    series = conserved_quantities(trajectory.alphas, ell_max)
     drifts = {"k0": _drift(series.k0), "k1": _drift(series.k1)}
     for ell in range(1, ell_max + 1):
         drifts[f"trace_{ell}"] = _drift(series.trace_powers[:, ell - 1])
-    return ConservationReport(flow=traj.flow, n_sites=traj[0].n,
-                              n_frames=len(traj), ell_max=ell_max,
+    return ConservationReport(flow=trajectory.flow, n_sites=trajectory[0].n,
+                              n_frames=len(trajectory), ell_max=ell_max,
                               drifts=drifts)
 
 
@@ -620,7 +613,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02):
     if not (t_final >= 0 and math.isfinite(t_final)):
         raise ValueError(
             f"t_final must be nonnegative and finite, got {t_final!r}")
-    n_samples = int(n_samples)
+    n_samples = _power_count(n_samples, "n_samples", -math.inf)
     if n_samples < 2:
         raise ValueError("need at least two samples for a z-test")
     rng = make_rng(rng)

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv_core import NumericalError
+from .cmv_core import NumericalError, _power_count
 from .potentials import Potential
-from .spectral_measures import EmpiricalMeasure, FourierCoeffs
+from .spectral_measures import FourierCoeffs
 
 __all__ = [
     "ConvergenceError",
@@ -56,7 +56,6 @@ __all__ = [
     "SolverParams",
     "FreeEnergyBreakdown",
     "GridDensity",
-    "density_estimate",
     "free_energy_torus",
     "minimize_torus",
     "free_energy_interval",
@@ -83,7 +82,9 @@ class EndpointSingularityError(NumericalError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Damped fixed-point controls shared by both minimizers."""
+    """Damped fixed-point controls shared by both minimizers.  The two
+    counts are stored as plain ints: a non-integral value (64.0, "64")
+    raises TypeError."""
 
     damping: float = 0.5
     tolerance: float = 1e-10
@@ -95,10 +96,9 @@ class SolverParams:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.grid_size < 16:
-            raise ValueError(f"grid_size must be >= 16, got {self.grid_size}")
+        for name, least in (("max_iterations", 1), ("grid_size", 16)):
+            object.__setattr__(self, name,
+                               _power_count(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,6 @@ class GridDensity:
         if not abs(m - 1.0) < 1e-10:
             raise ValueError(f"density mass {m} is not 1")
 
-    # -- constructors ----------------------------------------------------
-
     # -- geometry --------------------------------------------------------
 
     @property
@@ -216,16 +214,9 @@ class GridDensity:
         body = float(self.weights @ (self.values * f(self.x)))
         return body + gm * float(f(1.0)) + gp * float(f(-1.0))
 
-    def x_moment(self, p):
-        if self.domain != "interval":
-            raise AttributeError("x_moment is defined for interval densities only")
-        return self.integrate(lambda x: x ** p)
-
     def fourier(self, k_max):
         """FourierCoeffs of the measure; interval densities use the symmetrized lift."""
-        if k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {k_max}")
-        k = np.arange(1, k_max + 1)
+        k = np.arange(1, _power_count(k_max, "k_max", 1) + 1)
         if self.domain == "torus":
             m = self.grid_size
             h = 2 * np.pi / m
@@ -241,39 +232,6 @@ class GridDensity:
         if not worst <= 1.0 + tol:
             raise ValueError(f"|mu_k| = {worst} exceeds 1")
         return FourierCoeffs(np.clip(np.abs(c), None, 1.0) * np.exp(1j * np.angle(c)))
-
-
-def density_estimate(mu, bins=None, bandwidth=None, grid_size=512):
-    """Histogram or wrapped-Gaussian KDE of a torus empirical measure.
-
-    Exactly one of ``bins`` (circular histogram) or ``bandwidth`` (KDE scale)
-    must be given.  The result is a torus GridDensity with unit mass.
-    """
-    if not isinstance(mu, EmpiricalMeasure) or mu.domain != "torus":
-        raise TypeError("density_estimate expects a torus EmpiricalMeasure")
-    if (bins is None) == (bandwidth is None):
-        raise ValueError("give exactly one of bins or bandwidth")
-    if bins is not None:
-        if bins <= 0:
-            raise ValueError(f"bins must be positive, got {bins}")
-        edges = np.linspace(-np.pi, np.pi, bins + 1)
-        counts, _ = np.histogram(mu.angles, bins=edges)
-        h = 2 * np.pi / bins
-        values = counts / (mu.count * h)
-        return GridDensity("torus", values)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    # wrapped Gaussian via its Fourier series: rho = (1/2pi)(1 + 2 sum_k e^{-k^2 s^2/2} Re(mu_k e^{-ik theta}))
-    k_cut = int(np.ceil(np.sqrt(2 * np.log(1e18)) / bandwidth)) + 1
-    k_cut = min(k_cut, 8 * grid_size)
-    k = np.arange(1, k_cut + 1)
-    mk = mu.fourier(k_cut).c
-    damp = np.exp(-0.5 * (k * bandwidth) ** 2)
-    theta, h = _torus_grid(grid_size)
-    values = (1 + 2 * np.real((damp * mk)[None, :] * np.exp(-1j * theta[:, None] * k[None, :])).sum(axis=1)) / (2 * np.pi)
-    values = np.clip(values, 0.0, None)
-    values /= values.sum() * h
-    return GridDensity("torus", values)
 
 
 # -- accelerated fixed point ---------------------------------------------
@@ -346,15 +304,6 @@ def _fixed_point(step_map, x0, params):
         f"(last update {delta:.3e})", residual=delta)
 
 
-def _initial_log(init_values, m):
-    """ln of a caller's starting density, floored at 1e-300, on the m-node grid."""
-    init = np.asarray(init_values, dtype=float)
-    if init.shape != (m,):
-        raise ValueError(f"init_values has shape {init.shape}, but the solver grid "
-                         f"has grid_size = {m} nodes")
-    return np.log(np.maximum(init, 1e-300))
-
-
 # -- torus solver --------------------------------------------------------
 
 
@@ -411,7 +360,7 @@ def _torus_problem(v, beta, params):
     return _potential_values(v, "torus", theta), h, field, damped
 
 
-def minimize_torus(v, beta, params=None, init_values=None):
+def minimize_torus(v, beta, params=None):
     """Minimize f_beta^V by an accelerated damped log-space fixed point.
 
     The Euler-Lagrange condition is rho ∝ exp(-V + 2 beta L[rho]) with
@@ -431,10 +380,7 @@ def minimize_torus(v, beta, params=None, init_values=None):
         step = damped(-vv + 2 * beta * field(np.exp(lnr)) - lnr)
         return normalize(lnr + step), float(np.max(np.abs(step)))
 
-    if init_values is not None:
-        lnr = normalize(_initial_log(init_values, vv.size))
-    else:
-        lnr = np.full(vv.size, -np.log(2 * np.pi))
+    lnr = np.full(vv.size, -np.log(2 * np.pi))
     lnr, iterations = _fixed_point(step_map, lnr, params)
     rho = np.exp(lnr)
     residual = _centered_sup(lnr + vv - 2 * beta * field(rho))
@@ -603,7 +549,7 @@ def _interval_problem(v, beta, params):
     return _potential_values(v, "interval", -np.tanh(t)), op, field, damped
 
 
-def minimize_interval(v, beta, params=None, init_values=None):
+def minimize_interval(v, beta, params=None):
     """Minimize q_beta^V via the Euler-Lagrange fixed point in t-coordinates.
 
     The iterate is ln P = -V(x(t)) + 2 beta W[P] + const with
@@ -635,11 +581,8 @@ def minimize_interval(v, beta, params=None, init_values=None):
         step = damped(-vv + 2 * beta * field(p, gm, gp) - ln_p)
         return _interval_normalize(ln_p + step, w, beta), float(np.max(np.abs(step)))
 
-    if init_values is not None:
-        ln_p = _initial_log(init_values, t.size)
-    else:
-        ln_p = -np.log(np.pi * np.cosh(t))
-    ln_p, iterations = _fixed_point(step_map, _interval_normalize(ln_p, w, beta), params)
+    ln_p = _interval_normalize(-np.log(np.pi * np.cosh(t)), w, beta)
+    ln_p, iterations = _fixed_point(step_map, ln_p, params)
     p = np.exp(ln_p)
     gm, gp = _charges(p, beta)
     residual = _centered_sup(ln_p + vv - 2 * beta * field(p, gm, gp))

@@ -3,7 +3,8 @@
 This module closes the loop between the Monte Carlo side of the package
 (sampling) and the variational side (equilibrium).  It provides:
 
-* coupling checks for the Theta family: per-sample distance bounds and the
+* coupling checks for the Theta family on one coupled draw
+  (sampling.sample_coupled_family): per-sample distance bounds and the
   monotone bound variable Z_h with density h w^(h-1),
 * exponential-moment comparisons of Z_h against their exact Kummer series,
 * free energies by thermodynamic integration over a coupling constant,
@@ -12,6 +13,10 @@ This module closes the loop between the Monte Carlo side of the package
 * a consistency check of the sampled density of states against the
   beta-derivative of the variational minimizer,
 * the rate function value f(mu) - min f of a candidate density.
+
+Ensemble kinds are named exactly as in sampling.KINDS, case included, and
+every count (samples, k_max) is a plain integer: a non-integral value
+raises TypeError through cmv_core._power_count.
 
 Both beta-derivatives are exact, from one solve at beta: the
 density-of-states target through equilibrium.beta_derivative_measure, the
@@ -31,14 +36,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cmv_core import NumericalError, batch_trace_powers
+from .cmv_core import NumericalError, _power_count, batch_trace_powers
 from .equilibrium import (_check_beta, beta_derivative_measure,
                           free_energy_interval, free_energy_torus,
                           minimize_interval, minimize_torus)
 from .potentials import Potential
 from .sampling import (KINDS, EnsembleSpec, McmcParams, _sample, make_rng,
-                       sample_chi, sample_coupled_family, sample_coupled_pair,
-                       sample_ensemble)
+                       sample_chi, sample_coupled_family, sample_ensemble)
 from .spectral_measures import FourierCoeffs, distance_D, fourier_coeffs
 
 __all__ = [
@@ -257,37 +261,31 @@ def _chain_params(mcmc):
 # coupling checks
 
 
-def check_coupling_lemma(nu, h, n_samples, rng=None, h_values=None):
-    """Verify the almost-sure coupling bounds on paired Theta draws.
+def check_coupling_lemma(nu, h, n_samples, rng=None):
+    """Verify the almost-sure coupling bounds on coupled Theta draws.
 
-    Draws n_samples coupled pairs (alpha_nu, alpha_{nu+h}) and asserts, up
-    to floating slack, |alpha_nu - alpha_nu_h| <= Z_h together with the same
-    bound for the complementary radii sqrt(1 - |alpha|^2).  A second draw
-    from the accumulated-increment family checks that the bound variables
-    are pointwise nondecreasing across h_values (default (h/2, h)).
+    Makes one draw of n_samples coupled families (alpha_nu, alpha_{nu+h/2},
+    alpha_{nu+h}) and asserts, up to floating slack, at both increments
+    h_k that |alpha_nu - alpha_{nu+h_k}| <= Z_{h_k}, together with the same
+    bound for the complementary radii sqrt(1 - |alpha|^2), and that the
+    bound variables are pointwise nondecreasing from h/2 to h.  mean_z is
+    the mean of Z_h.
     """
-    n_samples = int(n_samples)
+    n_samples = _power_count(n_samples, "n_samples", -math.inf)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    rng = make_rng(rng)
-    pair = sample_coupled_pair(nu, h, rng, size=n_samples)
+    fam = sample_coupled_family(nu, (0.5 * h, h), make_rng(rng),
+                                size=n_samples)
 
     def radius(a):
         return np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None))
 
-    excess_alpha = np.abs(pair.alpha_nu - pair.alpha_nu_h) - pair.z_h
-    excess_rho = np.abs(radius(pair.alpha_nu) - radius(pair.alpha_nu_h)) - pair.z_h
+    base = fam.alpha_nu[:, None]
+    excess_alpha = np.abs(base - fam.alphas) - fam.z
+    excess_rho = np.abs(radius(base) - radius(fam.alphas)) - fam.z
     v_alpha = int(np.sum(excess_alpha > COUPLING_SLACK))
     v_rho = int(np.sum(excess_rho > COUPLING_SLACK))
-
-    if h_values is None:
-        h_values = (0.5 * h, h)
-    h_values = tuple(float(x) for x in h_values)
-    if any(b <= a for a, b in zip(h_values, h_values[1:])):
-        raise ValueError("h_values must be strictly increasing")
-    fam = sample_coupled_family(nu, h_values, rng, size=n_samples)
-    steps = np.diff(fam.z, axis=1)
-    v_mono = int(np.sum(steps < -COUPLING_SLACK))
+    v_mono = int(np.sum(np.diff(fam.z, axis=1) < -COUPLING_SLACK))
 
     statistics = {
         "max_excess_alpha": float(excess_alpha.max()),
@@ -295,13 +293,13 @@ def check_coupling_lemma(nu, h, n_samples, rng=None, h_values=None):
         "violations_alpha": v_alpha,
         "violations_rho": v_rho,
         "violations_monotone": v_mono,
-        "mean_z": float(pair.z_h.mean()),
+        "mean_z": float(fam.z[:, -1].mean()),
     }
     passed = v_alpha == 0 and v_rho == 0 and v_mono == 0
     return CheckReport(
         check="coupling_lemma",
         parameters={"nu": float(nu), "h": float(h), "n_samples": n_samples,
-                    "h_values": list(h_values), "slack": COUPLING_SLACK},
+                    "slack": COUPLING_SLACK},
         statistics=statistics,
         passed=passed,
     )
@@ -325,7 +323,7 @@ def check_exp_moment(h_grid, n_samples, rng=None):
     had sd 1.56 over 40 streams.  The verdict rule is the same at every h;
     the CLI grid (0.1, 0.5, 0.9) is not affected.
     """
-    n_samples = int(n_samples)
+    n_samples = _power_count(n_samples, "n_samples", -math.inf)
     if n_samples < 2:
         raise ValueError("need at least two samples")
     h_grid = tuple(float(h) for h in np.atleast_1d(np.asarray(h_grid, dtype=float)))
@@ -560,7 +558,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     if not KINDS[spec.kind].periodic:
         raise ValueError("density-of-states checks cover al and schur runs")
     domain = KINDS[spec.kind].domain
-    k_max = int(k_max)
+    k_max = _power_count(k_max, "k_max", -math.inf)
     if k_max < 4:
         raise ValueError("k_max must be at least 4 to cover the moment table")
     threshold = float(threshold)
@@ -579,7 +577,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     else:
         empirical = FourierCoeffs(pooled.real.astype(complex))
     rows = _moment_rows(traces, target, domain)
-    d_value = float(distance_D(empirical, target, k_max=k_max))
+    d_value = distance_D(empirical, target, k_max=k_max)
 
     warnings = _correlation_warnings([(f"moment {row['name']}", row["tau_int"])
                                       for row in rows])
@@ -620,14 +618,14 @@ def rate_function_value(mu, v, beta, side="circular", params=None):
         mu: GridDensity on the domain matching side.
         v: Potential on the same domain, or None.
         beta: inverse temperature, positive.
-        side: "circular" (torus functional) or "jacobi" (interval).
+        side: "circular" (torus functional) or "jacobi" (interval), kind
+            names as in EnsembleSpec; any other value raises ValueError.
         params: optional solver parameters for the minimization.
 
     Returns:
         The gap f(mu) - f(minimizer), floored at zero; values below a
         small negative guard raise NumericalError.
     """
-    side = str(side).lower()
     if side not in ("circular", "jacobi"):
         raise ValueError(f"side must be circular or jacobi, got {side!r}")
     domain = KINDS[side].domain

@@ -4,9 +4,13 @@ Zero-potential laws are sampled exactly; a nonzero potential is handled
 by Metropolis-within-Gibbs with fresh single-site proposals drawn from
 the zero-potential marginals, so the acceptance probability reduces to
 min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly.
-Every Theta_nu draw, exact or proposed, takes |z|^2 from the exact
-inverse CDF of Beta(1, (nu - 1)/2) and a uniform phase, so a disk-law
-draw costs two uniforms and no rejection loop.
+Every Theta_nu draw of sample_theta and of the ensembles, exact or
+proposed, takes |z|^2 from the exact inverse CDF of Beta(1, (nu - 1)/2)
+and a uniform phase, so a disk-law draw costs two uniforms and no
+rejection loop.  The couplings of Theta_nu with Theta_(nu+h) come from
+one sampler, sample_coupled_family, which builds every coefficient of a
+draw from common Gaussian and chi variables; a single increment (h,) is
+the coupled pair.
 Tr E^K couples only coefficients within distance K, so one chain
 (_run_chain) updates a whole class of sites K + 1 or more apart per numpy
 call, on rings and open rows alike; a ring of n sites spaces its classes
@@ -31,8 +35,6 @@ from . import cmv_core as cc
 from .potentials import Potential
 
 __all__ = [
-    "ThetaParams",
-    "CoupledPair",
     "CoupledFamily",
     "McmcParams",
     "EnsembleKind",
@@ -43,7 +45,6 @@ __all__ = [
     "make_rng",
     "sample_theta",
     "sample_chi",
-    "sample_coupled_pair",
     "sample_coupled_family",
     "sample_al_gge",
     "sample_schur_gge",
@@ -91,66 +92,29 @@ def make_rng(seed=None):
 # single-site laws
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """Parameters of the disk law with density ~ (1 - |z|^2)^((nu-3)/2).
+def _check_nu(nu):
+    if not nu > 1.0:
+        raise ValueError(f"nu must exceed 1, got {nu}")
 
-    Attributes:
-        nu: shape parameter, must exceed 1.
-        method: "radial" draws |z|^2 ~ Beta(1, (nu-1)/2) by its exact
-            inverse CDF 1 - (1 - U)^(2/(nu-1)), with a uniform phase;
-            "ratio" builds (X1 + i X2)/sqrt(X1^2 + X2^2 + Y^2) with Y a
-            chi variable with nu - 1 degrees of freedom.
+
+def sample_theta(nu, rng, size=None):
+    """Draw from the rotation-invariant disk law Theta_nu, nu > 1, with
+    density ~ (1 - |z|^2)^((nu-3)/2): |z|^2 ~ Beta(1, (nu-1)/2) by its exact
+    inverse CDF (_disk_modulus) and a uniform phase.  The second moment is
+    E|z|^2 = 2/(nu+1), and nu = 3 is the uniform law on the disk.
     """
-
-    nu: float
-    method: str = "radial"
-
-    def __post_init__(self):
-        if not self.nu > 1.0:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
-        if self.method not in ("radial", "ratio"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-def sample_theta(params, rng, size=None):
-    """Draw from the rotation-invariant disk law Theta_nu.
-
-    `params` may be a ThetaParams or a bare nu value.  Both methods
-    target the same distribution; the second moment is E|z|^2 = 2/(nu+1)
-    and nu = 3 is the uniform law on the disk.
-    """
-    if not isinstance(params, ThetaParams):
-        params = ThetaParams(float(params))
-    nu = params.nu
-    if params.method == "radial":
-        u = rng.uniform(size=(2,) if size is None else (2, *np.atleast_1d(size)))
-        return _disk_modulus(u[0], (nu - 1.0) / 2.0) * np.exp(2j * np.pi * u[1])
-    x1 = rng.standard_normal(size)
-    x2 = rng.standard_normal(size)
-    y = sample_chi(nu - 1.0, rng, size)
-    return _into_open_disk((x1 + 1j * x2) / np.sqrt(x1**2 + x2**2 + y**2))
-
-
-def _into_open_disk(z, bound=1.0 - 1e-15):
-    """Pull boundary-grazing draws back to the largest usable modulus.
-
-    For nu barely above 1 the law puts visible mass within one ulp of the
-    unit circle, where rounding can push |z| to 1 or slightly past it;
-    downstream factorizations need |z| < 1 strictly.
-    """
-    r = np.abs(z)
-    hot = r >= bound
-    if hot.any():
-        z = np.where(hot, z * (bound / np.maximum(r, bound)), z)
-    return z
+    _check_nu(nu)
+    u = rng.uniform(size=(2,) if size is None else (2, *np.atleast_1d(size)))
+    return _disk_modulus(u[0], (nu - 1.0) / 2.0) * np.exp(2j * np.pi * u[1])
 
 
 def _disk_modulus(u, b):
     """|z| of Theta_nu, b = (nu - 1)/2, from uniforms u on [0, 1) by the
     exact inverse CDF of |z|^2 ~ Beta(1, b): 1 - (1 - u)^(1/b), computed as
     -expm1(log1p(-u) / b), which keeps the digits of small u and large b.
-    The modulus is capped at 1 - 1e-15, as in _into_open_disk."""
+    For nu barely above 1 the law puts visible mass within one ulp of the
+    unit circle, and downstream factorizations need |z| < 1 strictly, so
+    the modulus is capped at 1 - 1e-15."""
     return np.minimum(np.sqrt(-np.expm1(np.log1p(-u) / b)), 1.0 - 1e-15)
 
 
@@ -177,29 +141,16 @@ def sample_chi(dof, rng, size=None):
 
 
 @dataclass(frozen=True)
-class CoupledPair:
-    """Joint draw of (alpha_nu, alpha_{nu+h}) with its distance bound Z_h.
-
-    Both marginals are exact Theta laws and every sample satisfies
-    |alpha_nu - alpha_nu_h| <= z_h as well as the same bound for the
-    complementary radii sqrt(1 - |alpha|^2).  Z_h has density h w^(h-1)
-    on (0, 1).
-    """
-
-    alpha_nu: np.ndarray
-    alpha_nu_h: np.ndarray
-    z_h: np.ndarray
-    nu: float
-    h: float
-
-
-@dataclass(frozen=True)
 class CoupledFamily:
-    """Monotone coupling of Theta draws across several increments h.
+    """Joint draw of alpha_nu ~ Theta_nu and alphas[:, k] ~ Theta_(nu+h_k)
+    with the bound variables z[:, k], one column per increment h_k.
 
-    z[:, k] is the bound variable for h_values[k]; columns are pointwise
+    Every sample satisfies |alpha_nu - alphas[:, k]| <= z[:, k], and the
+    same bound for the complementary radii sqrt(1 - |alpha|^2).  z[:, k]
+    has density h_k w^(h_k - 1) on (0, 1), and the columns are pointwise
     nondecreasing because the underlying chi variables are built by
-    accumulating independent increments.
+    accumulating independent increments.  A single increment (h,) is the
+    coupled pair (alpha_nu, alpha_(nu+h)) with its bound Z_h.
     """
 
     alpha_nu: np.ndarray
@@ -214,32 +165,16 @@ def _check_h(h):
         raise ValueError(f"h must lie in (0, 1), got {h}")
 
 
-def sample_coupled_pair(nu, h, rng, size=None):
-    """Couple Theta_nu and Theta_(nu+h) on common Gaussian data."""
-    ThetaParams(nu)
-    _check_h(h)
-    x1 = rng.standard_normal(size)
-    x2 = rng.standard_normal(size)
-    s = x1**2 + x2**2
-    y = sample_chi(nu - 1.0, rng, size)
-    y_h = sample_chi(h, rng, size)
-    w = x1 + 1j * x2
-    return CoupledPair(
-        alpha_nu=w / np.sqrt(s + y**2),
-        alpha_nu_h=w / np.sqrt(s + y**2 + y_h**2),
-        z_h=y_h / np.sqrt(s + y_h**2),
-        nu=float(nu),
-        h=float(h),
-    )
-
-
 def sample_coupled_family(nu, h_values, rng, size=None):
-    """Couple Theta_(nu+h) across a strictly increasing grid of h.
-
-    The chi variables for successive h share their lower increments, so
-    z columns are monotone in h sample by sample.
+    """Couple Theta_nu and Theta_(nu+h) across a strictly increasing grid
+    of h on common Gaussian data: w = X1 + i X2, alpha_nu = w / sqrt(|w|^2
+    + Y^2) with Y a chi variable of nu - 1 degrees of freedom, and
+    alpha_(nu+h) adds chi increments Y_h to the denominator.  The chi
+    variables for successive h share their lower increments, so z columns
+    are monotone in h sample by sample.  The generator calls are X1, X2, Y,
+    then one chi increment per h, in order.
     """
-    ThetaParams(nu)
+    _check_nu(nu)
     h = np.asarray(h_values, float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("h_values must be a nonempty 1d sequence")

@@ -3,8 +3,8 @@
 One EmpiricalMeasure type serves both domains: on the unit circle its atoms
 are eigenvalue angles in [-pi, pi), on [-1, 1] the points x_j = cos(theta_j).
 Every measure type answers fourier(k_max), and the empirical and grid
-measures answer integrate(f).  The quantitative metric is the truncated
-Fourier distance
+measures answer integrate(f) by their own rules.  The quantitative
+metric is the truncated Fourier distance, a plain float,
 
     D(mu, nu) = sqrt(sum_{k=1}^{k_max} |mu_k - nu_k|^2 / k),
 
@@ -16,7 +16,7 @@ hand-computed norms (check_bv_lip_bound).
 
 import numpy as np
 
-from .cmv_core import eigen_angles
+from .cmv_core import _power_count, eigen_angles
 
 DEFAULT_K_MAX = 256
 
@@ -24,13 +24,11 @@ __all__ = [
     "DEFAULT_K_MAX",
     "EmpiricalMeasure",
     "FourierCoeffs",
-    "TruncatedDistance",
     "TestFunction",
     "DEFAULT_TEST_FUNCTIONS",
     "BoundCheckReport",
     "fourier_coeffs",
     "distance_D",
-    "integrate",
     "check_bv_lip_bound",
 ]
 
@@ -90,12 +88,6 @@ class EmpiricalMeasure:
             raise AttributeError("points are defined for interval measures only")
         return self.atoms
 
-    def rotated(self, phi):
-        """Pushforward under theta -> theta + phi."""
-        if self.domain != "torus":
-            raise AttributeError("rotated is defined for torus measures only")
-        return EmpiricalMeasure(self.atoms + phi)
-
     def integrate(self, f):
         """Mean of f over the atoms (angles on the torus, points x on the interval)."""
         return float(np.mean(f(self.atoms)))
@@ -103,7 +95,7 @@ class EmpiricalMeasure:
     def fourier(self, k_max):
         """FourierCoeffs of the measure; on the interval those of the
         symmetrized lift, the real means of T_k(x_j) = cos(k arccos x_j)."""
-        k = np.arange(1, k_max + 1)
+        k = np.arange(1, _power_count(k_max, "k_max", 1) + 1)
         if self.domain == "torus":
             return FourierCoeffs(np.exp(1j * k[:, None] * self.atoms[None, :]).mean(axis=1))
         th = np.arccos(self.atoms)
@@ -135,7 +127,7 @@ class FourierCoeffs:
 
     def fourier(self, k_max):
         """The coefficients up to k_max, or all of them if there are fewer."""
-        return self.truncated(min(k_max, self.k_max))
+        return self.truncated(min(_power_count(k_max, "k_max", 1), self.k_max))
 
 
 def fourier_coeffs(mu, k_max=DEFAULT_K_MAX):
@@ -145,48 +137,22 @@ def fourier_coeffs(mu, k_max=DEFAULT_K_MAX):
     the symmetrized lift, real coefficients mean T_k(x_j)), GridDensity (its
     own quadrature), and FourierCoeffs (truncated).
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _power_count(k_max, "k_max", 1)
     if not hasattr(mu, "fourier"):
         raise TypeError(f"cannot compute Fourier coefficients of {type(mu).__name__}")
     return mu.fourier(k_max)
 
 
-class TruncatedDistance(float):
-    """Value of D at a finite truncation; carries the truncation level used."""
-
-    def __new__(cls, value, k_max):
-        obj = super().__new__(cls, value)
-        obj.k_max = k_max
-        return obj
-
-
 def distance_D(mu, nu, k_max=DEFAULT_K_MAX):
-    """Truncated Fourier distance sqrt(sum_{k<=k_max} |mu_k - nu_k|^2 / k).
-
-    Returns a float subclass whose ``k_max`` attribute reports the truncation
-    actually used (the minimum of the requested level and what either input
-    can provide).
-    """
+    """Truncated Fourier distance sqrt(sum_{k<=k_max} |mu_k - nu_k|^2 / k),
+    a float; the sum stops early where either input has fewer
+    coefficients (a FourierCoeffs shorter than k_max)."""
     a = fourier_coeffs(mu, k_max)
     b = fourier_coeffs(nu, k_max)
     kk = min(a.k_max, b.k_max)
     k = np.arange(1, kk + 1)
     val = np.sqrt(np.sum(np.abs(a.c[:kk] - b.c[:kk]) ** 2 / k))
-    return TruncatedDistance(float(val), kk)
-
-
-def integrate(f, mu):
-    """Integral of a test function against a measure.
-
-    ``f`` may be a Potential (evaluated in its native variable) or any
-    callable; it receives angles for torus measures and points x for interval
-    measures.  Each measure integrates by its own rule: the mean over the
-    atoms of an EmpiricalMeasure, the quadrature of a GridDensity.
-    """
-    if not hasattr(mu, "integrate"):
-        raise TypeError(f"cannot integrate against {type(mu).__name__}")
-    return mu.integrate(f)
+    return float(val)
 
 
 class TestFunction:
@@ -250,7 +216,7 @@ def check_bv_lip_bound(a, b, slack=1e-12):
     mu_b = EmpiricalMeasure(eigen_angles(b))
     rows = []
     for f in DEFAULT_TEST_FUNCTIONS:
-        dev = abs(integrate(f, mu_a) - integrate(f, mu_b))
+        dev = abs(mu_a.integrate(f) - mu_b.integrate(f))
         bv_bound = f.bv * rank / n
         lip_bound = f.lip * entry
         rows.append({

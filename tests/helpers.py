@@ -54,6 +54,24 @@ def reference_periodic_entries(alpha):
     return E
 
 
+def block_factors(m):
+    """(L, M) of a CmvMatrix built from coefficients, block by block: the
+    block Xi(alpha_j) on rows j, j + 1, in L for even j and in M for odd j.
+    The ring wraps row n onto row 0; the open matrix adds the block of
+    alpha_-1 = -1 and drops rows outside the matrix, as open_diagonals
+    does.  The oracle of the closed-form band: m.dense() must equal L @ M."""
+    n, ring = m.n, m.topology == "periodic"
+    a, rho = cc._extended(m.alpha, m.topology)
+    pad = 0 if ring else 1
+    f = np.zeros((2, n + 2 * pad, n + 2 * pad), m.band.dtype)
+    for j in range(-pad, n):
+        rows = np.array([j, j + 1])
+        rows = rows % n if ring else rows + pad
+        f[j % 2][np.ix_(rows, rows)] = [[np.conj(a[j + 2]), rho[j + 2]],
+                                        [rho[j + 2], -a[j + 2]]]
+    return f[:, pad:n + pad, pad:n + pad]
+
+
 def unitarity_residual(m):
     """Largest entry of |E* E - I| of a built CMV matrix."""
     E = m.dense()
@@ -112,6 +130,31 @@ def dense_interval_kernel(m):
     return q_log + (r_smooth + b_kernel) * w[None, :]
 
 
+def _into_open_disk(z, bound=1.0 - 1e-15):
+    """Pull boundary-grazing draws back to the largest usable modulus.
+
+    For nu barely above 1 the law puts visible mass within one ulp of the
+    unit circle, where rounding can push |z| to 1 or slightly past it;
+    downstream factorizations need |z| < 1 strictly.
+    """
+    r = np.abs(z)
+    hot = r >= bound
+    if hot.any():
+        z = np.where(hot, z * (bound / np.maximum(r, bound)), z)
+    return z
+
+
+def theta_ratio_draw(nu, rng, size=None):
+    """Theta_nu by its chi-ratio construction (X1 + i X2)/sqrt(X1^2 + X2^2
+    + Y^2), Y a chi variable with nu - 1 degrees of freedom: the oracle of
+    the inverse-CDF draw of sampling.sample_theta, and the construction that
+    sampling.sample_coupled_family builds on."""
+    x1 = rng.standard_normal(size)
+    x2 = rng.standard_normal(size)
+    y = sp.sample_chi(nu - 1.0, rng, size)
+    return _into_open_disk((x1 + 1j * x2) / np.sqrt(x1**2 + x2**2 + y**2))
+
+
 def site_law_draw(kind, params, rng, j, rows=1):
     """`rows` draws at site j from the V = 0 law of one ensemble kind,
     params = kind.interior(beta, N), with numpy's own samplers: Theta_nu as
@@ -124,8 +167,8 @@ def site_law_draw(kind, params, rng, j, rows=1):
     if kind.domain == "interval":
         return sp._real_interior(rng, p, p, rows)
     r = np.sqrt(rng.beta(1.0, (p - 1.0) / 2.0, size=rows))
-    return sp._into_open_disk(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
-                                                          size=rows)))
+    return _into_open_disk(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
+                                                       size=rows)))
 
 
 def site_chain(spec, mcmc, rng):
@@ -234,9 +277,7 @@ def code_lines(source):
     a comment or a line break, outside the docstrings of the module, its
     classes and its functions.  A multi-line token, such as a string that
     is not a docstring, counts every line it spans.  The package's code
-    size is the sum over its modules:
-
-        PYTHONPATH=src python tests/helpers.py src/ggelab/*.py
+    size is the sum over its modules (code_line_table).
     """
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
@@ -254,5 +295,15 @@ def code_lines(source):
     return len(lines - docstrings)
 
 
+def code_line_table(paths):
+    """One line per file, its code_lines count and path, then the total:
+
+        PYTHONPATH=src python tests/helpers.py src/ggelab/*.py
+    """
+    counts = [(code_lines(open(path).read()), path) for path in paths]
+    rows = [f"{n:6d} {path}" for n, path in counts]
+    return "\n".join(rows + [f"{sum(n for n, _ in counts):6d} total"])
+
+
 if __name__ == "__main__":
-    print(sum(code_lines(open(path).read()) for path in sys.argv[1:]))
+    print(code_line_table(sys.argv[1:]))

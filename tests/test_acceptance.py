@@ -22,12 +22,12 @@ from ggelab.dynamics import (FlowState, IntegratorParams, conservation_report,
 from ggelab.equilibrium import free_energy_torus, minimize_torus
 from ggelab.ldp_lab import check_dos_relation, check_free_energy_relation
 from ggelab.potentials import Potential
-from ggelab.sampling import (EnsembleSpec, McmcParams, ThetaParams, make_rng,
+from ggelab.sampling import (EnsembleSpec, McmcParams, make_rng,
                              sample_circular_beta, sample_coupled_family,
-                             sample_coupled_pair, sample_theta)
+                             sample_theta)
 from ggelab.spectral_measures import check_bv_lip_bound
 
-from helpers import unitarity_residual
+from helpers import block_factors, theta_ratio_draw, unitarity_residual
 
 
 def _verdict(capsys, num, label, ok, t0, budget, detail=""):
@@ -50,11 +50,11 @@ def test_01_disk_law_moments_and_method_agreement(capsys):
     ok = True
     notes = []
     for nu in (2.0, 3.0, 5.5):
-        z = sample_theta(ThetaParams(nu, "radial"), rng, size=100_000)
+        z = sample_theta(nu, rng, size=100_000)
         m2 = np.abs(z) ** 2
         se = float(m2.std(ddof=1)) / np.sqrt(m2.size)
         dev = abs(float(m2.mean()) - 2.0 / (nu + 1.0))
-        w = sample_theta(ThetaParams(nu, "ratio"), rng, size=100_000)
+        w = theta_ratio_draw(nu, rng, size=100_000)
         p = float(stats.ks_2samp(np.abs(z), np.abs(w)).pvalue)
         ok = ok and dev <= 3.0 * se and p > 0.01
         notes.append(f"nu={nu:g} dev={dev:.1e}<=3se={3 * se:.1e} ks_p={p:.2f}")
@@ -68,7 +68,7 @@ def test_02_distance_variable_law_and_moment_bound(capsys):
     ok = True
     notes = []
     for h in (0.1, 0.5, 0.9):
-        z = sample_coupled_pair(2.0, h, rng, size=100_000).z_h
+        z = sample_coupled_family(2.0, (h,), rng, size=100_000).z[:, 0]
         p = float(stats.kstest(z, lambda w, hh=h: w ** hh).pvalue)
         ok = ok and p > 0.01
         notes.append(f"h={h:g} ks_p={p:.2f}")
@@ -169,21 +169,23 @@ def test_05_inequality_suites(capsys):
     # factor products: entrywise sums grow at most twofold
     for _ in range(1000):
         n = 2 * int(rng.integers(1, 17))
-        m = build_periodic_cmv(sample_theta(3.0, rng, size=n))
+        L, M = block_factors(build_periodic_cmv(sample_theta(3.0, rng,
+                                                            size=n)))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         total = np.abs(A).sum()
-        if np.abs(m.l_factor @ A).sum() > 2.0 * total + slack:
+        if np.abs(L @ A).sum() > 2.0 * total + slack:
             violations["product"] += 1
-        if np.abs(A @ m.m_factor).sum() > 2.0 * total + slack:
+        if np.abs(A @ M).sum() > 2.0 * total + slack:
             violations["product"] += 1
 
     # per-sample coupling bounds on both the coefficients and their radii
-    pair = sample_coupled_pair(2.5, 0.4, rng, size=2000)
-    gap = np.abs(pair.alpha_nu - pair.alpha_nu_h)
-    rho_gap = np.abs(np.sqrt(1.0 - np.abs(pair.alpha_nu) ** 2)
-                     - np.sqrt(1.0 - np.abs(pair.alpha_nu_h) ** 2))
-    violations["coupling"] += int(np.sum(gap > pair.z_h + slack))
-    violations["coupling"] += int(np.sum(rho_gap > pair.z_h + slack))
+    pair = sample_coupled_family(2.5, (0.4,), rng, size=2000)
+    a, a_h, z_h = pair.alpha_nu, pair.alphas[:, 0], pair.z[:, 0]
+    gap = np.abs(a - a_h)
+    rho_gap = np.abs(np.sqrt(1.0 - np.abs(a) ** 2)
+                     - np.sqrt(1.0 - np.abs(a_h) ** 2))
+    violations["coupling"] += int(np.sum(gap > z_h + slack))
+    violations["coupling"] += int(np.sum(rho_gap > z_h + slack))
 
     # monotone coupling across increasing increments
     fam = sample_coupled_family(2.0, (0.1, 0.25, 0.5, 0.75, 0.9), rng,

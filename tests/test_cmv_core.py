@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ggelab import cmv_core as cc
 from ggelab.potentials import Potential
 
-from helpers import (keep_upper_cyclic, random_interior_alpha,
+from helpers import (block_factors, keep_upper_cyclic, random_interior_alpha,
                      reference_periodic_entries, unitarity_residual)
 
 
@@ -316,7 +316,8 @@ def test_periodic_diagonal_formulas_match_dense():
         dense = np.zeros((n, n), complex)
         for d in range(-2, 3):  # offsets that wrap onto one entry add up
             np.add.at(dense, (idx, (idx + d) % n), band[d + 2])
-        assert np.abs(dense - m.l_factor @ m.m_factor).max() <= 1e-14
+        L, M = block_factors(m)
+        assert np.abs(dense - L @ M).max() <= 1e-14
 
 
 def test_open_diagonal_formulas_match_dense():
@@ -324,7 +325,8 @@ def test_open_diagonal_formulas_match_dense():
         for real in (False, True):
             alpha, m = _random_matrix(RNG, n, "open", real)
             band = cc.open_diagonals(alpha)
-            product = m.l_factor @ m.m_factor
+            L, M = block_factors(m)
+            product = L @ M
             assert band.dtype == product.dtype
             idx = np.arange(n)
             for d in range(-2, 3):
@@ -342,7 +344,8 @@ def test_dense_matches_block_factor_product(topology):
             continue
         for real in (False, True):
             _, m = _random_matrix(RNG, n, topology, real)
-            product = m.l_factor @ m.m_factor
+            L, M = block_factors(m)
+            product = L @ M
             assert m.dense().dtype == product.dtype
             assert np.abs(m.dense() - product).max() <= 1e-14
 
@@ -718,12 +721,11 @@ def test_trace_identity_property(half, seed):
 @pytest.mark.parametrize("n,topology", [(4, "periodic"), (10, "periodic"),
                                         (7, "open")])
 def test_band_only_matrix_keeps_its_traces(n, topology):
-    # a matrix built from a band alone has no coefficients and no block
-    # factors, but its dense form and trace powers are those of the original
+    # a matrix built from a band alone has no coefficients, but its dense
+    # form and trace powers are those of the original
     _, m = _random_matrix(RNG, n, topology, real=False)
     m2 = cc.CmvMatrix(m.topology, m.band)
-    assert m2.alpha is None and m2.l_factor is None and m2.m_factor is None
-    assert m.l_factor is not None and m.m_factor is not None
+    assert m2.alpha is None
     assert np.array_equal(m2.dense(), m.dense())
     E = m.dense()
     for ell in range(8):

@@ -281,6 +281,16 @@ class TestIntegrate:
         assert traj.times[0] == 0.0
         assert abs(traj.times[-1] - 1.0) < 1e-12
 
+    def test_frame_cap_is_an_integer_of_at_least_two(self):
+        params = IntegratorParams(dt=1e-3, t_final=0.01)
+        for value in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError, match="max_frames must be an integer"):
+                integrate(np.zeros(6, complex), "al", params, max_frames=value)
+        with pytest.raises(ValueError, match="max_frames must be at least 2"):
+            integrate(np.zeros(6, complex), "al", params, max_frames=1)
+        assert len(integrate(np.zeros(6, complex), "al", params,
+                             max_frames=np.int64(3))) == 3
+
     def test_noncommensurate_final_time_rounds(self):
         traj = integrate(np.zeros(4, complex), "al",
                          IntegratorParams(dt=0.3, t_final=1.0))
@@ -401,13 +411,9 @@ class TestConservation:
         assert blob["n_sites"] == 32
         assert blob["max_drift"] == report.max_drift
 
-    def test_accepts_plain_state_sequence(self):
-        rng = np.random.default_rng(12)
-        a = random_interior_alpha(rng, 8, rmax=0.4)
-        states = [FlowState(a, 0.0), FlowState(a, 1.0)]
-        report = conservation_report(states, 3)
-        assert report.max_drift == 0.0
-        assert report.n_frames == 2
+    def test_takes_only_a_trajectory(self, al_run):
+        with pytest.raises(TypeError, match="takes a Trajectory, got list"):
+            conservation_report(list(al_run), 3)
 
     def test_unitarity_along_trajectory(self, al_run):
         worst = max(unitarity_residual(build_periodic_cmv(s.alphas.alpha))
@@ -499,6 +505,11 @@ class TestGgeInvariance:
         spec = EnsembleSpec(kind="al", n=8, beta=1.0)
         with pytest.raises(ValueError, match="two samples"):
             gge_invariance_test(spec, 1.0, 1, make_rng(20))
+
+    def test_non_integral_sample_count_rejected(self):
+        spec = EnsembleSpec(kind="al", n=8, beta=1.0)
+        with pytest.raises(TypeError, match="n_samples must be an integer"):
+            gge_invariance_test(spec, 1.0, 2.5, make_rng(20))
 
     @pytest.mark.parametrize("dt, t_final, name", [
         (-0.02, 1.0, "dt"), (0.0, 1.0, "dt"), (math.nan, 1.0, "dt"),

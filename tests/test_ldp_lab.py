@@ -65,11 +65,6 @@ class TestCouplingLemma:
         rep = check_coupling_lemma(2.0, 0.1, 20000, rng=103)
         assert rep.passed
 
-    def test_explicit_monotone_pair(self):
-        rep = check_coupling_lemma(3.0, 0.5, 30000, rng=104, h_values=(0.2, 0.7))
-        assert rep.passed
-        assert rep.parameters["h_values"] == [0.2, 0.7]
-
     def test_mean_of_bound_variable(self):
         # E[Z_h] = h/(1+h); sd(Z_0.5) = sqrt(1/5 - 1/9)
         rep = check_coupling_lemma(3.0, 0.5, 100000, rng=101)
@@ -77,10 +72,25 @@ class TestCouplingLemma:
         assert abs(rep.statistics["mean_z"] - 1.0 / 3.0) < 4.0 * se
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one sample"):
             check_coupling_lemma(3.0, 0.5, 0)
         with pytest.raises(ValueError):
-            check_coupling_lemma(3.0, 0.5, 100, h_values=(0.7, 0.2))
+            check_coupling_lemma(3.0, 1.2, 100)
+
+    def test_non_integral_sample_count_is_rejected(self):
+        with pytest.raises(TypeError, match="n_samples must be an integer"):
+            check_coupling_lemma(3.0, 0.5, 10.7)
+
+    def test_one_family_draw_checks_both_increments(self, monkeypatch):
+        calls = []
+
+        def spy(nu, h_values, rng, size=None):
+            calls.append((nu, tuple(h_values), size))
+            return sampling.sample_coupled_family(nu, h_values, rng, size)
+        monkeypatch.setattr(ldp_lab, "sample_coupled_family", spy)
+        rep = check_coupling_lemma(3.0, 0.5, 1000, rng=105)
+        assert calls == [(3.0, (0.25, 0.5), 1000)]
+        assert rep.passed and "h_values" not in rep.parameters
 
     def test_json_schema(self):
         rep = check_coupling_lemma(3.0, 0.3, 500, rng=9)
@@ -135,8 +145,12 @@ class TestExpMoment:
             check_exp_moment((0.0,), 100)
         with pytest.raises(ValueError):
             check_exp_moment((1.2,), 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two samples"):
             check_exp_moment((0.5,), 1)
+
+    def test_non_integral_sample_count_is_rejected(self):
+        with pytest.raises(TypeError, match="n_samples must be an integer"):
+            check_exp_moment((0.5,), 10.7)
 
 
 class TestFreeEnergyEstimate:
@@ -422,7 +436,7 @@ class TestDosRelation:
     def test_validation(self):
         with pytest.raises(ValueError, match="al and schur"):
             check_dos_relation("circular", None, 1.0, 16)
-        with pytest.raises(ValueError, match="k_max"):
+        with pytest.raises(ValueError, match="k_max must be at least 4"):
             check_dos_relation("al", None, 1.0, 16, k_max=2)
         with pytest.raises(ValueError, match="even"):
             check_dos_relation("al", None, 1.0, 15)
@@ -443,6 +457,13 @@ class TestDosRelation:
         _forbid_sampling(monkeypatch)
         with pytest.raises(TypeError, match="n must be an integer"):
             check_dos_relation("al", None, 1.0, 32.9)
+
+    @pytest.mark.parametrize("k_max", [4.7, 16.0, "16"])
+    def test_non_integral_k_max_is_rejected_before_sampling(self, monkeypatch,
+                                                            k_max):
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(TypeError, match="k_max must be an integer"):
+            check_dos_relation("al", None, 1.0, 16, k_max=k_max)
 
     def test_odd_size_is_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
@@ -524,3 +545,10 @@ class TestRateFunction:
             rate_function_value(rho, COS, 1.0, side="coulomb")
         with pytest.raises(ValueError, match="beta"):
             rate_function_value(rho, COS, 0.0)
+
+    @pytest.mark.parametrize("side", ["CIRCULAR", "Jacobi"])
+    def test_side_names_are_case_sensitive(self, side):
+        # kind names follow EnsembleSpec, as in estimate_free_energy
+        rho = minimize_torus(COS, 1.0)
+        with pytest.raises(ValueError, match=f"got '{side}'"):
+            rate_function_value(rho, COS, 1.0, side=side)

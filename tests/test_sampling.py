@@ -1,4 +1,4 @@
-"""Disk distributions, coupled pairs, and the four ensemble samplers."""
+"""Disk distributions, coupled families, and the four ensemble samplers."""
 
 import hashlib
 
@@ -10,7 +10,11 @@ from ggelab import cmv_core as cc
 from ggelab import sampling as sp
 from ggelab.potentials import Potential
 
-from helpers import random_interior_alpha, site_chain
+from helpers import random_interior_alpha, site_chain, theta_ratio_draw
+
+# the Theta_nu draws under test: the sampler's inverse CDF, and the
+# chi-ratio construction of the test oracle
+THETA_DRAWS = {"radial": sp.sample_theta, "ratio": theta_ratio_draw}
 
 
 # ------------------------------------------------------------------- theta law
@@ -19,7 +23,7 @@ from helpers import random_interior_alpha, site_chain
 @pytest.mark.parametrize("method", ["radial", "ratio"])
 def test_theta_second_moment(nu, method):
     rng = np.random.default_rng(101)
-    z = sp.sample_theta(sp.ThetaParams(nu, method), rng, size=20000)
+    z = THETA_DRAWS[method](nu, rng, size=20000)
     m = np.abs(z) ** 2
     se = m.std(ddof=1) / np.sqrt(m.size)
     assert abs(m.mean() - 2.0 / (nu + 1.0)) <= 3 * se
@@ -28,29 +32,29 @@ def test_theta_second_moment(nu, method):
 @pytest.mark.parametrize("nu", [2.0, 3.0, 5.5])
 def test_theta_methods_agree(nu):
     rng = np.random.default_rng(7)
-    za = sp.sample_theta(sp.ThetaParams(nu, "radial"), rng, size=10000)
-    zb = sp.sample_theta(sp.ThetaParams(nu, "ratio"), rng, size=10000)
+    za = sp.sample_theta(nu, rng, size=10000)
+    zb = theta_ratio_draw(nu, rng, size=10000)
     assert stats.ks_2samp(np.abs(za) ** 2, np.abs(zb) ** 2).pvalue > 0.01
     assert stats.ks_2samp(np.angle(za), np.angle(zb)).pvalue > 0.01
 
 
 def test_theta_nu3_is_uniform_disk():
     rng = np.random.default_rng(11)
-    z = sp.sample_theta(sp.ThetaParams(3.0), rng, size=20000)
+    z = sp.sample_theta(3.0, rng, size=20000)
     assert stats.kstest(np.abs(z) ** 2, "uniform").pvalue > 0.01
 
 
 def test_theta_radial_law_matches_beta():
     nu = 4.2
     rng = np.random.default_rng(12)
-    z = sp.sample_theta(sp.ThetaParams(nu, "ratio"), rng, size=20000)
+    z = theta_ratio_draw(nu, rng, size=20000)
     cdf = stats.beta(1.0, (nu - 1.0) / 2.0).cdf
     assert stats.kstest(np.abs(z) ** 2, cdf).pvalue > 0.01
 
 
 def test_theta_mean_is_zero():
     rng = np.random.default_rng(13)
-    z = sp.sample_theta(sp.ThetaParams(2.4), rng, size=20000)
+    z = sp.sample_theta(2.4, rng, size=20000)
     se = np.sqrt(np.var(z.real) + np.var(z.imag)) / np.sqrt(z.size)
     assert abs(z.mean()) <= 3 * se
 
@@ -86,7 +90,7 @@ def test_theta_rejects_bad_nu():
     rng = np.random.default_rng(0)
     for nu in (1.0, 0.3, -2.0):
         with pytest.raises(ValueError):
-            sp.sample_theta(sp.ThetaParams(nu), rng)
+            sp.sample_theta(nu, rng)
 
 
 # ------------------------------------------------------------------------- chi
@@ -119,32 +123,37 @@ def test_chi_rejects_nonpositive_dof():
 
 # ------------------------------------------------------------------- coupling
 
+def _pair(nu, h, rng, size):
+    """(alpha_nu, alpha_(nu+h), Z_h) of a one-increment coupled family."""
+    fam = sp.sample_coupled_family(nu, (h,), rng, size=size)
+    return fam.alpha_nu, fam.alphas[:, 0], fam.z[:, 0]
+
+
 @pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
 def test_coupled_pair_bounds_hold_per_sample(h):
     rng = np.random.default_rng(31)
-    pair = sp.sample_coupled_pair(2.5, h, rng, size=20000)
-    d_alpha = np.abs(pair.alpha_nu - pair.alpha_nu_h)
+    a, a_h, z_h = _pair(2.5, h, rng, 20000)
+    d_alpha = np.abs(a - a_h)
     rho = lambda a: np.sqrt(1.0 - np.abs(a) ** 2)
-    d_rho = np.abs(rho(pair.alpha_nu) - rho(pair.alpha_nu_h))
-    assert np.all(d_alpha <= pair.z_h + 1e-14)
-    assert np.all(d_rho <= pair.z_h + 1e-14)
+    d_rho = np.abs(rho(a) - rho(a_h))
+    assert np.all(d_alpha <= z_h + 1e-14)
+    assert np.all(d_rho <= z_h + 1e-14)
 
 
 def test_coupled_pair_marginals():
     nu, h = 2.2, 0.6
     rng = np.random.default_rng(32)
-    pair = sp.sample_coupled_pair(nu, h, rng, size=20000)
+    a, a_h, _ = _pair(nu, h, rng, 20000)
     cdf_a = stats.beta(1.0, (nu - 1.0) / 2.0).cdf
     cdf_b = stats.beta(1.0, (nu + h - 1.0) / 2.0).cdf
-    assert stats.kstest(np.abs(pair.alpha_nu) ** 2, cdf_a).pvalue > 0.01
-    assert stats.kstest(np.abs(pair.alpha_nu_h) ** 2, cdf_b).pvalue > 0.01
+    assert stats.kstest(np.abs(a) ** 2, cdf_a).pvalue > 0.01
+    assert stats.kstest(np.abs(a_h) ** 2, cdf_b).pvalue > 0.01
 
 
 def test_z_law_and_mean():
     h = 0.3
     rng = np.random.default_rng(33)
-    pair = sp.sample_coupled_pair(2.0, h, rng, size=40000)
-    z = pair.z_h
+    z = _pair(2.0, h, rng, 40000)[2]
     assert stats.kstest(z, lambda w: np.clip(w, 0, 1) ** h).pvalue > 0.01
     se = z.std(ddof=1) / np.sqrt(z.size)
     assert abs(z.mean() - h / (1.0 + h)) <= 3 * se
@@ -153,9 +162,35 @@ def test_z_law_and_mean():
 def test_z_equals_power_of_uniform():
     h = 0.45
     rng = np.random.default_rng(34)
-    pair = sp.sample_coupled_pair(3.0, h, rng, size=20000)
+    z = _pair(3.0, h, rng, 20000)[2]
     u = rng.uniform(0, 1, 20000) ** (1.0 / h)
-    assert stats.ks_2samp(pair.z_h, u).pvalue > 0.01
+    assert stats.ks_2samp(z, u).pvalue > 0.01
+
+
+# sha256 prefixes of (alpha_nu, alpha_(nu+h)) of the coupled pair at the
+# (nu, h, size, stream) of acceptance criteria 02 (one stream, the three h
+# in turn) and 05 (a fresh stream), recorded from the two-coefficient pair
+# sampler that the one-increment family replaced
+PAIR_DIGESTS = {
+    "criterion-02": (2.0, (0.1, 0.5, 0.9), 100_000, 22, [
+        ("7f36e86962ca5be8", "4592bc229887d7f2"),
+        ("fb736e2982c260a2", "0ce2b6781c80321e"),
+        ("5051da5369428842", "f7c16df8e9f2ceb9")]),
+    "criterion-05": (2.5, (0.4,), 2000, 55, [
+        ("ce4d4c814f5724c3", "0ca8055266b0a5b0")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_DIGESTS))
+def test_one_increment_family_draws_the_pair_bit_for_bit(name):
+    nu, hs, size, seed, want = PAIR_DIGESTS[name]
+    rng = sp.make_rng(seed)
+    got = []
+    for h in hs:
+        a, a_h, _ = _pair(nu, h, rng, size)
+        got.append(tuple(hashlib.sha256(x.tobytes()).hexdigest()[:16]
+                         for x in (a, a_h)))
+    assert got == want
 
 
 def test_monotone_family_zero_violations():
@@ -172,7 +207,7 @@ def test_coupling_rejects_bad_h():
     rng = np.random.default_rng(0)
     for h in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
-            sp.sample_coupled_pair(2.0, h, rng)
+            sp.sample_coupled_family(2.0, (h,), rng)
 
 
 # ------------------------------------------------------------------- ensembles

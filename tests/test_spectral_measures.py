@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ggelab
 from ggelab.cmv_core import build_periodic_cmv, build_cmv, eigen_angles
-from ggelab.equilibrium import GridDensity, density_estimate
+from ggelab.equilibrium import GridDensity
 from ggelab.spectral_measures import (
     DEFAULT_TEST_FUNCTIONS,
     EmpiricalMeasure,
@@ -18,7 +18,6 @@ from ggelab.spectral_measures import (
     check_bv_lip_bound,
     distance_D,
     fourier_coeffs,
-    integrate,
 )
 
 
@@ -83,7 +82,7 @@ class TestFourierCoefficients:
     def test_rotation_multiplies_coefficients_by_phases(self, angles, phi):
         mu = EmpiricalMeasure(angles)
         a = fourier_coeffs(mu, k_max=6).c
-        b = fourier_coeffs(mu.rotated(phi), k_max=6).c
+        b = fourier_coeffs(EmpiricalMeasure(mu.atoms + phi), k_max=6).c
         k = np.arange(1, 7)
         assert np.max(np.abs(b - a * np.exp(1j * k * phi))) < 1e-10
 
@@ -98,11 +97,12 @@ class TestDistance:
         # only k = 1 differs: sqrt(|0 - 1/2|^2 / 1)
         assert abs(d - 0.5) < 1e-10, f"D = {d}"
 
-    def test_reports_truncation_level(self):
-        d = distance_D(equispaced(8), cardioid_density(), k_max=32)
-        assert d.k_max == 32
+    def test_is_a_float_summed_up_to_the_shorter_input(self):
+        assert type(distance_D(equispaced(8), cardioid_density(), k_max=32)) is float
+        # only k = 1, 2 enter; the cardioid has mu_1 = 1/2 and mu_2 = 0
         short = FourierCoeffs(np.array([0.1 + 0j, 0.05]))
-        assert distance_D(short, cardioid_density(), k_max=32).k_max == 2
+        d = distance_D(short, cardioid_density(), k_max=32)
+        assert abs(d - np.sqrt(0.4 ** 2 + 0.05 ** 2 / 2)) < 1e-15
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(11)
@@ -122,7 +122,8 @@ class TestDistance:
         a = EmpiricalMeasure(rng.uniform(-np.pi, np.pi, 11))
         b = EmpiricalMeasure(rng.uniform(-np.pi, np.pi, 7))
         d0 = distance_D(a, b, k_max=48)
-        d1 = distance_D(a.rotated(0.83), b.rotated(0.83), k_max=48)
+        d1 = distance_D(EmpiricalMeasure(a.atoms + 0.83),
+                        EmpiricalMeasure(b.atoms + 0.83), k_max=48)
         assert abs(d0 - d1) < 1e-12
 
     def test_real_coefficients_for_conjugation_symmetric_spectra(self):
@@ -136,46 +137,18 @@ class TestDistance:
 
 class TestIntegrate:
     def test_constant_integrates_to_one(self):
-        assert integrate(lambda th: np.ones_like(th), equispaced(17)) == 1.0
-        assert abs(integrate(lambda th: np.ones_like(th), cardioid_density()) - 1.0) < 1e-14
+        assert equispaced(17).integrate(lambda th: np.ones_like(th)) == 1.0
+        assert abs(cardioid_density().integrate(lambda th: np.ones_like(th)) - 1.0) < 1e-14
 
     def test_cosine_against_uniform_vanishes(self):
-        assert abs(integrate(np.cos, equispaced(64))) < 1e-13
+        assert abs(equispaced(64).integrate(np.cos)) < 1e-13
 
     def test_cosine_against_cardioid_is_half(self):
-        assert abs(integrate(np.cos, cardioid_density()) - 0.5) < 1e-13
+        assert abs(cardioid_density().integrate(np.cos) - 0.5) < 1e-13
 
     def test_interval_measure_uses_points(self):
         pts = np.array([-0.5, 0.25])
-        assert abs(integrate(lambda x: x, EmpiricalMeasure(pts, "interval")) - pts.mean()) < 1e-15
-
-
-class TestDensityEstimate:
-    def test_histogram_of_equispaced_atoms_is_flat(self):
-        n = 48
-        g = density_estimate(equispaced(n), bins=n)
-        assert np.max(np.abs(g.values - 1 / (2 * np.pi))) < 1e-14
-        assert abs(g.mass() - 1.0) < 1e-12
-
-    def test_histogram_mass_is_one(self):
-        rng = np.random.default_rng(0)
-        g = density_estimate(EmpiricalMeasure(rng.uniform(-np.pi, np.pi, 1000)), bins=37)
-        assert abs(g.mass() - 1.0) < 1e-12
-
-    def test_kde_of_many_uniform_draws_is_nearly_flat(self):
-        rng = np.random.default_rng(2026)
-        mu = EmpiricalMeasure(rng.uniform(-np.pi, np.pi, 100000))
-        g = density_estimate(mu, bandwidth=0.25)
-        assert abs(g.mass() - 1.0) < 1e-12
-        assert np.max(np.abs(g.values - 1 / (2 * np.pi))) <= 0.02
-
-    def test_zero_bins_rejected(self):
-        with pytest.raises(ValueError):
-            density_estimate(equispaced(8), bins=0)
-        with pytest.raises(ValueError):
-            density_estimate(equispaced(8))
-        with pytest.raises(ValueError):
-            density_estimate(equispaced(8), bins=4, bandwidth=0.1)
+        assert abs(EmpiricalMeasure(pts, "interval").integrate(lambda x: x) - pts.mean()) < 1e-15
 
 
 def random_alpha(rng, n):
@@ -261,8 +234,6 @@ class TestDomains:
     def test_domain_specific_attributes(self):
         with pytest.raises(AttributeError):
             EmpiricalMeasure([0.1]).points
-        with pytest.raises(AttributeError):
-            EmpiricalMeasure([0.1], "interval").rotated(0.5)
 
     def test_measures_answer_fourier_and_integrate_themselves(self):
         rng = np.random.default_rng(8)
@@ -270,14 +241,21 @@ class TestDomains:
                    EmpiricalMeasure(rng.uniform(-1, 1, 50), "interval"),
                    cardioid_density()):
             assert np.array_equal(mu.fourier(7).c, fourier_coeffs(mu, 7).c)
-            assert mu.integrate(np.cos) == integrate(np.cos, mu)
+            # Re mu_1 is the integral of cos(theta), which is x on [-1, 1]
+            f = np.cos if mu.domain == "torus" else (lambda x: x)
+            assert abs(mu.integrate(f) - mu.fourier(1)[1].real) < 1e-12
 
     def test_unknown_measure_types_are_rejected(self):
         with pytest.raises(TypeError):
             fourier_coeffs(np.array([0.1, 0.2]), k_max=2)
-        with pytest.raises(TypeError):
-            integrate(np.cos, FourierCoeffs([0.5]))
 
-    def test_density_estimate_needs_a_torus_measure(self):
-        with pytest.raises(TypeError):
-            density_estimate(EmpiricalMeasure([0.1, 0.2], "interval"), bins=4)
+    @pytest.mark.parametrize("k_max", [2.5, 8.0, "8"])
+    def test_non_integral_k_max_is_rejected(self, k_max):
+        for mu in (equispaced(8), EmpiricalMeasure([0.5], "interval"),
+                   cardioid_density(), FourierCoeffs([0.5, 0.25, 0.1])):
+            with pytest.raises(TypeError, match="k_max must be an integer"):
+                fourier_coeffs(mu, k_max)
+            with pytest.raises(TypeError, match="k_max must be an integer"):
+                mu.fourier(k_max)
+        with pytest.raises(TypeError, match="k_max must be an integer"):
+            distance_D(equispaced(8), cardioid_density(), k_max)
