@@ -7,14 +7,16 @@ when --seed is absent.  A config file holds flat `key = value` lines, each
 read as the flag `--key=value` ahead of the command line's own flags: it
 gets the same checks, and explicit flags win.
 
-Every output file embeds the effective seed and a hash of the effective
-configuration, so reruns with the same inputs produce identical bytes.
-_write_csv and _write_json are the package's only file writers: the
-library returns arrays and reports, and the reports written here answer
-to_dict() with plain JSON-ready values.
+Each subcommand builds its files, csv tables and JSON documents by name,
+and hands them to one emit step, _emit, which picks the --format and
+writes them through _write_csv and _write_json, the package's only file
+writers.  Every output file embeds the effective seed and a hash of the
+effective configuration, so reruns with the same inputs produce identical
+bytes.  The library returns arrays and reports, and the reports written
+here answer to_dict() with plain JSON-ready values.
 Potentials are written as comma-separated coefficients: `c0=..,c1=..,s1=..`
 builds a trigonometric polynomial on the torus, `t0=..,t1=..` a Chebyshev
-polynomial on [-1, 1].
+polynomial on [-1, 1]; a coefficient given twice is rejected.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .sampling import (ENSEMBLE_KINDS, KINDS, EnsembleSpec, McmcParams,
                        make_rng, sample_ensemble)
 from .spectral_measures import EmpiricalMeasure, fourier_coeffs
 
-__all__ = ["build_parser", "load_config", "main", "parse_potential"]
+__all__ = ["load_config", "main", "parse_potential"]
 
 
 # --------------------------------------------------------------------------
@@ -88,21 +90,24 @@ def parse_potential(text):
             coeff = float(value)
         except ValueError:
             raise ValueError(f"bad potential value {value!r} for {key}") from None
-        {"c": cos, "s": sin, "t": cheb}[kind][k] = coeff
+        terms = {"c": cos, "s": sin, "t": cheb}[kind]
+        if k in terms:
+            raise ValueError(f"potential coefficient {kind}{k} is given twice")
+        terms[k] = coeff
     if cheb and (cos or sin):
         raise ValueError("cannot mix torus (c/s) and interval (t) coefficients")
     if cheb:
-        arr = np.zeros(max(cheb) + 1)
-        for k, val in cheb.items():
-            arr[k] = val
-        return Potential("interval", cheb=arr)
-    c_arr = np.zeros(max(cos, default=0) + 1)
-    for k, val in cos.items():
-        c_arr[k] = val
-    s_arr = np.zeros(max(sin, default=0))
-    for k, val in sin.items():
-        s_arr[k - 1] = val
-    return Potential("torus", cos=c_arr, sin=s_arr)
+        return Potential("interval", cheb=_vector(cheb, max(cheb) + 1))
+    return Potential("torus", cos=_vector(cos, max(cos, default=0) + 1),
+                     sin=_vector(sin, max(sin, default=0), first=1))
+
+
+def _vector(terms, size, first=0):
+    """The coefficients {k: value} as an array of `size` from index `first`."""
+    arr = np.zeros(size)
+    for k, val in terms.items():
+        arr[k - first] = val
+    return arr
 
 
 def load_config(path):
@@ -188,15 +193,29 @@ def _write_csv(cfg, name, header, rows):
     return path
 
 
+def _emit(cfg, csv_files, json_files, both=None):
+    """Write the files of the chosen format, then `both`; return their paths.
+
+    Each mapping takes a file name to its payload: a (header, rows) pair for
+    a .csv name, a JSON document for a .json name.  This is the one place
+    that reads the --format choice.
+    """
+    files = {**(csv_files if cfg.fmt == "csv" else json_files), **(both or {})}
+    return [_write_csv(cfg, name, *payload) if name.endswith(".csv")
+            else _write_json(cfg, name, payload)
+            for name, payload in files.items()]
+
+
 def _mcmc_from(args):
     return McmcParams(sweeps=args.samples, burn_in=args.burn_in,
                       thinning=args.thinning)
 
 
-def _spec_from(args):
-    """EnsembleSpec of the --ensemble, --n, --beta and --potential flags."""
-    return EnsembleSpec(args.ensemble, args.n, args.beta,
+def _batch(args, cfg):
+    """The batch of the --ensemble, --n, --beta, --potential and chain flags."""
+    spec = EnsembleSpec(args.ensemble, args.n, args.beta,
                         parse_potential(args.potential))
+    return sample_ensemble(spec, _mcmc_from(args), make_rng(cfg.seed))
 
 
 def _alpha_table(label, first, a):
@@ -209,10 +228,7 @@ def _alpha_table(label, first, a):
 
 def _batch_angles(batch):
     build = build_periodic_cmv if KINDS[batch.kind].periodic else build_cmv
-    rows = np.empty((batch.n_samples, batch.size))
-    for i in range(batch.n_samples):
-        rows[i] = eigen_angles(build(batch.alphas[i]))
-    return rows
+    return np.array([eigen_angles(build(row)) for row in batch.alphas])
 
 
 # --------------------------------------------------------------------------
@@ -221,33 +237,26 @@ def _batch_angles(batch):
 
 def cmd_sample(args, cfg):
     """Draw coefficient vectors and optionally their eigen-angles."""
-    batch = sample_ensemble(_spec_from(args), _mcmc_from(args),
-                            make_rng(cfg.seed))
+    batch = _batch(args, cfg)
     a = batch.alphas.astype(complex)
-    angle_rows = _batch_angles(batch) if args.angles else None
-
-    if cfg.fmt == "csv":
-        paths = [_write_csv(cfg, "samples.csv",
-                            *_alpha_table("sample", np.arange(batch.n_samples),
-                                          a))]
-        if angle_rows is not None:
-            h2 = ["sample"] + [f"theta_{j}" for j in range(1, batch.size + 1)]
-            paths.append(_write_csv(cfg, "angles.csv", h2,
-                                    [[float(i)] + list(r)
-                                     for i, r in enumerate(angle_rows)]))
-    else:
-        doc = {
-            "ensemble": batch.kind,
-            "beta": batch.beta,
-            "n_samples": batch.n_samples,
-            "size": batch.size,
-            "acceptance_rate": batch.acceptance_rate,
-            "alphas_re": a.real.tolist(),
-            "alphas_im": a.imag.tolist(),
-        }
-        if angle_rows is not None:
-            doc["angles"] = angle_rows.tolist()
-        paths = [_write_json(cfg, "samples.json", doc)]
+    csv_files = {"samples.csv": _alpha_table(
+        "sample", np.arange(batch.n_samples), a)}
+    doc = {
+        "ensemble": batch.kind,
+        "beta": batch.beta,
+        "n_samples": batch.n_samples,
+        "size": batch.size,
+        "acceptance_rate": batch.acceptance_rate,
+        "alphas_re": a.real.tolist(),
+        "alphas_im": a.imag.tolist(),
+    }
+    if args.angles:
+        angle_rows = _batch_angles(batch)
+        csv_files["angles.csv"] = (
+            ["sample"] + [f"theta_{j}" for j in range(1, batch.size + 1)],
+            np.column_stack([np.arange(batch.n_samples), angle_rows]))
+        doc["angles"] = angle_rows.tolist()
+    paths = _emit(cfg, csv_files, {"samples.json": doc})
 
     acc = "exact" if batch.acceptance_rate is None else f"{batch.acceptance_rate:.3f}"
     print(f"sample: {batch.kind} n_samples={batch.n_samples} size={batch.size} "
@@ -259,8 +268,7 @@ def cmd_sample(args, cfg):
 
 def cmd_dos(args, cfg):
     """Monte Carlo density of states: histogram plus Fourier coefficients."""
-    batch = sample_ensemble(_spec_from(args), _mcmc_from(args),
-                            make_rng(cfg.seed))
+    batch = _batch(args, cfg)
     angles = _batch_angles(batch).ravel()
     domain = KINDS[batch.kind].domain
     if domain == "torus":
@@ -274,27 +282,22 @@ def cmd_dos(args, cfg):
     centers = 0.5 * (edges[:-1] + edges[1:])
     coeffs = fourier_coeffs(EmpiricalMeasure(pool, domain), k_max=args.k_max).c
 
-    if cfg.fmt == "csv":
-        paths = [
-            _write_csv(cfg, "dos_histogram.csv", ["center", "density"],
-                       np.column_stack([centers, counts])),
-            _write_csv(cfg, "dos_fourier.csv", ["k", "re", "im"],
-                       [[float(k + 1), c.real, c.imag]
-                        for k, c in enumerate(coeffs)]),
-        ]
-    else:
-        doc = {
-            "ensemble": batch.kind,
-            "beta": batch.beta,
-            "n_samples": batch.n_samples,
-            "domain": domain,
-            "bin_centers": centers.tolist(),
-            "density": counts.tolist(),
-            "fourier_re": coeffs.real.tolist(),
-            "fourier_im": coeffs.imag.tolist(),
-        }
-        paths = [_write_json(cfg, "dos.json", doc)]
-
+    paths = _emit(cfg, {
+        "dos_histogram.csv": (["center", "density"],
+                              np.column_stack([centers, counts])),
+        "dos_fourier.csv": (["k", "re", "im"],
+                            np.column_stack([np.arange(1, coeffs.size + 1),
+                                             coeffs.real, coeffs.imag])),
+    }, {"dos.json": {
+        "ensemble": batch.kind,
+        "beta": batch.beta,
+        "n_samples": batch.n_samples,
+        "domain": domain,
+        "bin_centers": centers.tolist(),
+        "density": counts.tolist(),
+        "fourier_re": coeffs.real.tolist(),
+        "fourier_im": coeffs.imag.tolist(),
+    }})
     mass = float(np.sum(counts * np.diff(edges)))
     print(f"dos: {batch.kind} pooled {pool.size} points, histogram mass "
           f"{mass:.6f}, |c_1| = {abs(coeffs[0]):.4f} -> " + ", ".join(paths))
@@ -311,38 +314,29 @@ def cmd_minimize(args, cfg):
     given = {key: getattr(args, key) for key in _SOLVER_FLAGS
              if getattr(args, key) is not None}
     params = SolverParams(**given)
-    if domain == "torus":
-        rho = minimize_torus(v, args.beta, params=params)
-        breakdown = free_energy_torus(rho, v, args.beta)
-    else:
-        rho = minimize_interval(v, args.beta, params=params)
-        breakdown = free_energy_interval(rho, v, args.beta)
+    minimize, free_energy = (
+        (minimize_torus, free_energy_torus) if domain == "torus"
+        else (minimize_interval, free_energy_interval))
+    rho = minimize(v, args.beta, params=params)
+    breakdown = free_energy(rho, v, args.beta)
 
     report = {
         "domain": domain,
         "beta": args.beta,
         "potential": v.to_dict() if v is not None else None,
-        "free_energy": {
-            "interaction": breakdown.interaction,
-            "potential": breakdown.potential,
-            "entropy": breakdown.entropy,
-            "total": breakdown.total,
-        },
+        "free_energy": asdict(breakdown),
         "residual": rho.residual,
         "iterations": rho.iterations,
         "edge_masses": list(rho.edge_masses),
         "grid_size": params.grid_size,
     }
-    if cfg.fmt == "csv":
-        paths = [_write_json(cfg, "minimize.json", report),
-                 _write_csv(cfg, "density.csv", ["node", "density", "weight"],
-                            np.column_stack([rho.nodes, rho.values,
-                                             rho.weights]))]
-    else:
-        report["nodes"] = rho.nodes.tolist()
-        report["density"] = rho.values.tolist()
-        report["weights"] = rho.weights.tolist()
-        paths = [_write_json(cfg, "minimize.json", report)]
+    paths = _emit(cfg, {
+        "minimize.json": report,
+        "density.csv": (["node", "density", "weight"],
+                        np.column_stack([rho.nodes, rho.values, rho.weights])),
+    }, {"minimize.json": {**report, "nodes": rho.nodes.tolist(),
+                          "density": rho.values.tolist(),
+                          "weights": rho.weights.tolist()}})
     print(f"minimize: {domain} beta={args.beta:g} total="
           f"{breakdown.total:.8f} residual={rho.residual:.3e} "
           f"iterations={rho.iterations} -> " + ", ".join(paths))
@@ -356,7 +350,7 @@ def cmd_relation(args, cfg):
     rep = check_dos_relation(args.ensemble, v, args.beta, args.n,
                              mcmc=_mcmc_from(args), rng=make_rng(cfg.seed),
                              threshold=args.threshold, k_max=args.k_max)
-    path = _write_json(cfg, "relation.json", rep.to_dict())
+    [path] = _emit(cfg, {}, {}, {"relation.json": rep.to_dict()})
     verdict = "pass" if rep.passed else "FAIL"
     print(f"relation: {args.ensemble} beta={args.beta:g} D={rep.d_value:.5f} "
           f"threshold={rep.threshold:g} {verdict} -> {path}")
@@ -370,40 +364,30 @@ def cmd_dynamics(args, cfg):
     rng = make_rng(cfg.seed)
     n = args.n
     if args.init == "constant":
-        if args.flow == "schur":
-            a0 = np.full(n, float(args.rmax))
-        else:
-            a0 = np.full(n, complex(args.rmax))
+        a0 = np.full(n, args.rmax, float if args.flow == "schur" else complex)
+    elif args.flow == "schur":
+        a0 = rng.uniform(-args.rmax, args.rmax, size=n)
     else:
-        if args.flow == "schur":
-            a0 = rng.uniform(-args.rmax, args.rmax, size=n)
-        else:
-            radius = args.rmax * np.sqrt(rng.uniform(size=n))
-            a0 = radius * np.exp(2j * np.pi * rng.uniform(size=n))
-    state = FlowState(a0)
+        radius = args.rmax * np.sqrt(rng.uniform(size=n))
+        a0 = radius * np.exp(2j * np.pi * rng.uniform(size=n))
     params = IntegratorParams(dt=args.dt, t_final=args.t_final)
-    traj = integrate(state, args.flow, params, max_frames=args.frames)
+    traj = integrate(FlowState(a0), args.flow, params, max_frames=args.frames)
     report = conservation_report(traj)
     residual = (float(lax_residual(traj.initial))
                 if args.flow == "al" else None)
 
     a = np.asarray(traj.alphas, complex)
-    if cfg.fmt == "csv":
-        tpath = _write_csv(cfg, "trajectory.csv",
-                           *_alpha_table("t", traj.times, a))
-    else:
-        tpath = _write_json(cfg, "trajectory.json",
-                            {"t": traj.times.tolist(),
-                             "alphas_re": a.real.tolist(),
-                             "alphas_im": a.imag.tolist()})
-    doc = report.to_dict()
-    doc["lax_residual"] = residual
-    doc["t_final"] = args.t_final
-    jpath = _write_json(cfg, "conservation.json", doc)
+    paths = _emit(cfg, {"trajectory.csv": _alpha_table("t", traj.times, a)},
+                  {"trajectory.json": {"t": traj.times.tolist(),
+                                       "alphas_re": a.real.tolist(),
+                                       "alphas_im": a.imag.tolist()}},
+                  {"conservation.json": {**report.to_dict(),
+                                         "lax_residual": residual,
+                                         "t_final": args.t_final}})
     lax = "n/a" if residual is None else f"{residual:.3e}"
     print(f"dynamics: {args.flow} n={n} dt={args.dt:g} T={args.t_final:g} "
           f"max_drift={report.max_drift:.3e} lax_residual={lax} -> "
-          f"{tpath}, {jpath}")
+          + ", ".join(paths))
     return 0
 
 
@@ -417,11 +401,8 @@ def _verify_one(name, scale, rng):
         return check_coupling_lemma(3.0, 0.5, 20000 * s, rng=rng)
     if name == "exp_moment":
         return check_exp_moment((0.1, 0.5, 0.9), 20000 * s, rng=rng)
-    if name == "dos_al":
-        return check_dos_relation("al", None, 1.0, 32,
-                                  mcmc=McmcParams(sweeps=1000 * s), rng=rng)
-    if name == "dos_schur":
-        return check_dos_relation("schur", None, 1.0, 32,
+    if name in ("dos_al", "dos_schur"):
+        return check_dos_relation(name[4:], None, 1.0, 32,
                                   mcmc=McmcParams(sweeps=1000 * s), rng=rng)
     v = Potential("torus", cos=[0.0, 0.5])  # free_energy_relation
     return check_free_energy_relation(v, 1.0, mcmc=McmcParams(sweeps=400 * s),
@@ -435,7 +416,7 @@ def cmd_verify(args, cfg):
     failures = []
     for name in names:
         rep = _verify_one(name, args.samples, rng)
-        _write_json(cfg, f"{name}.json", rep.to_dict())
+        _emit(cfg, {}, {}, {f"{name}.json": rep.to_dict()})
         verdict = "PASS" if rep.passed else "FAIL"
         print(f"{name}: {verdict}")
         if not rep.passed:
@@ -449,13 +430,12 @@ def cmd_verify(args, cfg):
 def cmd_free_energy(args, cfg):
     """Thermodynamic-integration free energy of one ensemble."""
     v = parse_potential(args.potential)
-    grid = None
-    if args.s_grid:
-        grid = tuple(float(x) for x in args.s_grid.split(","))
+    grid = (tuple(float(x) for x in args.s_grid.split(","))
+            if args.s_grid else None)
     fe = estimate_free_energy(args.ensemble, v, args.beta, s_grid=grid,
                               mcmc=_mcmc_from(args), rng=make_rng(cfg.seed),
                               n=args.n)
-    path = _write_json(cfg, "free_energy.json", fe.to_dict())
+    [path] = _emit(cfg, {}, {}, {"free_energy.json": fe.to_dict()})
     print(f"free-energy: {args.ensemble} beta={args.beta:g} value="
           f"{fe.value:.6f} std_error={fe.std_error:.6f} -> {path}")
     return 0
@@ -596,10 +576,6 @@ def _build_parsers():
     mcmc_opts(p, samples=200)
 
     return parser, sub.choices
-
-
-def build_parser():
-    return _build_parsers()[0]
 
 
 def _config_path(argv):

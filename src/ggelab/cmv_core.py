@@ -596,7 +596,13 @@ def _band_traces(band, ell_max, s=1, t=0, buffers=None):
 
 def trace_power(m, ell):
     """Tr E^ell of a built matrix, through the banded kernel of
-    batch_trace_powers applied to its band."""
+    batch_trace_powers applied to its band.
+
+    It stays beside batch_trace_powers because it takes a built matrix,
+    one built from a band alone included, and because the benchmark uses
+    it: as the trace oracle of open rows against eigenvalue sums, and as
+    one of the two functions its tracer times in the cmv_core.traces
+    layer."""
     ell = _power_count(ell, "ell")
     if ell == 0:
         return complex(m.n)

@@ -37,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cmv_core import NumericalError, _power_count, batch_trace_powers
-from .equilibrium import (_check_beta, beta_derivative_measure,
+from .equilibrium import (GridDensity, _check_beta, beta_derivative_measure,
                           free_energy_interval, free_energy_torus,
                           minimize_interval, minimize_torus)
 from .potentials import Potential
@@ -611,29 +611,26 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
 # rate function
 
 
-def rate_function_value(mu, v, beta, side="circular", params=None):
+def rate_function_value(mu, v, beta, params=None):
     """Rate function f(mu) - min f of a candidate density, nonnegative.
 
     Args:
-        mu: GridDensity on the domain matching side.
+        mu: GridDensity; its domain, the torus or the interval, selects the
+            functional.
         v: Potential on the same domain, or None.
         beta: inverse temperature, positive.
-        side: "circular" (torus functional) or "jacobi" (interval), kind
-            names as in EnsembleSpec; any other value raises ValueError.
         params: optional solver parameters for the minimization.
 
     Returns:
         The gap f(mu) - f(minimizer), floored at zero; values below a
         small negative guard raise NumericalError.
     """
-    if side not in ("circular", "jacobi"):
-        raise ValueError(f"side must be circular or jacobi, got {side!r}")
-    domain = KINDS[side].domain
-    if getattr(mu, "domain", None) != domain:
-        raise ValueError(f"the density must live on the {domain}")
+    if not isinstance(mu, GridDensity):
+        raise ValueError("the density must be a GridDensity on the torus or "
+                         f"the interval, got {type(mu).__name__}")
     _check_beta(beta)
 
-    if domain == "torus":
+    if mu.domain == "torus":
         value = free_energy_torus(mu, v, beta).total
         best = free_energy_torus(minimize_torus(v, beta, params=params),
                                  v, beta).total

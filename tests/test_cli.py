@@ -58,6 +58,18 @@ class TestPotentialSyntax:
         with pytest.raises(ValueError, match="key=value"):
             parse_potential("c1")
 
+    @pytest.mark.parametrize("text, key", [
+        ("c1=1,c1=2", "c1"), ("c1=1,c01=2", "c1"), ("t1=0.5,t1=0.2", "t1")])
+    def test_repeated_coefficient_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, text, key):
+        with pytest.raises(ValueError, match=f"{key} is given twice"):
+            parse_potential(text)
+        out = tmp_path / "out"
+        assert main(["minimize", "--beta", "1", "--potential", text,
+                     "--out", str(out)]) == 2
+        assert f"{key} is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):
@@ -232,6 +244,42 @@ _RUNS = {
                              "d2f7904bdcec"),
 }
 
+# sha256 prefixes of the data files of each _RUNS entry, recorded before the
+# subcommands shared one emit step; like the config hashes, they must not move
+_DIGESTS = {
+    "dos": {
+        "dos_fourier.csv": "80551322ac0d7bed",
+        "dos_histogram.csv": "33b433b7b250b79f"},
+    "dos_defaults": {
+        "dos_fourier.csv": "242702d4e4b7e04e",
+        "dos_histogram.csv": "7f13e9b34e038c23"},
+    "dynamics": {
+        "conservation.json": "ae9da872202828ee",
+        "trajectory.csv": "18aeb50c7395aa3a"},
+    "dynamics_defaults": {
+        "conservation.json": "1daccf23668375fe",
+        "trajectory.csv": "f6f39c17cf0c6876"},
+    "dynamics_schur": {
+        "conservation.json": "ed37371abab3b968",
+        "trajectory.csv": "91d8f4398e225359"},
+    "free_energy": {"free_energy.json": "de45300609049421"},
+    "free_energy_defaults": {"free_energy.json": "a381eec00099ec8f"},
+    "minimize": {
+        "density.csv": "fa6f737c54ae788e",
+        "minimize.json": "da764c9fbc03e8a7"},
+    "minimize_defaults": {
+        "density.csv": "f1dff21c5d8ccc00",
+        "minimize.json": "766f5f3cc9b72615"},
+    "minimize_interval": {"minimize.json": "b726e9d1c232715d"},
+    "relation": {"relation.json": "97bf63867683a172"},
+    "sample": {
+        "angles.csv": "51cef93d16e53bbe",
+        "samples.csv": "36900346dddaff29"},
+    "sample_defaults": {"samples.csv": "db2364d671dcb813"},
+    "sample_json": {"samples.json": "b18896dd3ab37722"},
+    "verify": {"coupling.json": "65d3f912f68c8ab5"},
+}
+
 
 class TestByteIdentity:
     @pytest.mark.parametrize("name", sorted(_RUNS))
@@ -256,13 +304,13 @@ class TestByteIdentity:
                 assert (doc["config_hash"], doc["seed"]) == \
                     (config_hash, int(seed))
 
-    def test_trajectory_bytes(self, tmp_path):
-        # constant data: plain IEEE arithmetic, the same bytes everywhere
-        main(_RUNS["dynamics_schur"][0] + ["--out", str(tmp_path)])
-        digest = hashlib.sha256(
-            (tmp_path / "trajectory.csv").read_bytes()).hexdigest()
-        assert digest == ("91d8f4398e225359228218cd74c1e6de"
-                          "dd53e3cadb14a7902968e8bcba237537")
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_data_files_match_recorded_digests(self, tmp_path, name):
+        # a change that moves the flags run and the config run alike
+        assert main(_RUNS[name][0] + ["--out", str(tmp_path)]) == 0
+        digests = {file: hashlib.sha256((tmp_path / file).read_bytes())
+                   .hexdigest()[:16] for file in os.listdir(tmp_path)}
+        assert digests == _DIGESTS[name]
 
 
 class TestWriters:

@@ -25,6 +25,7 @@ from ggelab.ldp_lab import (CheckReport, FreeEnergyEstimate, RelationReport,
                             rate_function_value)
 from ggelab.potentials import Potential
 from ggelab.sampling import McmcParams
+from ggelab.spectral_measures import EmpiricalMeasure
 
 from helpers import richardson
 
@@ -505,7 +506,7 @@ class TestDosRelation:
 class TestRateFunction:
     def test_minimizer_gives_zero(self):
         rho = minimize_torus(COS, 1.0)
-        assert rate_function_value(rho, COS, 1.0, side="circular") == 0.0
+        assert rate_function_value(rho, COS, 1.0) == 0.0
 
     def test_cardioid_value(self):
         # V = 0, beta = 1: rate = 1/4 + integral of log(2 pi rho) d mu
@@ -528,27 +529,22 @@ class TestRateFunction:
 
     def test_interval_minimizer_gives_zero(self):
         rho = minimize_interval(CHEB1, 1.0)
-        assert rate_function_value(rho, CHEB1, 1.0, side="jacobi") == 0.0
+        assert rate_function_value(rho, CHEB1, 1.0) == 0.0
 
     def test_interval_cross_potential_positive(self):
         other = Potential("interval", cheb=[0.0, -0.6])
         rho = minimize_interval(other, 1.0)
-        assert rate_function_value(rho, CHEB1, 1.0, side="jacobi") > 1e-4
+        assert rate_function_value(rho, CHEB1, 1.0) > 1e-4
 
     def test_validation(self):
         rho = minimize_torus(COS, 1.0)
-        with pytest.raises(ValueError, match="interval"):
-            rate_function_value(rho, CHEB1, 1.0, side="jacobi")
         with pytest.raises(ValueError, match="does not match"):
-            rate_function_value(rho, CHEB1, 1.0, side="circular")
-        with pytest.raises(ValueError, match="side"):
-            rate_function_value(rho, COS, 1.0, side="coulomb")
+            rate_function_value(rho, CHEB1, 1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            rate_function_value(minimize_interval(CHEB1, 1.0), COS, 1.0)
+        with pytest.raises(ValueError, match="got ndarray"):
+            rate_function_value(rho.values, COS, 1.0)
+        with pytest.raises(ValueError, match="got EmpiricalMeasure"):
+            rate_function_value(EmpiricalMeasure(rho.nodes, "torus"), COS, 1.0)
         with pytest.raises(ValueError, match="beta"):
             rate_function_value(rho, COS, 0.0)
-
-    @pytest.mark.parametrize("side", ["CIRCULAR", "Jacobi"])
-    def test_side_names_are_case_sensitive(self, side):
-        # kind names follow EnsembleSpec, as in estimate_free_energy
-        rho = minimize_torus(COS, 1.0)
-        with pytest.raises(ValueError, match=f"got '{side}'"):
-            rate_function_value(rho, COS, 1.0, side=side)
