@@ -19,9 +19,13 @@ of the band.
 
 Power traces never touch an eigensolver.  One kernel, _band_traces, takes
 a band of any half-width h and builds P_c = s B P_(c-1) - t P_(c-2) only up
-to c = ceil(K/2); every higher trace comes from two half powers,
+to c = ceil(K/2), each band product one contraction over a strided view of
+P_(c-1): np.matmul on complex bands, np.einsum on real ones (_next_power).
+Every higher trace comes from two half powers,
 Tr P_(a+b) = s Tr(P_a P_b) - t Tr P_(a-b), one einsum over a strided view
-of the wider power's transposed band.  Complex and open rows run the
+of the wider power's transposed band.  Coefficients enter the bands in
+double precision, float64 or complex128, whatever the input's precision.
+Complex and open rows run the
 five-diagonal CMV band with (s, t) = (1, 0), so P_c = E^c.  Real periodic
 rows run the three-diagonal band of X = J/2, half the size, where J is
 their Geronimus Jacobi matrix (geronimus_diagonals), with (s, t) = (2, 1):
@@ -298,9 +302,11 @@ def eigen_angles(m):
     return np.sort(angles)
 
 
-# rows of a batch handled together.  With one set of power buffers shared
-# by the blocks of a call, a complex n = 256, K = 16 call on one thread
-# takes about the same time at any block of 4 to 32 rows
+# rows of a batch handled together, sharing one set of power buffers.  On
+# one thread at K = 16, blocks of 4, 8, 16 and 32 rows took 0.109, 0.104,
+# 0.107 and 0.110 s for 256 complex rings of n = 256 (np.matmul), and 70,
+# 44, 32 and 27 ms for 800 real rings of n = 128 (np.einsum, whose fixed
+# cost per call a larger block spreads over more rows)
 _BLOCK = 16
 
 
@@ -360,6 +366,12 @@ def _extended(a, topology):
     return ext, rho
 
 
+def _double(alpha):
+    """alpha as complex128 if complex, else float64: every band, and so every
+    trace, is computed in double precision whatever the input's."""
+    return np.asarray(alpha, complex if np.iscomplexobj(alpha) else float)
+
+
 def periodic_diagonals(alpha):
     """The five diagonals of the periodic matrix, batched.
 
@@ -372,7 +384,7 @@ def periodic_diagonals(alpha):
         mod n, so on a ring of n < 5 sites a dense entry is the sum of the
         offsets that wrap onto it.
     """
-    a = np.asarray(alpha)
+    a = _double(alpha)
     _check_size(a.shape[-1], "periodic")
     return _band(*_extended(a, "periodic"))
 
@@ -391,10 +403,12 @@ def open_diagonals(alpha):
     """
     a = np.asarray(alpha)
     _check_size(a.shape[-1], "open")
+    # in the input's precision, where a single-precision e^(i phi) is
+    # unimodular; the band is then built in double precision
     if np.any(np.abs(np.abs(a[..., -1]) - 1.0) > BOUNDARY_TOL):
         raise ValueError("last entry must be unimodular for a unitary "
                          "open matrix")
-    return _band(*_extended(a, "open"))
+    return _band(*_extended(_double(a), "open"))
 
 
 def geronimus_diagonals(alpha):
@@ -420,7 +434,7 @@ def geronimus_diagonals(alpha):
         [d + 1, k] holds the part of X[k, (k + d) mod n/2] reached at
         offset d, and on rings of n/2 < 3 offsets that wrap add up.
     """
-    a = np.asarray(alpha)
+    a = _double(alpha)
     n = a.shape[-1]
     _check_size(n, "periodic")
     if np.iscomplexobj(a):
@@ -516,7 +530,16 @@ def _next_power(sb, prev, prev2, t, cur):
     """Write P_c = (s B) P_(c-1) - t P_(c-2) into its buffer `cur`, from the
     buffers of P_(c-1) and P_(c-2) (None for P_0 = I).  The strided view
     shifted[r, d, f, i] = P_(c-1)[f - d][i + d] of the previous buffer makes
-    the band product one einsum."""
+    the band product one contraction over d.
+
+    The band's dtype picks numpy's loop, and both give the einsum's bytes
+    (the tests hold the kernel to it).  np.einsum has no fast complex128
+    loop for this sum, so a complex band is one batched np.matmul of
+    transposed views: on one thread, a complex 256 x 256 call of
+    batch_trace_powers at K = 16 took 0.105 s against the einsum's 0.165 s.
+    A real band stays on np.einsum, which vectorises float64: on np.matmul,
+    the real 800 x 128 ring call took 38 ms against 32 ms, and the real
+    open 256 x 64 call 20 ms against 15 ms."""
     _, width, n = sb.shape
     h = width // 2
     w0 = (prev.shape[2] - n) // 2
@@ -524,7 +547,12 @@ def _next_power(sb, prev, prev2, t, cur):
     shifted = _strided(prev, prev.shape[1] // 2 - w0, w0 - h,
                        (width, 2 * w + 1, n), ((-1, 1), (1, 0), (0, 1)))
     core = _power_rows(cur, n)
-    np.einsum("rdi,rdfi->rfi", sb, shifted, out=core[..., w:w + n])
+    if np.iscomplexobj(sb):  # as (rows, n) products (1, 2h+1) (2h+1, 2w+1)
+        np.matmul(sb.transpose(0, 2, 1)[:, :, None],
+                  shifted.transpose(0, 3, 1, 2),
+                  out=core[..., w:w + n].transpose(0, 2, 1)[:, :, None])
+    else:
+        np.einsum("rdi,rdfi->rfi", sb, shifted, out=core[..., w:w + n])
     if t and prev2 is None:
         core[:, w, w:w + n] -= t
     elif t:
@@ -643,6 +671,9 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
         for real ones.
     """
     a = np.atleast_2d(np.asarray(alpha))
+    if a.ndim > 2:
+        raise ValueError("alpha must be one row (n,) or a batch (rows, n), "
+                         f"got shape {a.shape}")
     _check_size(a.shape[-1], topology)
     ell_max = _power_count(ell_max, "ell_max")
     real_ring = topology == "periodic" and not np.iscomplexobj(a)
@@ -693,9 +724,9 @@ def conserved_quantities(alpha, ell_max=4):
 
     One vector gives a float k0, a complex k1 and trace_powers (ell_max,);
     a batch gives arrays k0 (...) real, k1 (...) complex and trace_powers
-    (..., ell_max).
+    (..., ell_max), all in double precision.
     """
-    a = np.asarray(alpha)
+    a = _double(alpha)
     k0 = np.prod(1.0 - np.abs(a) ** 2, axis=-1)
     k1 = -np.sum(a * np.conj(np.roll(a, -1, axis=-1)), axis=-1).astype(complex)
     traces = batch_trace_powers(a.reshape(-1, a.shape[-1]), ell_max)

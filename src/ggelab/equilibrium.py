@@ -137,6 +137,13 @@ def _check_beta(beta):
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
+def _check_density(rho):
+    """Raise ValueError, naming the type, unless rho is a GridDensity."""
+    if not isinstance(rho, GridDensity):
+        raise ValueError("the density must be a GridDensity on the torus or "
+                         f"the interval, got {type(rho).__name__}")
+
+
 def _log_cosh(t):
     a = np.abs(t)
     return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
@@ -395,6 +402,7 @@ def free_energy_torus(rho, v, beta):
     the displayed +beta log 2 of the functional; the two log 2 terms are what
     make the V = 0 minimal value equal beta log 2).  entropy uses 0 log 0 = 0.
     """
+    _check_density(rho)
     _check_beta(beta)
     if rho.domain != "torus":
         raise ValueError("free_energy_torus expects a torus density")
@@ -601,6 +609,7 @@ def free_energy_interval(rho, v, beta):
     entropy G (ln 2 beta - 2 ln Y - 2), Y = 1/G, and pair self-energy
     G^2 ln 2 - (2/beta)(1/Y - (Y - 2 beta T)/(2 Y^2)).
     """
+    _check_density(rho)
     _check_beta(beta)
     if rho.domain != "interval":
         raise ValueError("free_energy_interval expects an interval density")

@@ -37,9 +37,9 @@ from typing import ClassVar
 import numpy as np
 
 from .cmv_core import NumericalError, _power_count, batch_trace_powers
-from .equilibrium import (GridDensity, _check_beta, beta_derivative_measure,
-                          free_energy_interval, free_energy_torus,
-                          minimize_interval, minimize_torus)
+from .equilibrium import (_check_beta, _check_density,
+                          beta_derivative_measure, free_energy_interval,
+                          free_energy_torus, minimize_interval, minimize_torus)
 from .potentials import Potential
 from .sampling import (KINDS, EnsembleSpec, McmcParams, _sample, make_rng,
                        sample_chi, sample_coupled_family, sample_ensemble)
@@ -625,9 +625,7 @@ def rate_function_value(mu, v, beta, params=None):
         The gap f(mu) - f(minimizer), floored at zero; values below a
         small negative guard raise NumericalError.
     """
-    if not isinstance(mu, GridDensity):
-        raise ValueError("the density must be a GridDensity on the torus or "
-                         f"the interval, got {type(mu).__name__}")
+    _check_density(mu)
     _check_beta(beta)
 
     if mu.domain == "torus":

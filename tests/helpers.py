@@ -72,6 +72,28 @@ def block_factors(m):
     return f[:, pad:n + pad, pad:n + pad]
 
 
+def einsum_next_power(sb, prev, prev2, t, cur):
+    """The band product of cmv_core._next_power as one einsum for every
+    dtype: the kernel's own code before complex bands moved to np.matmul,
+    with its module's helpers named through cc.  The oracle that each
+    complex power the kernel builds has the same bytes as the einsum's."""
+    _, width, n = sb.shape
+    h = width // 2
+    w0 = (prev.shape[2] - n) // 2
+    w = w0 + h
+    shifted = cc._strided(prev, prev.shape[1] // 2 - w0, w0 - h,
+                          (width, 2 * w + 1, n), ((-1, 1), (1, 0), (0, 1)))
+    core = cc._power_rows(cur, n)
+    np.einsum("rdi,rdfi->rfi", sb, shifted, out=core[..., w:w + n])
+    if t and prev2 is None:
+        core[:, w, w:w + n] -= t
+    elif t:
+        w2 = w0 - h
+        core[:, 2 * h:2 * h + 2 * w2 + 1, w:w + n] -= \
+            t * cc._power_rows(prev2, n)[..., w2:w2 + n]
+    cc._wrap(core, n)
+
+
 def unitarity_residual(m):
     """Largest entry of |E* E - I| of a built CMV matrix."""
     E = m.dense()

@@ -6,10 +6,13 @@ would only show there as an `unmeasured` layer, and a moved argument as a
 wrong count, so both are checked here against the tracer's own tables.
 benchmarks/workloads.py calls the program with positional and keyword
 arguments read here from its source; a dropped keyword would turn every
-operation of a workload into a TypeError.
+operation of a workload into a TypeError.  One operation of each workload
+runs here too: its gates must pass, and the repr of its result must hash
+as recorded, so a change that moves a number on a workload path shows.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -18,16 +21,17 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+WORKLOADS = TRACING.parent / "workloads.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("benchmark_tracing", TRACING)
 
 # function -> {position: parameter name} that its counter reads
 COUNTED_ARGUMENTS = {
@@ -61,9 +65,6 @@ def test_counted_arguments_keep_their_positions(name):
     for pos, expected in COUNTED_ARGUMENTS[name].items():
         assert params[pos].name == expected
         assert params[pos].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
-
-
-WORKLOADS = TRACING.parent / "workloads.py"
 
 
 def _ggelab_names(tree):
@@ -112,3 +113,35 @@ def test_workload_calls_bind_to_the_program():
                 *([None] * n_args), **dict.fromkeys(keywords))
         except TypeError as exc:
             pytest.fail(f"workloads.py:{line}: {label}: {exc}")
+
+
+# sha256 of repr(result), first 16 hex digits, of one operation at input
+# seed 3 after the warm-up.  A change that moves a number on a workload
+# path re-records its digest and says why
+WORKLOAD_DIGESTS = {
+    "dos_torus": "a08d875b9a056e4c",
+    "dos_interval": "385189696548916b",
+    "free_energy_site": "d886bc98675d19eb",
+    "isospectral_flow": "d1b84242b9b63e00",
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("benchmark_workloads", WORKLOADS).WORKLOADS
+
+
+def test_every_workload_has_a_digest(workloads):
+    assert set(workloads) == set(WORKLOAD_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_operation_passes_its_gates_with_recorded_digest(name,
+                                                                  workloads):
+    workload = workloads[name]
+    inputs = workload.make_inputs(3)
+    workload.warm_up(inputs)
+    result = workload.operation(inputs)
+    assert workload.gates(inputs, result) == []
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
+    assert digest == WORKLOAD_DIGESTS[name]

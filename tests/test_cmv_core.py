@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ggelab import cmv_core as cc
 from ggelab.potentials import Potential
 
-from helpers import (block_factors, keep_upper_cyclic, random_interior_alpha,
-                     reference_periodic_entries, unitarity_residual)
+from helpers import (block_factors, einsum_next_power, keep_upper_cyclic,
+                     random_interior_alpha, reference_periodic_entries,
+                     unitarity_residual)
 
 
 RNG = np.random.default_rng(20260821)
@@ -446,6 +447,79 @@ def test_each_half_power_buffer_is_allocated_once_per_call(ell_max,
         calls.clear()
         cc.batch_trace_powers(batch, ell_max, topology)
         assert len(calls) <= -(-ell_max // 2)
+
+
+def _assert_einsum_bytes(batch, ell_max, topology, monkeypatch):
+    """The kernel's traces against those of the einsum band product."""
+    traces = cc.batch_trace_powers(batch, ell_max, topology)
+    monkeypatch.setattr(cc, "_next_power", einsum_next_power)
+    oracle = cc.batch_trace_powers(batch, ell_max, topology)
+    assert traces.dtype == oracle.dtype
+    assert traces.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("case", _KERNEL_CASES,
+                         ids=["-".join(map(str, c)) for c in _KERNEL_CASES])
+def test_band_product_equals_the_einsum_oracle_bit_for_bit(case, monkeypatch):
+    _, ell_max, topology, _ = case
+    _assert_einsum_bytes(_kernel_batch(case, 2 * cc._BLOCK + 5, 800),
+                         ell_max, topology, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 4, 32])
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "minus-zero"])
+def test_zero_rings_equal_the_einsum_oracle_bit_for_bit(zero, n, monkeypatch):
+    batch = np.full((2 * cc._BLOCK + 5, n), complex(zero, zero))
+    _assert_einsum_bytes(batch, 16, "periodic", monkeypatch)
+
+
+@pytest.mark.parametrize("topology", ["periodic", "open"])
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+def test_traces_are_computed_in_double_precision(dtype, topology):
+    rng = np.random.default_rng(900)
+    n, rows = 64, 2 * cc._BLOCK + 5
+    if np.dtype(dtype).kind == "i":  # the integers inside the disk: 0
+        alpha = np.zeros((rows, n), dtype)
+        if topology == "open":
+            alpha[:, -1] = rng.choice([-1, 1], rows)
+    else:
+        real = np.dtype(dtype).kind == "f"
+        alpha = np.stack([_random_matrix(rng, n, topology, real)[0]
+                          for _ in range(rows)]).astype(dtype)
+        if topology == "open":  # unimodular in single precision too
+            alpha[:, -1] = -1.0 if real else 1j
+    double = alpha.astype(np.result_type(alpha, np.float64))
+    traces = cc.batch_trace_powers(alpha, 16, topology)
+    assert traces.dtype == double.dtype
+    assert traces.tobytes() == cc.batch_trace_powers(double, 16,
+                                                     topology).tobytes()
+    band = cc._DIAGONALS[topology](alpha)
+    assert band.tobytes() == cc._DIAGONALS[topology](double).tobytes()
+    if topology == "periodic" and np.dtype(dtype).kind != "c":
+        assert (cc.geronimus_diagonals(alpha).tobytes()
+                == cc.geronimus_diagonals(double).tobytes())
+
+
+def test_open_last_entry_is_checked_in_the_input_precision():
+    # |e^(0.3i)| is 1 in complex64 but misses 1 by 1e-8 once promoted
+    alpha = np.array([0.3, 0.2j, np.exp(0.3j)], np.complex64)
+    band = cc.open_diagonals(alpha)
+    double = alpha.astype(complex)
+    assert band.dtype == np.complex128
+    assert band[2, -1] == -np.conj(double[-1]) * double[-2]
+
+
+def test_conserved_quantities_are_computed_in_double_precision():
+    alpha = random_interior_alpha(np.random.default_rng(901), 64, real=True)
+    single = cc.conserved_quantities(alpha.astype(np.float32))
+    double = cc.conserved_quantities(alpha.astype(np.float32).astype(float))
+    assert single.k0 == double.k0 and single.k1 == double.k1
+    assert single.trace_powers.tobytes() == double.trace_powers.tobytes()
+
+
+def test_batch_trace_powers_rejects_more_than_two_axes():
+    with pytest.raises(ValueError, match=r"got shape \(2, 3, 8\)"):
+        cc.batch_trace_powers(np.zeros((2, 3, 8)), 4)
 
 
 def test_batch_trace_powers_rejects_bad_input():

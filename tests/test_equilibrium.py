@@ -29,7 +29,7 @@ from ggelab.equilibrium import (
     minimize_torus,
 )
 from ggelab.potentials import Potential
-from ggelab.spectral_measures import distance_D
+from ggelab.spectral_measures import EmpiricalMeasure, distance_D
 
 from helpers import (dense_interval_kernel, interval_arcsine, richardson,
                      uniform_torus)
@@ -622,6 +622,16 @@ class TestBetaDerivative:
                                                   None, beta)):
             with pytest.raises(ValueError, match="beta must be positive and finite"):
                 call()
+
+    @pytest.mark.parametrize("domain,free_energy",
+                             [("torus", free_energy_torus),
+                              ("interval", free_energy_interval)])
+    def test_free_energy_takes_only_a_grid_density(self, domain, free_energy):
+        atoms = EmpiricalMeasure(np.linspace(-0.9, 0.9, 50), domain)
+        with pytest.raises(ValueError, match="got EmpiricalMeasure"):
+            free_energy(atoms, None, 1.0)
+        with pytest.raises(ValueError, match="got ndarray"):
+            free_energy(np.ones(64), None, 1.0)
 
     def test_beta_lipschitz_distance(self):
         v = Potential("torus", cos=[0.0, 0.5])
