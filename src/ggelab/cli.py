@@ -304,7 +304,7 @@ def cmd_dos(args, cfg):
     return 0
 
 
-_SOLVER_FLAGS = ("damping", "tolerance", "max_iterations", "grid_size")
+_SOLVER_FLAGS = ("tolerance", "max_iterations", "grid_size")
 
 
 def cmd_minimize(args, cfg):
@@ -525,11 +525,6 @@ def _build_parsers():
                         "uniform t = ln tan(theta/2) grid over [-36, 36] on "
                         f"the interval (default {SolverParams.grid_size}, "
                         "at least 16)")
-    p.add_argument("--damping", type=float, default=None,
-                   help="step factor in (0, 1] of the damped fixed-point "
-                        "map (each Fourier mode is damped further); the "
-                        "acceleration builds on this map, so it changes the "
-                        f"iteration count (default {SolverParams.damping})")
     p.add_argument("--tolerance", type=float, default=None,
                    help="stop once the largest damped step of ln(density) "
                         "at the current iterate is below this (default "

@@ -40,6 +40,7 @@ Cayley transform i (I + E)^-1 (I - E), whose eigenvalues are tan(theta/2),
 so every eigen-angle comes from a Hermitian eigvalsh.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -648,6 +649,13 @@ def _power_count(value, name, least=0):
     if k < least:
         raise ValueError(f"{name} must be >= {least}, got {k}")
     return k
+
+
+def _positive(value, name):
+    """Raise ValueError, naming the argument, unless value is positive and
+    finite: NaN and +-inf fail."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def batch_trace_powers(alpha, ell_max, topology="periodic"):

@@ -35,14 +35,15 @@ moves: a conserved one would pass by construction.
 
 Integration is classical fourth-order Runge-Kutta with a fixed step.
 The step count is round(t_final / dt), so commensurate (dt, t_final)
-pairs land on t_final exactly.  No adaptivity: a trajectory that leaves
-the closed unit polydisk by more than 1e-8 aborts with a stability
-error instead of being renormalized.  One stepper, _Rk4, serves the
-single trajectories of integrate, the ensemble batches of
-gge_invariance_test and the probe step of lax_residual: it owns the four
-stages and the scratch arrays of one run, and every vector field is
-written into them in place, the cyclic neighbours by three slice
-operations instead of two rolled copies.  The stepper is site-major: the
+pairs land on t_final exactly.  No adaptivity: a step that takes any
+site onto or past the unit circle aborts with a stability error instead
+of being renormalized.  One stepper, _Rk4, serves the single
+trajectories of integrate, the ensemble batches of gge_invariance_test
+and the probe step of lax_residual, and _check_polydisk checks each of
+their steps by that one rule.  The stepper owns the four stages and the
+scratch arrays of one run, and every vector field is written into them
+in place, the cyclic neighbours by three slice operations instead of two
+rolled copies.  The stepper is site-major: the
 ring is the first axis of its states, one ring (n,) or a block (n, B) of
 B rings, while al_rhs and schur_rhs keep their (..., n) contract through
 moved-axis views.  gge_invariance_test copies its batch site-major once
@@ -69,6 +70,7 @@ from .cmv_core import (
     _adjoint_band,
     _check_size,
     _plus,
+    _positive,
     _power_count,
     build_periodic_cmv,
     conserved_quantities,
@@ -90,8 +92,9 @@ __all__ = [
     "gge_invariance_test",
 ]
 
-POLYDISK_TOL = 1e-8
 COMMUTATOR_TOL = 1e-12
+# conservation_report follows Tr E^ell for ell = 1.._ELL_MAX
+_ELL_MAX = 4
 # bytes of one state array of an ensemble block: the eight arrays a step
 # touches (state, stage, four stages, two scratch) then fit a 2 MB L2 cache
 ENSEMBLE_BLOCK_BYTES = 128 * 1024
@@ -140,10 +143,8 @@ class IntegratorParams:
     t_final: float
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
-        if not (self.t_final > 0 and math.isfinite(self.t_final)):
-            raise ValueError("t_final must be positive and finite")
+        _positive(self.dt, "dt")
+        _positive(self.t_final, "t_final")
         if self.dt > self.t_final:
             raise ValueError(
                 f"dt = {self.dt:g} exceeds t_final = {self.t_final:g}")
@@ -274,10 +275,12 @@ class _Rk4:
 
 
 def _check_polydisk(a, t):
+    """Raise NumericalError unless every site of `a` lies strictly inside
+    the unit circle, the rule of VerblunskyVector."""
     amax = float(np.abs(a).max())
-    if not amax <= 1.0 + POLYDISK_TOL:  # NaN fails too
+    if not amax < 1.0:  # NaN fails too
         raise NumericalError(
-            f"trajectory left the unit polydisk (max |alpha| = {amax:.6g} "
+            f"trajectory left the unit polydisk (max |alpha| = {amax:.12g} "
             f"at t = {t:.6g}); try a smaller dt", residual=amax - 1.0)
 
 
@@ -323,20 +326,10 @@ class Trajectory:
 
 
 def _frame(a, t):
-    try:
-        vec = VerblunskyVector(a.copy(), BoundaryMode.ALL_INTERIOR)
-    except ValueError:
-        # inside the stability band but already on or past the circle
-        amax = float(np.abs(a).max())
-        raise NumericalError(
-            f"trajectory reached the polydisk boundary (max |alpha| = "
-            f"{amax:.12g} at t = {t:.6g}); try a smaller dt",
-            residual=amax - 1.0) from None
-    return FlowState(vec, t)
+    return FlowState(VerblunskyVector(a.copy(), BoundaryMode.ALL_INTERIOR), t)
 
 
-def integrate(state0, which_flow, params, max_frames=256,
-              direction="forward"):
+def integrate(state0, which_flow, params, max_frames=256):
     """Integrate one trajectory with classical RK4 at fixed dt.
 
     Args:
@@ -347,23 +340,17 @@ def integrate(state0, which_flow, params, max_frames=256,
             steps of size dt, so pick commensurate values to land on
             t_final exactly.
         max_frames: cap on stored frames (endpoints always kept).
-        direction: "forward" or "backward"; backward runs the same
-            scheme with step -dt, so integrating forward for t_final and
-            then backward for t_final returns to the initial state up to
-            the discretization error.
 
     Returns:
         Trajectory.
 
     Raises:
-        NumericalError: the state left the closed unit polydisk by more
-            than 1e-8 (the step is too large for the data).
-        ValueError: unknown flow or direction, or invalid parameters.
+        NumericalError: a step took a site onto or past the unit circle
+            (the step is too large for the data).
+        ValueError: unknown flow, or invalid parameters.
     """
     if which_flow not in _FIELDS:
         raise ValueError(f"unknown flow {which_flow!r}")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
     if not isinstance(params, IntegratorParams):
         raise TypeError("params must be IntegratorParams")
     if not isinstance(state0, FlowState):
@@ -374,7 +361,6 @@ def integrate(state0, which_flow, params, max_frames=256,
 
     n_steps = max(1, int(round(params.t_final / params.dt)))
     stride = max(1, math.ceil(n_steps / (max_frames - 1)))
-    sign = 1.0 if direction == "forward" else -1.0
     t0 = state0.time
     raw = state0.alphas.alpha
     if which_flow == "schur":
@@ -385,11 +371,10 @@ def integrate(state0, which_flow, params, max_frames=256,
         a = np.array(raw, dtype=complex)
 
     frames = [_frame(a, t0)]
-    h = sign * params.dt
     step = _Rk4(which_flow, a.shape)
     for k in range(1, n_steps + 1):
-        a = step(a, h)
-        t = t0 + sign * k * params.dt
+        a = step(a, params.dt)
+        t = t0 + k * params.dt
         _check_polydisk(a, t)
         if k % stride == 0 or k == n_steps:
             frames.append(_frame(a, t))
@@ -437,23 +422,19 @@ def _drift(series):
     return dev / max(abs(ref), 1.0)
 
 
-def conservation_report(trajectory, ell_max=4):
-    """Relative drifts of K0, K1 and Tr E^ell (ell <= ell_max) over the
-    frames of a Trajectory (TypeError for anything else).  ell_max must be
-    an integer >= 1 (TypeError for a non-integral value).
+def conservation_report(trajectory):
+    """Relative drifts of K0, K1 and Tr E^ell (ell <= 4) over the frames of
+    a Trajectory (TypeError for anything else).
     """
     if not isinstance(trajectory, Trajectory):
         raise TypeError(f"conservation_report takes a Trajectory, "
                         f"got {type(trajectory).__name__}")
-    ell_max = _power_count(ell_max, "ell_max")
-    if ell_max < 1:
-        raise ValueError("ell_max must be at least 1")
-    series = conserved_quantities(trajectory.alphas, ell_max)
+    series = conserved_quantities(trajectory.alphas, _ELL_MAX)
     drifts = {"k0": _drift(series.k0), "k1": _drift(series.k1)}
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, _ELL_MAX + 1):
         drifts[f"trace_{ell}"] = _drift(series.trace_powers[:, ell - 1])
     return ConservationReport(flow=trajectory.flow, n_sites=trajectory[0].n,
-                              n_frames=len(trajectory), ell_max=ell_max,
+                              n_frames=len(trajectory), ell_max=_ELL_MAX,
                               drifts=drifts)
 
 
@@ -476,12 +457,12 @@ def lax_residual(state, dt_probe=1e-6):
 
     The algebraically equivalent generator E+ - (E*)+ + D is evaluated
     too and both commutators must agree to 1e-12; E* E = E E* makes the
-    two forms differ by i [E, E*] = 0.
+    two forms differ by i [E, E*] = 0.  A probe step that takes a site
+    onto or past the unit circle raises NumericalError, as in integrate.
     """
     if not isinstance(state, FlowState):
         state = FlowState(state)
-    if not dt_probe > 0:
-        raise ValueError("dt_probe must be positive")
+    _positive(dt_probe, "dt_probe")
     a0 = np.asarray(state.alphas.alpha, dtype=complex)
     m0 = build_periodic_cmv(a0)
     E0 = m0.dense()
@@ -497,6 +478,7 @@ def lax_residual(state, dt_probe=1e-6):
                              residual=gap)
 
     a1 = _Rk4("al", a0.shape)(a0, dt_probe)
+    _check_polydisk(a1, state.time + dt_probe)
     E1 = build_periodic_cmv(a1).dense()
     fd = (E1 - E0) / dt_probe
     return float(np.abs(fd - commutator).max())
@@ -594,8 +576,8 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02):
     so they are left to conservation_report.  The batch is flowed
     site-major in blocks of columns sized to stay in an L2 cache
     (ENSEMBLE_BLOCK_BYTES per state array); each block runs all its steps
-    in turn, and a block whose state leaves the polydisk raises
-    NumericalError.
+    in turn, and a step that takes a site onto or past the unit circle
+    raises NumericalError.
 
     The step is t_final / ceil(t_final / dt), so t_final is hit exactly;
     t_final = 0 skips the flow, so every difference is 0, z = 0 and p = 1.
@@ -608,8 +590,7 @@ def gge_invariance_test(spec, t_final, n_samples, rng=None, dt=0.02):
     """
     if spec.kind not in _FIELDS:
         raise ValueError("the lattice flows act on 'al' or 'schur' ensembles")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _positive(dt, "dt")
     if not (t_final >= 0 and math.isfinite(t_final)):
         raise ValueError(
             f"t_final must be nonnegative and finite, got {t_final!r}")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv_core import NumericalError, _power_count
+from .cmv_core import NumericalError, _positive, _power_count
 from .potentials import Potential
 from .spectral_measures import FourierCoeffs
 
@@ -80,22 +80,27 @@ class EndpointSingularityError(NumericalError):
         self.exponent = exponent
 
 
+# step factor of the damped fixed-point maps, before each Fourier mode is
+# damped further; the acceleration builds on the damped map, so a different
+# factor changes the iteration count, never the fixed point
+_DAMPING = 0.5
+
+
 @dataclass(frozen=True)
 class SolverParams:
-    """Damped fixed-point controls shared by both minimizers.  The two
-    counts are stored as plain ints: a non-integral value (64.0, "64")
-    raises TypeError."""
+    """Stopping rule, budget and grid of both minimizers and of
+    beta_derivative_measure: stop once the damped step is below
+    `tolerance` (positive and finite), give up after `max_iterations`,
+    solve on `grid_size` nodes.  The two counts are stored as plain ints:
+    a non-integral value (64.0, "64") raises TypeError.  The damping is
+    the fixed _DAMPING."""
 
-    damping: float = 0.5
     tolerance: float = 1e-10
     max_iterations: int = 20000
     grid_size: int = 1024
 
     def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        _positive(self.tolerance, "tolerance")
         for name, least in (("max_iterations", 1), ("grid_size", 16)):
             object.__setattr__(self, name,
                                _power_count(getattr(self, name), name, least))
@@ -127,14 +132,8 @@ def _potential_callable(v, domain):
 
 
 def _potential_values(v, domain, points):
-    """V at the grid points, a constant V broadcast to every point."""
-    vv = np.asarray(_potential_callable(v, domain)(points), dtype=float)
-    return np.full(points.size, float(vv)) if vv.shape == () else vv
-
-
-def _check_beta(beta):
-    if not (beta > 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    """V at the grid points."""
+    return np.asarray(_potential_callable(v, domain)(points), dtype=float)
 
 
 def _check_density(rho):
@@ -344,7 +343,7 @@ def _torus_problem(v, beta, params):
     """The torus fixed point at grid size m: V on the grid, the spacing h,
     the field L[rho] and the damped step of a log-space difference.
 
-    Updates are damped per Fourier mode, gamma_k = gamma / (1 + 2 beta / k),
+    Updates are damped per Fourier mode, gamma_k = _DAMPING / (1 + 2 beta / k),
     which keeps the iteration contractive for all beta (a mode-independent
     damping corresponds to rho_{n+1} = normalize(rho_n^{1-gamma}
     target^gamma) and destabilizes low modes once 2 beta > 1).  The circle
@@ -354,7 +353,7 @@ def _torus_problem(v, beta, params):
     theta, h = _torus_grid(m)
     k = np.arange(m)
     kfold = np.abs(((k + m // 2) % m) - m // 2).astype(float)
-    damp = params.damping / (1.0 + 2.0 * beta / np.maximum(kfold, 1.0))
+    damp = _DAMPING / (1.0 + 2.0 * beta / np.maximum(kfold, 1.0))
     phase = _torus_phase(k, h)
     kk = np.arange(1, m // 2)
 
@@ -376,7 +375,7 @@ def minimize_torus(v, beta, params=None):
     map and stops on its step.  Returns the density with Euler-Lagrange
     residual and iteration count attached.
     """
-    _check_beta(beta)
+    _positive(beta, "beta")
     params = params or SolverParams()
     vv, h, field, damped = _torus_problem(v, beta, params)
 
@@ -403,7 +402,7 @@ def free_energy_torus(rho, v, beta):
     make the V = 0 minimal value equal beta log 2).  entropy uses 0 log 0 = 0.
     """
     _check_density(rho)
-    _check_beta(beta)
+    _positive(beta, "beta")
     if rho.domain != "torus":
         raise ValueError("free_energy_torus expects a torus density")
     if np.any(rho.values < 0):
@@ -546,7 +545,7 @@ def _interval_problem(v, beta, params):
     op = _interval_operator(params.grid_size)
     t, h = op["t"], op["h"]
     freq = np.fft.rfftfreq(t.size, d=h) * 2 * np.pi
-    damp = params.damping / (1.0 + np.pi * beta / np.maximum(freq, freq[1]))
+    damp = _DAMPING / (1.0 + np.pi * beta / np.maximum(freq, freq[1]))
 
     def field(p, gm, gp):
         return _log_field(op, p) + 2 * gm * op["k0"] + 2 * gp * op["kpi"]
@@ -571,7 +570,7 @@ def minimize_interval(v, beta, params=None):
     The grid spans t in [-T, T], T = 36 (_interval_grid), so a larger
     grid_size refines it and the O(spacing^2) quadrature bias shrinks.
     """
-    _check_beta(beta)
+    _positive(beta, "beta")
     params = params or SolverParams()
     vv, op, field, damped = _interval_problem(v, beta, params)
     t, h, w = op["t"], op["h"], op["w"]
@@ -610,7 +609,7 @@ def free_energy_interval(rho, v, beta):
     G^2 ln 2 - (2/beta)(1/Y - (Y - 2 beta T)/(2 Y^2)).
     """
     _check_density(rho)
-    _check_beta(beta)
+    _positive(beta, "beta")
     if rho.domain != "interval":
         raise ValueError("free_energy_interval expects an interval density")
     if np.any(rho.values < 0):
@@ -667,7 +666,7 @@ def beta_derivative_measure(v, beta, params=None, domain=None):
     The domain is ``domain`` when given, else the potential's, else the
     torus; a potential on the other domain raises ValueError.
     """
-    _check_beta(beta)
+    _positive(beta, "beta")
     if domain is None:
         domain = v.domain if isinstance(v, Potential) else "torus"
     if domain not in ("torus", "interval"):

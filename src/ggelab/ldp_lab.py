@@ -36,11 +36,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cmv_core import NumericalError, _power_count, batch_trace_powers
-from .equilibrium import (_check_beta, _check_density,
-                          beta_derivative_measure, free_energy_interval,
-                          free_energy_torus, minimize_interval, minimize_torus)
-from .potentials import Potential
+from .cmv_core import (NumericalError, _positive, _power_count,
+                       batch_trace_powers)
+from .equilibrium import (_check_density, beta_derivative_measure,
+                          free_energy_interval, free_energy_torus,
+                          minimize_interval, minimize_torus)
 from .sampling import (KINDS, EnsembleSpec, McmcParams, _sample, make_rng,
                        sample_chi, sample_coupled_family, sample_ensemble)
 from .spectral_measures import FourierCoeffs, distance_D, fourier_coeffs
@@ -82,18 +82,12 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, Potential):
-        return obj.to_dict()
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     return obj
 
 
@@ -562,9 +556,7 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     if k_max < 4:
         raise ValueError("k_max must be at least 4 to cover the moment table")
     threshold = float(threshold)
-    if not (threshold > 0 and math.isfinite(threshold)):
-        raise ValueError(f"threshold must be positive and finite, "
-                         f"got {threshold}")
+    _positive(threshold, "threshold")
 
     mcmc = _chain_params(mcmc)
     batch = sample_ensemble(spec, mcmc, make_rng(rng))
@@ -626,7 +618,7 @@ def rate_function_value(mu, v, beta, params=None):
         small negative guard raise NumericalError.
     """
     _check_density(mu)
-    _check_beta(beta)
+    _positive(beta, "beta")
 
     if mu.domain == "torus":
         value = free_energy_torus(mu, v, beta).total

@@ -57,9 +57,8 @@ __all__ = [
 class SeededGenerator(np.random.Generator):
     """PCG64 generator that remembers the integer seed it was built from.
 
-    The recorded seed lets every emitted batch (and any file written from
-    it) identify the stream it came from; within a batch the row index is
-    the stream index.
+    The command line reads the recorded seed, so that every file it writes
+    names the stream it came from, a fresh OS-entropy seed included.
     """
 
     def __init__(self, seed):
@@ -315,8 +314,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        cc._positive(self.beta, "beta")
         # a plain int: a non-integral n (6.5, "6") raises TypeError, and
         # the size rule below words the lower bound
         n = cc._power_count(self.n, "n", -math.inf)
@@ -338,16 +336,15 @@ class EnsembleSpec:
 class SampleBatch:
     """Kept states of one sampling run.
 
-    alphas has shape (samples, size); row i is stream index i of the
-    generator identified by `seed`.  acceptance_rate is None for exact
-    (potential-free) sampling.
+    alphas has shape (samples, size), one kept state per row, in the
+    order drawn.  acceptance_rate is None for exact (potential-free)
+    sampling.
     """
 
     alphas: np.ndarray
     kind: str
     beta: float
     acceptance_rate: Optional[float] = None
-    seed: Optional[int] = None
 
     @property
     def n_samples(self):
@@ -564,7 +561,6 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
     single scale 1.
     """
     rng = make_rng(rng)
-    seed = getattr(rng, "seed_value", None)
     n_keep = mcmc.sweeps
     kind = KINDS[spec.kind]
     n, beta, potential = spec.n, float(spec.beta), spec.potential
@@ -572,7 +568,7 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
     tilts = [None if potential is None else potential.scaled(float(s))
              for s in scales]
     batches = [SampleBatch(alphas=_draw_sites(kind, params, rng, n_keep),
-                           kind=spec.kind, beta=beta, seed=seed)
+                           kind=spec.kind, beta=beta)
                if v is None or v.is_zero else None for v in tilts]
     chained = [i for i, batch in enumerate(batches) if batch is None]
     if chained:
@@ -585,7 +581,7 @@ def _sample(spec, mcmc, rng, scales=(1.0,)):
                                    n_keep, rng)
         for i, a, rate in zip(chained, alphas, rates):
             batches[i] = SampleBatch(alphas=a, kind=spec.kind, beta=beta,
-                                     acceptance_rate=float(rate), seed=seed)
+                                     acceptance_rate=float(rate))
     return batches
 
 

@@ -19,6 +19,8 @@ import numpy as np
 from .cmv_core import _power_count, eigen_angles
 
 DEFAULT_K_MAX = 256
+# floating slack of check_bv_lip_bound's two inequalities
+_BOUND_SLACK = 1e-12
 
 __all__ = [
     "DEFAULT_K_MAX",
@@ -66,13 +68,6 @@ class EmpiricalMeasure:
             raise ValueError("points must lie strictly inside (-1, 1)")
         self.domain = domain
         self.atoms = np.sort(atoms)
-
-    @property
-    def count(self):
-        return self.atoms.size
-
-    def mass(self):
-        return 1.0
 
     @property
     def angles(self):
@@ -189,7 +184,7 @@ class BoundCheckReport:
         self.all_pass = all(r["bv_ok"] and r["lip_ok"] for r in rows)
 
 
-def check_bv_lip_bound(a, b, slack=1e-12):
+def check_bv_lip_bound(a, b):
     """Check |int f dmu(A) - int f dmu(B)| against the BV-rank and Lipschitz-entrywise bounds.
 
     For each function of DEFAULT_TEST_FUNCTIONS the deviation must satisfy
@@ -198,7 +193,8 @@ def check_bv_lip_bound(a, b, slack=1e-12):
         |.| <= bv(f) * rank(A - B) / N       and
         |.| <= lip(f) * (1/N) sum_ij |(A - B)_ij|,
 
-    with rank counted as singular values above 1e-9 * ||A - B||.
+    with rank counted as singular values above 1e-9 * ||A - B||, each up
+    to a floating slack of 1e-12.
     """
     da = a.dense()
     db = b.dense()
@@ -224,7 +220,7 @@ def check_bv_lip_bound(a, b, slack=1e-12):
             "deviation": dev,
             "bv_bound": bv_bound,
             "lip_bound": lip_bound,
-            "bv_ok": dev <= bv_bound + slack,
-            "lip_ok": dev <= lip_bound + slack,
+            "bv_ok": dev <= bv_bound + _BOUND_SLACK,
+            "lip_ok": dev <= lip_bound + _BOUND_SLACK,
         })
     return BoundCheckReport(rank, entry, rows)

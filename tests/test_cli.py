@@ -170,8 +170,8 @@ class TestHelpDefaults:
                       "--t-final": "1.0", "--frames": "256",
                       "--init": "random", "--rmax": "0.3"}),
         ("free-energy", {"--ensemble": "al", "--n": "32", "--samples": "200"}),
-        ("minimize", {"--grid-size": "1024", "--damping": "0.5",
-                      "--tolerance": "1e-10", "--max-iterations": "20000"}),
+        ("minimize", {"--grid-size": "1024", "--tolerance": "1e-10",
+                      "--max-iterations": "20000"}),
     ])
     def test_help_shows_defaults(self, capsys, command, defaults):
         with pytest.raises(SystemExit):
@@ -200,7 +200,11 @@ def _as_config(argv, path):
 
 
 # fixed-seed runs with the config hash their outputs carry; the hashes were
-# recorded before config files went through argparse and must not move
+# recorded before config files went through argparse and must not move.  The
+# three minimize hashes were re-recorded when the --damping flag left: the
+# hash covers every option of the subcommand.  minimize_interval ran at
+# --damping 0.7 before; at the one damping, 0.5, its file equals the old
+# code's bytes at --damping 0.5 except for the hash line.
 _RUNS = {
     "sample": (["sample", "--ensemble", "schur", "--n", "6", "--beta", "2",
                 "--samples", "4", "--seed", "3", "--angles"], "634cc84c8cad"),
@@ -216,14 +220,14 @@ _RUNS = {
     "dos_defaults": (["dos", "--beta", "1", "--seed", "5", "--samples", "5"],
                      "8828fd87cd8d"),
     "minimize": (["minimize", "--beta", "1", "--potential", "c1=0.5",
-                  "--grid-size", "64", "--seed", "2"], "fb31f1d8460c"),
+                  "--grid-size", "64", "--seed", "2"], "b3654cfaff49"),
     "minimize_interval": (["minimize", "--beta", "1", "--domain", "interval",
-                           "--potential", "t1=0.3", "--damping", "0.7",
-                           "--tolerance", "1e-9", "--max-iterations", "500",
-                           "--grid-size", "128", "--format", "json", "--seed",
-                           "2"], "02db21ce394b"),
+                           "--potential", "t1=0.3", "--tolerance", "1e-9",
+                           "--max-iterations", "500", "--grid-size", "128",
+                           "--format", "json", "--seed", "2"],
+                          "8a0bd815036b"),
     "minimize_defaults": (["minimize", "--beta", "2", "--seed", "2"],
-                          "b941a73164f4"),
+                          "16dcc94a5d4c"),
     "relation": (["relation", "--ensemble", "al", "--n", "8", "--beta", "1",
                   "--samples", "20", "--threshold", "0.5", "--k-max", "4",
                   "--seed", "4"], "1c8c85da29d5"),
@@ -245,7 +249,8 @@ _RUNS = {
 }
 
 # sha256 prefixes of the data files of each _RUNS entry, recorded before the
-# subcommands shared one emit step; like the config hashes, they must not move
+# subcommands shared one emit step; like the config hashes, they must not
+# move, and the minimize entries moved with their hashes
 _DIGESTS = {
     "dos": {
         "dos_fourier.csv": "80551322ac0d7bed",
@@ -265,12 +270,12 @@ _DIGESTS = {
     "free_energy": {"free_energy.json": "de45300609049421"},
     "free_energy_defaults": {"free_energy.json": "a381eec00099ec8f"},
     "minimize": {
-        "density.csv": "fa6f737c54ae788e",
-        "minimize.json": "da764c9fbc03e8a7"},
+        "density.csv": "b9ec4c986e7e4106",
+        "minimize.json": "9497799d35792124"},
     "minimize_defaults": {
-        "density.csv": "f1dff21c5d8ccc00",
-        "minimize.json": "766f5f3cc9b72615"},
-    "minimize_interval": {"minimize.json": "b726e9d1c232715d"},
+        "density.csv": "7d1b47d6c0e3b790",
+        "minimize.json": "00f2b759fd5490f6"},
+    "minimize_interval": {"minimize.json": "1b3ed5eb70633582"},
     "relation": {"relation.json": "97bf63867683a172"},
     "sample": {
         "angles.csv": "51cef93d16e53bbe",
@@ -565,12 +570,23 @@ class TestMinimize:
         assert "does not match" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_damping_is_no_option(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("damping = 0.5\n")
+        out = tmp_path / "out"
+        for extra, error in ((["--damping", "0.5"], "unrecognized arguments"),
+                             (["--config", str(p)], "unknown config key")):
+            with pytest.raises(SystemExit) as exc:
+                main(["minimize", "--beta", "1", "--out", str(out)] + extra)
+            assert exc.value.code == 2
+            assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_flags_have_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["minimize", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         for phrase in ("--grid-size GRID_SIZE grid nodes",
-                       "--damping DAMPING step factor",
                        "--tolerance TOLERANCE stop once the largest damped step",
                        "--max-iterations MAX_ITERATIONS iteration budget"):
             assert phrase in out

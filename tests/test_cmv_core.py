@@ -1,11 +1,17 @@
 """Lax matrix construction, spectra, and banded trace powers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggelab import cmv_core as cc
+from ggelab.dynamics import IntegratorParams, gge_invariance_test, lax_residual
+from ggelab.equilibrium import SolverParams, minimize_torus
+from ggelab.ldp_lab import check_dos_relation
 from ggelab.potentials import Potential
+from ggelab.sampling import EnsembleSpec
 
 from helpers import (block_factors, einsum_next_power, keep_upper_cyclic,
                      random_interior_alpha, reference_periodic_entries,
@@ -626,6 +632,39 @@ def test_powers_must_be_nonnegative_integers(power, error):
         cc.batch_trace_powers(m.alpha, power)
     with pytest.raises(error, match="ell "):
         cc.trace_power(m, power)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_positive_rejects_zero_negative_and_non_finite(value):
+    with pytest.raises(ValueError,
+                       match=r"^width must be positive and finite, got "):
+        cc._positive(value, "width")
+
+
+@pytest.mark.parametrize("value", [1e-300, 2, np.float64(0.5)])
+def test_positive_accepts_positive_finite_values(value):
+    cc._positive(value, "width")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("beta", lambda v: EnsembleSpec("al", 8, v)),
+    ("beta", lambda v: minimize_torus(None, v)),
+    ("tolerance", lambda v: SolverParams(tolerance=v)),
+    ("dt", lambda v: IntegratorParams(dt=v, t_final=1.0)),
+    ("t_final", lambda v: IntegratorParams(dt=0.1, t_final=v)),
+    ("dt", lambda v: gge_invariance_test(EnsembleSpec("al", 8, 1.0), 1.0,
+                                         10, dt=v)),
+    ("threshold", lambda v: check_dos_relation("al", None, 1.0, 8,
+                                               threshold=v)),
+    ("dt_probe", lambda v: lax_residual(np.zeros(6, complex), v)),
+], ids=["EnsembleSpec", "minimize_torus", "SolverParams",
+        "IntegratorParams.dt", "IntegratorParams.t_final",
+        "gge_invariance_test", "check_dos_relation", "lax_residual"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_every_positive_argument_takes_the_one_rule(name, call, value):
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be positive and finite, got "):
+        call(value)
 
 
 def test_numpy_integer_powers_are_accepted():

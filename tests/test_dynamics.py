@@ -303,13 +303,6 @@ class TestIntegrate:
         with pytest.raises(NumericalError, match="smaller dt"):
             integrate(bad, "al", IntegratorParams(dt=0.5, t_final=50.0))
 
-    def test_backward_direction(self):
-        traj = integrate(np.full(4, 0.1 + 0.1j), "al",
-                         IntegratorParams(dt=0.1, t_final=1.0),
-                         direction="backward")
-        assert traj.times[0] == 0.0
-        assert abs(traj.times[-1] + 1.0) < 1e-12
-
     def test_schur_realness_is_bit_exact(self):
         rng = np.random.default_rng(8)
         a = random_interior_alpha(rng, 16, rmax=0.5, real=True)
@@ -321,12 +314,10 @@ class TestIntegrate:
             integrate(np.array([0.1 + 0j, 0.2, -0.1, 0.05]), "schur",
                       IntegratorParams(dt=0.1, t_final=1.0))
 
-    def test_invalid_flow_and_direction(self):
+    def test_invalid_flow(self):
         p = IntegratorParams(dt=0.1, t_final=1.0)
         with pytest.raises(ValueError, match="flow"):
             integrate(np.zeros(4, complex), "toda", p)
-        with pytest.raises(ValueError, match="direction"):
-            integrate(np.zeros(4, complex), "al", p, direction="up")
 
     def test_initial_state_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -342,15 +333,52 @@ def al_run():
     return integrate(a, "al", IntegratorParams(dt=1e-3, t_final=10.0))
 
 
+class _PastTheCircle:
+    """Stand-in for _Rk4 whose first step puts site 0 at |alpha| =
+    1 + 5e-9; every later step returns the state before that step, so
+    the excursion lasts one step."""
+
+    def __init__(self, flow, shape):
+        self._before = None
+
+    def __call__(self, a, h):
+        if self._before is None:
+            self._before = a.copy()
+            out = a.copy()
+            out[0] = 1.0 + 5e-9
+            return out
+        return self._before.copy()
+
+
+class TestOnePolydiskRule:
+    """Every step, kept as a frame or not, in a single run or an ensemble
+    batch, must keep each site strictly inside the unit circle."""
+
+    def test_integrate_rejects_a_step_that_is_not_a_frame(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_Rk4", _PastTheCircle)
+        # four steps, frames at steps 2 and 4: step 1 is not kept
+        with pytest.raises(NumericalError, match=r"left the unit polydisk "
+                           r"\(max \|alpha\| = 1\.000000005 at t = 0\.1\); "
+                           r"try a smaller dt"):
+            integrate(np.zeros(6, complex), "al",
+                      IntegratorParams(dt=0.1, t_final=0.4), max_frames=3)
+
+    def test_invariance_test_rejects_the_same_step(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_Rk4", _PastTheCircle)
+        spec = EnsembleSpec(kind="al", n=8, beta=1.0)
+        with pytest.raises(NumericalError, match="left the unit polydisk"):
+            gge_invariance_test(spec, 0.04, 4, make_rng(25), dt=0.02)
+
+
 class TestConservation:
     def test_zero_data_zero_drift(self):
         traj = integrate(np.zeros(8, complex), "al",
                          IntegratorParams(dt=0.1, t_final=1.0))
-        report = conservation_report(traj, 4)
+        report = conservation_report(traj)
         assert report.max_drift == 0.0
 
     def test_al_drift_within_budget(self, al_run):
-        report = conservation_report(al_run, 4)
+        report = conservation_report(al_run)
         assert report.max_drift <= 1e-6, \
             f"max drift {report.max_drift:.2e} exceeds 1e-6"
         assert set(report.drifts) == {"k0", "k1", "trace_1", "trace_2",
@@ -360,7 +388,7 @@ class TestConservation:
         rng = np.random.default_rng(10)
         a = random_interior_alpha(rng, 32, rmax=0.5, real=True)
         traj = integrate(a, "schur", IntegratorParams(dt=1e-3, t_final=10.0))
-        report = conservation_report(traj, 4)
+        report = conservation_report(traj)
         assert report.max_drift <= 1e-6, \
             f"max drift {report.max_drift:.2e} exceeds 1e-6"
 
@@ -370,7 +398,7 @@ class TestConservation:
         drifts = []
         for dt in (4e-3, 2e-3):
             traj = integrate(a, "al", IntegratorParams(dt=dt, t_final=1.0))
-            drifts.append(conservation_report(traj, 4).max_drift)
+            drifts.append(conservation_report(traj).max_drift)
         ratio = drifts[0] / drifts[1]
         assert 8.0 < ratio < 32.0, f"dt halving gave drift ratio {ratio:.2f}"
 
@@ -383,7 +411,7 @@ class TestConservation:
             assert isinstance(one.k0, float) and isinstance(one.k1, complex)
             assert series.k0[i] == one.k0 and series.k1[i] == one.k1
             assert np.array_equal(series.trace_powers[i], one.trace_powers)
-        report = conservation_report(al_run, 4)
+        report = conservation_report(al_run)
         k0 = series.k0
         assert report.drifts["k0"] == \
             np.abs(k0 - k0[0]).max() / max(abs(k0[0]), 1.0)
@@ -391,29 +419,17 @@ class TestConservation:
         assert report.drifts["trace_4"] == \
             np.abs(t4 - t4[0]).max() / max(abs(t4[0]), 1.0)
 
-    @pytest.mark.parametrize("ell_max, error", [
-        (2.5, TypeError), (2.0, TypeError), ("3", TypeError),
-        (None, TypeError), (0, ValueError), (-1, ValueError)])
-    def test_ell_max_must_be_a_positive_integer(self, al_run, ell_max,
-                                                error):
-        with pytest.raises(error, match="ell_max"):
-            conservation_report(al_run, ell_max)
-
-    def test_numpy_integer_ell_max_accepted(self, al_run):
-        report = conservation_report(al_run, np.int64(3))
-        assert report.ell_max == 3 and type(report.ell_max) is int
-        assert report.drifts == conservation_report(al_run, 3).drifts
-
     def test_dict_report(self, al_run):
-        report = conservation_report(al_run, 2)
+        report = conservation_report(al_run)
         blob = report.to_dict()
         assert blob["flow"] == "al"
         assert blob["n_sites"] == 32
+        assert blob["ell_max"] == 4 and type(blob["ell_max"]) is int
         assert blob["max_drift"] == report.max_drift
 
     def test_takes_only_a_trajectory(self, al_run):
         with pytest.raises(TypeError, match="takes a Trajectory, got list"):
-            conservation_report(list(al_run), 3)
+            conservation_report(list(al_run))
 
     def test_unitarity_along_trajectory(self, al_run):
         worst = max(unitarity_residual(build_periodic_cmv(s.alphas.alpha))
@@ -421,12 +437,19 @@ class TestConservation:
         assert worst <= 1e-8, f"unitarity residual {worst:.2e}"
 
     def test_time_reversal_roundtrip(self):
+        # the stepper of integrate, run back with step -dt, retraces a
+        # forward run up to the scheme's own error
         rng = np.random.default_rng(13)
         a = random_interior_alpha(rng, 16, rmax=0.5)
-        params = IntegratorParams(dt=1e-2, t_final=2.0)
-        forward = integrate(a, "al", params)
-        back = integrate(forward.final, "al", params, direction="backward")
-        round_trip = np.abs(back.final.alphas.alpha - a).max()
+        forward = integrate(a, "al", IntegratorParams(dt=1e-2, t_final=2.0))
+        step = _Rk4("al", a.shape)
+        b = a
+        for _ in range(forward.n_steps):
+            b = step(b, 1e-2)
+        assert b.tobytes() == forward.final.alphas.alpha.tobytes()
+        for _ in range(forward.n_steps):
+            b = step(b, -1e-2)
+        round_trip = np.abs(b - a).max()
         finer = integrate(a, "al", IntegratorParams(dt=5e-3, t_final=2.0))
         one_way = np.abs(forward.final.alphas.alpha
                          - finer.final.alphas.alpha).max()
@@ -469,6 +492,12 @@ class TestLaxResidual:
         rng = np.random.default_rng(16)
         a = random_interior_alpha(rng, 12, rmax=0.5)
         assert lax_residual(a, 1e-6) < 1e-4
+
+    def test_a_probe_past_the_circle_raises(self):
+        rng = np.random.default_rng(1)
+        a = 0.6 * np.exp(2j * np.pi * rng.uniform(size=8))
+        with pytest.raises(NumericalError, match="smaller dt"):
+            lax_residual(a, 2.0)
 
     def test_invalid_probe_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from ggelab.equilibrium import (
     minimize_interval,
     minimize_torus,
 )
+from ggelab import equilibrium
 from ggelab.potentials import Potential
 from ggelab.spectral_measures import EmpiricalMeasure, distance_D
 
@@ -51,10 +52,6 @@ def torus_tilted():
 class TestSolverParams:
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
-            SolverParams(damping=0.0)
-        with pytest.raises(ValueError):
-            SolverParams(damping=1.5)
-        with pytest.raises(ValueError):
             SolverParams(tolerance=0.0)
         with pytest.raises(ValueError):
             SolverParams(max_iterations=0)
@@ -68,7 +65,7 @@ class TestSolverParams:
 
     def test_defaults(self):
         p = SolverParams()
-        assert p.damping == 0.5 and p.tolerance == 1e-10
+        assert p.tolerance == 1e-10 and p.max_iterations == 20000
         assert p.grid_size == 1024
 
     @pytest.mark.parametrize("name, value", [
@@ -343,6 +340,26 @@ class TestIntervalMinimizer:
         with pytest.raises(EndpointSingularityError) as exc:
             minimize_interval(None, 0.01)
         assert -1.2 < exc.value.exponent < -0.7
+
+    def test_both_edges_report_the_same_exponent(self, monkeypatch):
+        # V = +5 T_1 piles mass at x = -1, the last t-node (end 1), and
+        # V = -5 T_1 at x = +1, the first (end 0): mirror images
+        real = equilibrium._edge_exponent
+        ends = []
+        monkeypatch.setattr(equilibrium, "_edge_exponent",
+                            lambda ln_p, h, end: ends.append(end)
+                            or real(ln_p, h, end))
+        exponents, edges = [], []
+        for c in (5.0, -5.0):
+            ends.clear()
+            with pytest.raises(EndpointSingularityError) as exc:
+                minimize_interval(Potential("interval", cheb=[0.0, c]), 0.03)
+            exponents.append(exc.value.exponent)
+            edges.append(set(ends))
+        assert edges == [{1}, {0}]
+        assert np.isfinite(exponents).all()
+        assert abs(exponents[0] - exponents[1]) < 1e-12
+        assert abs(exponents[0] + 0.949) < 5e-4
 
     def test_small_beta_still_converges(self):
         r = minimize_interval(None, 0.05)

@@ -703,12 +703,6 @@ def test_same_seed_gives_identical_batches():
     assert np.array_equal(b1.alphas, b2.alphas)
 
 
-def test_batch_records_seed():
-    spec = sp.EnsembleSpec("al", 8, beta=1.0)
-    b = sp.sample_al_gge(spec, sp.McmcParams(sweeps=5), sp.make_rng(77))
-    assert b.seed == 77
-
-
 def test_make_rng_env_fallback(monkeypatch):
     monkeypatch.setenv("GGE_SEED", "4242")
     rng = sp.make_rng(None)
