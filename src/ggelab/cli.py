@@ -39,7 +39,7 @@ from .ldp_lab import (check_coupling_lemma, check_dos_relation,
                       estimate_free_energy)
 from .potentials import Potential
 from .sampling import (ENSEMBLE_KINDS, KINDS, EnsembleSpec, McmcParams,
-                       make_rng, sample_ensemble)
+                       _seed, make_rng, sample_ensemble)
 from .spectral_measures import EmpiricalMeasure, fourier_coeffs
 
 __all__ = ["load_config", "main", "parse_potential"]
@@ -161,7 +161,7 @@ def _run_config(args):
     params = tuple(sorted((k, str(v)) for k, v in vars(args).items()
                           if k not in skip))
     return RunConfig(command=args.command, params=params,
-                     seed=make_rng(args.seed).seed_value, out=args.out,
+                     seed=_seed(args.seed), out=args.out,
                      fmt=args.format)
 
 
@@ -373,7 +373,7 @@ def cmd_dynamics(args, cfg):
     params = IntegratorParams(dt=args.dt, t_final=args.t_final)
     traj = integrate(FlowState(a0), args.flow, params, max_frames=args.frames)
     report = conservation_report(traj)
-    residual = (float(lax_residual(traj.initial))
+    residual = (float(lax_residual(traj[0]))
                 if args.flow == "al" else None)
 
     a = np.asarray(traj.alphas, complex)

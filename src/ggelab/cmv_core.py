@@ -43,12 +43,10 @@ so every eigen-angle comes from a Hermitian eigvalsh.
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "BoundaryMode",
     "VerblunskyVector",
     "CmvMatrix",
     "ConservedQuantities",
@@ -81,37 +79,21 @@ class UnsupportedTopologyError(ValueError):
     """Raised for operations that only make sense on one topology."""
 
 
-class BoundaryMode(str, Enum):
-    ALL_INTERIOR = "all-interior"
-    LAST_ON_CIRCLE = "last-on-circle"
-    LAST_MINUS_ONE = "last-minus-one"
-
-
 @dataclass(frozen=True)
 class VerblunskyVector:
-    """Verblunsky coefficients with a declared boundary convention.
+    """Verblunsky coefficients strictly inside the unit disk.
 
-    Interior entries must lie strictly inside the unit disk.  With
-    LAST_ON_CIRCLE the final entry is unimodular, with LAST_MINUS_ONE it
-    equals -1 (the Jacobi case); both make the open matrix unitary.
+    An open row's unimodular last entry does not belong here: the band it
+    builds checks it (open_diagonals).
     """
 
     alpha: np.ndarray
-    boundary: BoundaryMode = BoundaryMode.ALL_INTERIOR
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.alpha))
         object.__setattr__(self, "alpha", a)
-        interior = a if self.boundary == BoundaryMode.ALL_INTERIOR else a[:-1]
-        # each comparison is written so that NaN fails it
-        if interior.size and not np.abs(interior).max() < 1.0:
+        if a.size and not np.abs(a).max() < 1.0:  # NaN fails too
             raise ValueError("interior Verblunsky entries must satisfy |alpha| < 1")
-        if self.boundary == BoundaryMode.LAST_ON_CIRCLE:
-            if not abs(abs(a[-1]) - 1.0) <= BOUNDARY_TOL:
-                raise ValueError("last entry must lie on the unit circle")
-        elif self.boundary == BoundaryMode.LAST_MINUS_ONE:
-            if not abs(a[-1] + 1.0) <= BOUNDARY_TOL:
-                raise ValueError("last entry must equal -1")
 
     @property
     def n(self):
@@ -405,8 +387,8 @@ def open_diagonals(alpha):
     a = np.asarray(alpha)
     _check_size(a.shape[-1], "open")
     # in the input's precision, where a single-precision e^(i phi) is
-    # unimodular; the band is then built in double precision
-    if np.any(np.abs(np.abs(a[..., -1]) - 1.0) > BOUNDARY_TOL):
+    # unimodular; the band is then built in double precision.  NaN fails
+    if not np.all(np.abs(np.abs(a[..., -1]) - 1.0) <= BOUNDARY_TOL):
         raise ValueError("last entry must be unimodular for a unitary "
                          "open matrix")
     return _band(*_extended(_double(a), "open"))

@@ -64,7 +64,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cmv_core import (
-    BoundaryMode,
     NumericalError,
     VerblunskyVector,
     _adjoint_band,
@@ -108,11 +107,10 @@ ENSEMBLE_BLOCK_BYTES = 128 * 1024
 class FlowState:
     """A point on a flow: coefficient vector plus the clock.
 
-    `alphas` may be given as a VerblunskyVector or as a plain array of
-    strictly interior entries; arrays are wrapped with the all-interior
-    boundary convention, the only one the flows take (ValueError
-    otherwise).  The ring size n must be even and at least 2.  Schur
-    states should be real arrays, AL states complex.
+    `alphas` may be given as a VerblunskyVector or as a plain array, which
+    is wrapped in one, so every entry lies strictly inside the unit disk
+    (ValueError otherwise).  The ring size n must be even and at least 2.
+    Schur states should be real arrays, AL states complex.
     """
 
     alphas: VerblunskyVector
@@ -120,13 +118,7 @@ class FlowState:
 
     def __post_init__(self):
         if not isinstance(self.alphas, VerblunskyVector):
-            object.__setattr__(
-                self, "alphas",
-                VerblunskyVector(np.asarray(self.alphas),
-                                 BoundaryMode.ALL_INTERIOR))
-        if self.alphas.boundary != BoundaryMode.ALL_INTERIOR:
-            raise ValueError("flow states need all-interior coefficients, "
-                             f"got boundary {self.alphas.boundary.value}")
+            object.__setattr__(self, "alphas", VerblunskyVector(self.alphas))
         _check_size(self.alphas.n, "periodic")
         object.__setattr__(self, "time", float(self.time))
 
@@ -290,43 +282,22 @@ def _check_polydisk(a, t):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Output frames of one integration run.
-
-    Behaves as a sequence of FlowState.  Frames are a subsample of the
-    computed steps (first and last always included); `alphas` stacks
-    them into an (frames, n) array.
+    """Output frames of one integration run: `times` (frames,) and `alphas`
+    (frames, n), a subsample of the computed steps (first and last always
+    included).  traj[i] is frame i as a FlowState, built when read on a
+    view of alphas[i].
     """
 
-    states: tuple
+    times: np.ndarray
+    alphas: np.ndarray
     flow: str
-    dt: float
     n_steps: int
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)
 
     def __getitem__(self, i):
-        return self.states[i]
-
-    @property
-    def times(self):
-        return np.array([s.time for s in self.states])
-
-    @property
-    def alphas(self):
-        return np.stack([s.alphas.alpha for s in self.states])
-
-    @property
-    def initial(self):
-        return self.states[0]
-
-    @property
-    def final(self):
-        return self.states[-1]
-
-
-def _frame(a, t):
-    return FlowState(VerblunskyVector(a.copy(), BoundaryMode.ALL_INTERIOR), t)
+        return FlowState(self.alphas[i], self.times[i])
 
 
 def integrate(state0, which_flow, params, max_frames=256):
@@ -370,16 +341,17 @@ def integrate(state0, which_flow, params, max_frames=256):
     else:
         a = np.array(raw, dtype=complex)
 
-    frames = [_frame(a, t0)]
+    times, frames = [t0], [a]
     step = _Rk4(which_flow, a.shape)
     for k in range(1, n_steps + 1):
-        a = step(a, params.dt)
+        a = step(a, params.dt)  # a fresh array: a frame needs no copy
         t = t0 + k * params.dt
         _check_polydisk(a, t)
         if k % stride == 0 or k == n_steps:
-            frames.append(_frame(a, t))
-    return Trajectory(states=tuple(frames), flow=which_flow,
-                      dt=params.dt, n_steps=n_steps)
+            times.append(t)
+            frames.append(a)
+    return Trajectory(times=np.array(times), alphas=np.stack(frames),
+                      flow=which_flow, n_steps=n_steps)
 
 
 # --------------------------------------------------------------------------
@@ -433,8 +405,9 @@ def conservation_report(trajectory):
     drifts = {"k0": _drift(series.k0), "k1": _drift(series.k1)}
     for ell in range(1, _ELL_MAX + 1):
         drifts[f"trace_{ell}"] = _drift(series.trace_powers[:, ell - 1])
-    return ConservationReport(flow=trajectory.flow, n_sites=trajectory[0].n,
-                              n_frames=len(trajectory), ell_max=_ELL_MAX,
+    n_frames, n_sites = trajectory.alphas.shape
+    return ConservationReport(flow=trajectory.flow, n_sites=n_sites,
+                              n_frames=n_frames, ell_max=_ELL_MAX,
                               drifts=drifts)
 
 

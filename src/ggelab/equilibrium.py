@@ -131,16 +131,14 @@ def _potential_callable(v, domain):
     return v
 
 
-def _potential_values(v, domain, points):
-    """V at the grid points."""
-    return np.asarray(_potential_callable(v, domain)(points), dtype=float)
-
-
 def _check_density(rho):
-    """Raise ValueError, naming the type, unless rho is a GridDensity."""
+    """Raise ValueError unless rho is a GridDensity (naming the type of
+    anything else) with no negative value, which only a signed one holds."""
     if not isinstance(rho, GridDensity):
         raise ValueError("the density must be a GridDensity on the torus or "
                          f"the interval, got {type(rho).__name__}")
+    if np.any(rho.values < 0):
+        raise ValueError("negative density")
 
 
 def _log_cosh(t):
@@ -170,14 +168,17 @@ class GridDensity:
                              f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
-        if not signed:
-            if np.any(values < -1e-12):
-                raise ValueError(f"negative density value {values.min()}")
+        self.edge_masses = (float(edge_masses[0]), float(edge_masses[1]))
+        if not signed:  # one slack below zero for the values and both edges
+            for what, low in (("density value", values.min()),
+                              ("edge mass at x = +1", self.edge_masses[0]),
+                              ("edge mass at x = -1", self.edge_masses[1])):
+                if low < -1e-12:
+                    raise ValueError(f"negative {what} {low}")
             values = np.clip(values, 0.0, None)
         self.domain = domain
         self.nodes, self.weights = _grid(domain, values.size)
         self.values = values
-        self.edge_masses = (float(edge_masses[0]), float(edge_masses[1]))
         if domain == "torus" and self.edge_masses != (0.0, 0.0):
             # the circle has no edges: integrate and fourier would drop them
             raise ValueError(f"a torus density has no edge masses, "
@@ -363,7 +364,7 @@ def _torus_problem(v, beta, params):
     def damped(diff):
         return np.real(np.fft.fft(np.fft.ifft(diff - diff.mean()) * damp))
 
-    return _potential_values(v, "torus", theta), h, field, damped
+    return _potential_callable(v, "torus")(theta), h, field, damped
 
 
 def minimize_torus(v, beta, params=None):
@@ -405,8 +406,6 @@ def free_energy_torus(rho, v, beta):
     _positive(beta, "beta")
     if rho.domain != "torus":
         raise ValueError("free_energy_torus expects a torus density")
-    if np.any(rho.values < 0):
-        raise ValueError("negative density")
     vfun = _potential_callable(v, "torus")
     kmax = rho.grid_size // 2 - 1
     c = rho.fourier(kmax).c
@@ -553,7 +552,7 @@ def _interval_problem(v, beta, params):
     def damped(diff):
         return np.fft.irfft(np.fft.rfft(diff - diff.mean()) * damp, t.size)
 
-    return _potential_values(v, "interval", -np.tanh(t)), op, field, damped
+    return _potential_callable(v, "interval")(-np.tanh(t)), op, field, damped
 
 
 def minimize_interval(v, beta, params=None):
@@ -612,8 +611,6 @@ def free_energy_interval(rho, v, beta):
     _positive(beta, "beta")
     if rho.domain != "interval":
         raise ValueError("free_energy_interval expects an interval density")
-    if np.any(rho.values < 0):
-        raise ValueError("negative density")
     op = _interval_operator(rho.grid_size)
     w, p = rho.weights, rho.values
     gm, gp = rho.edge_masses

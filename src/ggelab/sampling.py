@@ -41,7 +41,6 @@ __all__ = [
     "EnsembleSpec",
     "KINDS",
     "SampleBatch",
-    "SeededGenerator",
     "make_rng",
     "sample_theta",
     "sample_chi",
@@ -54,37 +53,28 @@ __all__ = [
 ]
 
 
-class SeededGenerator(np.random.Generator):
-    """PCG64 generator that remembers the integer seed it was built from.
-
-    The command line reads the recorded seed, so that every file it writes
-    names the stream it came from, a fresh OS-entropy seed included.
-    """
-
-    def __init__(self, seed):
-        seed = int(seed) & (2**64 - 1)
-        super().__init__(np.random.PCG64(seed))
-        self.seed_value = seed
+def _seed(seed):
+    """The integer seed of a run, mod 2^64: the explicit value, else the
+    ``GGE_SEED`` environment variable (unset when blank), else fresh OS
+    entropy.  The command line records it in every file it writes, so each
+    file names the stream it came from."""
+    if seed is None:
+        env = os.environ.get("GGE_SEED", "").strip()
+        if not env:
+            return int.from_bytes(os.urandom(8), "little")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"GGE_SEED={env!r} is not an integer") from None
+    return cc._power_count(seed, "seed", -math.inf) & (2**64 - 1)
 
 
 def make_rng(seed=None):
-    """Build the package generator; an existing generator passes through.
-
-    Resolution order: explicit argument, the ``GGE_SEED`` environment
-    variable (unset when blank), fresh OS entropy.
-    """
+    """The package generator, PCG64 at the seed of _seed; an existing
+    generator passes through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None:
-        env = os.environ.get("GGE_SEED", "").strip()
-        if env:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ValueError(f"GGE_SEED={env!r} is not an integer") from None
-    if seed is None:
-        seed = int.from_bytes(os.urandom(8), "little")
-    return SeededGenerator(seed)
+    return np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +120,7 @@ def _torus_sites(u, b):
 
 def sample_chi(dof, rng, size=None):
     """Draw chi variables; fractional degrees of freedom are allowed."""
-    if not dof > 0:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
+    cc._positive(dof, "dof")
     return np.sqrt(rng.gamma(dof / 2.0, 2.0, size=size))
 
 
@@ -155,8 +144,6 @@ class CoupledFamily:
     alpha_nu: np.ndarray
     alphas: np.ndarray
     z: np.ndarray
-    nu: float
-    h_values: tuple
 
 
 def _check_h(h):
@@ -197,8 +184,7 @@ def sample_coupled_family(nu, h_values, rng, size=None):
         prev = hk
         z[..., k] = np.sqrt(yh_sq / (s + yh_sq))
         alphas[..., k] = w / np.sqrt(s + y**2 + yh_sq)
-    return CoupledFamily(alpha_nu=alpha_nu, alphas=alphas, z=z,
-                         nu=float(nu), h_values=tuple(float(v) for v in h))
+    return CoupledFamily(alpha_nu=alpha_nu, alphas=alphas, z=z)
 
 
 # --------------------------------------------------------------------------
@@ -245,10 +231,10 @@ class EnsembleKind:
         domain: "torus" or "interval", where the spectrum and the
             potentials live.  Interval kinds have real coefficients, so
             their spectra come in conjugate pairs read as x = cos(theta).
-        boundary: the last-coefficient convention.  ALL_INTERIOR is the
-            periodic matrix, translation invariant, so every site has the
-            same law; the other two are the open matrix, whose last entry
-            is uniform on the unit circle or fixed at -1.
+        periodic: True for the periodic matrix, translation invariant, so
+            every site has the same law; False for the open matrix, whose
+            last entry the domain fixes: uniform on the unit circle on the
+            torus, -1 on the interval.
         interior: (beta, n) -> the shape parameters nu_j or s_j of the
             interior sites j = 1, 2, ... of an n x n matrix at the paper's
             beta: all n sites when periodic, the first n - 1 otherwise.
@@ -257,12 +243,8 @@ class EnsembleKind:
     """
 
     domain: str
-    boundary: cc.BoundaryMode
+    periodic: bool
     interior: Callable
-
-    @property
-    def periodic(self):
-        return self.boundary == cc.BoundaryMode.ALL_INTERIOR
 
     @property
     def topology(self):
@@ -271,21 +253,19 @@ class EnsembleKind:
 
     def mutable(self, size):
         """Sites a Metropolis sweep redraws: all but a last entry of -1."""
-        fixed = self.boundary == cc.BoundaryMode.LAST_MINUS_ONE
+        fixed = not self.periodic and self.domain == "interval"
         return size - 1 if fixed else size
 
 
 KINDS = {
-    "al": EnsembleKind("torus", cc.BoundaryMode.ALL_INTERIOR,
+    "al": EnsembleKind("torus", True,
                        lambda beta, n: np.full(n, 2.0 * beta + 1.0)),
-    "schur": EnsembleKind("interval", cc.BoundaryMode.ALL_INTERIOR,
-                          lambda beta, n: np.full(n, beta)),
+    "schur": EnsembleKind("interval", True, lambda beta, n: np.full(n, beta)),
     "circular": EnsembleKind(
-        "torus", cc.BoundaryMode.LAST_ON_CIRCLE,
+        "torus", False,
         lambda beta, n: 2.0 * beta / n * np.arange(n - 1, 0, -1) + 1.0),
     "jacobi": EnsembleKind(
-        "interval", cc.BoundaryMode.LAST_MINUS_ONE,
-        lambda beta, n: beta * (1.0 - np.arange(1, n) / n)),
+        "interval", False, lambda beta, n: beta * (1.0 - np.arange(1, n) / n)),
 }
 
 ENSEMBLE_KINDS = tuple(KINDS)
@@ -439,7 +419,7 @@ def _classes(kind, n, degree):
     s = degree + 1
     classes = [np.arange(r, n - 1, s) + offsets + 2
                for r in range(min(s, n - 1))]
-    if kind.boundary == cc.BoundaryMode.LAST_ON_CIRCLE:
+    if kind.domain == "torus":
         classes.append(np.array([n - 1]) + offsets + 2)
     return classes
 

@@ -69,20 +69,6 @@ class EmpiricalMeasure:
         self.domain = domain
         self.atoms = np.sort(atoms)
 
-    @property
-    def angles(self):
-        """The atoms on the torus; on the interval the angles
-        theta_j = arccos(x_j) in [0, pi) of the symmetrized torus lift."""
-        if self.domain == "torus":
-            return self.atoms
-        return np.arccos(self.atoms[::-1])
-
-    @property
-    def points(self):
-        if self.domain != "interval":
-            raise AttributeError("points are defined for interval measures only")
-        return self.atoms
-
     def integrate(self, f):
         """Mean of f over the atoms (angles on the torus, points x on the interval)."""
         return float(np.mean(f(self.atoms)))

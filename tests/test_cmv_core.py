@@ -11,7 +11,7 @@ from ggelab.dynamics import IntegratorParams, gge_invariance_test, lax_residual
 from ggelab.equilibrium import SolverParams, minimize_torus
 from ggelab.ldp_lab import check_dos_relation
 from ggelab.potentials import Potential
-from ggelab.sampling import EnsembleSpec
+from ggelab.sampling import EnsembleSpec, sample_chi
 
 from helpers import (block_factors, einsum_next_power, keep_upper_cyclic,
                      random_interior_alpha, reference_periodic_entries,
@@ -657,9 +657,11 @@ def test_positive_accepts_positive_finite_values(value):
     ("threshold", lambda v: check_dos_relation("al", None, 1.0, 8,
                                                threshold=v)),
     ("dt_probe", lambda v: lax_residual(np.zeros(6, complex), v)),
+    ("dof", lambda v: sample_chi(v, np.random.default_rng(0), 3)),
 ], ids=["EnsembleSpec", "minimize_torus", "SolverParams",
         "IntegratorParams.dt", "IntegratorParams.t_final",
-        "gge_invariance_test", "check_dos_relation", "lax_residual"])
+        "gge_invariance_test", "check_dos_relation", "lax_residual",
+        "sample_chi"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
 def test_every_positive_argument_takes_the_one_rule(name, call, value):
     with pytest.raises(ValueError,
@@ -848,22 +850,27 @@ def test_band_only_matrix_keeps_its_traces(n, topology):
 
 
 def test_verblunsky_vector_validation():
-    with pytest.raises(ValueError):
-        cc.VerblunskyVector(np.array([0.2, 1.2]), cc.BoundaryMode.ALL_INTERIOR)
-    v = cc.VerblunskyVector(np.array([0.2, -1.0]), cc.BoundaryMode.LAST_MINUS_ONE)
+    v = cc.VerblunskyVector(np.array([0.2, -0.5j]))
     assert v.n == 2
-    with pytest.raises(ValueError):
-        cc.VerblunskyVector(np.array([0.2, 0.5]), cc.BoundaryMode.LAST_ON_CIRCLE)
+    # a unimodular last entry is an open row's, checked by its band
+    for last in (1.2, 1.0, -1.0, 1j):
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+            cc.VerblunskyVector(np.array([0.2, last]))
 
 
-@pytest.mark.parametrize("mode", list(cc.BoundaryMode))
 @pytest.mark.parametrize("where", ["interior", "last"])
-def test_verblunsky_vector_rejects_nan(mode, where):
-    last = {cc.BoundaryMode.ALL_INTERIOR: 0.3,
-            cc.BoundaryMode.LAST_ON_CIRCLE: 1.0,
-            cc.BoundaryMode.LAST_MINUS_ONE: -1.0}[mode]
-    a = np.array([0.1, 0.2, 0.3, last], complex)
-    cc.VerblunskyVector(a, mode)
+def test_verblunsky_vector_rejects_nan(where):
+    a = np.array([0.1, 0.2, 0.3, 0.4], complex)
+    cc.VerblunskyVector(a)
     a[0 if where == "interior" else -1] = np.nan
     with pytest.raises(ValueError, match="must"):
-        cc.VerblunskyVector(a, mode)
+        cc.VerblunskyVector(a)
+
+
+@pytest.mark.parametrize("build", [
+    cc.build_cmv, cc.open_diagonals,
+    lambda a: cc.batch_trace_powers([a], 2, "open")],
+    ids=["build_cmv", "open_diagonals", "batch_trace_powers"])
+def test_open_row_rejects_a_nan_last_entry(build):
+    with pytest.raises(ValueError, match="last entry must be unimodular"):
+        build(np.array([0.1, 0.2, np.nan]))

@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 
 from ggelab.cmv_core import (
-    BoundaryMode,
     NumericalError,
     VerblunskyVector,
     build_periodic_cmv,
@@ -107,14 +106,10 @@ class TestRingSize:
         with pytest.raises(ValueError, match="even size >= 2"):
             FlowState(np.zeros(n, complex))
 
-    @pytest.mark.parametrize("last, mode", [
-        (1.0, BoundaryMode.LAST_ON_CIRCLE),
-        (-1.0, BoundaryMode.LAST_MINUS_ONE)])
-    def test_flow_state_rejects_a_boundary_entry(self, last, mode):
-        vector = VerblunskyVector(np.array([0.1, 0.2, 0.3, last], complex),
-                                  mode)
-        with pytest.raises(ValueError, match="all-interior"):
-            FlowState(vector)
+    @pytest.mark.parametrize("last", [1.0, -1.0, 1j])
+    def test_flow_state_rejects_a_unimodular_entry(self, last):
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+            FlowState(np.array([0.1, 0.2, 0.3, last], complex))
 
     @pytest.mark.parametrize("where", [0, 3])
     def test_flow_state_rejects_nan(self, where):
@@ -268,7 +263,7 @@ class TestIntegrate:
             traj = integrate(np.full(8, c), "al",
                              IntegratorParams(dt=dt, t_final=2.0))
             exact = c * np.exp(-2j * abs(c) ** 2 * 2.0)
-            errs.append(np.abs(traj.final.alphas.alpha - exact).max())
+            errs.append(np.abs(traj.alphas[-1] - exact).max())
         assert errs[0] < 1e-9
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 24.0, f"halving dt gave ratio {ratio:.2f}"
@@ -446,13 +441,12 @@ class TestConservation:
         b = a
         for _ in range(forward.n_steps):
             b = step(b, 1e-2)
-        assert b.tobytes() == forward.final.alphas.alpha.tobytes()
+        assert b.tobytes() == forward.alphas[-1].tobytes()
         for _ in range(forward.n_steps):
             b = step(b, -1e-2)
         round_trip = np.abs(b - a).max()
         finer = integrate(a, "al", IntegratorParams(dt=5e-3, t_final=2.0))
-        one_way = np.abs(forward.final.alphas.alpha
-                         - finer.final.alphas.alpha).max()
+        one_way = np.abs(forward.alphas[-1] - finer.alphas[-1]).max()
         assert round_trip <= 10.0 * max(one_way, 1e-14), \
             f"round trip {round_trip:.2e} vs one-way {one_way:.2e}"
 
@@ -711,5 +705,15 @@ class TestTrajectory:
                          IntegratorParams(dt=0.25, t_final=1.0))
         assert isinstance(traj[0], FlowState)
         assert len([s for s in traj]) == len(traj)
-        assert traj.initial.time == 0.0
-        assert traj.final is traj[-1]
+        assert traj[0].time == 0.0 and traj[-1].time == 1.0
+
+    def test_frames_are_read_from_two_arrays(self):
+        a = random_interior_alpha(np.random.default_rng(14), 6, rmax=0.5)
+        traj = integrate(a, "al", IntegratorParams(dt=0.1, t_final=1.0),
+                         max_frames=6)
+        assert traj.times.shape == (6,) and traj.alphas.shape == (6, 6)
+        assert np.array_equal(traj.times, [k * 0.1 for k in range(0, 11, 2)])
+        assert traj.alphas[0].tobytes() == a.tobytes()
+        for i, state in enumerate(traj):
+            assert state.time == traj.times[i]
+            assert state.alphas.alpha.tobytes() == traj.alphas[i].tobytes()

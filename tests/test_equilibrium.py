@@ -139,6 +139,17 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity("torus", vals)
 
+    @pytest.mark.parametrize("edges, edge", [((-0.5, 0.0), r"\+1"),
+                                             ((0.0, -0.5), "-1")],
+                             ids=["plus_one", "minus_one"])
+    def test_negative_edge_masses_rejected(self, edges, edge):
+        body = interval_arcsine(256).values * 1.5
+        with pytest.raises(ValueError,
+                           match=rf"negative edge mass at x = {edge} -0\.5"):
+            GridDensity("interval", body, edges)
+        # a signed density may carry them
+        GridDensity("interval", body, edges, signed=True)
+
     def test_unnormalized_mass_rejected(self):
         with pytest.raises(ValueError):
             GridDensity("torus", np.full(64, 1.0))
@@ -649,6 +660,17 @@ class TestBetaDerivative:
             free_energy(atoms, None, 1.0)
         with pytest.raises(ValueError, match="got ndarray"):
             free_energy(np.ones(64), None, 1.0)
+
+    @pytest.mark.parametrize("domain, free_energy", [
+        ("torus", free_energy_torus), ("interval", free_energy_interval)])
+    def test_free_energy_rejects_a_negative_signed_density(self, domain,
+                                                           free_energy):
+        values = np.ones(64)
+        values[3] = -0.5
+        values /= equilibrium._grid(domain, 64)[1] @ values
+        rho = GridDensity(domain, values, signed=True)
+        with pytest.raises(ValueError, match="negative density"):
+            free_energy(rho, None, 1.0)
 
     def test_beta_lipschitz_distance(self):
         v = Potential("torus", cos=[0.0, 0.5])

@@ -1,12 +1,14 @@
 """Every settable value of the lab, in one table: the parameters of each
-public function, the fields of each config dataclass, the flags of each
+public function, the fields of each public dataclass, the flags of each
 subcommand and the environment variables the package reads.
 
 Each option doubles the configurations the tests must cover, so an option
 is kept only where a caller sets it to something other than its default.
 A change that adds or removes an option edits this table and says why in
 CHANGES.md, as tests/test_one_writer.py does for file writers; ROADMAP.md
-lists why each remaining option is kept.
+lists why each remaining option is kept.  A stored field is kept only where
+something reads it: a change that adds one to a public dataclass edits
+DATACLASSES and names the field's reader in the comment above its entry.
 """
 
 import ast
@@ -74,12 +76,53 @@ ENTRY_POINTS = {
     "cli.parse_potential": ("text",),
 }
 
-# public config dataclass (a name ending in Params or Spec) -> its fields
-CONFIGS = {
+# public dataclass -> its fields; each comment names the fields' readers
+DATACLASSES = {
+    # FlowState, and cmv_core._build and dynamics._coefficients through it
+    "cmv_core.VerblunskyVector": ("alpha",),
+    # dynamics.conservation_report; the benchmark's trace oracle
+    "cmv_core.ConservedQuantities": ("k0", "k1", "trace_powers"),
+    # ldp_lab.check_coupling_lemma
+    "sampling.CoupledFamily": ("alpha_nu", "alphas", "z"),
+    # sampling._sample
     "sampling.McmcParams": ("sweeps", "burn_in", "thinning"),
+    # sampling._sample, _draw_sites, _classes and EnsembleSpec; cli
+    "sampling.EnsembleKind": ("domain", "periodic", "interior"),
+    # the samplers, dynamics.gge_invariance_test
     "sampling.EnsembleSpec": ("kind", "n", "beta", "potential"),
+    # cli sample and dos; ldp_lab's checks (acceptance_rate)
+    "sampling.SampleBatch": ("alphas", "kind", "beta", "acceptance_rate"),
+    # equilibrium._fixed_point (tolerance, max_iterations) and the two
+    # problem builders (grid_size)
     "equilibrium.SolverParams": ("tolerance", "max_iterations", "grid_size"),
+    # cli minimize (asdict, into minimize.json); ldp_lab (total, interaction)
+    "equilibrium.FreeEnergyBreakdown": ("interaction", "potential",
+                                        "entropy", "total"),
+    # integrate, lax_residual, al_rhs, schur_rhs; the benchmark (alphas)
+    "dynamics.FlowState": ("alphas", "time"),
+    # integrate
     "dynamics.IntegratorParams": ("dt", "t_final"),
+    # cli dynamics' trajectory files (times, alphas), conservation_report (alphas,
+    # flow), the benchmark's tracer (n_steps)
+    "dynamics.Trajectory": ("times", "alphas", "flow", "n_steps"),
+    # to_dict, written to conservation.json
+    "dynamics.ConservationReport": ("flow", "n_sites", "n_frames", "ell_max",
+                                    "drifts"),
+    # passes and p_values (statistics), the benchmark's tracer (n_sites,
+    # n_samples, t_final, dt) and its result digest, which hashes the repr
+    "dynamics.InvarianceReport": ("flow", "beta", "n_sites", "n_samples",
+                                  "t_final", "dt", "statistics", "warnings"),
+    # to_dict, written by cli verify
+    "ldp_lab.CheckReport": ("check", "parameters", "statistics", "passed",
+                            "warnings"),
+    # to_dict, written by cli free-energy
+    "ldp_lab.FreeEnergyEstimate": ("value", "std_error", "grid", "ensemble",
+                                   "beta", "n_samples", "warnings"),
+    # to_dict, written by cli relation and verify
+    "ldp_lab.RelationReport": ("check", "beta", "potential", "d_value",
+                               "mc_samples", "solver_residual", "threshold",
+                               "passed", "parameters", "statistics",
+                               "warnings"),
 }
 
 # flags of every subcommand, next to the shared ones
@@ -115,12 +158,11 @@ def test_every_public_function_is_in_the_table():
     assert found == ENTRY_POINTS
 
 
-def test_every_config_dataclass_is_in_the_table():
+def test_every_public_dataclass_is_in_the_table():
     found = {key: tuple(f.name for f in fields(obj))
              for key, obj in _public()
-             if inspect.isclass(obj) and is_dataclass(obj)
-             and key.endswith(("Params", "Spec"))}
-    assert found == CONFIGS
+             if inspect.isclass(obj) and is_dataclass(obj)}
+    assert found == DATACLASSES
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -713,8 +713,23 @@ def test_make_rng_env_fallback(monkeypatch):
 @pytest.mark.parametrize("blank", ["", "  "])
 def test_make_rng_blank_env_is_unset(monkeypatch, blank):
     monkeypatch.setenv("GGE_SEED", blank)
-    assert isinstance(sp.make_rng(None).seed_value, int)
-    assert sp.make_rng(5).seed_value == 5
+    seed = sp._seed(None)
+    assert type(seed) is int and 0 <= seed < 2**64
+    assert sp._seed(5) == 5
+    assert isinstance(sp.make_rng(None), np.random.Generator)
+
+
+@pytest.mark.parametrize("seed, stream", [(5, 5), (np.int64(5), 5),
+                                          (2**64 + 5, 5), (-1, 2**64 - 1)])
+def test_make_rng_is_pcg64_at_the_seed_mod_2_64(seed, stream):
+    want = np.random.Generator(np.random.PCG64(stream)).uniform(size=4)
+    assert sp.make_rng(seed).uniform(size=4).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "7", np.float64(3.0)])
+def test_make_rng_takes_only_an_integer_seed(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        sp.make_rng(seed)
 
 
 def test_make_rng_bad_env(monkeypatch):

@@ -211,7 +211,7 @@ class TestBvLipBounds:
 class TestWrapping:
     def test_seam_angles_land_in_convention(self):
         mu = EmpiricalMeasure([np.pi, -np.pi, 3 * np.pi])
-        assert np.all(mu.angles >= -np.pi) and np.all(mu.angles < np.pi)
+        assert np.all(mu.atoms >= -np.pi) and np.all(mu.atoms < np.pi)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -225,15 +225,9 @@ class TestWrapping:
 
 
 class TestDomains:
-    def test_interval_angles_are_the_sorted_arccos_lift(self):
+    def test_interval_atoms_are_the_sorted_points(self):
         mu = EmpiricalMeasure([0.3, -0.6, 0.9], "interval")
-        assert np.array_equal(mu.points, [-0.6, 0.3, 0.9])
-        assert np.array_equal(mu.angles, np.arccos([0.9, 0.3, -0.6]))
-        assert np.all(np.diff(mu.angles) > 0)
-
-    def test_domain_specific_attributes(self):
-        with pytest.raises(AttributeError):
-            EmpiricalMeasure([0.1]).points
+        assert np.array_equal(mu.atoms, [-0.6, 0.3, 0.9])
 
     def test_measures_answer_fourier_and_integrate_themselves(self):
         rng = np.random.default_rng(8)
