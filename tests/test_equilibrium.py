@@ -672,6 +672,13 @@ class TestBetaDerivative:
         with pytest.raises(ValueError, match="negative density"):
             free_energy(rho, None, 1.0)
 
+    def test_free_energy_rejects_a_negative_signed_edge_mass(self):
+        # scored -2.1527 before the edge masses were checked
+        rho = GridDensity("interval", 1.5 * interval_arcsine(256).values,
+                          (-0.5, 0.0), signed=True)
+        with pytest.raises(ValueError, match="negative density"):
+            free_energy_interval(rho, None, 1.0)
+
     def test_beta_lipschitz_distance(self):
         v = Potential("torus", cos=[0.0, 0.5])
         betas = [0.6, 1.0, 1.4]

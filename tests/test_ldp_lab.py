@@ -459,6 +459,19 @@ class TestDosRelation:
         with pytest.raises(TypeError, match="n must be an integer"):
             check_dos_relation("al", None, 1.0, 32.9)
 
+    @pytest.mark.parametrize("k_max", [65, 511])
+    def test_k_max_past_its_bound_is_rejected_before_sampling(self,
+                                                              monkeypatch,
+                                                              k_max):
+        _forbid_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=f"at most 64, got {k_max}"):
+            check_dos_relation("al", None, 1.0, 8, k_max=k_max)
+
+    def test_k_max_at_its_bound_is_accepted(self):
+        rep = check_dos_relation("al", None, 1.0, 8,
+                                 mcmc=McmcParams(sweeps=4), rng=3, k_max=64)
+        assert rep.parameters["k_max"] == 64
+
     @pytest.mark.parametrize("k_max", [4.7, 16.0, "16"])
     def test_non_integral_k_max_is_rejected_before_sampling(self, monkeypatch,
                                                             k_max):
