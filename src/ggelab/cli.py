@@ -38,8 +38,8 @@ from .ldp_lab import (check_coupling_lemma, check_dos_relation,
                       check_exp_moment, check_free_energy_relation,
                       estimate_free_energy)
 from .potentials import Potential
-from .sampling import (ENSEMBLE_KINDS, KINDS, EnsembleSpec, McmcParams,
-                       _seed, make_rng, sample_ensemble)
+from .sampling import (KINDS, EnsembleSpec, McmcParams, _seed, make_rng,
+                       sample_ensemble)
 from .spectral_measures import EmpiricalMeasure, fourier_coeffs
 
 __all__ = ["load_config", "main", "parse_potential"]
@@ -484,7 +484,7 @@ def _build_parsers():
                        help="c0=..,c1=..,s1=.. on the torus or t0=..,t1=.. "
                             "on the interval")
 
-    def ensemble_opts(p, n, kinds=ENSEMBLE_KINDS):
+    def ensemble_opts(p, n, kinds=tuple(KINDS)):
         p.add_argument("--ensemble", choices=kinds, default="al",
                        help="Gibbs family")
         p.add_argument("--n", type=int, default=n, help="matrix size")

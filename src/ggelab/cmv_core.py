@@ -54,7 +54,6 @@ __all__ = [
     "CmvMatrix",
     "ConservedQuantities",
     "NumericalError",
-    "UnsupportedTopologyError",
     "build_periodic_cmv",
     "build_cmv",
     "eigen_angles",
@@ -76,10 +75,6 @@ class NumericalError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class UnsupportedTopologyError(ValueError):
-    """Raised for operations that only make sense on one topology."""
 
 
 @dataclass(frozen=True)
@@ -746,32 +741,21 @@ def batch_trace_powers(alpha, ell_max, topology="periodic"):
     return out
 
 
-def _plus(band):
-    """Dense E+ of a band (5, n): half of offset 0 plus offsets +1 and +2.
-    On rings of n <= 4 these offsets share entries with the dropped ones,
-    so the projection is taken on the band, before the scatter."""
-    upper = band.copy()
-    upper[:2] = 0
-    upper[2] *= 0.5
-    return _scatter(upper)
-
-
-def _adjoint_band(band):
-    """Band (5, n) of the conjugate transpose of _scatter(band)."""
-    i = np.arange(band.shape[-1])
-    return np.stack([np.conj(band[2 - d, (i + d) % i.size])
-                     for d in range(-2, 3)])
-
-
 def e_plus(m):
     """Projection of a periodic matrix onto half-diagonal plus upper cyclic band.
 
     This is the generator appearing in the Lax form of the flows; it is
-    only defined for the periodic topology.
+    only defined for the periodic topology.  The dense result keeps half
+    of band offset 0 plus offsets +1 and +2.  On rings of n <= 4 these
+    offsets share entries with the dropped ones, so the projection is
+    taken on the band, before the scatter.
     """
     if m.topology != "periodic":
-        raise UnsupportedTopologyError("e_plus requires a periodic matrix")
-    return _plus(m.band)
+        raise ValueError("e_plus requires a periodic matrix")
+    upper = m.band.copy()
+    upper[:2] = 0
+    upper[2] *= 0.5
+    return _scatter(upper)
 
 
 def conserved_quantities(alpha, ell_max=4):

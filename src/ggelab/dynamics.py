@@ -66,9 +66,7 @@ import numpy as np
 from .cmv_core import (
     NumericalError,
     VerblunskyVector,
-    _adjoint_band,
     _check_size,
-    _plus,
     _positive,
     _power_count,
     build_periodic_cmv,
@@ -91,7 +89,6 @@ __all__ = [
     "gge_invariance_test",
 ]
 
-COMMUTATOR_TOL = 1e-12
 # conservation_report follows Tr E^ell for ell = 1.._ELL_MAX
 _ELL_MAX = 4
 # bytes of one state array of an ensemble block: the eight arrays a step
@@ -426,12 +423,13 @@ def lax_residual(state, dt_probe=1e-6):
     rotation, generated by a commutator with a parity matrix); without
     that term in the flow no D is needed.  The probe is a forward
     difference, so the residual decays linearly in dt_probe (down to
-    the integrator's own O(dt_probe^4) floor).
+    the integrator's own O(dt_probe^4) floor).  A probe step that takes a
+    site onto or past the unit circle raises NumericalError, as in
+    integrate.
 
-    The algebraically equivalent generator E+ - (E*)+ + D is evaluated
-    too and both commutators must agree to 1e-12; E* E = E E* makes the
-    two forms differ by i [E, E*] = 0.  A probe step that takes a site
-    onto or past the unit circle raises NumericalError, as in integrate.
+    The generator E+ - (E*)+ + D gives the same commutator, since E* E =
+    E E* makes the two differ by i [E, E*] = 0; the tests check that
+    identity against a dense projection.
     """
     if not isinstance(state, FlowState):
         state = FlowState(state)
@@ -443,13 +441,6 @@ def lax_residual(state, dt_probe=1e-6):
     parity = -((-1.0) ** np.arange(m0.n))
     gen = P + P.conj().T + np.diag(parity)
     commutator = 1j * (E0 @ gen - gen @ E0)
-    gen_alt = P - _plus(_adjoint_band(m0.band)) + np.diag(parity)
-    alt = 1j * (E0 @ gen_alt - gen_alt @ E0)
-    gap = float(np.abs(commutator - alt).max())
-    if not gap <= COMMUTATOR_TOL:
-        raise NumericalError(f"the two Lax generators disagree by {gap:.3e}",
-                             residual=gap)
-
     a1 = _Rk4("al", a0.shape)(a0, dt_probe)
     _check_polydisk(a1, state.time + dt_probe)
     E1 = build_periodic_cmv(a1).dense()

@@ -177,6 +177,7 @@ class GridDensity:
                 if low < -1e-12:
                     raise ValueError(f"negative {what} {low}")
             values = np.clip(values, 0.0, None)
+            self.edge_masses = tuple(max(0.0, e) for e in self.edge_masses)
         self.domain = domain
         self.nodes, self.weights = _grid(domain, values.size)
         self.values = values

@@ -327,9 +327,9 @@ def check_exp_moment(h_grid, n_samples, rng=None):
     if n_samples < 2:
         raise ValueError("need at least two samples")
     h_grid = tuple(float(h) for h in np.atleast_1d(np.asarray(h_grid, dtype=float)))
-    for h in h_grid:
-        if not 0.0 < h <= 1.0:
-            raise ValueError(f"h must lie in (0, 1], got {h}")
+    if not h_grid or not all(0.0 < h <= 1.0 for h in h_grid):
+        raise ValueError(f"h_grid must hold one h or more, each in (0, 1], "
+                         f"got {list(h_grid)}")
     rng = make_rng(rng)
 
     k = np.arange(80)

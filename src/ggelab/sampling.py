@@ -4,13 +4,13 @@ Zero-potential laws are sampled exactly; a nonzero potential is handled
 by Metropolis-within-Gibbs with fresh single-site proposals drawn from
 the zero-potential marginals, so the acceptance probability reduces to
 min(1, exp(-delta Tr V(E))) with the trace increment evaluated exactly.
-Every Theta_nu draw of sample_theta and of the ensembles, exact or
-proposed, takes |z|^2 from the exact inverse CDF of Beta(1, (nu - 1)/2)
-and a uniform phase, so a disk-law draw costs two uniforms and no
-rejection loop.  The couplings of Theta_nu with Theta_(nu+h) come from
-one sampler, sample_coupled_family, which builds every coefficient of a
-draw from common Gaussian and chi variables; a single increment (h,) is
-the coupled pair.
+Every Theta_nu draw of the ensembles, exact or proposed, goes through
+_torus_sites: |z|^2 from the exact inverse CDF of Beta(1, (nu - 1)/2) and
+a uniform phase, so a disk-law draw costs two uniforms and no rejection
+loop.  The couplings of Theta_nu with Theta_(nu+h) come from one sampler,
+sample_coupled_family, which builds every coefficient of a draw from
+common Gaussian and chi variables; a single increment (h,) is the coupled
+pair, and its alpha_nu is the public Theta_nu draw.
 Tr E^K couples only coefficients within distance K, so one chain
 (_run_chain) updates a whole class of sites K + 1 or more apart per numpy
 call, on rings and open rows alike; a ring of n sites spaces its classes
@@ -42,7 +42,6 @@ __all__ = [
     "KINDS",
     "SampleBatch",
     "make_rng",
-    "sample_theta",
     "sample_chi",
     "sample_coupled_family",
     "sample_al_gge",
@@ -84,17 +83,6 @@ def make_rng(seed=None):
 def _check_nu(nu):
     if not nu > 1.0:
         raise ValueError(f"nu must exceed 1, got {nu}")
-
-
-def sample_theta(nu, rng, size=None):
-    """Draw from the rotation-invariant disk law Theta_nu, nu > 1, with
-    density ~ (1 - |z|^2)^((nu-3)/2): |z|^2 ~ Beta(1, (nu-1)/2) by its exact
-    inverse CDF (_disk_modulus) and a uniform phase.  The second moment is
-    E|z|^2 = 2/(nu+1), and nu = 3 is the uniform law on the disk.
-    """
-    _check_nu(nu)
-    u = rng.uniform(size=(2,) if size is None else (2, *np.atleast_1d(size)))
-    return _disk_modulus(u[0], (nu - 1.0) / 2.0) * np.exp(2j * np.pi * u[1])
 
 
 def _disk_modulus(u, b):
@@ -267,8 +255,6 @@ KINDS = {
     "jacobi": EnsembleKind(
         "interval", False, lambda beta, n: beta * (1.0 - np.arange(1, n) / n)),
 }
-
-ENSEMBLE_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)

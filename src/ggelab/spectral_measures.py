@@ -9,29 +9,23 @@ metric is the truncated Fourier distance, a plain float,
     D(mu, nu) = sqrt(sum_{k=1}^{k_max} |mu_k - nu_k|^2 / k),
 
 with mu_k = int e^{ik theta} dmu.  The sup-form distance over test functions
-with joint BV/Lipschitz constraints is not computable; its defining
-inequalities are exercised through a fixed dictionary of test functions with
-hand-computed norms (check_bv_lip_bound).
+with joint BV/Lipschitz constraints is not computable; the tests exercise
+its defining inequalities through a fixed dictionary of test functions with
+hand-computed norms (tests/helpers.check_bv_lip_bound).
 """
 
 import numpy as np
 
-from .cmv_core import _power_count, eigen_angles
+from .cmv_core import _power_count
 
 DEFAULT_K_MAX = 256
-# floating slack of check_bv_lip_bound's two inequalities
-_BOUND_SLACK = 1e-12
 
 __all__ = [
     "DEFAULT_K_MAX",
     "EmpiricalMeasure",
     "FourierCoeffs",
-    "TestFunction",
-    "DEFAULT_TEST_FUNCTIONS",
-    "BoundCheckReport",
     "fourier_coeffs",
     "distance_D",
-    "check_bv_lip_bound",
 ]
 
 
@@ -134,79 +128,3 @@ def distance_D(mu, nu, k_max=DEFAULT_K_MAX):
     k = np.arange(1, kk + 1)
     val = np.sqrt(np.sum(np.abs(a.c[:kk] - b.c[:kk]) ** 2 / k))
     return float(val)
-
-
-class TestFunction:
-    """Dictionary entry: a test function with hand-computed norms.
-
-    The BV norm is the total variation over one full winding of the circle
-    (so cos(k theta) has bv = 4k); lip is the global Lipschitz constant.
-    """
-
-    def __init__(self, name, fn, bv, lip):
-        self.name = name
-        self.fn = fn
-        self.bv = float(bv)
-        self.lip = float(lip)
-
-    def __call__(self, theta):
-        return self.fn(theta)
-
-
-DEFAULT_TEST_FUNCTIONS = (
-    TestFunction("cos", np.cos, bv=4.0, lip=1.0),
-    TestFunction("sin", np.sin, bv=4.0, lip=1.0),
-    TestFunction("cos2", lambda th: np.cos(2 * th), bv=8.0, lip=2.0),
-)
-
-
-class BoundCheckReport:
-    """Outcome of check_bv_lip_bound: per-function deviations and bounds."""
-
-    def __init__(self, rank, entrywise_sum, rows):
-        self.rank = rank
-        self.entrywise_sum = entrywise_sum
-        self.rows = rows
-        self.all_pass = all(r["bv_ok"] and r["lip_ok"] for r in rows)
-
-
-def check_bv_lip_bound(a, b):
-    """Check |int f dmu(A) - int f dmu(B)| against the BV-rank and Lipschitz-entrywise bounds.
-
-    For each function of DEFAULT_TEST_FUNCTIONS the deviation must satisfy
-    both
-
-        |.| <= bv(f) * rank(A - B) / N       and
-        |.| <= lip(f) * (1/N) sum_ij |(A - B)_ij|,
-
-    with rank counted as singular values above 1e-9 * ||A - B||, each up
-    to a floating slack of 1e-12.
-    """
-    da = a.dense()
-    db = b.dense()
-    if da.shape != db.shape:
-        raise ValueError(f"dimension mismatch: {da.shape} vs {db.shape}")
-    n = da.shape[0]
-    diff = da - db
-    sv = np.linalg.svd(diff, compute_uv=False)
-    if sv.size and sv[0] > 0:
-        rank = int(np.sum(sv > 1e-9 * sv[0]))
-    else:
-        rank = 0
-    entry = float(np.abs(diff).sum()) / n
-    mu_a = EmpiricalMeasure(eigen_angles(a))
-    mu_b = EmpiricalMeasure(eigen_angles(b))
-    rows = []
-    for f in DEFAULT_TEST_FUNCTIONS:
-        dev = abs(mu_a.integrate(f) - mu_b.integrate(f))
-        bv_bound = f.bv * rank / n
-        lip_bound = f.lip * entry
-        rows.append({
-            "name": f.name,
-            "deviation": dev,
-            "bv_bound": bv_bound,
-            "lip_bound": lip_bound,
-            "bv_ok": dev <= bv_bound + _BOUND_SLACK,
-            "lip_ok": dev <= lip_bound + _BOUND_SLACK,
-        })
-    return BoundCheckReport(rank, entry, rows)

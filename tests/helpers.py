@@ -11,6 +11,10 @@ import numpy as np
 from ggelab import cmv_core as cc
 from ggelab import sampling as sp
 from ggelab.equilibrium import GridDensity, _grid
+from ggelab.spectral_measures import EmpiricalMeasure
+
+# floating slack of check_bv_lip_bound's two inequalities
+_BOUND_SLACK = 1e-12
 
 
 def random_interior_alpha(rng, n, rmax=0.9, real=False):
@@ -70,6 +74,83 @@ def block_factors(m):
         f[j % 2][np.ix_(rows, rows)] = [[np.conj(a[j + 2]), rho[j + 2]],
                                         [rho[j + 2], -a[j + 2]]]
     return f[:, pad:n + pad, pad:n + pad]
+
+
+class TestFunction:
+    """Dictionary entry: a test function with hand-computed norms.
+
+    The BV norm is the total variation over one full winding of the circle
+    (so cos(k theta) has bv = 4k); lip is the global Lipschitz constant.
+    """
+
+    def __init__(self, name, fn, bv, lip):
+        self.name = name
+        self.fn = fn
+        self.bv = float(bv)
+        self.lip = float(lip)
+
+    def __call__(self, theta):
+        return self.fn(theta)
+
+
+DEFAULT_TEST_FUNCTIONS = (
+    TestFunction("cos", np.cos, bv=4.0, lip=1.0),
+    TestFunction("sin", np.sin, bv=4.0, lip=1.0),
+    TestFunction("cos2", lambda th: np.cos(2 * th), bv=8.0, lip=2.0),
+)
+
+
+class BoundCheckReport:
+    """Outcome of check_bv_lip_bound: per-function deviations and bounds."""
+
+    def __init__(self, rank, entrywise_sum, rows):
+        self.rank = rank
+        self.entrywise_sum = entrywise_sum
+        self.rows = rows
+        self.all_pass = all(r["bv_ok"] and r["lip_ok"] for r in rows)
+
+
+def check_bv_lip_bound(a, b):
+    """Check |int f dmu(A) - int f dmu(B)| against the BV-rank and
+    Lipschitz-entrywise bounds: the paper's lemma behind the distance D.
+
+    For each function of DEFAULT_TEST_FUNCTIONS the deviation must satisfy
+    both
+
+        |.| <= bv(f) * rank(A - B) / N       and
+        |.| <= lip(f) * (1/N) sum_ij |(A - B)_ij|,
+
+    with rank counted as singular values above 1e-9 * ||A - B||, each up
+    to a floating slack of 1e-12.
+    """
+    da = a.dense()
+    db = b.dense()
+    if da.shape != db.shape:
+        raise ValueError(f"dimension mismatch: {da.shape} vs {db.shape}")
+    n = da.shape[0]
+    diff = da - db
+    sv = np.linalg.svd(diff, compute_uv=False)
+    if sv.size and sv[0] > 0:
+        rank = int(np.sum(sv > 1e-9 * sv[0]))
+    else:
+        rank = 0
+    entry = float(np.abs(diff).sum()) / n
+    mu_a = EmpiricalMeasure(cc.eigen_angles(a))
+    mu_b = EmpiricalMeasure(cc.eigen_angles(b))
+    rows = []
+    for f in DEFAULT_TEST_FUNCTIONS:
+        dev = abs(mu_a.integrate(f) - mu_b.integrate(f))
+        bv_bound = f.bv * rank / n
+        lip_bound = f.lip * entry
+        rows.append({
+            "name": f.name,
+            "deviation": dev,
+            "bv_bound": bv_bound,
+            "lip_bound": lip_bound,
+            "bv_ok": dev <= bv_bound + _BOUND_SLACK,
+            "lip_ok": dev <= lip_bound + _BOUND_SLACK,
+        })
+    return BoundCheckReport(rank, entry, rows)
 
 
 def einsum_next_power(sb, prev, prev2, t, cur):
@@ -166,10 +247,24 @@ def _into_open_disk(z, bound=1.0 - 1e-15):
     return z
 
 
+def sample_theta(nu, rng, size=None):
+    """Draw from the rotation-invariant disk law Theta_nu, nu > 1, with
+    density ~ (1 - |z|^2)^((nu-3)/2), through sampling._torus_sites, the
+    path of every ensemble draw: one uniform call (2, size), |z|^2 ~
+    Beta(1, (nu-1)/2) by its exact inverse CDF and a uniform phase.  The
+    second moment is E|z|^2 = 2/(nu+1), and nu = 3 is the uniform law on
+    the disk.  One draw without a size."""
+    sp._check_nu(nu)
+    count = 1 if size is None else size
+    z = sp._torus_sites(rng.uniform(size=(2, count)),
+                        np.full(count, (nu - 1.0) / 2.0))
+    return z[0] if size is None else z
+
+
 def theta_ratio_draw(nu, rng, size=None):
     """Theta_nu by its chi-ratio construction (X1 + i X2)/sqrt(X1^2 + X2^2
     + Y^2), Y a chi variable with nu - 1 degrees of freedom: the oracle of
-    the inverse-CDF draw of sampling.sample_theta, and the construction that
+    the inverse-CDF draw of sample_theta, and the construction that
     sampling.sample_coupled_family builds on."""
     x1 = rng.standard_normal(size)
     x2 = rng.standard_normal(size)

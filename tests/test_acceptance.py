@@ -23,11 +23,10 @@ from ggelab.equilibrium import free_energy_torus, minimize_torus
 from ggelab.ldp_lab import check_dos_relation, check_free_energy_relation
 from ggelab.potentials import Potential
 from ggelab.sampling import (EnsembleSpec, McmcParams, make_rng,
-                             sample_circular_beta, sample_coupled_family,
-                             sample_theta)
-from ggelab.spectral_measures import check_bv_lip_bound
+                             sample_circular_beta, sample_coupled_family)
 
-from helpers import block_factors, theta_ratio_draw, unitarity_residual
+from helpers import (block_factors, check_bv_lip_bound, sample_theta,
+                     theta_ratio_draw, unitarity_residual)
 
 
 def _verdict(capsys, num, label, ok, t0, budget, detail=""):

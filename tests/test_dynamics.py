@@ -18,6 +18,7 @@ from ggelab.cmv_core import (
     VerblunskyVector,
     build_periodic_cmv,
     conserved_quantities,
+    e_plus,
 )
 from ggelab import cmv_core, dynamics
 from ggelab.dynamics import (
@@ -35,8 +36,8 @@ from ggelab.dynamics import (
 )
 from ggelab.sampling import EnsembleSpec, SampleBatch, make_rng
 
-from helpers import (random_interior_alpha, reference_rk4_step,
-                     unitarity_residual)
+from helpers import (keep_upper_cyclic, random_interior_alpha,
+                     reference_rk4_step, unitarity_residual)
 
 
 def lattice_hamiltonian(a):
@@ -476,11 +477,17 @@ class TestLaxResidual:
         assert 1.7 < ratio < 2.3, f"probe halving gave ratio {ratio:.3f}"
 
     def test_commutator_forms_agree_on_random_states(self):
+        # lax_residual forms the generator E+ + (E+)* + D only; E+ - (E*)+
+        # + D gives the same commutator, since E* E = E E*
         rng = np.random.default_rng(15)
         for _ in range(20):
             n = int(rng.choice([6, 8, 12]))
-            a = random_interior_alpha(rng, n, rmax=0.8)
-            lax_residual(a, 1e-5)  # internal 1e-12 equivalence assert
+            m = build_periodic_cmv(random_interior_alpha(rng, n, rmax=0.8))
+            E, P = m.dense(), e_plus(m)
+            D = np.diag(-((-1.0) ** np.arange(n)))
+            A = P + P.conj().T + D
+            B = P - keep_upper_cyclic(E.conj().T) + D
+            assert np.abs((E @ A - A @ E) - (E @ B - B @ E)).max() <= 1e-12
 
     def test_small_residual_at_small_probe(self):
         rng = np.random.default_rng(16)

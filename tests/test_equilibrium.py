@@ -150,6 +150,23 @@ class TestGridDensity:
         # a signed density may carry them
         GridDensity("interval", body, edges, signed=True)
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["plus_one", "minus_one"])
+    def test_edge_mass_within_the_slack_is_clipped(self, side):
+        # an unsigned density clips its edge masses as it clips its values:
+        # -5e-13 reads 0.0 and the free energy evaluates, -2e-12 raises
+        g = 0.1
+        body = interval_arcsine(256).values * (1.0 - g)
+        edges = [g, g]
+        edges[side] = -5e-13
+        rho = GridDensity("interval", body, tuple(edges))
+        assert rho.edge_masses[side] == 0.0
+        assert repr(rho.edge_masses[side]) == "0.0"
+        v = Potential("interval", cheb=[0.0, 0.5])
+        assert np.isfinite(free_energy_interval(rho, v, 1.0).total)
+        edges[side] = -2e-12
+        with pytest.raises(ValueError, match="negative edge mass"):
+            GridDensity("interval", body, tuple(edges))
+
     def test_unnormalized_mass_rejected(self):
         with pytest.raises(ValueError):
             GridDensity("torus", np.full(64, 1.0))

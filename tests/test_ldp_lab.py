@@ -153,6 +153,13 @@ class TestExpMoment:
         with pytest.raises(TypeError, match="n_samples must be an integer"):
             check_exp_moment((0.5,), 10.7)
 
+    def test_empty_h_grid_is_rejected_before_any_draw(self):
+        rng = sampling.make_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="h_grid"):
+            check_exp_moment([], 100, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestFreeEnergyEstimate:
     def test_zero_potential_all_kinds(self):

@@ -1,6 +1,7 @@
 """Every settable value of the lab, in one table: the parameters of each
-public function, the fields of each public dataclass, the flags of each
-subcommand and the environment variables the package reads.
+public function, the fields of each public dataclass, the attributes of
+each public plain class, the flags of each subcommand and the environment
+variables the package reads.
 
 Each option doubles the configurations the tests must cover, so an option
 is kept only where a caller sets it to something other than its default.
@@ -8,7 +9,8 @@ A change that adds or removes an option edits this table and says why in
 CHANGES.md, as tests/test_one_writer.py does for file writers; ROADMAP.md
 lists why each remaining option is kept.  A stored field is kept only where
 something reads it: a change that adds one to a public dataclass edits
-DATACLASSES and names the field's reader in the comment above its entry.
+DATACLASSES, and one that adds an attribute to a public plain class edits
+PLAIN_CLASSES, naming the reader in the comment above its entry.
 """
 
 import ast
@@ -17,9 +19,14 @@ import inspect
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ggelab.cli import _build_parsers
+from ggelab.cmv_core import build_periodic_cmv
+from ggelab.equilibrium import GridDensity
+from ggelab.potentials import Potential
+from ggelab.spectral_measures import EmpiricalMeasure, FourierCoeffs
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ggelab"
 MODULES = ("cmv_core", "potentials", "sampling", "spectral_measures",
@@ -38,7 +45,6 @@ ENTRY_POINTS = {
     "cmv_core.e_plus": ("m",),
     "cmv_core.conserved_quantities": ("alpha", "ell_max"),
     "sampling.make_rng": ("seed",),
-    "sampling.sample_theta": ("nu", "rng", "size"),
     "sampling.sample_chi": ("dof", "rng", "size"),
     "sampling.sample_coupled_family": ("nu", "h_values", "rng", "size"),
     "sampling.sample_al_gge": ("spec", "mcmc", "rng"),
@@ -49,7 +55,6 @@ ENTRY_POINTS = {
     "sampling.sample_ensemble": ("spec", "mcmc", "rng"),
     "spectral_measures.fourier_coeffs": ("mu", "k_max"),
     "spectral_measures.distance_D": ("mu", "nu", "k_max"),
-    "spectral_measures.check_bv_lip_bound": ("a", "b"),
     "equilibrium.free_energy_torus": ("rho", "v", "beta"),
     "equilibrium.minimize_torus": ("v", "beta", "params"),
     "equilibrium.free_energy_interval": ("rho", "v", "beta"),
@@ -125,6 +130,40 @@ DATACLASSES = {
                                "warnings"),
 }
 
+# public plain class -> the attributes of a built instance (its vars), in
+# order; each comment names the attributes' readers
+PLAIN_CLASSES = {
+    # edge_masses, values, weights: mass, integrate, fourier and the free
+    # energies; domain and nodes: theta, x, integrate and fourier; residual
+    # and iterations: cli minimize, beta_derivative_measure and the
+    # benchmark's tracer; signed: fourier's tolerance
+    "equilibrium.GridDensity": ("edge_masses", "domain", "nodes", "weights",
+                                "values", "residual", "iterations", "signed"),
+    # fourier (domain, atoms), integrate (atoms)
+    "spectral_measures.EmpiricalMeasure": ("domain", "atoms"),
+    # distance_D, cli dos, ldp_lab._moment_rows and equilibrium's torus
+    # free energy (c); __getitem__, truncated, fourier, distance_D (k_max)
+    "spectral_measures.FourierCoeffs": ("c", "k_max"),
+    # eigen_angles (topology, alpha), e_plus (topology, band), dense and
+    # trace_power (band, n), lax_residual (n)
+    "cmv_core.CmvMatrix": ("topology", "band", "n", "alpha"),
+    # __call__, scaled, to_dict and repr (domain, cos, sin, cheb);
+    # spectral_mean, is_zero and estimate_free_energy (constant); degree
+    # and trace_weights (_w)
+    "potentials.Potential": ("domain", "cos", "sin", "cheb", "constant",
+                             "_w"),
+}
+
+# one built instance of each plain class
+PLAIN_INSTANCES = {
+    "equilibrium.GridDensity":
+        lambda: GridDensity("torus", np.full(8, 1.0 / (2.0 * np.pi))),
+    "spectral_measures.EmpiricalMeasure": lambda: EmpiricalMeasure([0.1]),
+    "spectral_measures.FourierCoeffs": lambda: FourierCoeffs([0.5]),
+    "cmv_core.CmvMatrix": lambda: build_periodic_cmv(np.zeros(4)),
+    "potentials.Potential": lambda: Potential("torus", cos=[0.0, 1.0]),
+}
+
 # flags of every subcommand, next to the shared ones
 SHARED_FLAGS = ("--seed", "--out", "--format", "--config")
 _ENSEMBLE = ("--ensemble", "--n", "--beta", "--potential")
@@ -163,6 +202,18 @@ def test_every_public_dataclass_is_in_the_table():
              for key, obj in _public()
              if inspect.isclass(obj) and is_dataclass(obj)}
     assert found == DATACLASSES
+
+
+def test_every_public_plain_class_is_in_the_table():
+    found = {key for key, obj in _public()
+             if inspect.isclass(obj) and not is_dataclass(obj)
+             and not issubclass(obj, Exception)}
+    assert found == set(PLAIN_CLASSES) == set(PLAIN_INSTANCES)
+
+
+@pytest.mark.parametrize("key", sorted(PLAIN_CLASSES))
+def test_plain_class_attributes_are_in_the_table(key):
+    assert tuple(vars(PLAIN_INSTANCES[key]())) == PLAIN_CLASSES[key]
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -10,11 +10,12 @@ from ggelab import cmv_core as cc
 from ggelab import sampling as sp
 from ggelab.potentials import Potential
 
-from helpers import random_interior_alpha, site_chain, theta_ratio_draw
+from helpers import (random_interior_alpha, sample_theta, site_chain,
+                     theta_ratio_draw)
 
-# the Theta_nu draws under test: the sampler's inverse CDF, and the
-# chi-ratio construction of the test oracle
-THETA_DRAWS = {"radial": sp.sample_theta, "ratio": theta_ratio_draw}
+# the Theta_nu draws under test: the ensembles' inverse CDF
+# (sampling._torus_sites), and the chi-ratio construction of the test oracle
+THETA_DRAWS = {"radial": sample_theta, "ratio": theta_ratio_draw}
 
 
 # ------------------------------------------------------------------- theta law
@@ -32,7 +33,7 @@ def test_theta_second_moment(nu, method):
 @pytest.mark.parametrize("nu", [2.0, 3.0, 5.5])
 def test_theta_methods_agree(nu):
     rng = np.random.default_rng(7)
-    za = sp.sample_theta(nu, rng, size=10000)
+    za = sample_theta(nu, rng, size=10000)
     zb = theta_ratio_draw(nu, rng, size=10000)
     assert stats.ks_2samp(np.abs(za) ** 2, np.abs(zb) ** 2).pvalue > 0.01
     assert stats.ks_2samp(np.angle(za), np.angle(zb)).pvalue > 0.01
@@ -40,7 +41,7 @@ def test_theta_methods_agree(nu):
 
 def test_theta_nu3_is_uniform_disk():
     rng = np.random.default_rng(11)
-    z = sp.sample_theta(3.0, rng, size=20000)
+    z = sample_theta(3.0, rng, size=20000)
     assert stats.kstest(np.abs(z) ** 2, "uniform").pvalue > 0.01
 
 
@@ -54,7 +55,7 @@ def test_theta_radial_law_matches_beta():
 
 def test_theta_mean_is_zero():
     rng = np.random.default_rng(13)
-    z = sp.sample_theta(2.4, rng, size=20000)
+    z = sample_theta(2.4, rng, size=20000)
     se = np.sqrt(np.var(z.real) + np.var(z.imag)) / np.sqrt(z.size)
     assert abs(z.mean()) <= 3 * se
 
@@ -64,15 +65,15 @@ def test_theta_mean_is_zero():
 def test_theta_inverse_cdf_matches_exact_law(nu, seed):
     # |z|^2 ~ Beta(1, b), b = (nu - 1)/2, whose CDF is 1 - (1 - x)^b
     b = (nu - 1.0) / 2.0
-    z = sp.sample_theta(nu, np.random.default_rng(seed), size=200_000)
+    z = sample_theta(nu, np.random.default_rng(seed), size=200_000)
     cdf = lambda x: -np.expm1(b * np.log1p(-np.clip(x, 0.0, 1.0)))
     assert stats.kstest(np.abs(z) ** 2, cdf).pvalue > 0.01
 
 
 def test_theta_grazing_draws_stay_inside_the_disk():
     # nu = 1 + 1e-3 puts most of the mass within an ulp of the unit circle
-    r = np.abs(sp.sample_theta(1.0 + 1e-3, np.random.default_rng(305),
-                               size=100_000))
+    r = np.abs(sample_theta(1.0 + 1e-3, np.random.default_rng(305),
+                            size=100_000))
     assert r.max() < 1.0
     assert np.mean(r >= 1.0 - 2e-15) > 0.5
 
@@ -87,10 +88,11 @@ def test_circular_last_site_is_unimodular(pot):
 
 
 def test_theta_rejects_bad_nu():
+    # the public Theta_nu draw is sample_coupled_family's alpha_nu
     rng = np.random.default_rng(0)
     for nu in (1.0, 0.3, -2.0):
         with pytest.raises(ValueError):
-            sp.sample_theta(nu, rng)
+            sp.sample_coupled_family(nu, (0.5,), rng)
 
 
 # ------------------------------------------------------------------------- chi

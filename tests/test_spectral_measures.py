@@ -12,13 +12,13 @@ import ggelab
 from ggelab.cmv_core import build_periodic_cmv, build_cmv, eigen_angles
 from ggelab.equilibrium import GridDensity
 from ggelab.spectral_measures import (
-    DEFAULT_TEST_FUNCTIONS,
     EmpiricalMeasure,
     FourierCoeffs,
-    check_bv_lip_bound,
     distance_D,
     fourier_coeffs,
 )
+
+from helpers import check_bv_lip_bound
 
 
 def equispaced(n):
